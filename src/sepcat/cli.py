@@ -19,11 +19,11 @@ from .lincat import classify_presentation, linearize, validate_category
 from .cmod import canonical_bimodule, kernel_of, tensor_square, validate_module, ShortExactSeq
 from .cohomology import build_hm_complex, cohomology_dims, les_analysis, obstruction_cocycle
 from .separability import (
+    _solve_with_freedom,
     delta_predict,
     maschke_predict,
     module_section,
     reduce_family,
-    separability_system,
     solve_separability,
     verify_family,
     zelinsky_report,
@@ -89,7 +89,11 @@ def _resolve_bimodule(c, spec: str):
         _, comp_map = tensor_square(c)
         ker, _ = kernel_of(comp_map)
         return ker
-    return io.bimodule_from_json(c, _load_json(spec))
+    m = io.bimodule_from_json(c, _load_json(spec))
+    report = validate_module(c, m)
+    if not report.ok:
+        raise ValueError(f"{spec} is not a valid bimodule: " + "; ".join(report.violations[:3]))
+    return m
 
 
 @click.group()
@@ -159,15 +163,13 @@ def separability():
 def separability_check(file, cert_out):
     """Solve for a separability family; exit 0 separable / 1 not."""
     c = _load_category(file)
-    mat, rhs, _ = separability_system(c)
-    fam = solve_separability(c)
+    fam, freedom = _solve_with_freedom(c)
     if fam is None:
         click.echo("separable: no")
         sys.exit(1)
     check = verify_family(c, fam)
     if not check.ok:
         raise InternalCheckError("solver output fails verification")
-    freedom = mat.cols - mat.rank()
     click.echo("separable: yes")
     click.echo(f"solution space dimension {freedom}")
     doc = io.certificate_to_json(c, fam)

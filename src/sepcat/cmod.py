@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .errors import InternalCheckError
 from .exactalg import Field, Matrix
 from .lincat import FinLinCat, ValidationReport
 
@@ -490,113 +491,140 @@ def validate_module(
 # -- random instances ---------------------------------------------------
 
 
-def _intertwiner_kernel(
+def _yoneda_basis(
+    field: Field,
     components: list,
     src_dims: dict,
     tgt_dims: dict,
-    constraints: list[tuple[object, object, Matrix, Matrix]],
-    field: Field,
-) -> tuple[Matrix, dict, int]:
-    """Kernel basis of the linear system "T_act @ phi[src] = phi[tgt] @ S_act".
+    summands: list[tuple[int, dict]],
+) -> tuple[Matrix, dict]:
+    """Free-variable basis of the intertwiners from a sum of representables.
 
-    Unknowns are the entries of all blocks phi[comp], laid out row-major in
-    component order. Returns (kernel, offsets, total unknowns).
+    By the Yoneda lemma a map out of a representable is fixed by the image t
+    of its generator, and every t in the target's component at the generator
+    occurs. Each summand is (dimension of that component, images), where
+    images[comp] lists, over the summand's basis of comp, the
+    tgt_dims[comp] x dimension matrices whose column s is the image of the
+    basis element when t = e_s. Unknowns are the entries of all blocks
+    phi[comp], laid out row-major in component order, with the summands'
+    columns side by side.
+
+    These vectors span the intertwiners, so the basis rebuilt from them is
+    the one kernel_basis() of the intertwiner system gives: the vector of a
+    free column f has a 1 at f and 0 at every other free column, and the
+    free columns are the positions where a vector of the space has its last
+    nonzero entry. Those are the pivots of the spanning rows' rref with the
+    columns reversed, and its reduced rows are the basis vectors. Returns
+    (basis, offsets).
     """
     offsets = {}
     total = 0
     for comp in components:
         offsets[comp] = total
         total += tgt_dims[comp] * src_dims[comp]
-    rows: list[list] = []
     zero = field.zero
-    for comp_src, comp_tgt, s_act, t_act in constraints:
-        n_src = src_dims[comp_src]
-        n_tgt_rows = tgt_dims[comp_tgt]
-        # equation block has shape (tgt_dims[comp_tgt], src_dims[comp_src])
-        for r in range(n_tgt_rows):
-            for s in range(n_src):
-                row = [zero] * total
-                # T_act @ phi[comp_src] side: coefficient T_act[r, m] on entry (m, s)
-                base_src = offsets[comp_src]
-                stride_src = src_dims[comp_src]
-                for m in range(t_act.cols):
-                    v = t_act.entries[r * t_act.cols + m]
-                    if v:
-                        idx = base_src + m * stride_src + s
-                        row[idx] = field.add(row[idx], v)
-                # phi[comp_tgt] @ S_act side: coefficient -S_act[m, s] on entry (r, m)
-                base_tgt = offsets[comp_tgt]
-                stride_tgt = src_dims[comp_tgt]
-                for m in range(s_act.rows):
-                    v = s_act.entries[m * s_act.cols + s]
-                    if v:
-                        idx = base_tgt + r * stride_tgt + m
-                        row[idx] = field.sub(row[idx], v)
-                if any(row):
-                    rows.append(row)
-    system = Matrix(field, len(rows), total, [e for row in rows for e in row])
-    return system.kernel_basis(), offsets, total
+    rows: list[list] = []
+    first_col = dict.fromkeys(components, 0)
+    for k, images in summands:
+        span = [[zero] * total for _ in range(k)]
+        for comp in components:
+            stride = src_dims[comp]
+            # reversed column of unknown (r, col) of phi[comp]
+            base = total - 1 - offsets[comp] - first_col[comp]
+            for j, img in enumerate(images[comp]):
+                ent = img.entries
+                for r in range(img.rows):
+                    at = base - r * stride - j
+                    for s in range(k):
+                        v = ent[r * k + s]
+                        if v:
+                            span[s][at] = v
+            first_col[comp] += len(images[comp])
+        rows.extend(span)
+    n = len(rows)
+    res = Matrix(field, n, total, [e for row in rows for e in row]).rref()
+    if res.rank != n:
+        raise InternalCheckError(f"Yoneda spanning set has rank {res.rank}, expected {n}")
+    red = res.reduced.entries
+    # basis columns in ascending free column: reduced rows last to first
+    ent = [red[(n - j) * total - 1 - i] for i in range(total) for j in range(n)]
+    return Matrix(field, total, n, ent), offsets
 
 
-def _bimodule_map_from_vector(
-    c: FinLinCat, src: Bimodule, tgt: Bimodule, vec: list, offsets: dict
-) -> BimoduleMap:
+def _random_intertwiner(rng: random.Random, field: Field, basis: Matrix) -> list:
+    """A random combination of the basis columns, one coefficient per column."""
+    vec = [field.zero] * basis.rows
+    for k in range(basis.cols):
+        coeff = field.of(rng.randint(-2, 2)) if field.is_rationals else field.of(rng.randrange(field.p))
+        if not coeff:
+            continue
+        for i, v in enumerate(basis.col(k)):
+            if v:
+                vec[i] = field.add(vec[i], field.mul(coeff, v))
+    return vec
+
+
+def _blocks_from_vector(field: Field, src_dims: dict, tgt_dims: dict, vec: list, offsets: dict) -> dict:
     blocks = {}
-    for x in c.objects:
-        for y in c.objects:
-            r, s = tgt.dims[(x, y)], src.dims[(x, y)]
-            base = offsets[(x, y)]
-            blocks[(x, y)] = Matrix(c.field, r, s, vec[base : base + r * s])
-    return BimoduleMap(src, tgt, blocks)
+    for comp, base in offsets.items():
+        r, s = tgt_dims[comp], src_dims[comp]
+        blocks[comp] = Matrix(field, r, s, vec[base : base + r * s])
+    return blocks
 
 
-def _bimodule_intertwiner_constraints(c: FinLinCat, src: Bimodule, tgt: Bimodule):
-    constraints = []
-    for f, (x, x2, _) in c.label_info.items():
-        for y in c.objects:
-            constraints.append(((x, y), (x2, y), src.left[(f, y)], tgt.left[(f, y)]))
-    for g, (y2, y, _) in c.label_info.items():
-        for x in c.objects:
-            constraints.append(((x, y), (x, y2), src.right[(g, x)], tgt.right[(g, x)]))
-    return constraints
+def _bimodule_intertwiners(
+    c: FinLinCat, src_pairs: list[tuple[str, str]], src: Bimodule, tgt: Bimodule
+) -> tuple[Matrix, dict]:
+    """Yoneda basis of the maps src -> tgt, src being the direct sum of the
+    representables on src_pairs: u (x) v goes to right(v) @ left(u) applied
+    to the generator's image."""
+    summands = []
+    for a, b in src_pairs:
+        images = {
+            (x, y): [tgt.right[(v, x)] @ tgt.left[(u, b)] for u in c.hom(a, x) for v in c.hom(y, b)]
+            for x in c.objects
+            for y in c.objects
+        }
+        summands.append((tgt.dims[(a, b)], images))
+    pairs = [(x, y) for x in c.objects for y in c.objects]
+    return _yoneda_basis(c.field, pairs, src.dims, tgt.dims, summands)
+
+
+def _left_module_intertwiners(
+    c: FinLinCat, src_objs: list[str], src: LeftModule, tgt: LeftModule
+) -> tuple[Matrix, dict]:
+    """Yoneda basis of the maps src -> tgt, src being the direct sum of the
+    representables on src_objs: u in hom(a, x) sends the generator's image
+    t to u.t."""
+    summands = [
+        (tgt.dims[a], {x: [tgt.action[u] for u in c.hom(a, x)] for x in c.objects}) for a in src_objs
+    ]
+    return _yoneda_basis(c.field, list(c.objects), src.dims, tgt.dims, summands)
 
 
 def random_bimodule(c: FinLinCat, seed: int, dim_cap: int = 2) -> Bimodule:
     """A valid random bimodule, deterministic in the seed.
 
     Drawn as the kernel of a random intertwiner between direct sums of
-    representable bimodules; draws are retried until every component
-    dimension is at most dim_cap (the zero bimodule if no draw qualifies).
+    representable bimodules, a random combination of the Yoneda basis of
+    the intertwiners; draws are retried until every component dimension is
+    at most dim_cap (the zero bimodule if no draw qualifies).
     """
     if dim_cap < 1:
         raise ValueError("dim_cap must be at least 1")
     rng = random.Random(seed)
     pairs = [(x, y) for x in c.objects for y in c.objects]
-    components = pairs
     for _ in range(32):
         n_src = rng.choice((0, 1, 1, 1, 2, 2))
         if n_src == 0:
             return zero_bimodule(c)
-        src_parts = [representable_bimodule(c, *rng.choice(pairs)) for _ in range(n_src)]
+        src_pairs = [rng.choice(pairs) for _ in range(n_src)]
+        src_parts = [representable_bimodule(c, a, b) for a, b in src_pairs]
         src = src_parts[0] if n_src == 1 else direct_sum_bimodules(c, src_parts)
         tgt = representable_bimodule(c, *rng.choice(pairs))
-        kernel, offsets, total = _intertwiner_kernel(
-            components,
-            src.dims,
-            tgt.dims,
-            _bimodule_intertwiner_constraints(c, src, tgt),
-            c.field,
-        )
-        vec = [c.field.zero] * total
-        for k in range(kernel.cols):
-            coeff = c.field.of(rng.randint(-2, 2)) if c.field.is_rationals else c.field.of(rng.randrange(c.field.p))
-            if not coeff:
-                continue
-            for i in range(total):
-                v = kernel.entries[i * kernel.cols + k]
-                if v:
-                    vec[i] = c.field.add(vec[i], c.field.mul(coeff, v))
-        phi = _bimodule_map_from_vector(c, src, tgt, vec, offsets)
+        basis, offsets = _bimodule_intertwiners(c, src_pairs, src, tgt)
+        vec = _random_intertwiner(rng, c.field, basis)
+        phi = BimoduleMap(src, tgt, _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets))
         ker, _ = kernel_of(phi)
         if all(d <= dim_cap for d in ker.dims.values()):
             return ker
@@ -604,11 +632,7 @@ def random_bimodule(c: FinLinCat, seed: int, dim_cap: int = 2) -> Bimodule:
 
 
 def _left_module_map_kernel(c: FinLinCat, src: LeftModule, tgt: LeftModule, vec: list, offsets: dict):
-    blocks = {}
-    for x in c.objects:
-        r, s = tgt.dims[x], src.dims[x]
-        base = offsets[x]
-        blocks[x] = Matrix(c.field, r, s, vec[base : base + r * s])
+    blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)
     kernels = {x: blocks[x].kernel_basis() for x in c.objects}
     dims = {x: kernels[x].cols for x in c.objects}
     action = {}
@@ -623,30 +647,19 @@ def _left_module_map_kernel(c: FinLinCat, src: LeftModule, tgt: LeftModule, vec:
 
 def random_left_module(c: FinLinCat, seed: int, dim_cap: int = 2) -> LeftModule:
     """A valid random left module, deterministic in the seed (kernel of a
-    random map between sums of representable modules)."""
+    random map between sums of representable modules, drawn from the Yoneda
+    basis of such maps)."""
     if dim_cap < 1:
         raise ValueError("dim_cap must be at least 1")
     rng = random.Random(seed)
     for _ in range(32):
         n_src = rng.choice((1, 1, 1, 2, 2))
-        src_parts = [representable_left_module(c, rng.choice(c.objects)) for _ in range(n_src)]
+        src_objs = [rng.choice(c.objects) for _ in range(n_src)]
+        src_parts = [representable_left_module(c, a) for a in src_objs]
         src = src_parts[0] if n_src == 1 else direct_sum_left_modules(c, src_parts)
         tgt = representable_left_module(c, rng.choice(c.objects))
-        constraints = []
-        for f, (x, y, _) in c.label_info.items():
-            constraints.append((x, y, src.action[f], tgt.action[f]))
-        kernel, offsets, total = _intertwiner_kernel(
-            list(c.objects), src.dims, tgt.dims, constraints, c.field
-        )
-        vec = [c.field.zero] * total
-        for k in range(kernel.cols):
-            coeff = c.field.of(rng.randint(-2, 2)) if c.field.is_rationals else c.field.of(rng.randrange(c.field.p))
-            if not coeff:
-                continue
-            for i in range(total):
-                v = kernel.entries[i * kernel.cols + k]
-                if v:
-                    vec[i] = c.field.add(vec[i], c.field.mul(coeff, v))
+        basis, offsets = _left_module_intertwiners(c, src_objs, src, tgt)
+        vec = _random_intertwiner(rng, c.field, basis)
         mod = _left_module_map_kernel(c, src, tgt, vec, offsets)
         if all(d <= dim_cap for d in mod.dims.values()):
             return mod

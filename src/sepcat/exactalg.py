@@ -86,10 +86,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def arith(self, a, b, op: str):
-        """Dispatch one of add/sub/mul/div by name."""
-        return {"add": self.add, "sub": self.sub, "mul": self.mul, "div": self.div}[op](a, b)
-
     def format(self, a) -> str:
         # Q: "n" or "n/d" in lowest terms with d > 0; F_p: least residue.
         return str(a)
@@ -185,9 +181,6 @@ class Matrix:
 
     def col(self, j: int) -> list:
         return self.entries[j :: self.cols] if self.cols else []
-
-    def column_matrix(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.rows, 1, self.col(j))
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -287,12 +280,6 @@ class Matrix:
             ent.extend(self.row(i))
             ent.extend(other.row(i))
         return Matrix(self.field, self.rows, self.cols + other.cols, ent)
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        self._check_compatible(other)
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; row (i,k) and column (j,l) with i, j major."""

@@ -156,14 +156,27 @@ def family_from_vector(c: FinLinCat, vec: list, offsets: dict[tuple[str, str], i
     return SeparabilityFamily(blocks)
 
 
+def _solve_with_freedom(c: FinLinCat) -> tuple[Optional[SeparabilityFamily], int]:
+    """solve_separability's family together with the dimension of the
+    system's solution space, from one build and one elimination: the rank
+    of the system is the number of pivots of the augmented rref that fall
+    before the right-hand-side column."""
+    mat, rhs, offsets = separability_system(c)
+    n = mat.cols
+    aug = mat.hstack(rhs).rref()
+    rank = sum(1 for pc in aug.pivot_cols if pc < n)
+    if rank < aug.rank:
+        return None, n - rank
+    vec = [c.field.zero] * n
+    for r, pc in enumerate(aug.pivot_cols):
+        vec[pc] = aug.reduced.entries[r * (n + 1) + n]
+    return family_from_vector(c, vec, offsets), n - rank
+
+
 def solve_separability(c: FinLinCat) -> Optional[SeparabilityFamily]:
     """One separability family, or None exactly when the category is not
     separable. Free variables are zeroed, so the output is reproducible."""
-    mat, rhs, offsets = separability_system(c)
-    sol = mat.solve(rhs)
-    if sol is None:
-        return None
-    return family_from_vector(c, sol.entries, offsets)
+    return _solve_with_freedom(c)[0]
 
 
 def verify_family(c: FinLinCat, fam: SeparabilityFamily) -> FamilyCheck:

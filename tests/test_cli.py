@@ -107,6 +107,22 @@ class TestCohomologyCommands:
         result = runner.invoke(main, ["cohomology", files["z2_over_Q.json"], "--bimodule", "canonical"])
         assert result.exit_code == 3
 
+    def test_malformed_bimodule_file_is_exit_two(self, runner, files, tmp_path):
+        # one changed entry breaks functoriality of the left action of g1
+        c = linearize(presets.cyclic_group(3), QQ)
+        doc = io.bimodule_to_json(canonical_bimodule(c))
+        entry = next(e for e in doc["left_action"] if e["f"] == "g1")
+        entry["matrix"][0] = "1"
+        bad = tmp_path / "bad_bimodule.json"
+        bad.write_text(json.dumps(doc))
+        cat = tmp_path / "z3_over_Q.json"
+        cat.write_text(json.dumps(io.category_to_json(c)))
+        result = runner.invoke(main, ["cohomology", str(cat), "--bimodule", str(bad)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"malformed input: {bad} is not a valid bimodule: ")
+        assert "composition law fails" in result.stderr
+
     def test_obstruction_exit_codes(self, runner, files):
         assert runner.invoke(main, ["obstruction", files["z2_over_Q.json"]]).exit_code == 0
         assert runner.invoke(main, ["obstruction", files["a2_over_Q.json"]]).exit_code == 1

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from sepcat import presets
@@ -5,10 +9,14 @@ from sepcat.exactalg import Field, Matrix, QQ
 from sepcat.lincat import linearize
 from sepcat.cmod import (
     Bimodule,
+    BimoduleMap,
+    _bimodule_intertwiners,
+    _left_module_intertwiners,
     ShortExactSeq,
     canonical_bimodule,
     character_left_module,
     direct_sum_bimodules,
+    direct_sum_left_modules,
     kernel_of,
     random_bimodule,
     random_left_module,
@@ -176,3 +184,174 @@ class TestRandomInstances:
 
     def test_random_left_module_deterministic(self, z2_over_f2):
         assert random_left_module(z2_over_f2, 3) == random_left_module(z2_over_f2, 3)
+
+
+# -- golden draws ---------------------------------------------------------
+
+GOLDEN_PRESETS = {
+    "Z2": lambda: presets.cyclic_group(2),
+    "Z3": lambda: presets.cyclic_group(3),
+    "K4": presets.klein_four,
+    "G2(Z2)": lambda: presets.connected_groupoid(presets.cyclic_group(2), 2),
+    "A3": lambda: presets.chain_poset(3),
+    "vee": presets.vee_poset,
+    "idem": presets.idempotent_monoid,
+}
+GOLDEN_FIELDS = {"Q": QQ, "F7": Field(7)}
+
+# (random_bimodule, random_left_module) digests over seeds 0-5, recorded
+# from the intertwiner-system generator that the Yoneda basis replaced.
+GOLDEN_DIGESTS = {
+    ("Z2", "Q"): ("5db26ba84feb88cb", "48b8bd030a167056"),
+    ("Z2", "F7"): ("57626a953f2b85ae", "f0a7215658070d6b"),
+    ("Z3", "Q"): ("f4536125b48b5b1e", "dbeebf43fb601c48"),
+    ("Z3", "F7"): ("0d3040fa41329fe6", "5c57346f0ac03295"),
+    ("K4", "Q"): ("379a7acb9b8df29c", "963574cf7924f53f"),
+    ("K4", "F7"): ("22f8b73da9bf4c0b", "bf314d04d5e46211"),
+    ("G2(Z2)", "Q"): ("7d22322df747675e", "2064f755efd6e2c1"),
+    ("G2(Z2)", "F7"): ("460171fda0cb8002", "42377b29895a92d5"),
+    ("A3", "Q"): ("99e2cda53416bf05", "c60183eb87a460d9"),
+    ("A3", "F7"): ("b0aa015f29cfe1d6", "fb205eff14cb2681"),
+    ("vee", "Q"): ("25e8415e56a2bc0a", "91037d3e6d61905a"),
+    ("vee", "F7"): ("c6cc7b79e2613924", "7016efff05519848"),
+    ("idem", "Q"): ("a03b17d9f4216f4c", "ad8b9499cbf53b0f"),
+    ("idem", "F7"): ("eb1eed88e504e77c", "2daa42175ae08fdc"),
+}
+
+
+def _matrices_doc(fld, acts):
+    return {
+        "|".join(key) if isinstance(key, tuple) else key: [m.rows, m.cols, [fld.format(e) for e in m.entries]]
+        for key, m in acts.items()
+    }
+
+
+def _module_doc(m):
+    fld = m.cat.field
+    if isinstance(m, Bimodule):
+        return {
+            "dims": {f"{x}|{y}": d for (x, y), d in m.dims.items()},
+            "left": _matrices_doc(fld, m.left),
+            "right": _matrices_doc(fld, m.right),
+        }
+    return {"dims": dict(m.dims), "action": _matrices_doc(fld, m.action)}
+
+
+def _draws_digest(generator, c) -> str:
+    doc = [_module_doc(generator(c, seed)) for seed in range(6)]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,field_name", sorted(GOLDEN_DIGESTS))
+def test_random_draws_match_golden(name, field_name):
+    c = linearize(GOLDEN_PRESETS[name](), GOLDEN_FIELDS[field_name])
+    bimodule_digest, left_digest = GOLDEN_DIGESTS[(name, field_name)]
+    assert _draws_digest(random_bimodule, c) == bimodule_digest
+    assert _draws_digest(random_left_module, c) == left_digest
+
+
+# -- Yoneda intertwiner bases ----------------------------------------------
+#
+# Checked against the definitions only: an intertwiner is a family of blocks
+# commuting with the actions, and the reference kernel solves those
+# commutation equations as one dense linear system.
+
+PROPERTY_FIELDS = (QQ, Field(2), Field(3), Field(7))
+PROPERTY_PRESETS = (
+    lambda: presets.cyclic_group(2),
+    lambda: presets.cyclic_group(3),
+    presets.klein_four,
+    lambda: presets.connected_groupoid(presets.cyclic_group(2), 2),
+    lambda: presets.chain_poset(3),
+    presets.vee_poset,
+    presets.idempotent_monoid,
+)
+
+
+def _split_blocks(fld, vec, comps, src_dims, tgt_dims):
+    """Cut a vector into row-major blocks tgt_dims[comp] x src_dims[comp]."""
+    blocks, at = {}, 0
+    for comp in comps:
+        r, s = tgt_dims[comp], src_dims[comp]
+        blocks[comp] = Matrix(fld, r, s, vec[at : at + r * s])
+        at += r * s
+    assert at == len(vec)
+    return blocks
+
+
+def _dense_kernel(fld, comps, src_dims, tgt_dims, constraints):
+    """Kernel basis of "phi[c2] @ S = T @ phi[c1]" over all constraints
+    (c1, c2, S, T), the unknowns laid out block by block, row-major."""
+    offset, total = {}, 0
+    for comp in comps:
+        offset[comp] = total
+        total += tgt_dims[comp] * src_dims[comp]
+    rows = []
+    for c1, c2, s_act, t_act in constraints:
+        for r in range(tgt_dims[c2]):
+            for s in range(src_dims[c1]):
+                row = [fld.zero] * total
+                for m in range(src_dims[c2]):
+                    idx = offset[c2] + r * src_dims[c2] + m
+                    row[idx] = fld.add(row[idx], s_act[m, s])
+                for m in range(tgt_dims[c1]):
+                    idx = offset[c1] + m * src_dims[c1] + s
+                    row[idx] = fld.sub(row[idx], t_act[r, m])
+                rows.append(row)
+    return Matrix(fld, len(rows), total, [e for row in rows for e in row]).kernel_basis()
+
+
+def _random_case(seed):
+    rng = random.Random(seed)
+    fld = rng.choice(PROPERTY_FIELDS)
+    pres = rng.choice(PROPERTY_PRESETS)() if seed % 4 else presets.random_presentation(seed)
+    return rng, linearize(pres, fld)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_bimodule_yoneda_basis(seed):
+    rng, c = _random_case(seed)
+    pairs = [(x, y) for x in c.objects for y in c.objects]
+    src_pairs = [rng.choice(pairs) for _ in range(rng.choice((1, 2)))]
+    src = direct_sum_bimodules(c, [representable_bimodule(c, a, b) for a, b in src_pairs])
+    tgt = rng.choice(
+        [
+            representable_bimodule(c, *rng.choice(pairs)),
+            canonical_bimodule(c),
+            kernel_of(tensor_square(c)[1])[0],
+            direct_sum_bimodules(c, [canonical_bimodule(c), random_bimodule(c, seed + 1)]),
+        ]
+    )
+    basis, _ = _bimodule_intertwiners(c, src_pairs, src, tgt)
+    assert basis.cols == sum(tgt.dims[p] for p in src_pairs)
+    assert basis.rows == sum(tgt.dims[p] * src.dims[p] for p in pairs)
+    for k in range(basis.cols):
+        blocks = _split_blocks(c.field, basis.col(k), pairs, src.dims, tgt.dims)
+        assert validate_module(c, BimoduleMap(src, tgt, blocks)).ok
+    if basis.rows <= 400:
+        constraints = [
+            ((x, y), (x2, y), src.left[(f, y)], tgt.left[(f, y)])
+            for f, (x, x2, _) in c.label_info.items()
+            for y in c.objects
+        ] + [
+            ((x, y), (x, y2), src.right[(g, x)], tgt.right[(g, x)])
+            for g, (y2, y, _) in c.label_info.items()
+            for x in c.objects
+        ]
+        assert basis == _dense_kernel(c.field, pairs, src.dims, tgt.dims, constraints)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_left_module_yoneda_basis(seed):
+    rng, c = _random_case(seed)
+    src_objs = [rng.choice(c.objects) for _ in range(rng.choice((1, 2)))]
+    src = direct_sum_left_modules(c, [representable_left_module(c, a) for a in src_objs])
+    tgt = rng.choice([representable_left_module(c, rng.choice(c.objects)), random_left_module(c, seed)])
+    basis, _ = _left_module_intertwiners(c, src_objs, src, tgt)
+    assert basis.cols == sum(tgt.dims[a] for a in src_objs)
+    for k in range(basis.cols):
+        phi = _split_blocks(c.field, basis.col(k), c.objects, src.dims, tgt.dims)
+        for f, (x, y, _) in c.label_info.items():
+            assert phi[y] @ src.action[f] == tgt.action[f] @ phi[x]
+    constraints = [(x, y, src.action[f], tgt.action[f]) for f, (x, y, _) in c.label_info.items()]
+    assert basis == _dense_kernel(c.field, list(c.objects), src.dims, tgt.dims, constraints)
