@@ -227,27 +227,63 @@ def tensor_square(c: FinLinCat) -> tuple[Bimodule, BimoduleMap]:
     return cxc, BimoduleMap(cxc, creg, blocks)
 
 
+def _solve_by_kernel(kernels: dict, systems: list[tuple[object, Matrix]]) -> list[Optional[Matrix]]:
+    """X with kernels[key] @ X = image for every (key, image), from one
+    solve_many per distinct key: a key's images are stacked side by side
+    and the solution is split back by columns. A kernel basis has full
+    column rank, so each solution is unique and equals the one solved
+    alone. A key whose stacked solve fails is solved again one image at a
+    time, so None marks exactly the images that have no solution."""
+    by_key: dict = {}
+    for idx, (key, _) in enumerate(systems):
+        by_key.setdefault(key, []).append(idx)
+    out: list[Optional[Matrix]] = [None] * len(systems)
+    for key, idxs in by_key.items():
+        images = [systems[i][1] for i in idxs]
+        rows = images[0].rows
+        stacked = Matrix(
+            images[0].field,
+            rows,
+            sum(b.cols for b in images),
+            [e for r in range(rows) for b in images for e in b.row(r)],
+        )
+        sol = kernels[key].solve_many(stacked)
+        start = 0
+        for i, image in zip(idxs, images):
+            if sol is None:
+                out[i] = kernels[key].solve_many(image)
+                continue
+            width = image.cols
+            ent = []
+            for r in range(sol.rows):
+                base = r * sol.cols + start
+                ent.extend(sol.entries[base : base + width])
+            out[i] = Matrix(sol.field, sol.rows, width, ent)
+            start += width
+    return out
+
+
 def kernel_of(m: BimoduleMap) -> tuple[Bimodule, BimoduleMap]:
     """Componentwise kernel with the induced actions, plus its inclusion."""
     c = m.source.cat
     kernels = {key: m.blocks[key].kernel_basis() for key in m.blocks}
     dims = {key: kernels[key].cols for key in kernels}
-    left = {}
+    systems = []
     for (f, y), act in m.source.left.items():
         x, x2, _ = c.label_info[f]
-        image = act @ kernels[(x, y)]
-        induced = kernels[(x2, y)].solve_many(image)
-        if induced is None:
-            raise ValueError(f"map does not commute with left action of {f}; kernel has no induced action")
-        left[(f, y)] = induced
-    right = {}
+        systems.append(((x2, y), act @ kernels[(x, y)]))
     for (g, x), act in m.source.right.items():
         y2, y, _ = c.label_info[g]
-        image = act @ kernels[(x, y)]
-        induced = kernels[(x, y2)].solve_many(image)
-        if induced is None:
+        systems.append(((x, y2), act @ kernels[(x, y)]))
+    induced = _solve_by_kernel(kernels, systems)
+    left = dict(zip(m.source.left, induced))
+    right = dict(zip(m.source.right, induced[len(left) :]))
+    for (f, y), act in left.items():
+        if act is None:
+            raise ValueError(f"map does not commute with left action of {f}; kernel has no induced action")
+    for (g, x), act in right.items():
+        if act is None:
             raise ValueError(f"map does not commute with right action of {g}; kernel has no induced action")
-        right[(g, x)] = induced
     ker = Bimodule(c, dims, left, right)
     return ker, BimoduleMap(ker, m.source, dict(kernels))
 
@@ -635,13 +671,11 @@ def _left_module_map_kernel(c: FinLinCat, src: LeftModule, tgt: LeftModule, vec:
     blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)
     kernels = {x: blocks[x].kernel_basis() for x in c.objects}
     dims = {x: kernels[x].cols for x in c.objects}
-    action = {}
-    for f, (x, y, _) in c.label_info.items():
-        image = src.action[f] @ kernels[x]
-        induced = kernels[y].solve_many(image)
+    systems = [(y, src.action[f] @ kernels[x]) for f, (x, y, _) in c.label_info.items()]
+    action = dict(zip(c.label_info, _solve_by_kernel(kernels, systems)))
+    for f, induced in action.items():
         if induced is None:
             raise ValueError(f"map does not commute with action of {f}")
-        action[f] = induced
     return LeftModule(c, dims, action)
 
 

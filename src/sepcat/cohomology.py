@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 from typing import Optional
 
-from .exactalg import Matrix
+from .exactalg import Matrix, _rank_mod
 from .errors import BudgetExceededError, InternalCheckError
 from .lincat import FinLinCat
 from .cmod import Bimodule, BimoduleMap, ShortExactSeq, tensor_square, kernel_of, validate_module
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 20000
+
+# the prime whose ranks bound the ranks of rational differentials from below
+_RANK_PRIME = 2**31 - 1
 
 
 @dataclass
@@ -63,7 +66,11 @@ class _DegreeSpace:
 
 class CochainComplex:
     """Bar cochain spaces C^0 .. C^(max_degree+1) and differentials
-    d^0 .. d^max_degree, with d . d = 0 checked at build time."""
+    d^0 .. d^max_degree.
+
+    Invariant: every adjacent pair of diffs has passed the exact check
+    d^(n+1) . d^n = 0 in build_hm_complex, so im d^(n-1) lies in ker d^n;
+    cohomology_dims relies on it to certify ranks."""
 
     def __init__(self, cat: FinLinCat, coefficients: Bimodule, max_degree: int, spaces, diffs):
         self.cat = cat
@@ -204,12 +211,34 @@ class CohomologyResult:
 
 
 def cohomology_dims(complex: CochainComplex) -> CohomologyResult:
-    """dim H^n = dim ker d^n - rank d^(n-1) for n up to max_degree."""
+    """dim H^n = dim ker d^n - rank d^(n-1) for n up to max_degree.
+
+    Over Q each rank r_n = rank d^n is sandwiched before any rational
+    elimination. From below by rho_n, the rank of d^n mod the prime
+    _RANK_PRIME (rho_n <= r_n). From above by the complex's invariant
+    d . d = 0, which puts im d^(n-1) in ker d^n and im d^n in ker d^(n+1):
+    r_n <= min(dim C^(n+1), dim C^n - r_(n-1), dim C^(n+1) - rho_(n+1)),
+    with r_(n-1) already exact. When rho_n meets the upper bound it is r_n;
+    otherwise (nonzero cohomology, or a denominator divisible by the prime)
+    r_n comes from the exact rational rref. Over F_p ranks come from rref.
+    """
+    diffs = complex.diffs
+    if complex.cat.field.is_rationals:
+        lower = [_rank_mod(d, _RANK_PRIME) for d in diffs]
+    else:
+        lower = [None] * len(diffs)
     out = []
     prev_rank = 0
-    for n in range(complex.max_degree + 1):
-        d = complex.diffs[n]
-        rank = d.rank()
+    for n, d in enumerate(diffs):
+        rank = lower[n]
+        if rank is not None:
+            upper = min(complex.dim(n + 1), complex.dim(n) - prev_rank)
+            if n + 1 < len(diffs) and lower[n + 1] is not None:
+                upper = min(upper, complex.dim(n + 1) - lower[n + 1])
+            if rank != upper:
+                rank = None
+        if rank is None:
+            rank = d.rank()
         dim_ker = complex.dim(n) - rank
         out.append(DegreeData(n, complex.dim(n), rank, dim_ker - prev_rank))
         prev_rank = rank
@@ -277,7 +306,7 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
             value = cxc.left[(b, x1)] @ sigma[x1] - cxc.right[(b, x0)] @ sigma[x0]
             if not (comp_map.blocks[(x0, x1)] @ value).is_zero():
                 raise InternalCheckError("obstruction value escapes ker comp")
-            coords = incl.blocks[(x0, x1)].solve(value)
+            coords = incl.blocks[(x0, x1)].solve_many(value)
             if coords is None:
                 raise InternalCheckError("obstruction value has no kernel coordinates")
             for s in range(coords.rows):
@@ -286,7 +315,7 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
                     cocycle.entries[slot.flat((b_idx,), s)] = v
     if not (complex.diffs[1] @ cocycle).is_zero():
         raise InternalCheckError("obstruction cochain is not a cocycle")
-    is_coboundary = complex.diffs[0].solve(cocycle) is not None
+    is_coboundary = complex.diffs[0].solve_many(cocycle) is not None
     return ObstructionResult(cocycle, is_coboundary, ker, complex)
 
 

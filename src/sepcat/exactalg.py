@@ -367,13 +367,9 @@ class Matrix:
     def rank(self) -> int:
         return self.rref().rank
 
-    def solve(self, b: "Matrix") -> Optional["Matrix"]:
-        """One exact solution of self @ x = b (free variables set to zero)."""
-        sol = self.solve_many(b)
-        return sol
-
     def solve_many(self, b: "Matrix") -> Optional["Matrix"]:
-        """Columnwise solve of self @ X = B; None if any column is inconsistent."""
+        """Columnwise solve of self @ X = B with free variables set to zero;
+        None if any column is inconsistent."""
         self._check_compatible(b)
         if b.rows != self.rows:
             raise ValueError(f"dimension mismatch: {self.rows} equations vs {b.rows} rhs rows")
@@ -412,3 +408,41 @@ class Matrix:
         if len(texts) != rows * cols:
             raise ValueError("matrix entry count does not match declared shape")
         return cls(field, rows, cols, [field.parse(t) for t in texts])
+
+
+def _rank_mod(m: Matrix, p: int) -> Optional[int]:
+    """Rank over F_p of the rational matrix m with every entry reduced mod
+    the prime p; None when some entry's denominator is divisible by p.
+
+    A minor of the reduction is the reduction of the minor, so the result
+    never exceeds the rank of m over Q. Rows are streamed: each is reduced
+    mod p into a sparse dict and then against the pivot rows kept so far
+    (forward elimination only), so nothing but the pivot rows is stored.
+    """
+    cols = m.cols
+    pivots: dict[int, dict[int, int]] = {}
+    for i in range(m.rows):
+        row = {}
+        for j, e in enumerate(m.entries[i * cols : (i + 1) * cols]):
+            if e:
+                den = e.denominator
+                if den % p == 0:
+                    return None
+                v = e.numerator % p if den == 1 else e.numerator * pow(den, -1, p) % p
+                if v:
+                    row[j] = v
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                s = pow(row[lead], -1, p)
+                pivots[lead] = {j: v * s % p for j, v in row.items()}
+                break
+            f = row[lead]
+            for j, v in prow.items():
+                x = (row.get(j, 0) - f * v) % p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+    return len(pivots)

@@ -237,6 +237,11 @@ def reduce_family(c: FinLinCat, fam: SeparabilityFamily) -> SeparabilityFamily:
     check = verify_family(c, fam)
     if not check.ok:
         raise ValueError("family does not verify; refusing to reduce")
+    return _reduce_verified(c, fam)
+
+
+def _reduce_verified(c: FinLinCat, fam: SeparabilityFamily) -> SeparabilityFamily:
+    """reduce_family for a family the caller has already verified."""
     terms = {}
     for (x, y), blk in fam.blocks.items():
         if blk.is_zero():

@@ -107,6 +107,17 @@ class TestKernelOf:
         for key, d in m.dims.items():
             assert incl.blocks[key] == Matrix.identity(QQ, d)
 
+    def test_non_equivariant_map_names_first_failing_label(self):
+        # the kernel span(g1, g2) of the projection onto g0 is closed under
+        # g0 but not under g1 or g2; all actions share one target kernel
+        c = linearize(presets.cyclic_group(3), QQ)
+        m = canonical_bimodule(c)
+        from sepcat.cmod import BimoduleMap
+
+        proj = BimoduleMap(m, m, {("x", "x"): Matrix.from_rows(QQ, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])})
+        with pytest.raises(ValueError, match="left action of g1;"):
+            kernel_of(proj)
+
 
 class TestValidate:
     def test_broken_left_action_reported(self, z2_over_q):

@@ -1,9 +1,10 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sepcat import presets
-from sepcat.exactalg import Field, Matrix, QQ
+from sepcat import cohomology, presets
+from sepcat.exactalg import Field, Matrix, QQ, _rank_mod
 from sepcat.errors import BudgetExceededError
 from sepcat.lincat import linearize
 from sepcat.cmod import (
@@ -177,7 +178,7 @@ class TestObstruction:
         shift = Matrix.column(QQ, [rng.randint(-2, 2) for _ in range(d0.cols)])
         shifted = base.cocycle + d0 @ shift
         assert (base.complex.diffs[1] @ shifted).is_zero()
-        assert (d0.solve(shifted) is not None) == base.is_coboundary
+        assert (d0.solve_many(shifted) is not None) == base.is_coboundary
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_solver_feasibility(self, seed):
@@ -233,3 +234,130 @@ class TestVanishingTheorem:
         m = random_bimodule(z2_over_q, seed)
         result = cohomology_dims(build_hm_complex(z2_over_q, m, 2))
         assert result.dim_h(1) == 0 and result.dim_h(2) == 0
+
+
+def crown_poset():
+    return presets.poset_category(["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+
+
+def rational_rrefs(monkeypatch):
+    """Record every rational rref from here on (cached or not)."""
+    calls = []
+    original = Matrix.rref
+
+    def spy(self):
+        if self.field.is_rationals:
+            calls.append((self.rows, self.cols))
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "rref", spy)
+    return calls
+
+
+def assert_ranks_are_rational_ranks(complex):
+    result = cohomology_dims(complex)
+    assert [d.rank_d for d in result.degrees] == [d.rank() for d in complex.diffs]
+
+
+class TestRankCertificate:
+    """Over Q, cohomology_dims takes each rank from the mod-p lower bound
+    when it meets the upper bound given by d . d = 0."""
+
+    @pytest.mark.parametrize(
+        "pres",
+        [
+            presets.cyclic_group(3),
+            presets.klein_four(),
+            presets.chain_poset(3),
+            presets.vee_poset(),
+            presets.idempotent_monoid(),
+            presets.connected_groupoid(presets.cyclic_group(2), 2),
+            crown_poset(),
+        ]
+        + [presets.random_presentation(seed) for seed in range(4)],
+    )
+    def test_ranks_equal_rational_ranks(self, pres):
+        c = linearize(pres, QQ)
+        _, comp_map = tensor_square(c)
+        for m in (canonical_bimodule(c), kernel_of(comp_map)[0]):
+            assert_ranks_are_rational_ranks(build_hm_complex(c, m, 2))
+
+    @pytest.mark.parametrize("pres", [presets.cyclic_group(2), presets.cyclic_group(3), presets.vee_poset()])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ranks_equal_rational_ranks_random_bimodule(self, pres, seed):
+        c = linearize(pres, QQ)
+        assert_ranks_are_rational_ranks(build_hm_complex(c, random_bimodule(c, seed), 2))
+
+    def test_prime_two_falls_back(self, z2_over_q, monkeypatch):
+        complex = build_hm_complex(z2_over_q, canonical_bimodule(z2_over_q), 2)
+        expected = [d.dim_h for d in cohomology_dims(complex).degrees]
+        # mod 2 the complex has H^n = 2 in every degree, so rho_1 < rank_Q d^1
+        monkeypatch.setattr(cohomology, "_RANK_PRIME", 2)
+        complex = build_hm_complex(z2_over_q, canonical_bimodule(z2_over_q), 2)
+        calls = rational_rrefs(monkeypatch)
+        result = cohomology_dims(complex)
+        assert calls
+        assert [d.dim_h for d in result.degrees] == expected == [2, 0, 0]
+
+    def test_denominator_divisible_by_prime_has_no_bound(self):
+        m = Matrix.from_rows(QQ, [[1, 2], [0, "1/7"]])
+        assert _rank_mod(m, 7) is None
+        assert _rank_mod(m, 5) == 2
+
+    def test_acyclic_complex_runs_no_rational_rref(self, monkeypatch):
+        c = linearize(presets.cyclic_group(4), QQ)
+        complex = build_hm_complex(c, canonical_bimodule(c), 3)
+        calls = rational_rrefs(monkeypatch)
+        result = cohomology_dims(complex)
+        assert calls == []
+        assert [d.dim_h for d in result.degrees] == [4, 0, 0, 0]
+
+    def test_nonzero_cohomology_runs_rational_rref(self, monkeypatch):
+        c = linearize(crown_poset(), QQ)
+        complex = build_hm_complex(c, canonical_bimodule(c), 3)
+        calls = rational_rrefs(monkeypatch)
+        cohomology_dims(complex)
+        assert calls
+
+
+@st.composite
+def integer_matrices(draw):
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    ents = draw(st.lists(st.integers(-30, 30), min_size=rows * cols, max_size=rows * cols))
+    return rows, cols, ents
+
+
+@given(integer_matrices(), st.sampled_from([2, 3, 7, 2**31 - 1]))
+@settings(max_examples=200, deadline=None)
+def test_rank_mod_matches_prime_field_rank(shape, p):
+    rows, cols, ents = shape
+    fp = Field(p)
+    expected = Matrix(fp, rows, cols, [fp.of(e) for e in ents]).rank()
+    assert _rank_mod(Matrix(QQ, rows, cols, [QQ.of(e) for e in ents]), p) == expected
+    # dividing by a unit mod p changes no rank
+    assert _rank_mod(Matrix(QQ, rows, cols, [QQ.of(e) / 11 for e in ents]), p) == expected
+
+
+class TestClosedForms:
+    """Theorems, not a second path through the same code."""
+
+    @pytest.mark.parametrize(
+        "m, fld, max_degree",
+        [(2, F2, 4), (3, F3, 3), (4, F2, 3), (4, QQ, 3), (3, F2, 3), (6, F3, 2)],
+    )
+    def test_cyclic_group_algebra(self, m, fld, max_degree):
+        # dim HH^n(K[Z_m]) = m for n = 0; for n >= 1 it is m when char K
+        # divides m (K[Z_m] = K[t]/(t^m - 1) is then not separable) and 0
+        # otherwise
+        c = linearize(presets.cyclic_group(m), fld)
+        result = cohomology_dims(build_hm_complex(c, canonical_bimodule(c), max_degree))
+        higher = m if fld.characteristic and m % fld.characteristic == 0 else 0
+        assert [d.dim_h for d in result.degrees] == [m] + [higher] * max_degree
+
+    def test_crown_poset_is_a_circle(self):
+        # HH of a poset is the simplicial cohomology of its order complex
+        # (Gerstenhaber-Schack); the crown's order complex is a circle
+        c = linearize(crown_poset(), QQ)
+        result = cohomology_dims(build_hm_complex(c, canonical_bimodule(c), 3))
+        assert [d.dim_h for d in result.degrees] == [1, 1, 0, 0]

@@ -56,20 +56,20 @@ class TestRref:
 
 class TestSolve:
     def test_identity_system(self):
-        sol = Matrix.identity(QQ, 2).solve(Matrix.column(QQ, [1, 2]))
+        sol = Matrix.identity(QQ, 2).solve_many(Matrix.column(QQ, [1, 2]))
         assert sol.entries == [QQ.of(1), QQ.of(2)]
 
     def test_inconsistent(self):
         a = Matrix.from_rows(QQ, [[1, 1], [1, 1]])
-        assert a.solve(Matrix.column(QQ, [1, 2])) is None
+        assert a.solve_many(Matrix.column(QQ, [1, 2])) is None
 
     def test_free_variable_zeroed(self):
-        sol = Matrix.from_rows(QQ, [[1, 2]]).solve(Matrix.column(QQ, [1]))
+        sol = Matrix.from_rows(QQ, [[1, 2]]).solve_many(Matrix.column(QQ, [1]))
         assert sol.entries == [QQ.of(1), QQ.of(0)]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            Matrix.identity(QQ, 2).solve(Matrix.column(QQ, [1, 2, 3]))
+            Matrix.identity(QQ, 2).solve_many(Matrix.column(QQ, [1, 2, 3]))
 
 
 class TestKernel:
@@ -117,7 +117,7 @@ def test_rref_idempotent(a):
 def test_solve_soundness(a, data):
     b_ents = data.draw(st.lists(st.integers(-9, 9), min_size=a.rows, max_size=a.rows))
     b = Matrix.column(a.field, b_ents)
-    x = a.solve(b)
+    x = a.solve_many(b)
     if x is not None:
         assert a @ x == b
 
@@ -127,7 +127,7 @@ def test_solve_soundness(a, data):
 def test_solve_complete_on_consistent_systems(a, data):
     x_ents = data.draw(st.lists(st.integers(-9, 9), min_size=a.cols, max_size=a.cols))
     b = a @ Matrix.column(a.field, x_ents)
-    x = a.solve(b)
+    x = a.solve_many(b)
     assert x is not None and a @ x == b
 
 
