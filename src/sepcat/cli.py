@@ -82,6 +82,13 @@ def _load_certificate(c, path: str):
     return io.certificate_from_json(c, _load_json(path))
 
 
+def _echo_residuals(check) -> None:
+    for x in check.unit_witnesses:
+        click.echo(f"unit residual at object {x}")
+    for (f, y) in check.equivariance_witnesses:
+        click.echo(f"equivariance residual at morphism {f}, object {y}")
+
+
 def _resolve_bimodule(c, spec: str):
     if spec == "canonical":
         return canonical_bimodule(c)
@@ -191,10 +198,7 @@ def separability_verify(file, cert_path):
     if check.ok:
         click.echo("certificate: valid")
         sys.exit(0)
-    for x in check.unit_witnesses:
-        click.echo(f"unit residual at object {x}")
-    for (f, y) in check.equivariance_witnesses:
-        click.echo(f"equivariance residual at morphism {f}, object {y}")
+    _echo_residuals(check)
     sys.exit(1)
 
 
@@ -332,10 +336,7 @@ def module_split(file, module_path, cert_path):
     check = verify_family(c, fam)
     if not check.ok:
         click.echo("certificate: invalid")
-        for x in check.unit_witnesses:
-            click.echo(f"unit residual at object {x}")
-        for (f, y) in check.equivariance_witnesses:
-            click.echo(f"equivariance residual at morphism {f}, object {y}")
+        _echo_residuals(check)
         sys.exit(1)
     result = module_section(c, _reduce_verified(c, fam), m)
     click.echo(f"section_ok: {'yes' if result.section_ok else 'no'}")

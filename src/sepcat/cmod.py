@@ -44,28 +44,24 @@ def post_mul_matrix(c: FinLinCat, f: str, y: str) -> Matrix:
     """Matrix of u -> f.u on hom(y, src f) -> hom(y, tgt f)."""
     x, z, _ = c.label_info[f]
     src = c.hom(y, x)
-    tgt = c.hom(y, z)
-    out = Matrix.zeros(c.field, len(tgt), len(src))
-    for j, u in enumerate(src):
-        vec = c.comp_vector(f, u)
-        for i, v in enumerate(vec):
-            if v:
-                out.entries[i * len(src) + j] = v
-    return out
+    return Matrix.from_entries(
+        c.field,
+        c.dim_hom(y, z),
+        len(src),
+        ((i, j, v) for j, u in enumerate(src) for i, v in enumerate(c.comp_vector(f, u)) if v),
+    )
 
 
 def pre_mul_matrix(c: FinLinCat, g: str, y: str) -> Matrix:
     """Matrix of v -> v.g on hom(tgt g, y) -> hom(src g, y)."""
     x, z, _ = c.label_info[g]
     src = c.hom(z, y)
-    tgt = c.hom(x, y)
-    out = Matrix.zeros(c.field, len(tgt), len(src))
-    for j, v in enumerate(src):
-        vec = c.comp_vector(v, g)
-        for i, w in enumerate(vec):
-            if w:
-                out.entries[i * len(src) + j] = w
-    return out
+    return Matrix.from_entries(
+        c.field,
+        c.dim_hom(x, y),
+        len(src),
+        ((i, j, w) for j, v in enumerate(src) for i, w in enumerate(c.comp_vector(v, g)) if w),
+    )
 
 
 class LeftModule:
@@ -188,42 +184,51 @@ def tensor_square(c: FinLinCat) -> tuple[Bimodule, BimoduleMap]:
         for y in c.objects:
             src = bases[(x, y)]
             tgt_index = index[(x2, y)]
-            out = Matrix.zeros(fld, dims[(x2, y)], len(src))
-            for j, (z, u, v) in enumerate(src):
-                vec = c.comp_vector(f, u)
-                tgt_basis = c.hom(z, x2)
-                for k, coeff in enumerate(vec):
-                    if coeff:
-                        out.entries[tgt_index[(z, tgt_basis[k], v)] * len(src) + j] = coeff
-            left[(f, y)] = out
+            left[(f, y)] = Matrix.from_entries(
+                fld,
+                dims[(x2, y)],
+                len(src),
+                (
+                    (tgt_index[(z, w, v)], j, coeff)
+                    for j, (z, u, v) in enumerate(src)
+                    for w, coeff in zip(c.hom(z, x2), c.comp_vector(f, u))
+                    if coeff
+                ),
+            )
     right = {}
     for g in c.label_info:
         y2, y, _ = c.label_info[g]
         for x in c.objects:
             src = bases[(x, y)]
             tgt_index = index[(x, y2)]
-            out = Matrix.zeros(fld, dims[(x, y2)], len(src))
-            for j, (z, u, v) in enumerate(src):
-                vec = c.comp_vector(v, g)
-                tgt_basis = c.hom(y2, z)
-                for k, coeff in enumerate(vec):
-                    if coeff:
-                        out.entries[tgt_index[(z, u, tgt_basis[k])] * len(src) + j] = coeff
-            right[(g, x)] = out
+            right[(g, x)] = Matrix.from_entries(
+                fld,
+                dims[(x, y2)],
+                len(src),
+                (
+                    (tgt_index[(z, u, w)], j, coeff)
+                    for j, (z, u, v) in enumerate(src)
+                    for w, coeff in zip(c.hom(y2, z), c.comp_vector(v, g))
+                    if coeff
+                ),
+            )
     cxc = Bimodule(c, dims, left, right)
     creg = canonical_bimodule(c)
     blocks = {}
     for x in c.objects:
         for y in c.objects:
             src = bases[(x, y)]
-            tgt = c.hom(y, x)
-            out = Matrix.zeros(fld, len(tgt), len(src))
-            for j, (z, u, v) in enumerate(src):
-                vec = c.comp_vector(u, v)
-                for i, coeff in enumerate(vec):
-                    if coeff:
-                        out.entries[i * len(src) + j] = coeff
-            blocks[(x, y)] = out
+            blocks[(x, y)] = Matrix.from_entries(
+                fld,
+                c.dim_hom(y, x),
+                len(src),
+                (
+                    (i, j, coeff)
+                    for j, (_, u, v) in enumerate(src)
+                    for i, coeff in enumerate(c.comp_vector(u, v))
+                    if coeff
+                ),
+            )
     return cxc, BimoduleMap(cxc, creg, blocks)
 
 
@@ -240,26 +245,14 @@ def _solve_by_kernel(kernels: dict, systems: list[tuple[object, Matrix]]) -> lis
     out: list[Optional[Matrix]] = [None] * len(systems)
     for key, idxs in by_key.items():
         images = [systems[i][1] for i in idxs]
-        rows = images[0].rows
-        stacked = Matrix(
-            images[0].field,
-            rows,
-            sum(b.cols for b in images),
-            [e for r in range(rows) for b in images for e in b.row(r)],
-        )
-        sol = kernels[key].solve_many(stacked)
+        sol = kernels[key].solve_many(images[0].hstack(*images[1:]))
         start = 0
         for i, image in zip(idxs, images):
             if sol is None:
                 out[i] = kernels[key].solve_many(image)
                 continue
-            width = image.cols
-            ent = []
-            for r in range(sol.rows):
-                base = r * sol.cols + start
-                ent.extend(sol.entries[base : base + width])
-            out[i] = Matrix(sol.field, sol.rows, width, ent)
-            start += width
+            out[i] = sol.take_cols(range(start, start + image.cols))
+            start += image.cols
     return out
 
 
@@ -326,79 +319,53 @@ def character_left_module(c: FinLinCat, values: dict[str, object]) -> LeftModule
     return LeftModule(c, dims, action)
 
 
+def _block_diag(field: Field, mats: list[Matrix]) -> Matrix:
+    """The block-diagonal matrix with the given blocks in order."""
+
+    def triplets():
+        r0 = c0 = 0
+        for m in mats:
+            for i in range(m.rows):
+                for j, v in enumerate(m.entries[i * m.cols : (i + 1) * m.cols]):
+                    if v:
+                        yield r0 + i, c0 + j, v
+            r0 += m.rows
+            c0 += m.cols
+
+    return Matrix.from_entries(field, sum(m.rows for m in mats), sum(m.cols for m in mats), triplets())
+
+
 def direct_sum_bimodules(c: FinLinCat, summands: list[Bimodule]) -> Bimodule:
     dims = {
         (x, y): sum(s.dims[(x, y)] for s in summands) for x in c.objects for y in c.objects
     }
-
-    def blockdiag(mats: list[Matrix]) -> Matrix:
-        rows = sum(m.rows for m in mats)
-        cols = sum(m.cols for m in mats)
-        out = Matrix.zeros(c.field, rows, cols)
-        r0 = c0 = 0
-        for m in mats:
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    v = m.entries[i * m.cols + j]
-                    if v:
-                        out.entries[(r0 + i) * cols + (c0 + j)] = v
-            r0 += m.rows
-            c0 += m.cols
-        return out
-
     left = {}
     right = {}
     for f in c.label_info:
         for y in c.objects:
-            left[(f, y)] = blockdiag([s.left[(f, y)] for s in summands])
+            left[(f, y)] = _block_diag(c.field, [s.left[(f, y)] for s in summands])
     for g in c.label_info:
         for x in c.objects:
-            right[(g, x)] = blockdiag([s.right[(g, x)] for s in summands])
+            right[(g, x)] = _block_diag(c.field, [s.right[(g, x)] for s in summands])
     return Bimodule(c, dims, left, right)
 
 
 def direct_sum_left_modules(c: FinLinCat, summands: list[LeftModule]) -> LeftModule:
     dims = {x: sum(s.dims[x] for s in summands) for x in c.objects}
-    action = {}
-    for f in c.label_info:
-        x, y, _ = c.label_info[f]
-        out = Matrix.zeros(c.field, dims[y], dims[x])
-        r0 = c0 = 0
-        for s in summands:
-            m = s.action[f]
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    v = m.entries[i * m.cols + j]
-                    if v:
-                        out.entries[(r0 + i) * dims[x] + (c0 + j)] = v
-            r0 += m.rows
-            c0 += m.cols
-        action[f] = out
+    action = {f: _block_diag(c.field, [s.action[f] for s in summands]) for f in c.label_info}
     return LeftModule(c, dims, action)
 
 
 # -- validation ---------------------------------------------------------
 
 
-def _identity_action(c: FinLinCat, x: str, act_of_label, dim: int) -> Matrix:
-    """Extend an action linearly over the identity vector of x."""
-    out = Matrix.zeros(c.field, dim, dim)
-    labels = c.hom(x, x)
-    for t, coeff in enumerate(c.identity[x]):
+def _linear_action(field: Field, labels, coeffs, act_of_label, rows: int, cols: int) -> Matrix:
+    """The action of sum_t coeffs[t] labels[t], a rows x cols matrix, by
+    extending act_of_label linearly over the coefficient vector."""
+    out = Matrix.zeros(field, rows, cols)
+    for label, coeff in zip(labels, coeffs):
         if coeff:
-            out = out + act_of_label(labels[t]).scale(coeff)
-    return out
-
-
-def _expand_composite(c: FinLinCat, g: str, f: str, act_of_label, rows: int, cols: int) -> Matrix:
-    """The action of g.f, expanded through the composition table."""
-    x, _, _ = c.label_info[f]
-    _, z, _ = c.label_info[g]
-    out = Matrix.zeros(c.field, rows, cols)
-    labels = c.hom(x, z)
-    for k, coeff in enumerate(c.comp_vector(g, f)):
-        if coeff:
-            out = out + act_of_label(labels[k]).scale(coeff)
+            out = out + act_of_label(label).scale(coeff)
     return out
 
 
@@ -409,14 +376,14 @@ def _validate_left_module(c: FinLinCat, m: LeftModule, violations: list[str]) ->
             violations.append(f"action matrix for {f} has shape {mat.rows}x{mat.cols}")
             return
     for x in c.objects:
-        ident = _identity_action(c, x, m.act, m.dims[x])
+        ident = _linear_action(c.field, c.hom(x, x), c.identity[x], m.act, m.dims[x], m.dims[x])
         if ident != Matrix.identity(c.field, m.dims[x]):
             violations.append(f"unit law fails at object {x}")
     for g, (gx, gy, _) in c.label_info.items():
         for f, (fx, fy, _) in c.label_info.items():
             if fy != gx:
                 continue
-            lhs = _expand_composite(c, g, f, m.act, m.dims[gy], m.dims[fx])
+            lhs = _linear_action(c.field, c.hom(fx, gy), c.comp_vector(g, f), m.act, m.dims[gy], m.dims[fx])
             if lhs != m.act(g) @ m.act(f):
                 violations.append(f"composition law fails on pair ({g},{f})")
 
@@ -434,28 +401,31 @@ def _validate_bimodule(c: FinLinCat, m: Bimodule, violations: list[str]) -> None
             return
     for y in c.objects:
         for x in c.objects:
-            ident = _identity_action(c, x, lambda lab: m.left_act(lab, y), m.dims[(x, y)])
-            if ident != Matrix.identity(c.field, m.dims[(x, y)]):
+            d = m.dims[(x, y)]
+            ident = _linear_action(c.field, c.hom(x, x), c.identity[x], lambda lab: m.left_act(lab, y), d, d)
+            if ident != Matrix.identity(c.field, d):
                 violations.append(f"left unit law fails at component ({x},{y})")
     for x in c.objects:
         for y in c.objects:
-            ident = _identity_action(c, y, lambda lab: m.right_act(lab, x), m.dims[(x, y)])
-            if ident != Matrix.identity(c.field, m.dims[(x, y)]):
+            d = m.dims[(x, y)]
+            ident = _linear_action(c.field, c.hom(y, y), c.identity[y], lambda lab: m.right_act(lab, x), d, d)
+            if ident != Matrix.identity(c.field, d):
                 violations.append(f"right unit law fails at component ({x},{y})")
     for g, (gx, gy, _) in c.label_info.items():
         for f, (fx, fy, _) in c.label_info.items():
             if fy != gx:
                 continue
+            labels, coeffs = c.hom(fx, gy), c.comp_vector(g, f)
             for y in c.objects:
-                lhs = _expand_composite(
-                    c, g, f, lambda lab: m.left_act(lab, y), m.dims[(gy, y)], m.dims[(fx, y)]
+                lhs = _linear_action(
+                    c.field, labels, coeffs, lambda lab: m.left_act(lab, y), m.dims[(gy, y)], m.dims[(fx, y)]
                 )
                 if lhs != m.left_act(g, y) @ m.left_act(f, y):
                     violations.append(f"left composition law fails on ({g},{f}) at y={y}")
             # right action is contravariant: (g.f) acts as act(f) @ act(g)
             for x in c.objects:
-                lhs = _expand_composite(
-                    c, g, f, lambda lab: m.right_act(lab, x), m.dims[(x, fx)], m.dims[(x, gy)]
+                lhs = _linear_action(
+                    c.field, labels, coeffs, lambda lab: m.right_act(lab, x), m.dims[(x, fx)], m.dims[(x, gy)]
                 )
                 if lhs != m.right_act(f, x) @ m.right_act(g, x):
                     violations.append(f"right composition law fails on ({g},{f}) at x={x}")

@@ -252,14 +252,8 @@ def cocycle_representatives(complex: CochainComplex, n: int) -> Matrix:
     if n == 0:
         return ker
     image = complex.diffs[n - 1]
-    stacked = image.hstack(ker)
-    pivots = stacked.rref().pivot_cols
-    chosen = [pc - image.cols for pc in pivots if pc >= image.cols]
-    out = Matrix.zeros(complex.cat.field, ker.rows, len(chosen))
-    for j, src in enumerate(chosen):
-        for i in range(ker.rows):
-            out.entries[i * len(chosen) + j] = ker.entries[i * ker.cols + src]
-    return out
+    pivots = image.hstack(ker).rref().pivot_cols
+    return ker.take_cols([pc - image.cols for pc in pivots if pc >= image.cols])
 
 
 @dataclass
@@ -299,7 +293,7 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
                     i = index[(x, labels[s], labels[t])]
                     vec[i] = fld.add(vec[i], fld.mul(coeff_u, coeff_v))
         sigma[x] = Matrix(fld, len(basis), 1, vec)
-    cocycle = Matrix.zeros(fld, complex.dim(1), 1)
+    values = [fld.zero] * complex.dim(1)
     for slot in complex.space(1).slots:
         x0, x1 = slot.objs
         for b_idx, b in enumerate(c.hom(x1, x0)):
@@ -309,10 +303,9 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
             coords = incl.blocks[(x0, x1)].solve_many(value)
             if coords is None:
                 raise InternalCheckError("obstruction value has no kernel coordinates")
-            for s in range(coords.rows):
-                v = coords.entries[s]
-                if v:
-                    cocycle.entries[slot.flat((b_idx,), s)] = v
+            for s, v in enumerate(coords.entries):
+                values[slot.flat((b_idx,), s)] = v
+    cocycle = Matrix(fld, len(values), 1, values)
     if not (complex.diffs[1] @ cocycle).is_zero():
         raise InternalCheckError("obstruction cochain is not a cocycle")
     is_coboundary = complex.diffs[0].solve_many(cocycle) is not None
@@ -347,22 +340,23 @@ class LesReport:
 
 
 def _cochain_map(src: CochainComplex, tgt: CochainComplex, blocks: dict, n: int) -> Matrix:
-    fld = src.cat.field
     sspace, tspace = src.space(n), tgt.space(n)
-    out = Matrix.zeros(fld, tspace.dim, sspace.dim)
-    for slot in sspace.slots:
-        tslot = tspace.by_objs.get(slot.objs)
-        if tslot is None:
-            continue
-        blk = blocks[(slot.objs[0], slot.objs[n])]
-        for combo in product(*[range(d) for d in slot.hom_dims]):
-            for t in range(slot.mdim):
-                col = slot.flat(combo, t)
-                for s in range(blk.rows):
-                    v = blk.entries[s * blk.cols + t]
-                    if v:
-                        out.entries[tslot.flat(combo, s) * sspace.dim + col] = v
-    return out
+
+    def triplets():
+        for slot in sspace.slots:
+            tslot = tspace.by_objs.get(slot.objs)
+            if tslot is None:
+                continue
+            blk = blocks[(slot.objs[0], slot.objs[n])]
+            for combo in product(*[range(d) for d in slot.hom_dims]):
+                for t in range(slot.mdim):
+                    col = slot.flat(combo, t)
+                    for s in range(blk.rows):
+                        v = blk.entries[s * blk.cols + t]
+                        if v:
+                            yield tslot.flat(combo, s), col, v
+
+    return Matrix.from_entries(src.cat.field, tspace.dim, sspace.dim, triplets())
 
 
 def les_analysis(c: FinLinCat, ses: ShortExactSeq, max_degree: int, budget: int = DEFAULT_BUDGET) -> LesReport:

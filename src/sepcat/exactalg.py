@@ -3,7 +3,7 @@
 Scalars are plain Python values: rationals (gmpy2.mpq when available,
 fractions.Fraction otherwise) and integers in [0, p) for prime fields.
 A Field object carries the arithmetic; matrices store their field and
-stay immutable after construction.
+their entries as a tuple, so they cannot change after construction.
 """
 
 from __future__ import annotations
@@ -121,10 +121,10 @@ class RrefResult:
 
 
 class Matrix:
-    """Dense exact matrix; entries are row-major field scalars.
+    """Dense exact matrix; entries are a row-major tuple of field scalars.
 
-    Instances are immutable; the reduced row echelon form is computed once
-    and cached. Pivoting picks the first nonzero entry in column order.
+    Instances are immutable, so the reduced row echelon form is computed
+    once and cached. Pivoting picks the first nonzero entry in column order.
     """
 
     __slots__ = ("field", "rows", "cols", "entries", "_rref")
@@ -135,7 +135,7 @@ class Matrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", list(entries))
+        object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "_rref", None)
 
     def __setattr__(self, name, value):
@@ -146,6 +146,17 @@ class Matrix:
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         return cls(field, rows, cols, [field.zero] * (rows * cols))
+
+    @classmethod
+    def from_entries(cls, field: Field, rows: int, cols: int, triplets: Iterable) -> "Matrix":
+        """A rows x cols matrix from (i, j, value) triplets of field scalars;
+        absent entries are zero and each (i, j) is given at most once."""
+        ent = [field.zero] * (rows * cols)
+        for i, j, v in triplets:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError((i, j))
+            ent[i * cols + j] = v
+        return cls(field, rows, cols, ent)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -177,10 +188,10 @@ class Matrix:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> list:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
     def col(self, j: int) -> list:
-        return self.entries[j :: self.cols] if self.cols else []
+        return list(self.entries[j :: self.cols]) if self.cols else []
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -228,11 +239,6 @@ class Matrix:
             ent = [(a - b) % p for a, b in zip(self.entries, other.entries)]
         return Matrix(self.field, self.rows, self.cols, ent)
 
-    def __neg__(self) -> "Matrix":
-        p = self.field.p
-        ent = [-a for a in self.entries] if p is None else [(-a) % p for a in self.entries]
-        return Matrix(self.field, self.rows, self.cols, ent)
-
     def scale(self, scalar) -> "Matrix":
         s = self.field.of(scalar)
         p = self.field.p
@@ -271,15 +277,26 @@ class Matrix:
         ent = [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
         return Matrix(self.field, self.cols, self.rows, ent)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        self._check_compatible(other)
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
+    def hstack(self, *others: "Matrix") -> "Matrix":
+        """self and others side by side, in order."""
+        for other in others:
+            self._check_compatible(other)
+            if self.rows != other.rows:
+                raise ValueError("row count mismatch in hstack")
+        mats = (self,) + others
         ent = []
         for i in range(self.rows):
-            ent.extend(self.row(i))
-            ent.extend(other.row(i))
-        return Matrix(self.field, self.rows, self.cols + other.cols, ent)
+            for m in mats:
+                ent.extend(m.entries[i * m.cols : (i + 1) * m.cols])
+        return Matrix(self.field, self.rows, sum(m.cols for m in mats), ent)
+
+    def take_cols(self, cols: Sequence[int]) -> "Matrix":
+        """The columns of self with the given indices, in the given order."""
+        n = self.cols
+        if any(not 0 <= j < n for j in cols):
+            raise IndexError(f"column index out of range for {n} columns")
+        ent = [self.entries[i * n + j] for i in range(self.rows) for j in cols]
+        return Matrix(self.field, self.rows, len(cols), ent)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; row (i,k) and column (j,l) with i, j major."""
@@ -375,14 +392,14 @@ class Matrix:
             raise ValueError(f"dimension mismatch: {self.rows} equations vs {b.rows} rhs rows")
         n = self.cols
         aug = self.hstack(b).rref()
-        red = aug.reduced
-        out = Matrix.zeros(self.field, n, b.cols)
+        if any(pc >= n for pc in aug.pivot_cols):
+            return None
+        red, k, width = aug.reduced.entries, b.cols, n + b.cols
+        # row pc of the solution is the right-hand part of reduced row r
+        ent = [self.field.zero] * (n * k)
         for r, pc in enumerate(aug.pivot_cols):
-            if pc >= n:
-                return None
-            for j in range(b.cols):
-                out.entries[pc * b.cols + j] = red.entries[r * red.cols + n + j]
-        return out
+            ent[pc * k : (pc + 1) * k] = red[r * width + n : (r + 1) * width]
+        return Matrix(self.field, n, k, ent)
 
     def kernel_basis(self) -> "Matrix":
         """Columns span ker(self): the standard free-variable basis from rref."""
@@ -390,15 +407,15 @@ class Matrix:
         red = res.reduced
         pivot_set = set(res.pivot_cols)
         free = [j for j in range(self.cols) if j not in pivot_set]
-        out = Matrix.zeros(self.field, self.cols, len(free))
+        ent = [self.field.zero] * (self.cols * len(free))
         neg = self.field.neg
         for k, fc in enumerate(free):
-            out.entries[fc * len(free) + k] = self.field.one
+            ent[fc * len(free) + k] = self.field.one
             for r, pc in enumerate(res.pivot_cols):
                 v = red.entries[r * red.cols + fc]
                 if v:
-                    out.entries[pc * len(free) + k] = neg(v)
-        return out
+                    ent[pc * len(free) + k] = neg(v)
+        return Matrix(self.field, self.cols, len(free), ent)
 
     def to_json(self) -> list[str]:
         return [self.field.format(e) for e in self.entries]

@@ -313,7 +313,8 @@ def certificate_to_json(c: FinLinCat, fam: SeparabilityFamily) -> list:
 def certificate_from_json(c: FinLinCat, doc: list) -> SeparabilityFamily:
     if not isinstance(doc, list):
         raise ValueError("certificate: expected a JSON array of blocks")
-    blocks: dict[tuple[str, str], Matrix] = {}
+    # repeated terms and blocks add up: coefficients per block and cell
+    sums: dict[tuple[str, str], dict[tuple[int, int], object]] = {}
     for entry in doc:
         x = _require(entry, "x", "certificate block")
         y = _require(entry, "y", "certificate block")
@@ -321,7 +322,7 @@ def certificate_from_json(c: FinLinCat, doc: list) -> SeparabilityFamily:
             raise ValueError(f"certificate: unknown objects ({x},{y})")
         us = c.hom(y, x)
         vs = c.hom(x, y)
-        blk = blocks.get((x, y)) or Matrix.zeros(c.field, len(us), len(vs))
+        cells = sums.setdefault((x, y), {})
         for term in entry.get("terms", []):
             u = _require(term, "u", "certificate term")
             v = _require(term, "v", "certificate term")
@@ -329,10 +330,15 @@ def certificate_from_json(c: FinLinCat, doc: list) -> SeparabilityFamily:
                 raise ValueError(f"certificate: label {u!r} is not in hom({y},{x})")
             if v not in vs:
                 raise ValueError(f"certificate: label {v!r} is not in hom({x},{y})")
-            i, j = us.index(u), vs.index(v)
+            cell = (us.index(u), vs.index(v))
             coeff = c.field.parse(_require(term, "coeff", "certificate term"))
-            blk.entries[i * len(vs) + j] = c.field.add(blk.entries[i * len(vs) + j], coeff)
-        blocks[(x, y)] = blk
+            cells[cell] = c.field.add(cells.get(cell, c.field.zero), coeff)
+    blocks = {
+        (x, y): Matrix.from_entries(
+            c.field, c.dim_hom(y, x), c.dim_hom(x, y), ((i, j, v) for (i, j), v in cells.items())
+        )
+        for (x, y), cells in sums.items()
+    }
     return SeparabilityFamily(blocks)
 
 

@@ -10,6 +10,7 @@ f in hom(x, y) acts M[x] -> M[y].
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 from typing import Optional, Sequence
 
 from .exactalg import Field
@@ -130,9 +131,6 @@ class FinLinCat:
     def identity_morphism(self, x: str) -> Morphism:
         return Morphism(x, x, self.identity[x])
 
-    def zero_morphism(self, x: str, y: str) -> Morphism:
-        return Morphism(x, y, (self.field.zero,) * self.dim_hom(x, y))
-
 
 def compose(c: FinLinCat, g: Morphism, f: Morphism) -> Morphism:
     """Bilinear extension of the composition table: g . f."""
@@ -178,22 +176,29 @@ def validate_category(c: FinLinCat) -> ValidationReport:
                 f = c.basis_morphism(lab)
                 if compose(c, one_y, f).coeffs != f.coeffs:
                     violations.append(f"left unit law fails: 1_{y} . {lab} != {lab}")
-    # associativity on basis triples
-    for w in c.objects:
-        for x in c.objects:
-            for y in c.objects:
-                for z in c.objects:
-                    for h in c.hom(y, z):
-                        hm = c.basis_morphism(h)
-                        for g in c.hom(x, y):
-                            gm = c.basis_morphism(g)
-                            hg = compose(c, hm, gm)
-                            for f in c.hom(w, x):
-                                fm = c.basis_morphism(f)
-                                left = compose(c, hg, fm)
-                                right = compose(c, hm, compose(c, gm, fm))
-                                if left.coeffs != right.coeffs:
-                                    violations.append(f"associativity fails on triple ({h},{g},{f})")
+    # associativity on basis triples, read off the composition table:
+    # (h.g).f = sum_k (h.g)_k e_k.f and h.(g.f) = sum_k (g.f)_k h.e_k
+    fld = c.field
+
+    def combine(dim: int, terms) -> list:
+        out = [fld.zero] * dim
+        for coeff, vec in terms:
+            for k, v in enumerate(vec):
+                if v:
+                    out[k] = fld.add(out[k], fld.mul(coeff, v))
+        return out
+
+    for w, x, y, z in product(c.objects, repeat=4):
+        dim, hom_xz, hom_wy = c.dim_hom(w, z), c.hom(x, z), c.hom(w, y)
+        for h in c.hom(y, z):
+            for g in c.hom(x, y):
+                hg = c.comp_vector(h, g)
+                for f in c.hom(w, x):
+                    gf = c.comp_vector(g, f)
+                    left = combine(dim, ((a, c.comp_vector(e, f)) for a, e in zip(hg, hom_xz) if a))
+                    right = combine(dim, ((a, c.comp_vector(h, e)) for a, e in zip(gf, hom_wy) if a))
+                    if left != right:
+                        violations.append(f"associativity fails on triple ({h},{g},{f})")
     return ValidationReport(ok=not violations, violations=violations)
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .exactalg import Field, Matrix
 from .lincat import FinLinCat, FiniteCatPresentation, classify_presentation, linearize
-from .cmod import LeftModule, post_mul_matrix, pre_mul_matrix
+from .cmod import LeftModule, _linear_action, post_mul_matrix, pre_mul_matrix
 
 __all__ = [
     "SeparabilityFamily",
@@ -305,12 +305,9 @@ def maschke_predict(p: FiniteCatPresentation, k: Field) -> MaschkeVerdict:
             gs = c.hom(y0, x)
             hs = c.hom(x, y0)
             inv_weight = k.inv(k.of(len(hs)))
-            blk = Matrix.zeros(k, len(gs), len(hs))
-            for i, g in enumerate(gs):
-                ginv = p.find_inverse(g)
-                j = hs.index(ginv)
-                blk.entries[i * len(hs) + j] = inv_weight
-            blocks[(x, y0)] = blk
+            blocks[(x, y0)] = Matrix.from_entries(
+                k, len(gs), len(hs), ((i, hs.index(p.find_inverse(g)), inv_weight) for i, g in enumerate(gs))
+            )
     return MaschkeVerdict(separable=True, family=SeparabilityFamily(blocks))
 
 
@@ -358,10 +355,7 @@ def module_section(c: FinLinCat, fam: SeparabilityFamily, m: LeftModule) -> Sect
             rows = c.dim_hom(y, x) * m.dims[y]
             out = Matrix.zeros(fld, rows, m.dims[x])
             for (u_vec, v_vec) in fam.terms.get((x, y), []):
-                act = Matrix.zeros(fld, m.dims[y], m.dims[x])
-                for t, coeff in enumerate(v_vec):
-                    if coeff:
-                        act = act + m.action[c.hom(x, y)[t]].scale(coeff)
+                act = _linear_action(fld, c.hom(x, y), v_vec, m.act, m.dims[y], m.dims[x])
                 out = out + Matrix(fld, len(u_vec), 1, list(u_vec)).kron(act)
             psi[(x, y)] = out
     failures: list[str] = []
@@ -373,9 +367,7 @@ def module_section(c: FinLinCat, fam: SeparabilityFamily, m: LeftModule) -> Sect
             if not labels or not m.dims[y]:
                 continue
             # evaluation block: columns (a, b) -> action(u_a) applied to e_b
-            ev = m.action[labels[0]]
-            for lab in labels[1:]:
-                ev = ev.hstack(m.action[lab])
+            ev = m.action[labels[0]].hstack(*(m.action[lab] for lab in labels[1:]))
             total = total + ev @ psi[(x, y)]
         if total != Matrix.identity(fld, m.dims[x]):
             section_ok = False
@@ -429,12 +421,7 @@ def zelinsky_report(c: FinLinCat, fam: SeparabilityFamily) -> ZelinskyReport:
             f_mat = Matrix(fld, c.dim_hom(y, x), len(terms), [
                 terms[j][0][i] for i in range(c.dim_hom(y, x)) for j in range(len(terms))
             ])
-            pivots = f_mat.rref().pivot_cols
-            cols = Matrix.zeros(fld, f_mat.rows, len(pivots))
-            for k_new, pc in enumerate(pivots):
-                for i in range(f_mat.rows):
-                    cols.entries[i * len(pivots) + k_new] = f_mat.entries[i * f_mat.cols + pc]
-            vbasis[(y, x)] = cols
+            vbasis[(y, x)] = f_mat.take_cols(f_mat.rref().pivot_cols)
     records = []
     for x in c.objects:
         support = fam.support(c, x)

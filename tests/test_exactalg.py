@@ -57,7 +57,7 @@ class TestRref:
 class TestSolve:
     def test_identity_system(self):
         sol = Matrix.identity(QQ, 2).solve_many(Matrix.column(QQ, [1, 2]))
-        assert sol.entries == [QQ.of(1), QQ.of(2)]
+        assert sol == Matrix.column(QQ, [1, 2])
 
     def test_inconsistent(self):
         a = Matrix.from_rows(QQ, [[1, 1], [1, 1]])
@@ -65,11 +65,28 @@ class TestSolve:
 
     def test_free_variable_zeroed(self):
         sol = Matrix.from_rows(QQ, [[1, 2]]).solve_many(Matrix.column(QQ, [1]))
-        assert sol.entries == [QQ.of(1), QQ.of(0)]
+        assert sol == Matrix.column(QQ, [1, 0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             Matrix.identity(QQ, 2).solve_many(Matrix.column(QQ, [1, 2, 3]))
+
+
+class TestImmutable:
+    def test_entries_reject_writes(self):
+        m = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
+        with pytest.raises(TypeError):
+            m.entries[0] = QQ.of(5)
+        assert m.rank() == 2
+        with pytest.raises(TypeError):
+            m.entries[1] = QQ.zero
+        assert m == Matrix.from_rows(QQ, [[1, 2], [3, 4]])
+
+    def test_from_entries_rejects_out_of_range(self):
+        with pytest.raises(IndexError):
+            Matrix.from_entries(QQ, 2, 2, [(0, 2, QQ.one)])
+        with pytest.raises(IndexError):
+            Matrix.identity(QQ, 2).take_cols([2])
 
 
 class TestKernel:
@@ -146,3 +163,40 @@ def test_scalar_canonical_form(m, n, op):
             assert math.gcd(int(r.numerator), int(r.denominator)) == 1
         else:
             assert 0 <= r < f.p
+
+
+def _int_rows(data, rows, cols):
+    return [data.draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@given(fields, st.integers(1, 4), st.integers(0, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_from_entries_matches_from_rows(field, rows, cols, data):
+    ints = _int_rows(data, rows, cols)
+    triplets = ((i, j, field.of(v)) for i, row in enumerate(ints) for j, v in enumerate(row) if v)
+    assert Matrix.from_entries(field, rows, cols, triplets) == Matrix.from_rows(field, ints)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_nary_hstack_is_the_binary_fold(data):
+    field = data.draw(fields)
+    rows = data.draw(st.integers(0, 3))
+    mats = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        cols = data.draw(st.integers(0, 3))
+        ents = data.draw(st.lists(st.integers(-9, 9), min_size=rows * cols, max_size=rows * cols))
+        mats.append(Matrix(field, rows, cols, [field.of(e) for e in ents]))
+    folded = mats[0]
+    for m in mats[1:]:
+        folded = folded.hstack(m)
+    assert mats[0].hstack(*mats[1:]) == folded
+
+
+@given(fields, st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_take_cols_picks_columns(field, rows, cols, data):
+    ints = _int_rows(data, rows, cols)
+    picks = data.draw(st.lists(st.integers(0, cols - 1), max_size=5))
+    by_hand = Matrix.from_rows(field, [[row[j] for j in picks] for row in ints])
+    assert Matrix.from_rows(field, ints).take_cols(picks) == by_hand
