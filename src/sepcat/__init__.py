@@ -6,10 +6,8 @@ from .errors import BudgetExceededError, InternalCheckError
 from .lincat import (
     FinLinCat,
     FiniteCatPresentation,
-    Morphism,
     ValidationReport,
     classify_presentation,
-    compose,
     linearize,
     validate_category,
 )

@@ -48,7 +48,7 @@ def post_mul_matrix(c: FinLinCat, f: str, y: str) -> Matrix:
         c.field,
         c.dim_hom(y, z),
         len(src),
-        ((i, j, v) for j, u in enumerate(src) for i, v in enumerate(c.comp_vector(f, u)) if v),
+        ((i, j, v) for j, u in enumerate(src) for i, v in c.comp_terms(f, u)),
     )
 
 
@@ -60,7 +60,7 @@ def pre_mul_matrix(c: FinLinCat, g: str, y: str) -> Matrix:
         c.field,
         c.dim_hom(x, y),
         len(src),
-        ((i, j, w) for j, v in enumerate(src) for i, w in enumerate(c.comp_vector(v, g)) if w),
+        ((i, j, w) for j, v in enumerate(src) for i, w in c.comp_terms(v, g)),
     )
 
 
@@ -189,10 +189,9 @@ def tensor_square(c: FinLinCat) -> tuple[Bimodule, BimoduleMap]:
                 dims[(x2, y)],
                 len(src),
                 (
-                    (tgt_index[(z, w, v)], j, coeff)
+                    (tgt_index[(z, c.hom(z, x2)[k], v)], j, coeff)
                     for j, (z, u, v) in enumerate(src)
-                    for w, coeff in zip(c.hom(z, x2), c.comp_vector(f, u))
-                    if coeff
+                    for k, coeff in c.comp_terms(f, u)
                 ),
             )
     right = {}
@@ -206,10 +205,9 @@ def tensor_square(c: FinLinCat) -> tuple[Bimodule, BimoduleMap]:
                 dims[(x, y2)],
                 len(src),
                 (
-                    (tgt_index[(z, u, w)], j, coeff)
+                    (tgt_index[(z, u, c.hom(y2, z)[k])], j, coeff)
                     for j, (z, u, v) in enumerate(src)
-                    for w, coeff in zip(c.hom(y2, z), c.comp_vector(v, g))
-                    if coeff
+                    for k, coeff in c.comp_terms(v, g)
                 ),
             )
     cxc = Bimodule(c, dims, left, right)
@@ -225,8 +223,7 @@ def tensor_square(c: FinLinCat) -> tuple[Bimodule, BimoduleMap]:
                 (
                     (i, j, coeff)
                     for j, (_, u, v) in enumerate(src)
-                    for i, coeff in enumerate(c.comp_vector(u, v))
-                    if coeff
+                    for i, coeff in c.comp_terms(u, v)
                 ),
             )
     return cxc, BimoduleMap(cxc, creg, blocks)
@@ -359,11 +356,12 @@ def direct_sum_left_modules(c: FinLinCat, summands: list[LeftModule]) -> LeftMod
 # -- validation ---------------------------------------------------------
 
 
-def _linear_action(field: Field, labels, coeffs, act_of_label, rows: int, cols: int) -> Matrix:
-    """The action of sum_t coeffs[t] labels[t], a rows x cols matrix, by
-    extending act_of_label linearly over the coefficient vector."""
+def _linear_action(field: Field, terms, act_of_label, rows: int, cols: int) -> Matrix:
+    """The action of sum coeff label over the (label, coeff) terms, a
+    rows x cols matrix, by extending act_of_label linearly; zero
+    coefficients are skipped."""
     out = Matrix.zeros(field, rows, cols)
-    for label, coeff in zip(labels, coeffs):
+    for label, coeff in terms:
         if coeff:
             out = out + act_of_label(label).scale(coeff)
     return out
@@ -376,14 +374,16 @@ def _validate_left_module(c: FinLinCat, m: LeftModule, violations: list[str]) ->
             violations.append(f"action matrix for {f} has shape {mat.rows}x{mat.cols}")
             return
     for x in c.objects:
-        ident = _linear_action(c.field, c.hom(x, x), c.identity[x], m.act, m.dims[x], m.dims[x])
+        ident = _linear_action(c.field, zip(c.hom(x, x), c.identity[x]), m.act, m.dims[x], m.dims[x])
         if ident != Matrix.identity(c.field, m.dims[x]):
             violations.append(f"unit law fails at object {x}")
     for g, (gx, gy, _) in c.label_info.items():
         for f, (fx, fy, _) in c.label_info.items():
             if fy != gx:
                 continue
-            lhs = _linear_action(c.field, c.hom(fx, gy), c.comp_vector(g, f), m.act, m.dims[gy], m.dims[fx])
+            labels = c.hom(fx, gy)
+            gf = [(labels[k], v) for k, v in c.comp_terms(g, f)]
+            lhs = _linear_action(c.field, gf, m.act, m.dims[gy], m.dims[fx])
             if lhs != m.act(g) @ m.act(f):
                 violations.append(f"composition law fails on pair ({g},{f})")
 
@@ -402,31 +402,28 @@ def _validate_bimodule(c: FinLinCat, m: Bimodule, violations: list[str]) -> None
     for y in c.objects:
         for x in c.objects:
             d = m.dims[(x, y)]
-            ident = _linear_action(c.field, c.hom(x, x), c.identity[x], lambda lab: m.left_act(lab, y), d, d)
+            ident = _linear_action(c.field, zip(c.hom(x, x), c.identity[x]), lambda lab: m.left_act(lab, y), d, d)
             if ident != Matrix.identity(c.field, d):
                 violations.append(f"left unit law fails at component ({x},{y})")
     for x in c.objects:
         for y in c.objects:
             d = m.dims[(x, y)]
-            ident = _linear_action(c.field, c.hom(y, y), c.identity[y], lambda lab: m.right_act(lab, x), d, d)
+            ident = _linear_action(c.field, zip(c.hom(y, y), c.identity[y]), lambda lab: m.right_act(lab, x), d, d)
             if ident != Matrix.identity(c.field, d):
                 violations.append(f"right unit law fails at component ({x},{y})")
     for g, (gx, gy, _) in c.label_info.items():
         for f, (fx, fy, _) in c.label_info.items():
             if fy != gx:
                 continue
-            labels, coeffs = c.hom(fx, gy), c.comp_vector(g, f)
+            labels = c.hom(fx, gy)
+            gf = [(labels[k], v) for k, v in c.comp_terms(g, f)]
             for y in c.objects:
-                lhs = _linear_action(
-                    c.field, labels, coeffs, lambda lab: m.left_act(lab, y), m.dims[(gy, y)], m.dims[(fx, y)]
-                )
+                lhs = _linear_action(c.field, gf, lambda lab: m.left_act(lab, y), m.dims[(gy, y)], m.dims[(fx, y)])
                 if lhs != m.left_act(g, y) @ m.left_act(f, y):
                     violations.append(f"left composition law fails on ({g},{f}) at y={y}")
             # right action is contravariant: (g.f) acts as act(f) @ act(g)
             for x in c.objects:
-                lhs = _linear_action(
-                    c.field, labels, coeffs, lambda lab: m.right_act(lab, x), m.dims[(x, fx)], m.dims[(x, gy)]
-                )
+                lhs = _linear_action(c.field, gf, lambda lab: m.right_act(lab, x), m.dims[(x, fx)], m.dims[(x, gy)])
                 if lhs != m.right_act(f, x) @ m.right_act(g, x):
                     violations.append(f"right composition law fails on ({g},{f}) at x={x}")
     for f, (x, x2, _) in c.label_info.items():

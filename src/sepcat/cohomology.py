@@ -85,9 +85,6 @@ class CochainComplex:
     def dim(self, n: int) -> int:
         return self.spaces[n].dim
 
-    def differential(self, n: int) -> Matrix:
-        return self.diffs[n]
-
 
 def _degree_space(c: FinLinCat, m: Bimodule, n: int, budget: int) -> _DegreeSpace:
     slots: list[_Slot] = []
@@ -122,7 +119,6 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
         objs = slot.objs
         x0, xn = objs[0], objs[n]
         input_ranges = [range(d) for d in slot.hom_dims]
-        hom_bases = [c.hom(objs[i], objs[i - 1]) for i in range(1, n + 1)]
         for combo in product(*input_ranges):
             col_base = slot.flat(combo, 0)
             for t in range(slot.mdim):
@@ -142,8 +138,7 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
                 # terms 2..n+? : merge fi . f(i+1) against the stored input a_i
                 for i in range(1, n + 1):
                     negative = i % 2 == 1
-                    a_basis = hom_bases[i - 1]
-                    a_label = a_basis[combo[i - 1]]
+                    a_idx = combo[i - 1]
                     left_obj = objs[i - 1]
                     right_obj = objs[i]
                     for w in c.objects:
@@ -152,15 +147,15 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
                             continue
                         for b_idx, b in enumerate(c.hom(w, left_obj)):
                             for b2_idx, b2 in enumerate(c.hom(right_obj, w)):
-                                gamma = c.comp_vector(b, b2)[combo[i - 1]]
-                                if not gamma:
-                                    continue
-                                new_combo = combo[: i - 1] + (b_idx, b2_idx) + combo[i:]
-                                row = tslot.flat(new_combo, t)
-                                if negative:
-                                    data[row * ncols + col] = sub(data[row * ncols + col], gamma)
-                                else:
-                                    data[row * ncols + col] = add(data[row * ncols + col], gamma)
+                                for k, gamma in c.comp_terms(b, b2):
+                                    if k != a_idx:
+                                        continue
+                                    new_combo = combo[: i - 1] + (b_idx, b2_idx) + combo[i:]
+                                    row = tslot.flat(new_combo, t)
+                                    if negative:
+                                        data[row * ncols + col] = sub(data[row * ncols + col], gamma)
+                                    else:
+                                        data[row * ncols + col] = add(data[row * ncols + col], gamma)
                 # last term: f(n+1) acts on the right of the value
                 for w in c.objects:
                     tslot = tgt.by_objs.get(objs + (w,))

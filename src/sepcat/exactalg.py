@@ -57,9 +57,13 @@ class Field:
         return _rational(1) if self.p is None else 1
 
     def of(self, value):
-        """Canonicalize an int, string, or rational into a field scalar."""
+        """Canonicalize an int, string, or rational into a field scalar;
+        raises ValueError on text that names no scalar, such as "1/0"."""
         if self.p is None:
-            return _rational(value)
+            try:
+                return _rational(value)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {value!r}") from None
         if isinstance(value, str):
             value = int(value)
         if not isinstance(value, int):
@@ -89,11 +93,6 @@ class Field:
     def format(self, a) -> str:
         # Q: "n" or "n/d" in lowest terms with d > 0; F_p: least residue.
         return str(a)
-
-    def parse(self, text: str):
-        if self.p is None:
-            return _rational(text)
-        return int(text) % self.p
 
     def to_json(self):
         return "Q" if self.p is None else {"Fp": self.p}
@@ -424,7 +423,7 @@ class Matrix:
     def from_json(cls, field: Field, rows: int, cols: int, texts: Sequence[str]) -> "Matrix":
         if len(texts) != rows * cols:
             raise ValueError("matrix entry count does not match declared shape")
-        return cls(field, rows, cols, [field.parse(t) for t in texts])
+        return cls(field, rows, cols, [field.of(t) for t in texts])
 
 
 def _rank_mod(m: Matrix, p: int) -> Optional[int]:

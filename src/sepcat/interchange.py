@@ -55,16 +55,12 @@ def category_to_json(c: FinLinCat) -> dict:
             labels[t]: c.field.format(v) for t, v in enumerate(c.identity[x]) if v
         }
     composition = []
-    for (g, f) in sorted(c.comp_table):
-        vec = c.comp_table[(g, f)]
+    for (g, f), terms in sorted(c.comp_table.items()):
         x, _, _ = c.label_info[f]
         _, z, _ = c.label_info[g]
         basis = c.hom(x, z)
-        result = [
-            {"basis": basis[k], "coeff": c.field.format(v)} for k, v in enumerate(vec) if v
-        ]
-        if result:
-            composition.append({"g": g, "f": f, "result": result})
+        result = [{"basis": basis[k], "coeff": c.field.format(v)} for k, v in terms]
+        composition.append({"g": g, "f": f, "result": result})
     return {
         "field": c.field.to_json(),
         "objects": list(c.objects),
@@ -77,24 +73,34 @@ def category_to_json(c: FinLinCat) -> dict:
 def category_from_json(doc: dict) -> FinLinCat:
     field = Field.from_json(_require(doc, "field", "category"))
     objects = _require(doc, "objects", "category")
+    if not isinstance(objects, list):
+        raise ValueError("category: member 'objects' must be a JSON array")
     hom_basis: dict[tuple[str, str], list[str]] = {}
     for entry in doc.get("homs", []):
         pair = (_require(entry, "from", "hom entry"), _require(entry, "to", "hom entry"))
-        hom_basis[pair] = list(_require(entry, "basis", "hom entry"))
+        basis = _require(entry, "basis", "hom entry")
+        if not isinstance(basis, list):
+            raise ValueError(f"category: member 'basis' of hom entry {pair} must be a JSON array")
+        hom_basis[pair] = list(basis)
     label_pos: dict[str, tuple[str, str, int]] = {}
     for (x, y), labels in hom_basis.items():
         for i, lab in enumerate(labels):
             if lab in label_pos:
                 raise ValueError(f"category: basis label {lab!r} is not globally unique")
             label_pos[lab] = (x, y, i)
+    identity_doc = _require(doc, "identity", "category")
+    if not isinstance(identity_doc, dict):
+        raise ValueError("category: member 'identity' must be a JSON object")
     identity = {}
-    for x, coeffs in _require(doc, "identity", "category").items():
+    for x, coeffs in identity_doc.items():
+        if not isinstance(coeffs, dict):
+            raise ValueError(f"category: member 'identity' of object {x!r} must be a JSON object")
         labels = hom_basis.get((x, x), [])
         vec = [field.zero] * len(labels)
         for lab, text in coeffs.items():
             if lab not in labels:
                 raise ValueError(f"category: identity of {x} uses label {lab!r} outside hom({x},{x})")
-            vec[labels.index(lab)] = field.parse(text)
+            vec[labels.index(lab)] = field.of(text)
         identity[x] = vec
     comp_table = {}
     for entry in doc.get("composition", []):
@@ -111,7 +117,7 @@ def category_from_json(doc: dict) -> FinLinCat:
             if lab not in basis:
                 raise ValueError(f"category: composition ({g},{f}) names {lab!r} outside hom({x},{z})")
             idx = basis.index(lab)
-            vec[idx] = field.add(vec[idx], field.parse(_require(term, "coeff", "composition term")))
+            vec[idx] = field.add(vec[idx], field.of(_require(term, "coeff", "composition term")))
         comp_table[(g, f)] = vec
     return FinLinCat(field, objects, hom_basis, comp_table, identity)
 
@@ -331,7 +337,7 @@ def certificate_from_json(c: FinLinCat, doc: list) -> SeparabilityFamily:
             if v not in vs:
                 raise ValueError(f"certificate: label {v!r} is not in hom({x},{y})")
             cell = (us.index(u), vs.index(v))
-            coeff = c.field.parse(_require(term, "coeff", "certificate term"))
+            coeff = c.field.of(_require(term, "coeff", "certificate term"))
             cells[cell] = c.field.add(cells.get(cell, c.field.zero), coeff)
     blocks = {
         (x, y): Matrix.from_entries(

@@ -1,10 +1,10 @@
 """Finite K-linear categories presented by structure constants.
 
 A FinLinCat stores hom-space bases per ordered object pair, a sparse
-composition table (absent entries mean zero), and identity coefficient
-vectors. hom(x, y) holds morphisms from x to y and composition acts as
-comp: hom(y, z) x hom(x, y) -> hom(x, z). Left actions are covariant:
-f in hom(x, y) acts M[x] -> M[y].
+composition table (each composite as its nonzero terms; absent entries
+mean zero), and identity coefficient vectors. hom(x, y) holds morphisms
+from x to y and composition acts as comp: hom(y, z) x hom(x, y) ->
+hom(x, z). Left actions are covariant: f in hom(x, y) acts M[x] -> M[y].
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from .exactalg import Field
 
 __all__ = [
     "ValidationReport",
-    "Morphism",
     "FinLinCat",
     "FiniteCatPresentation",
     "PresentationFlags",
     "validate_category",
-    "compose",
     "linearize",
     "classify_presentation",
 ]
@@ -35,15 +33,6 @@ class ValidationReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass(frozen=True)
-class Morphism:
-    """A hom-space element: coefficient vector over the hom(source, target) basis."""
-
-    source: str
-    target: str
-    coeffs: tuple
 
 
 class FinLinCat:
@@ -82,7 +71,7 @@ class FinLinCat:
                 if lab in self.label_info:
                     raise ValueError(f"basis label {lab!r} is not globally unique")
                 self.label_info[lab] = (x, y, i)
-        self.comp_table: dict[tuple[str, str], tuple] = {}
+        self.comp_table: dict[tuple[str, str], tuple[tuple[int, object], ...]] = {}
         for (g, f), vec in comp_table.items():
             if g not in self.label_info or f not in self.label_info:
                 raise ValueError(f"composition entry ({g},{f}) names unknown labels")
@@ -94,7 +83,9 @@ class FinLinCat:
             vec = tuple(field.of(v) for v in vec)
             if len(vec) != target_dim:
                 raise ValueError(f"composition ({g},{f}) has vector length {len(vec)}, expected {target_dim}")
-            self.comp_table[(g, f)] = vec
+            terms = tuple((k, v) for k, v in enumerate(vec) if v)
+            if terms:
+                self.comp_table[(g, f)] = terms
         self.identity: dict[str, tuple] = {}
         for x, vec in identity.items():
             if x not in obj_set:
@@ -113,47 +104,10 @@ class FinLinCat:
     def total_dim(self) -> int:
         return sum(len(b) for b in self.hom_basis.values())
 
-    def comp_vector(self, g: str, f: str) -> tuple:
-        """Coefficients of g . f over the hom(src f, tgt g) basis; zeros if absent."""
-        vec = self.comp_table.get((g, f))
-        if vec is not None:
-            return vec
-        x, _, _ = self.label_info[f]
-        _, z, _ = self.label_info[g]
-        return (self.field.zero,) * len(self.hom_basis[(x, z)])
-
-    def basis_morphism(self, label: str) -> Morphism:
-        x, y, i = self.label_info[label]
-        coeffs = [self.field.zero] * len(self.hom_basis[(x, y)])
-        coeffs[i] = self.field.one
-        return Morphism(x, y, tuple(coeffs))
-
-    def identity_morphism(self, x: str) -> Morphism:
-        return Morphism(x, x, self.identity[x])
-
-
-def compose(c: FinLinCat, g: Morphism, f: Morphism) -> Morphism:
-    """Bilinear extension of the composition table: g . f."""
-    if g.source != f.target:
-        raise ValueError(f"non-composable pair: {f.source}->{f.target} then {g.source}->{g.target}")
-    fld = c.field
-    out = [fld.zero] * c.dim_hom(f.source, g.target)
-    g_labels = c.hom(g.source, g.target)
-    f_labels = c.hom(f.source, f.target)
-    for j, gc in enumerate(g.coeffs):
-        if not gc:
-            continue
-        for i, fc in enumerate(f.coeffs):
-            if not fc:
-                continue
-            s = fld.mul(gc, fc)
-            vec = c.comp_table.get((g_labels[j], f_labels[i]))
-            if vec is None:
-                continue
-            for k, v in enumerate(vec):
-                if v:
-                    out[k] = fld.add(out[k], fld.mul(s, v))
-    return Morphism(f.source, g.target, tuple(out))
+    def comp_terms(self, g: str, f: str) -> tuple:
+        """The nonzero terms (k, coeff) of g . f over the hom(src f, tgt g)
+        basis, k the basis index; () when g . f is zero."""
+        return self.comp_table.get((g, f), ())
 
 
 def validate_category(c: FinLinCat) -> ValidationReport:
@@ -162,41 +116,38 @@ def validate_category(c: FinLinCat) -> ValidationReport:
     for x in c.objects:
         if x not in c.identity:
             violations.append(f"missing identity vector for object {x}")
-    # unit laws against the stored identity vectors
+    fld = c.field
+
+    def combine(pairs) -> dict:
+        """sum a (g.f) over pairs (a, terms of g.f), as its nonzero terms {k: coeff}."""
+        out: dict = {}
+        for a, terms in pairs:
+            for k, v in terms:
+                out[k] = fld.add(out.get(k, fld.zero), fld.mul(a, v))
+        return {k: v for k, v in out.items() if v}
+
+    # unit laws against the stored identity vectors: f . 1_x = sum_t (1_x)_t f.e_t
     for (x, y), labels in c.hom_basis.items():
         if x in c.identity:
-            one_x = c.identity_morphism(x)
-            for lab in labels:
-                f = c.basis_morphism(lab)
-                if compose(c, f, one_x).coeffs != f.coeffs:
+            one_x = [(a, e) for a, e in zip(c.identity[x], c.hom(x, x)) if a]
+            for i, lab in enumerate(labels):
+                if combine((a, c.comp_terms(lab, e)) for a, e in one_x) != {i: fld.one}:
                     violations.append(f"right unit law fails: {lab} . 1_{x} != {lab}")
         if y in c.identity:
-            one_y = c.identity_morphism(y)
-            for lab in labels:
-                f = c.basis_morphism(lab)
-                if compose(c, one_y, f).coeffs != f.coeffs:
+            one_y = [(a, e) for a, e in zip(c.identity[y], c.hom(y, y)) if a]
+            for i, lab in enumerate(labels):
+                if combine((a, c.comp_terms(e, lab)) for a, e in one_y) != {i: fld.one}:
                     violations.append(f"left unit law fails: 1_{y} . {lab} != {lab}")
     # associativity on basis triples, read off the composition table:
     # (h.g).f = sum_k (h.g)_k e_k.f and h.(g.f) = sum_k (g.f)_k h.e_k
-    fld = c.field
-
-    def combine(dim: int, terms) -> list:
-        out = [fld.zero] * dim
-        for coeff, vec in terms:
-            for k, v in enumerate(vec):
-                if v:
-                    out[k] = fld.add(out[k], fld.mul(coeff, v))
-        return out
-
     for w, x, y, z in product(c.objects, repeat=4):
-        dim, hom_xz, hom_wy = c.dim_hom(w, z), c.hom(x, z), c.hom(w, y)
+        hom_xz, hom_wy = c.hom(x, z), c.hom(w, y)
         for h in c.hom(y, z):
             for g in c.hom(x, y):
-                hg = c.comp_vector(h, g)
+                hg = c.comp_terms(h, g)
                 for f in c.hom(w, x):
-                    gf = c.comp_vector(g, f)
-                    left = combine(dim, ((a, c.comp_vector(e, f)) for a, e in zip(hg, hom_xz) if a))
-                    right = combine(dim, ((a, c.comp_vector(h, e)) for a, e in zip(gf, hom_wy) if a))
+                    left = combine((a, c.comp_terms(hom_xz[k], f)) for k, a in hg)
+                    right = combine((a, c.comp_terms(h, hom_wy[k])) for k, a in c.comp_terms(g, f))
                     if left != right:
                         violations.append(f"associativity fails on triple ({h},{g},{f})")
     return ValidationReport(ok=not violations, violations=violations)

@@ -61,7 +61,7 @@ def klein_four(obj: str = "x") -> FiniteCatPresentation:
 def connected_groupoid(group: FiniteCatPresentation, n_objects: int) -> FiniteCatPresentation:
     """The connected groupoid on n objects with the given one-object vertex group.
 
-    Morphism i -> j carrying group element g is named "g:i>j"; composition is
+    The morphism i -> j carrying group element g is named "g:i>j"; composition is
     (h:j>k) . (g:i>j) = (hg):i>k.
     """
     if n_objects < 1:

@@ -107,11 +107,9 @@ def separability_system(c: FinLinCat) -> tuple[Matrix, Matrix, dict[tuple[str, s
             n = len(vs)
             for i, u in enumerate(us):
                 for j, v in enumerate(vs):
-                    vec = c.comp_vector(u, v)
-                    for t, coeff in enumerate(vec):
-                        if coeff:
-                            cell = block_rows[t]
-                            cell[base + i * n + j] = fld.add(cell[base + i * n + j], coeff)
+                    for t, coeff in c.comp_terms(u, v):
+                        cell = block_rows[t]
+                        cell[base + i * n + j] = fld.add(cell[base + i * n + j], coeff)
         ident = c.identity[x]
         for t in range(dim_xx):
             rows.append(block_rows[t])
@@ -200,9 +198,8 @@ def verify_family(c: FinLinCat, fam: SeparabilityFamily) -> FamilyCheck:
                     coeff = blk.entries[i * len(vs) + j]
                     if not coeff:
                         continue
-                    for t, w in enumerate(c.comp_vector(u, v)):
-                        if w:
-                            total[t] = fld.add(total[t], fld.mul(coeff, w))
+                    for t, w in c.comp_terms(u, v):
+                        total[t] = fld.add(total[t], fld.mul(coeff, w))
         residual = tuple(fld.sub(a, b) for a, b in zip(total, c.identity[x]))
         if any(residual):
             check.unit_residuals[x] = residual
@@ -355,7 +352,7 @@ def module_section(c: FinLinCat, fam: SeparabilityFamily, m: LeftModule) -> Sect
             rows = c.dim_hom(y, x) * m.dims[y]
             out = Matrix.zeros(fld, rows, m.dims[x])
             for (u_vec, v_vec) in fam.terms.get((x, y), []):
-                act = _linear_action(fld, c.hom(x, y), v_vec, m.act, m.dims[y], m.dims[x])
+                act = _linear_action(fld, zip(c.hom(x, y), v_vec), m.act, m.dims[y], m.dims[x])
                 out = out + Matrix(fld, len(u_vec), 1, list(u_vec)).kron(act)
             psi[(x, y)] = out
     failures: list[str] = []

@@ -186,6 +186,78 @@ class TestValidateAndLinearize:
         assert result.exit_code == 2
 
 
+class TestMalformedInput:
+    """Unreadable scalars and wrongly typed JSON members are malformed
+    input (exit 2 with a message), never a traceback (exit 1)."""
+
+    @staticmethod
+    def assert_malformed(result, needle):
+        assert result.exit_code == 2
+        assert result.stderr.startswith("malformed input: ")
+        assert needle in result.stderr
+
+    @staticmethod
+    def write(tmp_path, name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def z2_doc(self):
+        return io.category_to_json(linearize(presets.cyclic_group(2), QQ))
+
+    def test_zero_denominator_in_category(self, runner, tmp_path):
+        doc = self.z2_doc()
+        doc["composition"][0]["result"][0]["coeff"] = "1/0"
+        result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
+        self.assert_malformed(result, "'1/0'")
+
+    def test_zero_denominator_in_certificate(self, runner, files, tmp_path):
+        doc = [{"x": "x", "y": "x", "terms": [{"coeff": "1/0", "u": "g0", "v": "g0"}]}]
+        cert = self.write(tmp_path, "cert.json", doc)
+        result = runner.invoke(main, ["separability", "verify", files["z2_over_Q.json"], "--certificate", cert])
+        self.assert_malformed(result, "'1/0'")
+
+    def test_zero_denominator_in_left_module(self, runner, files, tmp_path):
+        doc = io.left_module_to_json(representable_left_module(linearize(presets.cyclic_group(2), QQ), "x"))
+        doc["action"][1]["matrix"][1] = "2/0"
+        mod = self.write(tmp_path, "mod.json", doc)
+        result = runner.invoke(main, ["validate", mod, "--category", files["z2_over_Q.json"]])
+        self.assert_malformed(result, "'2/0'")
+
+    def test_zero_denominator_in_bimodule(self, runner, files, tmp_path):
+        doc = io.bimodule_to_json(canonical_bimodule(linearize(presets.cyclic_group(2), QQ)))
+        doc["right_action"][0]["matrix"][0] = "-1/0"
+        mod = self.write(tmp_path, "bimod.json", doc)
+        result = runner.invoke(main, ["cohomology", files["z2_over_Q.json"], "--bimodule", mod])
+        self.assert_malformed(result, "'-1/0'")
+
+    def test_identity_must_be_an_object(self, runner, tmp_path):
+        doc = self.z2_doc()
+        doc["identity"] = [{"g0": "1"}]
+        result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
+        self.assert_malformed(result, "member 'identity' must be a JSON object")
+
+    def test_identity_map_must_be_an_object(self, runner, tmp_path):
+        doc = self.z2_doc()
+        doc["identity"]["x"] = ["g0"]
+        result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
+        self.assert_malformed(result, "member 'identity' of object 'x' must be a JSON object")
+
+    def test_objects_must_be_an_array(self, runner, tmp_path):
+        # a string would otherwise be read as one object per character
+        doc = self.z2_doc()
+        doc["objects"] = "x"
+        result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
+        self.assert_malformed(result, "member 'objects' must be a JSON array")
+
+    def test_hom_basis_must_be_an_array(self, runner, tmp_path):
+        # with one-letter labels e, g the string "eg" would read as that basis
+        doc = json.loads(json.dumps(self.z2_doc()).replace('"g0"', '"e"').replace('"g1"', '"g"'))
+        doc["homs"][0]["basis"] = "eg"
+        result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
+        self.assert_malformed(result, "member 'basis' of hom entry ('x', 'x') must be a JSON array")
+
+
 class TestDeterminism:
     def test_artifacts_are_byte_identical(self, runner, files, tmp_path):
         pairs = []

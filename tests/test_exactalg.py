@@ -28,8 +28,13 @@ class TestScalars:
 
     def test_text_round_trip(self):
         for text in ["0", "-3", "5/6", "-7/2"]:
-            assert QQ.format(QQ.parse(text)) == text
-        assert F5.format(F5.parse("12")) == "2"
+            assert QQ.format(QQ.of(text)) == text
+        assert F5.format(F5.of("12")) == "2"
+
+    def test_zero_denominator_is_value_error(self):
+        for text in ["1/0", "0/0", "-3/0"]:
+            with pytest.raises(ValueError):
+                QQ.of(text)
 
     def test_field_json(self):
         assert Field.from_json("Q") == QQ

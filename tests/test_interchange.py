@@ -21,7 +21,7 @@ class TestCategoryFormat:
         c2 = io.category_from_json(roundtrip(io.category_to_json(c)))
         assert c2.objects == c.objects
         assert c2.hom_basis == c.hom_basis
-        assert c2.comp_table == {k: v for k, v in c.comp_table.items() if any(v)}
+        assert c2.comp_table == c.comp_table
         assert c2.identity == c.identity
         assert validate_category(c2).ok
 

@@ -1,4 +1,7 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepcat import presets
 from sepcat.exactalg import Field, QQ
@@ -6,7 +9,6 @@ from sepcat.lincat import (
     FinLinCat,
     FiniteCatPresentation,
     classify_presentation,
-    compose,
     linearize,
     validate_category,
 )
@@ -62,31 +64,34 @@ def test_missing_identity_reported():
 
 
 class TestCompose:
+    """Composites are read as their nonzero terms (k, coeff) over the
+    basis of the target hom space."""
+
     def test_group_law(self, z2_over_q):
-        g = z2_over_q.basis_morphism("g1")
-        assert compose(z2_over_q, g, g).coeffs == z2_over_q.identity_morphism("x").coeffs
+        # g1 . g1 = g0, the identity, at index 0 of hom(x, x) = (g0, g1)
+        assert z2_over_q.comp_terms("g1", "g1") == ((0, QQ.one),)
 
     def test_unit_law_in_a2(self, a2_over_q):
-        alpha = a2_over_q.basis_morphism("x1<=x2")
-        one_y = a2_over_q.identity_morphism("x2")
-        assert compose(a2_over_q, one_y, alpha).coeffs == alpha.coeffs
+        # 1_x2 . alpha = alpha, the only basis vector of hom(x1, x2)
+        assert a2_over_q.hom("x1", "x2") == ("x1<=x2",)
+        assert a2_over_q.comp_terms("x2<=x2", "x1<=x2") == ((0, QQ.one),)
 
-    def test_bilinearity(self, z2_over_q):
-        from sepcat.lincat import Morphism
-
-        c = z2_over_q
-        g = c.basis_morphism("g1")
-        f = Morphism("x", "x", (QQ.of(1), QQ.of(2)))  # f1 + 2 f2
-        lhs = compose(c, g, f)
-        f1 = compose(c, g, c.basis_morphism("g0"))
-        f2 = compose(c, g, c.basis_morphism("g1"))
-        expected = tuple(QQ.add(a, QQ.mul(QQ.of(2), b)) for a, b in zip(f1.coeffs, f2.coeffs))
-        assert lhs.coeffs == expected
+    def test_zero_composites_are_absent(self):
+        c = FinLinCat(QQ, ["x"], {("x", "x"): ["p", "q"]}, {("p", "p"): [1, 0], ("p", "q"): [0, 0]}, {"x": [1, 1]})
+        assert c.comp_terms("p", "p") == ((0, QQ.one),)
+        assert c.comp_terms("p", "q") == c.comp_terms("q", "p") == ()
+        assert ("p", "q") not in c.comp_table
 
     def test_non_composable_rejected(self, a2_over_q):
-        alpha = a2_over_q.basis_morphism("x1<=x2")
-        with pytest.raises(ValueError):
-            compose(a2_over_q, alpha, alpha)
+        alpha = "x1<=x2"
+        with pytest.raises(ValueError, match="non-composable"):
+            FinLinCat(
+                QQ,
+                a2_over_q.objects,
+                a2_over_q.hom_basis,
+                {(alpha, alpha): []},
+                {"x1": [1], "x2": [1]},
+            )
 
 
 class TestLinearize:
@@ -161,15 +166,122 @@ def test_identity_need_not_be_a_basis_element():
         {"x": [1, 1]},
     )
     assert validate_category(c).ok
-    p = c.basis_morphism("p")
-    assert compose(c, p, c.identity_morphism("x")).coeffs == p.coeffs
+    # p . (p + q) = p . p + p . q = p
+    assert c.comp_terms("p", "p") == ((0, QQ.one),)
+    assert c.comp_terms("p", "q") == ()
 
 
 def test_unit_laws_hold_for_every_preset():
     for seed in range(8):
         c = linearize(presets.random_presentation(100 + seed), QQ)
+        ids = {x: c.hom(x, x)[c.identity[x].index(QQ.one)] for x in c.objects}
         for (x, y), labels in c.hom_basis.items():
-            for lab in labels:
-                f = c.basis_morphism(lab)
-                assert compose(c, f, c.identity_morphism(x)).coeffs == f.coeffs
-                assert compose(c, c.identity_morphism(y), f).coeffs == f.coeffs
+            for i, lab in enumerate(labels):
+                assert c.comp_terms(lab, ids[x]) == ((i, QQ.one),)
+                assert c.comp_terms(ids[y], lab) == ((i, QQ.one),)
+
+
+# -- validate_category against a dense reference ------------------------
+
+
+def _dense_linearization(p: FiniteCatPresentation):
+    hom_basis: dict = {}
+    for name, (x, y) in p.morphisms.items():
+        hom_basis.setdefault((x, y), []).append(name)
+
+    def unit(pair, label):
+        return [int(lab == label) for lab in hom_basis[pair]]
+
+    table = {(g, f): unit((p.morphisms[f][0], p.morphisms[g][1]), h) for (g, f), h in p.composition.items()}
+    identity = {x: unit((x, x), p.identity[x]) for x in p.objects}
+    return list(p.objects), hom_basis, table, identity
+
+
+_BASES = [
+    _dense_linearization(p)
+    for p in [
+        presets.cyclic_group(2),
+        presets.cyclic_group(3),
+        presets.chain_poset(2),
+        presets.vee_poset(),
+        presets.idempotent_monoid(),
+        presets.connected_groupoid(presets.cyclic_group(2), 2),
+        presets.random_presentation(3),
+        presets.random_presentation(5),
+    ]
+] + [
+    # K x K in the idempotent basis: the identity p + q is no basis element
+    (["x"], {("x", "x"): ["p", "q"]}, {("p", "p"): [1, 0], ("q", "q"): [0, 1]}, {"x": [1, 1]}),
+]
+
+
+def _dense_violations(k: Field, objects, hom_basis, table, identity) -> list[str]:
+    """validate_category's violation list, from dense coefficient vectors
+    and a bilinear composition of whole morphisms."""
+
+    def hom(x, y):
+        return hom_basis.get((x, y), [])
+
+    def compose(g, f, x, y, z):
+        # g in hom(y, z) and f in hom(x, y) as coefficient vectors
+        out = [k.zero] * len(hom(x, z))
+        for gl, a in zip(hom(y, z), g):
+            for fl, b in zip(hom(x, y), f):
+                vec = table.get((gl, fl), [0] * len(out))
+                for t, v in enumerate(vec):
+                    out[t] = k.add(out[t], k.mul(k.mul(a, b), k.of(v)))
+        return out
+
+    def basis(x, y, i):
+        return [k.one if j == i else k.zero for j in range(len(hom(x, y)))]
+
+    ids = {x: [k.of(v) for v in vec] for x, vec in identity.items()}
+    violations = [f"missing identity vector for object {x}" for x in objects if x not in identity]
+    for (x, y), labels in hom_basis.items():
+        if x in ids:
+            for i, lab in enumerate(labels):
+                if compose(basis(x, y, i), ids[x], x, x, y) != basis(x, y, i):
+                    violations.append(f"right unit law fails: {lab} . 1_{x} != {lab}")
+        if y in ids:
+            for i, lab in enumerate(labels):
+                if compose(ids[y], basis(x, y, i), x, y, y) != basis(x, y, i):
+                    violations.append(f"left unit law fails: 1_{y} . {lab} != {lab}")
+    for w, x, y, z in product(objects, repeat=4):
+        for a, h in enumerate(hom(y, z)):
+            for b, g in enumerate(hom(x, y)):
+                for c_, f in enumerate(hom(w, x)):
+                    eh, eg, ef = basis(y, z, a), basis(x, y, b), basis(w, x, c_)
+                    left = compose(compose(eh, eg, x, y, z), ef, w, x, z)
+                    right = compose(eh, compose(eg, ef, w, x, y), w, y, z)
+                    if left != right:
+                        violations.append(f"associativity fails on triple ({h},{g},{f})")
+    return violations
+
+
+@st.composite
+def perturbed_tables(draw):
+    k = draw(st.sampled_from([QQ, Field(2), Field(7)]))
+    objects, hom_basis, table, identity = draw(st.sampled_from(_BASES))
+    info = {lab: (x, y) for (x, y), labels in hom_basis.items() for lab in labels}
+    pairs = sorted((g, f) for g in info for f in info if info[f][1] == info[g][0])
+    table = {key: list(vec) for key, vec in table.items()}
+    identity = {x: list(vec) for x, vec in identity.items()}
+    for _ in range(draw(st.integers(0, 3))):
+        g, f = draw(st.sampled_from(pairs))
+        dim = len(hom_basis.get((info[f][0], info[g][1]), []))
+        if dim:
+            table[(g, f)] = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+    if draw(st.integers(0, 3)) == 0:
+        x = draw(st.sampled_from(objects))
+        vec = identity.pop(x)
+        if draw(st.booleans()):
+            identity[x] = draw(st.lists(st.integers(-2, 2), min_size=len(vec), max_size=len(vec)))
+    return k, objects, hom_basis, table, identity
+
+
+@given(perturbed_tables())
+@settings(max_examples=150, deadline=None)
+def test_validate_category_matches_dense_reference(case):
+    k, objects, hom_basis, table, identity = case
+    c = FinLinCat(k, objects, hom_basis, table, identity)
+    assert validate_category(c).violations == _dense_violations(k, objects, hom_basis, table, identity)
