@@ -102,9 +102,6 @@ class Bimodule:
         self.left = dict(left)
         self.right = dict(right)
 
-    def dim(self, x: str, y: str) -> int:
-        return self.dims[(x, y)]
-
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
@@ -130,9 +127,6 @@ class BimoduleMap:
     source: Bimodule
     target: Bimodule
     blocks: dict[tuple[str, str], Matrix]
-
-    def block(self, x: str, y: str) -> Matrix:
-        return self.blocks[(x, y)]
 
 
 @dataclass

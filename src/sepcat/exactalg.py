@@ -1,22 +1,25 @@
 """Exact scalars over Q or F_p and dense exact linear algebra.
 
-Scalars are plain Python values: rationals (gmpy2.mpq when available,
-fractions.Fraction otherwise) and integers in [0, p) for prime fields.
-A Field object carries the arithmetic; matrices store their field and
-their entries as a tuple, so they cannot change after construction.
+Scalars are plain Python values: fractions.Fraction for rationals and
+integers in [0, p) for prime fields. A Field object carries the
+arithmetic; matrices store their field and their entries as a tuple, so
+they cannot change after construction. All Gaussian elimination, over Q
+and over F_p, runs through one forward-elimination routine, _echelon.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-try:
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _rational
-
 __all__ = ["Field", "QQ", "Matrix", "RrefResult"]
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; bool is a subclass of int but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_prime(p: int) -> bool:
@@ -45,23 +48,19 @@ class Field:
         return self.p is None
 
     @property
-    def characteristic(self) -> int:
-        return 0 if self.p is None else self.p
-
-    @property
     def zero(self):
-        return _rational(0) if self.p is None else 0
+        return Fraction(0) if self.p is None else 0
 
     @property
     def one(self):
-        return _rational(1) if self.p is None else 1
+        return Fraction(1) if self.p is None else 1
 
     def of(self, value):
         """Canonicalize an int, string, or rational into a field scalar;
         raises ValueError on text that names no scalar, such as "1/0"."""
         if self.p is None:
             try:
-                return _rational(value)
+                return Fraction(value)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {value!r}") from None
         if isinstance(value, str):
@@ -85,7 +84,7 @@ class Field:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError(f"division by zero in {self}")
-        return 1 / _rational(a) if self.p is None else pow(a, -1, self.p)
+        return 1 / Fraction(a) if self.p is None else pow(a, -1, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -101,8 +100,8 @@ class Field:
     def from_json(cls, doc) -> "Field":
         if doc == "Q":
             return cls()
-        if isinstance(doc, dict) and set(doc) == {"Fp"}:
-            return cls(int(doc["Fp"]))
+        if isinstance(doc, dict) and set(doc) == {"Fp"} and _is_int(doc["Fp"]):
+            return cls(doc["Fp"])
         raise ValueError(f"bad field description {doc!r}")
 
     def __str__(self) -> str:
@@ -122,13 +121,15 @@ class RrefResult:
 class Matrix:
     """Dense exact matrix; entries are a row-major tuple of field scalars.
 
-    Instances are immutable, so the reduced row echelon form is computed
-    once and cached. Pivoting picks the first nonzero entry in column order.
+    Instances are immutable, so the reduced row echelon form, which is
+    unique, is computed once and cached.
     """
 
     __slots__ = ("field", "rows", "cols", "entries", "_rref")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: Sequence):
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative matrix shape {rows}x{cols}")
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         object.__setattr__(self, "field", field)
@@ -325,57 +326,21 @@ class Matrix:
             return cached
         nrows, ncols = self.rows, self.cols
         p = self.field.p
-        work = [self.row(i) for i in range(nrows)]
-        pivots: list[int] = []
-        pr = 0
-        for pc in range(ncols):
-            piv = -1
-            for i in range(pr, nrows):
-                if work[i][pc]:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != pr:
-                work[pr], work[piv] = work[piv], work[pr]
-            prow = work[pr]
-            v = prow[pc]
-            if p is None:
-                if v != 1:
-                    s = 1 / _rational(v)
-                    for j in range(pc, ncols):
-                        if prow[j]:
-                            prow[j] = s * prow[j]
-                nz = [j for j in range(pc, ncols) if prow[j]]
-                for i in range(nrows):
-                    if i == pr:
-                        continue
-                    f = work[i][pc]
-                    if f:
-                        ri = work[i]
-                        for j in nz:
-                            ri[j] = ri[j] - f * prow[j]
-            else:
-                if v != 1:
-                    s = pow(v, -1, p)
-                    for j in range(pc, ncols):
-                        if prow[j]:
-                            prow[j] = (s * prow[j]) % p
-                nz = [j for j in range(pc, ncols) if prow[j]]
-                for i in range(nrows):
-                    if i == pr:
-                        continue
-                    f = work[i][pc]
-                    if f:
-                        ri = work[i]
-                        for j in nz:
-                            ri[j] = (ri[j] - f * prow[j]) % p
-            pivots.append(pc)
-            pr += 1
-            if pr == nrows:
-                break
-        reduced = Matrix(self.field, nrows, ncols, [e for row in work for e in row])
-        result = RrefResult(reduced, len(pivots), tuple(pivots))
+        order, pivots = _echelon((self.row(i) for i in range(nrows)), p)
+        # back substitution: clear each pivot column above its pivot, last
+        # pivot first, so every row used is already fully reduced
+        for k in range(len(order) - 1, 0, -1):
+            pc = order[k]
+            above = [pivots[r] for r in order[:k] if pivots[r][pc]]
+            if above:
+                prow = pivots[pc]
+                support = [j for j in range(pc, ncols) if prow[j]]
+                for row in above:
+                    _eliminate(row, row[pc], prow, support, p)
+        ent = [e for pc in order for e in pivots[pc]]
+        ent.extend([self.field.zero] * ((nrows - len(order)) * ncols))
+        reduced = Matrix(self.field, nrows, ncols, ent)
+        result = RrefResult(reduced, len(order), tuple(order))
         object.__setattr__(reduced, "_rref", result)
         object.__setattr__(self, "_rref", result)
         return result
@@ -421,9 +386,54 @@ class Matrix:
 
     @classmethod
     def from_json(cls, field: Field, rows: int, cols: int, texts: Sequence[str]) -> "Matrix":
+        if not isinstance(texts, list):
+            raise ValueError("matrix entries must be a JSON array")
         if len(texts) != rows * cols:
             raise ValueError("matrix entry count does not match declared shape")
         return cls(field, rows, cols, [field.of(t) for t in texts])
+
+
+def _eliminate(row: list, f, prow: list, support: Iterable[int], p: Optional[int]) -> None:
+    """row -= f * prow in place, over Q (p None) or F_p; support holds the
+    columns where prow is nonzero. The only place a row meets a pivot row."""
+    if p is None:
+        for j in support:
+            row[j] -= f * prow[j]
+    else:
+        for j in support:
+            row[j] = (row[j] - f * prow[j]) % p
+
+
+def _echelon(rows: Iterable[list], p: Optional[int]) -> tuple[list[int], dict[int, list]]:
+    """Forward elimination of a stream of dense rows over Q (p None) or F_p.
+
+    Each row is reduced against the pivot rows kept so far, in increasing
+    pivot column. A row that becomes zero is dropped; a nonzero remainder
+    is scaled to a leading 1 and kept as the pivot row of its leading
+    column. Returns the sorted pivot columns and {pivot column: row}; the
+    rows are consumed and nothing but the pivot rows is stored.
+    """
+    order: list[int] = []
+    pivots: dict[int, list] = {}
+    supports: dict[int, list[int]] = {}
+    for row in rows:
+        for pc in order:
+            f = row[pc]
+            if f:
+                _eliminate(row, f, pivots[pc], supports[pc], p)
+        if not any(row):
+            continue
+        lead = next(j for j, v in enumerate(row) if v)
+        v = row[lead]
+        if v != 1:
+            s = 1 / Fraction(v) if p is None else pow(v, -1, p)
+            for j in range(lead, len(row)):
+                if row[j]:
+                    row[j] = s * row[j] if p is None else s * row[j] % p
+        pivots[lead] = row
+        supports[lead] = [j for j in range(lead, len(row)) if row[j]]
+        insort(order, lead)
+    return order, pivots
 
 
 def _rank_mod(m: Matrix, p: int) -> Optional[int]:
@@ -431,34 +441,12 @@ def _rank_mod(m: Matrix, p: int) -> Optional[int]:
     the prime p; None when some entry's denominator is divisible by p.
 
     A minor of the reduction is the reduction of the minor, so the result
-    never exceeds the rank of m over Q. Rows are streamed: each is reduced
-    mod p into a sparse dict and then against the pivot rows kept so far
-    (forward elimination only), so nothing but the pivot rows is stored.
+    never exceeds the rank of m over Q. Rows are reduced mod p one at a
+    time and streamed through _echelon.
     """
-    cols = m.cols
-    pivots: dict[int, dict[int, int]] = {}
-    for i in range(m.rows):
-        row = {}
-        for j, e in enumerate(m.entries[i * cols : (i + 1) * cols]):
-            if e:
-                den = e.denominator
-                if den % p == 0:
-                    return None
-                v = e.numerator % p if den == 1 else e.numerator * pow(den, -1, p) % p
-                if v:
-                    row[j] = v
-        while row:
-            lead = min(row)
-            prow = pivots.get(lead)
-            if prow is None:
-                s = pow(row[lead], -1, p)
-                pivots[lead] = {j: v * s % p for j, v in row.items()}
-                break
-            f = row[lead]
-            for j, v in prow.items():
-                x = (row.get(j, 0) - f * v) % p
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-    return len(pivots)
+    rows = ([e.numerator * pow(e.denominator, -1, p) % p if e else 0 for e in m.row(i)] for i in range(m.rows))
+    try:
+        order, _ = _echelon(rows, p)
+    except ValueError:  # from pow: p divides a denominator
+        return None
+    return len(order)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .exactalg import Field, Matrix
+from .exactalg import Field, Matrix, _is_int
 from .lincat import FinLinCat, FiniteCatPresentation
 from .cmod import Bimodule, BimoduleMap, LeftModule, ShortExactSeq
 from .cohomology import CohomologyResult, LesReport
@@ -39,6 +39,13 @@ def _require(doc: Any, key: str, context: str):
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"{context}: missing member {key!r}")
     return doc[key]
+
+
+def _require_dim(entry: Any) -> int:
+    dim = _require(entry, "dim", "space entry")
+    if not _is_int(dim) or dim < 0:
+        raise ValueError(f"space entry: member 'dim' must be a non-negative integer, not {dim!r}")
+    return dim
 
 
 def category_to_json(c: FinLinCat) -> dict:
@@ -184,7 +191,7 @@ def bimodule_from_json(c: FinLinCat, doc: dict) -> Bimodule:
         pair = (_require(entry, "x", "space entry"), _require(entry, "y", "space entry"))
         if pair not in dims:
             raise ValueError(f"bimodule: space entry names unknown objects {pair}")
-        dims[pair] = int(_require(entry, "dim", "space entry"))
+        dims[pair] = _require_dim(entry)
     left = {}
     for entry in doc.get("left_action", []):
         f = _require(entry, "f", "left action entry")
@@ -237,7 +244,7 @@ def left_module_from_json(c: FinLinCat, doc: dict) -> LeftModule:
         x = _require(entry, "x", "space entry")
         if x not in dims:
             raise ValueError(f"left module: unknown object {x!r}")
-        dims[x] = int(_require(entry, "dim", "space entry"))
+        dims[x] = _require_dim(entry)
     action = {}
     for entry in doc.get("action", []):
         f = _require(entry, "f", "action entry")

@@ -257,6 +257,34 @@ class TestMalformedInput:
         result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
         self.assert_malformed(result, "member 'basis' of hom entry ('x', 'x') must be a JSON array")
 
+    def test_prime_must_be_an_integer(self, runner, tmp_path):
+        # int() would read 7.9 as the prime 7
+        doc = io.category_to_json(linearize(presets.cyclic_group(2), Field(7)))
+        doc["field"] = {"Fp": 7.9}
+        result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
+        self.assert_malformed(result, "bad field description")
+
+    def trivial_group_module(self, tmp_path, dim, matrix):
+        cat = io.category_to_json(linearize(presets.cyclic_group(1), QQ))
+        mod = {"spaces": [{"x": "x", "dim": dim}], "action": [{"f": "g0", "matrix": matrix}]}
+        return ["validate", self.write(tmp_path, "mod.json", mod), "--category", self.write(tmp_path, "cat.json", cat)]
+
+    def test_dim_must_not_be_negative(self, runner, tmp_path):
+        # one entry fits the shape -1 x -1
+        result = runner.invoke(main, self.trivial_group_module(tmp_path, -1, ["1"]))
+        self.assert_malformed(result, "member 'dim' must be a non-negative integer, not -1")
+
+    @pytest.mark.parametrize("dim", [1.7, True])
+    def test_dim_must_be_an_integer(self, runner, tmp_path, dim):
+        # int() would read either as 1
+        result = runner.invoke(main, self.trivial_group_module(tmp_path, dim, ["1"]))
+        self.assert_malformed(result, f"member 'dim' must be a non-negative integer, not {dim!r}")
+
+    def test_matrix_must_be_an_array(self, runner, tmp_path):
+        # the string "1001" would read as the 2 x 2 identity
+        result = runner.invoke(main, self.trivial_group_module(tmp_path, 2, "1001"))
+        self.assert_malformed(result, "matrix entries must be a JSON array")
+
 
 class TestDeterminism:
     def test_artifacts_are_byte_identical(self, runner, files, tmp_path):

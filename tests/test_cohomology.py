@@ -23,6 +23,7 @@ from sepcat.cohomology import (
     obstruction_cocycle,
 )
 from sepcat.separability import solve_separability
+from test_exactalg import gauss_jordan
 
 F2, F3 = Field(2), Field(3)
 
@@ -332,8 +333,8 @@ def integer_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_rank_mod_matches_prime_field_rank(shape, p):
     rows, cols, ents = shape
-    fp = Field(p)
-    expected = Matrix(fp, rows, cols, [fp.of(e) for e in ents]).rank()
+    _, pivots = gauss_jordan([ents[i * cols : (i + 1) * cols] for i in range(rows)], p)
+    expected = len(pivots)
     assert _rank_mod(Matrix(QQ, rows, cols, [QQ.of(e) for e in ents]), p) == expected
     # dividing by a unit mod p changes no rank
     assert _rank_mod(Matrix(QQ, rows, cols, [QQ.of(e) / 11 for e in ents]), p) == expected
@@ -352,7 +353,7 @@ class TestClosedForms:
         # otherwise
         c = linearize(presets.cyclic_group(m), fld)
         result = cohomology_dims(build_hm_complex(c, canonical_bimodule(c), max_degree))
-        higher = m if fld.characteristic and m % fld.characteristic == 0 else 0
+        higher = m if fld.p and m % fld.p == 0 else 0
         assert [d.dim_h for d in result.degrees] == [m] + [higher] * max_degree
 
     def test_crown_poset_is_a_circle(self):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,6 +94,10 @@ class TestImmutable:
             Matrix.from_entries(QQ, 2, 2, [(0, 2, QQ.one)])
         with pytest.raises(IndexError):
             Matrix.identity(QQ, 2).take_cols([2])
+
+    def test_negative_shape_is_rejected(self):
+        with pytest.raises(ValueError):
+            Matrix(QQ, -1, -1, [QQ.one])
 
 
 class TestKernel:
@@ -205,3 +211,47 @@ def test_take_cols_picks_columns(field, rows, cols, data):
     picks = data.draw(st.lists(st.integers(0, cols - 1), max_size=5))
     by_hand = Matrix.from_rows(field, [[row[j] for j in picks] for row in ints])
     assert Matrix.from_rows(field, ints).take_cols(picks) == by_hand
+
+
+def gauss_jordan(rows: list[list[int]], p):
+    """Textbook Gauss-Jordan over Q (p None) or F_p, sharing no code with
+    sepcat: the reduced rows and the pivot columns."""
+    a = [[Fraction(e) if p is None else e % p for e in row] for row in rows]
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        below = [i for i in range(r, len(a)) if a[i][c] != 0]
+        if not below:
+            continue
+        a[r], a[below[0]] = a[below[0]], a[r]
+        if p is None:
+            a[r] = [x / a[r][c] for x in a[r]]
+        else:
+            inv = pow(a[r][c], p - 2, p)  # Fermat
+            a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y if p is None else (x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+@st.composite
+def half_zero_int_matrices(draw):
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)], cols
+
+
+@given(st.sampled_from([QQ, F2, Field(3), Field(97), Field(2**31 - 1)]), half_zero_int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_textbook_gauss_jordan(field, shape):
+    ints, cols = shape
+    res = Matrix(field, len(ints), cols, [field.of(e) for row in ints for e in row]).rref()
+    reduced, pivots = gauss_jordan(ints, field.p)
+    assert res.reduced.entries == tuple(e for row in reduced for e in row)
+    assert res.rank == len(pivots)
+    assert res.pivot_cols == tuple(pivots)
