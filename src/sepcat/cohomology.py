@@ -15,11 +15,12 @@ matrix in this module reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .exactalg import Matrix, _rank_mod
+from .exactalg import Matrix, _SparseRows, _rank_mod
 from .errors import BudgetExceededError, InternalCheckError
 from .lincat import FinLinCat
 from .cmod import Bimodule, BimoduleMap, ShortExactSeq, tensor_square, kernel_of, validate_module
@@ -64,20 +65,42 @@ class _DegreeSpace:
     by_objs: dict[tuple[str, ...], _Slot]
 
 
+class _DenseDiffs(Sequence):
+    """The differentials as dense matrices, each built from its sparse rows
+    on first use and then kept, so its rref is computed at most once."""
+
+    def __init__(self, sparse: list[_SparseRows]):
+        self._sparse = sparse
+
+    def __len__(self) -> int:
+        return len(self._sparse)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [d.dense() for d in self._sparse[n]]
+        return self._sparse[n].dense()
+
+
 class CochainComplex:
     """Bar cochain spaces C^0 .. C^(max_degree+1) and differentials
     d^0 .. d^max_degree.
 
-    Invariant: every adjacent pair of diffs has passed the exact check
-    d^(n+1) . d^n = 0 in build_hm_complex, so im d^(n-1) lies in ker d^n;
-    cohomology_dims relies on it to certify ranks."""
+    sparse_diffs holds each differential as its nonzero rows; diffs gives
+    the same differentials as dense matrices, for the rational rref, solve
+    and kernel.
 
-    def __init__(self, cat: FinLinCat, coefficients: Bimodule, max_degree: int, spaces, diffs):
+    Invariant: every adjacent pair of differentials has passed the exact
+    check d^(n+1) . d^n = 0 on their sparse rows in build_hm_complex, so
+    im d^(n-1) lies in ker d^n; cohomology_dims relies on it to certify
+    ranks."""
+
+    def __init__(self, cat: FinLinCat, coefficients: Bimodule, max_degree: int, spaces, sparse_diffs):
         self.cat = cat
         self.coefficients = coefficients
         self.max_degree = max_degree
         self.spaces: list[_DegreeSpace] = spaces
-        self.diffs: list[Matrix] = diffs
+        self.sparse_diffs: list[_SparseRows] = sparse_diffs
+        self.diffs = _DenseDiffs(sparse_diffs)
 
     def space(self, n: int) -> _DegreeSpace:
         return self.spaces[n]
@@ -108,10 +131,10 @@ def _degree_space(c: FinLinCat, m: Bimodule, n: int, budget: int) -> _DegreeSpac
     return _DegreeSpace(offset, slots, by_objs)
 
 
-def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _DegreeSpace, n: int) -> Matrix:
+def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _DegreeSpace, n: int) -> _SparseRows:
     fld = c.field
-    nrows, ncols = tgt.dim, src.dim
-    data = [fld.zero] * (nrows * ncols)
+    zero = fld.zero
+    rows: list[dict] = [{} for _ in range(tgt.dim)]
     add = fld.add
     sub = fld.sub
     odd_last = (n + 1) % 2 == 1
@@ -123,6 +146,7 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
             col_base = slot.flat(combo, 0)
             for t in range(slot.mdim):
                 col = col_base + t
+                entries: dict = {}  # this column's entries, by row
                 # term 1: f1 acts on the left of the value
                 for w in c.objects:
                     tslot = tgt.by_objs.get((w,) + objs)
@@ -134,7 +158,7 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
                             v = act.entries[s * act.cols + t]
                             if v:
                                 row = tslot.flat((b_idx,) + combo, s)
-                                data[row * ncols + col] = add(data[row * ncols + col], v)
+                                entries[row] = add(entries.get(row, zero), v)
                 # terms 2..n+? : merge fi . f(i+1) against the stored input a_i
                 for i in range(1, n + 1):
                     negative = i % 2 == 1
@@ -153,9 +177,9 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
                                     new_combo = combo[: i - 1] + (b_idx, b2_idx) + combo[i:]
                                     row = tslot.flat(new_combo, t)
                                     if negative:
-                                        data[row * ncols + col] = sub(data[row * ncols + col], gamma)
+                                        entries[row] = sub(entries.get(row, zero), gamma)
                                     else:
-                                        data[row * ncols + col] = add(data[row * ncols + col], gamma)
+                                        entries[row] = add(entries.get(row, zero), gamma)
                 # last term: f(n+1) acts on the right of the value
                 for w in c.objects:
                     tslot = tgt.by_objs.get(objs + (w,))
@@ -168,17 +192,22 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
                             if v:
                                 row = tslot.flat(combo + (b_idx,), s)
                                 if odd_last:
-                                    data[row * ncols + col] = sub(data[row * ncols + col], v)
+                                    entries[row] = sub(entries.get(row, zero), v)
                                 else:
-                                    data[row * ncols + col] = add(data[row * ncols + col], v)
-    return Matrix(fld, nrows, ncols, data)
+                                    entries[row] = add(entries.get(row, zero), v)
+                for row, v in entries.items():
+                    if v:
+                        rows[row][col] = v
+    return _SparseRows(fld, src.dim, rows)
 
 
 def build_hm_complex(
     c: FinLinCat, m: Bimodule, max_degree: int, budget: int = DEFAULT_BUDGET
 ) -> CochainComplex:
     """Cochain spaces to degree max_degree + 1 and differentials to degree
-    max_degree; raises BudgetExceededError when a space outgrows budget."""
+    max_degree, built as sparse rows; raises BudgetExceededError when a
+    space outgrows budget and InternalCheckError when the exact sparse
+    product d^(n+1) . d^n of some adjacent pair is nonzero."""
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     spaces = [_degree_space(c, m, n, budget) for n in range(max_degree + 2)]
@@ -208,32 +237,30 @@ class CohomologyResult:
 def cohomology_dims(complex: CochainComplex) -> CohomologyResult:
     """dim H^n = dim ker d^n - rank d^(n-1) for n up to max_degree.
 
+    Every rank is first taken mod a prime, by streaming the sparse rows of
+    d^n through the elimination; over F_p that is the rank itself.
+
     Over Q each rank r_n = rank d^n is sandwiched before any rational
     elimination. From below by rho_n, the rank of d^n mod the prime
     _RANK_PRIME (rho_n <= r_n). From above by the complex's invariant
-    d . d = 0, which puts im d^(n-1) in ker d^n and im d^n in ker d^(n+1):
+    d . d = 0, checked exactly on the sparse rows when the complex was
+    built, which puts im d^(n-1) in ker d^n and im d^n in ker d^(n+1):
     r_n <= min(dim C^(n+1), dim C^n - r_(n-1), dim C^(n+1) - rho_(n+1)),
     with r_(n-1) already exact. When rho_n meets the upper bound it is r_n;
     otherwise (nonzero cohomology, or a denominator divisible by the prime)
-    r_n comes from the exact rational rref. Over F_p ranks come from rref.
+    r_n comes from the exact rational rref of the dense d^n.
     """
-    diffs = complex.diffs
-    if complex.cat.field.is_rationals:
-        lower = [_rank_mod(d, _RANK_PRIME) for d in diffs]
-    else:
-        lower = [None] * len(diffs)
+    p = complex.cat.field.p
+    lower = [_rank_mod(d, p or _RANK_PRIME) for d in complex.sparse_diffs]
     out = []
     prev_rank = 0
-    for n, d in enumerate(diffs):
-        rank = lower[n]
-        if rank is not None:
+    for n, rank in enumerate(lower):
+        if p is None:
             upper = min(complex.dim(n + 1), complex.dim(n) - prev_rank)
-            if n + 1 < len(diffs) and lower[n + 1] is not None:
+            if n + 1 < len(lower) and lower[n + 1] is not None:
                 upper = min(upper, complex.dim(n + 1) - lower[n + 1])
             if rank != upper:
-                rank = None
-        if rank is None:
-            rank = d.rank()
+                rank = complex.diffs[n].rank()
         dim_ker = complex.dim(n) - rank
         out.append(DegreeData(n, complex.dim(n), rank, dim_ker - prev_rank))
         prev_rank = rank
@@ -301,7 +328,7 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
             for s, v in enumerate(coords.entries):
                 values[slot.flat((b_idx,), s)] = v
     cocycle = Matrix(fld, len(values), 1, values)
-    if not (complex.diffs[1] @ cocycle).is_zero():
+    if not (complex.sparse_diffs[1] @ cocycle).is_zero():
         raise InternalCheckError("obstruction cochain is not a cocycle")
     is_coboundary = complex.diffs[0].solve_many(cocycle) is not None
     return ObstructionResult(cocycle, is_coboundary, ker, complex)
@@ -334,24 +361,22 @@ class LesReport:
         return all(rec.exact for rec in self.positions)
 
 
-def _cochain_map(src: CochainComplex, tgt: CochainComplex, blocks: dict, n: int) -> Matrix:
+def _cochain_map(src: CochainComplex, tgt: CochainComplex, blocks: dict, n: int) -> _SparseRows:
     sspace, tspace = src.space(n), tgt.space(n)
-
-    def triplets():
-        for slot in sspace.slots:
-            tslot = tspace.by_objs.get(slot.objs)
-            if tslot is None:
-                continue
-            blk = blocks[(slot.objs[0], slot.objs[n])]
-            for combo in product(*[range(d) for d in slot.hom_dims]):
-                for t in range(slot.mdim):
-                    col = slot.flat(combo, t)
-                    for s in range(blk.rows):
-                        v = blk.entries[s * blk.cols + t]
-                        if v:
-                            yield tslot.flat(combo, s), col, v
-
-    return Matrix.from_entries(src.cat.field, tspace.dim, sspace.dim, triplets())
+    rows: list[dict] = [{} for _ in range(tspace.dim)]
+    for slot in sspace.slots:
+        tslot = tspace.by_objs.get(slot.objs)
+        if tslot is None:
+            continue
+        blk = blocks[(slot.objs[0], slot.objs[n])]
+        for combo in product(*[range(d) for d in slot.hom_dims]):
+            for t in range(slot.mdim):
+                col = slot.flat(combo, t)
+                for s in range(blk.rows):
+                    v = blk.entries[s * blk.cols + t]
+                    if v:
+                        rows[tslot.flat(combo, s)][col] = v
+    return _SparseRows(src.cat.field, sspace.dim, rows)
 
 
 def les_analysis(c: FinLinCat, ses: ShortExactSeq, max_degree: int, budget: int = DEFAULT_BUDGET) -> LesReport:
@@ -392,11 +417,11 @@ def les_analysis(c: FinLinCat, ses: ShortExactSeq, max_degree: int, budget: int 
         return image.hstack(cols).rank() - image.rank()
 
     def zigzag(n: int, z: Matrix) -> Matrix:
-        w = qmaps[n].solve_many(z)
+        w = qmaps[n].dense().solve_many(z)
         if w is None:
             raise InternalCheckError("cochain-level surjectivity of q failed")
-        v = cn.diffs[n] @ w
-        u = imaps[n + 1].solve_many(v)
+        v = cn.sparse_diffs[n] @ w
+        u = imaps[n + 1].dense().solve_many(v)
         if u is None:
             raise InternalCheckError("connecting lift escapes the image of i")
         return u

@@ -107,7 +107,7 @@ def category_from_json(doc: dict) -> FinLinCat:
         for lab, text in coeffs.items():
             if lab not in labels:
                 raise ValueError(f"category: identity of {x} uses label {lab!r} outside hom({x},{x})")
-            vec[labels.index(lab)] = field.of(text)
+            vec[labels.index(lab)] = field.of_text(text)
         identity[x] = vec
     comp_table = {}
     for entry in doc.get("composition", []):
@@ -124,7 +124,7 @@ def category_from_json(doc: dict) -> FinLinCat:
             if lab not in basis:
                 raise ValueError(f"category: composition ({g},{f}) names {lab!r} outside hom({x},{z})")
             idx = basis.index(lab)
-            vec[idx] = field.add(vec[idx], field.of(_require(term, "coeff", "composition term")))
+            vec[idx] = field.add(vec[idx], field.of_text(_require(term, "coeff", "composition term")))
         comp_table[(g, f)] = vec
     return FinLinCat(field, objects, hom_basis, comp_table, identity)
 
@@ -344,7 +344,7 @@ def certificate_from_json(c: FinLinCat, doc: list) -> SeparabilityFamily:
             if v not in vs:
                 raise ValueError(f"certificate: label {v!r} is not in hom({x},{y})")
             cell = (us.index(u), vs.index(v))
-            coeff = c.field.of(_require(term, "coeff", "certificate term"))
+            coeff = c.field.of_text(_require(term, "coeff", "certificate term"))
             cells[cell] = c.field.add(cells.get(cell, c.field.zero), coeff)
     blocks = {
         (x, y): Matrix.from_entries(

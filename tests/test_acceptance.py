@@ -24,6 +24,7 @@ from sepcat.cmod import (
     tensor_square,
 )
 from sepcat.cohomology import build_hm_complex, cohomology_dims, les_analysis, obstruction_cocycle
+from test_exactalg import gauss_jordan
 from sepcat.separability import (
     delta_predict,
     maschke_predict,
@@ -180,6 +181,49 @@ def test_criterion_5_solver_matches_obstruction():
             disagreements.append(name)
     assert not disagreements, disagreements
     print(f"PASS criterion 5: feasibility equals obstruction verdict on {len(instances)} instances")
+
+
+def trace_form_separable(c) -> bool:
+    """Dickson's criterion, an oracle sharing no elimination code with
+    sepcat. Over Q, or F_p with p > dim, the total algebra (the direct sum
+    of all hom spaces, composing where composable) is separable exactly
+    when its trace form Tr(L_a L_b) is nondegenerate. Tr(L_a L_b) is
+    Tr(L_ab), and Tr(L_e) sums the coefficient of each basis label f in e.f."""
+    labels = list(c.label_info)
+    position = {info: i for i, info in enumerate(c.label_info.values())}
+
+    def times(g, f):
+        """g . f as {label position: coefficient}; {} unless composable."""
+        x, y, _ = c.label_info[f]
+        y2, z, _ = c.label_info[g]
+        if y != y2:
+            return {}
+        return {position[(x, z, k)]: v for k, v in c.comp_terms(g, f)}
+
+    trace = [sum(times(e, f).get(i, 0) for i, f in enumerate(labels)) for e in labels]
+    form = [
+        [sum(v * trace[k] for k, v in times(a, b).items()) for b in labels]
+        for a in labels
+    ]
+    _, pivots = gauss_jordan(form, c.field.p)
+    return len(pivots) == len(labels)
+
+
+def test_trace_form_matches_solver_and_obstruction():
+    presentations = {**GROUPOIDS, **DELTA_NONDISCRETE, **DISCRETE}
+    presentations.update({f"random{seed}": presets.random_presentation(seed) for seed in range(8)})
+    checked = 0
+    for name, pres in presentations.items():
+        for k in (QQ, F2, F3, F5, Field(7)):
+            c = linearize(pres, k)
+            if k.p is not None and k.p <= c.total_dim():
+                continue
+            expected = trace_form_separable(c)
+            assert (solve_separability(c) is not None) == expected, f"solver on {name} over {k}"
+            assert obstruction_cocycle(c).is_coboundary == expected, f"obstruction on {name} over {k}"
+            checked += 1
+    assert checked >= 40
+    print(f"PASS trace form: solver and obstruction agree with Dickson's criterion on {checked} instances")
 
 
 def test_criterion_6_module_projectivity():

@@ -231,6 +231,38 @@ class TestMalformedInput:
         result = runner.invoke(main, ["cohomology", files["z2_over_Q.json"], "--bimodule", mod])
         self.assert_malformed(result, "'-1/0'")
 
+    # a JSON number would be read as its binary expansion and true as 1
+    NON_TEXT_SCALARS = pytest.mark.parametrize("value", [0.1, True])
+
+    @NON_TEXT_SCALARS
+    def test_identity_scalar_must_be_text(self, runner, tmp_path, value):
+        doc = self.z2_doc()
+        doc["identity"]["x"]["g0"] = value
+        result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
+        self.assert_malformed(result, f"scalar must be text, not {value!r}")
+
+    @NON_TEXT_SCALARS
+    def test_composition_scalar_must_be_text(self, runner, tmp_path, value):
+        doc = self.z2_doc()
+        doc["composition"][0]["result"][0]["coeff"] = value
+        result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
+        self.assert_malformed(result, f"scalar must be text, not {value!r}")
+
+    @NON_TEXT_SCALARS
+    def test_certificate_scalar_must_be_text(self, runner, files, tmp_path, value):
+        doc = [{"x": "x", "y": "x", "terms": [{"coeff": value, "u": "g0", "v": "g0"}]}]
+        cert = self.write(tmp_path, "cert.json", doc)
+        result = runner.invoke(main, ["separability", "verify", files["z2_over_Q.json"], "--certificate", cert])
+        self.assert_malformed(result, f"scalar must be text, not {value!r}")
+
+    @NON_TEXT_SCALARS
+    def test_matrix_scalar_must_be_text(self, runner, files, tmp_path, value):
+        doc = io.left_module_to_json(representable_left_module(linearize(presets.cyclic_group(2), QQ), "x"))
+        doc["action"][1]["matrix"][1] = value
+        mod = self.write(tmp_path, "mod.json", doc)
+        result = runner.invoke(main, ["validate", mod, "--category", files["z2_over_Q.json"]])
+        self.assert_malformed(result, f"scalar must be text, not {value!r}")
+
     def test_identity_must_be_an_object(self, runner, tmp_path):
         doc = self.z2_doc()
         doc["identity"] = [{"g0": "1"}]

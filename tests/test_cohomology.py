@@ -1,11 +1,14 @@
+import hashlib
+import json
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepcat import cohomology, presets
-from sepcat.exactalg import Field, Matrix, QQ, _rank_mod
-from sepcat.errors import BudgetExceededError
+from sepcat.exactalg import Field, Matrix, QQ, _SparseRows, _rank_mod
+from sepcat.errors import BudgetExceededError, InternalCheckError
 from sepcat.lincat import linearize
 from sepcat.cmod import (
     ShortExactSeq,
@@ -26,6 +29,11 @@ from sepcat.separability import solve_separability
 from test_exactalg import gauss_jordan
 
 F2, F3 = Field(2), Field(3)
+
+
+def sparse_rows(m: Matrix) -> _SparseRows:
+    """The nonzero rows of m, as the complex stores its differentials."""
+    return _SparseRows(m.field, m.cols, [{j: v for j, v in enumerate(m.row(i)) if v} for i in range(m.rows)])
 
 
 def kernel_comp_ses(c):
@@ -301,7 +309,7 @@ class TestRankCertificate:
         assert [d.dim_h for d in result.degrees] == expected == [2, 0, 0]
 
     def test_denominator_divisible_by_prime_has_no_bound(self):
-        m = Matrix.from_rows(QQ, [[1, 2], [0, "1/7"]])
+        m = sparse_rows(Matrix.from_rows(QQ, [[1, 2], [0, "1/7"]]))
         assert _rank_mod(m, 7) is None
         assert _rank_mod(m, 5) == 2
 
@@ -335,9 +343,150 @@ def test_rank_mod_matches_prime_field_rank(shape, p):
     rows, cols, ents = shape
     _, pivots = gauss_jordan([ents[i * cols : (i + 1) * cols] for i in range(rows)], p)
     expected = len(pivots)
-    assert _rank_mod(Matrix(QQ, rows, cols, [QQ.of(e) for e in ents]), p) == expected
+    assert _rank_mod(sparse_rows(Matrix(QQ, rows, cols, [QQ.of(e) for e in ents])), p) == expected
     # dividing by a unit mod p changes no rank
-    assert _rank_mod(Matrix(QQ, rows, cols, [QQ.of(e) / 11 for e in ents]), p) == expected
+    assert _rank_mod(sparse_rows(Matrix(QQ, rows, cols, [QQ.of(e) / 11 for e in ents])), p) == expected
+    # over F_p itself, as cohomology_dims takes its ranks there
+    fp = Field(p)
+    assert _rank_mod(sparse_rows(Matrix(fp, rows, cols, [fp.of(e) for e in ents])), p) == expected
+
+
+# -- sparse differentials ---------------------------------------------------
+
+SPARSE_FIELDS = (QQ, F2, Field(7), Field(2**31 - 1))
+
+
+@st.composite
+def factor_pairs(draw):
+    """(m, k, n, A entries, B entries) for an m x k by k x n product; half
+    the draws are A = [P | P], B = [R ; -R], whose product cancels to zero."""
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    scalars = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    p_ents = draw(st.lists(scalars, min_size=m * k, max_size=m * k))
+    r_ents = draw(st.lists(scalars, min_size=k * n, max_size=k * n))
+    if not draw(st.booleans()):
+        return m, k, n, p_ents, r_ents
+    a = [e for i in range(m) for e in p_ents[i * k : (i + 1) * k] * 2]
+    return m, 2 * k, n, a, r_ents + [-e for e in r_ents]
+
+
+@given(st.sampled_from(SPARSE_FIELDS), factor_pairs())
+@settings(max_examples=200, deadline=None)
+def test_sparse_product_matches_dense(field, pair):
+    m, k, n, a_ents, b_ents = pair
+    a = Matrix(field, m, k, [field.of(e) for e in a_ents])
+    b = Matrix(field, k, n, [field.of(e) for e in b_ents])
+    dense = a @ b
+    product_rows = sparse_rows(a) @ sparse_rows(b)
+    assert product_rows.is_zero() == dense.is_zero()
+    assert product_rows.dense() == dense
+    assert all(v for row in product_rows.rows for v in row.values())
+    assert sparse_rows(a) @ b == dense
+
+
+DIFF_PRESETS = {
+    "Z2": lambda: presets.cyclic_group(2),
+    "Z3": lambda: presets.cyclic_group(3),
+    "Z4": lambda: presets.cyclic_group(4),
+    "K4": presets.klein_four,
+    "G2(Z2)": lambda: presets.connected_groupoid(presets.cyclic_group(2), 2),
+    "A3": lambda: presets.chain_poset(3),
+    "vee": presets.vee_poset,
+    "crown": lambda: crown_poset(),
+}
+DIFF_FIELDS = {"Q": QQ, "F7": Field(7)}
+
+# digests of d^0, d^1, d^2 (entries, shape, field), recorded from the
+# builder that filled dense arrays before differentials became sparse rows
+DIFF_DIGESTS = {
+    ("A3", "canonical", "F7"): "c2eba453063f9a3b",
+    ("A3", "canonical", "Q"): "91edeeff34db716b",
+    ("A3", "kernel-comp", "F7"): "ab65a5446f2c84a7",
+    ("A3", "kernel-comp", "Q"): "b907af6456e34e4b",
+    ("G2(Z2)", "canonical", "F7"): "96f68f1ad7cba6a2",
+    ("G2(Z2)", "canonical", "Q"): "d79d0c52bf917453",
+    ("G2(Z2)", "kernel-comp", "F7"): "144ecf2bb83a9f6a",
+    ("G2(Z2)", "kernel-comp", "Q"): "17276449c60fcad0",
+    ("K4", "canonical", "F7"): "960a77d2337f7024",
+    ("K4", "canonical", "Q"): "860f183a477ea1ac",
+    ("K4", "kernel-comp", "F7"): "8aae4585ee289a51",
+    ("K4", "kernel-comp", "Q"): "46647d8e5a16d099",
+    ("Z2", "canonical", "F7"): "af7f7301e2b05cc2",
+    ("Z2", "canonical", "Q"): "45f4d5e9466b580b",
+    ("Z2", "kernel-comp", "F7"): "403abf20c540fd98",
+    ("Z2", "kernel-comp", "Q"): "48f21d413ca478d3",
+    ("Z3", "canonical", "F7"): "192fd3bedb7f5f51",
+    ("Z3", "canonical", "Q"): "74a1d6aa1226eca8",
+    ("Z3", "kernel-comp", "F7"): "8e4a8ae91298cf29",
+    ("Z3", "kernel-comp", "Q"): "f8826e61a0ac521e",
+    ("Z4", "canonical", "F7"): "15262d0b3e644d58",
+    ("Z4", "canonical", "Q"): "8c5733dfab2aa8d8",
+    ("Z4", "kernel-comp", "F7"): "ca939f36c61ad477",
+    ("Z4", "kernel-comp", "Q"): "74902a515c2e5a33",
+    ("crown", "canonical", "F7"): "2bba13c148b2406f",
+    ("crown", "canonical", "Q"): "15b0d2b0d47a664e",
+    ("crown", "kernel-comp", "F7"): "f78cbb2fae606d91",
+    ("crown", "kernel-comp", "Q"): "c201ad2d62a53fdd",
+    ("vee", "canonical", "F7"): "fd7db6ac7759e48d",
+    ("vee", "canonical", "Q"): "fb4800fcb07bdd3b",
+    ("vee", "kernel-comp", "F7"): "e0e9fb3ccd294243",
+    ("vee", "kernel-comp", "Q"): "72c9387b8314144b",
+}
+
+
+def coefficient_bimodule(c, kind):
+    return canonical_bimodule(c) if kind == "canonical" else kernel_comp_ses(c).m
+
+
+@pytest.mark.parametrize("name,kind,field_name", sorted(DIFF_DIGESTS))
+def test_differentials_match_golden(name, kind, field_name):
+    c = linearize(DIFF_PRESETS[name](), DIFF_FIELDS[field_name])
+    complex = build_hm_complex(c, coefficient_bimodule(c, kind), 2)
+    doc = [[d.rows, d.cols, str(d.field), [d.field.format(e) for e in d.entries]] for d in complex.diffs]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16] == DIFF_DIGESTS[(name, kind, field_name)]
+
+
+@pytest.mark.parametrize("name,kind", [("Z3", "kernel-comp"), ("G2(Z2)", "canonical")])
+@pytest.mark.parametrize("field_name", ["Q", "F7"])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_flipped_sign_fails_the_dd_check(monkeypatch, name, kind, field_name, degree):
+    # the rank certificate over Q rests on this check, so one wrong sign in
+    # one row of any differential must be caught when the complex is built
+    # (no column of d^1 is zero in these complexes, so even a flip in d^0,
+    # which only d^1 . d^0 sees, is caught)
+    c = linearize(DIFF_PRESETS[name](), DIFF_FIELDS[field_name])
+    m = coefficient_bimodule(c, kind)
+    original = cohomology._build_differential
+
+    def flipped(c, m, src, tgt, n):
+        d = original(c, m, src, tgt, n)
+        if n != degree:
+            return d
+        rows = [dict(row) for row in d.rows]
+        i = next(i for i, row in enumerate(rows) if row)
+        j = next(iter(rows[i]))
+        rows[i][j] = c.field.neg(rows[i][j])
+        return _SparseRows(d.field, d.ncols, rows)
+
+    monkeypatch.setattr(cohomology, "_build_differential", flipped)
+    with pytest.raises(InternalCheckError):
+        build_hm_complex(c, m, 2)
+
+
+def test_z5_degree_three_memory():
+    # a dense d^3 (3125 x 625) alone holds about 2 M entry references; the
+    # sparse rows of the whole complex and the mod-p elimination fit well
+    # under 12 MB
+    c = linearize(presets.cyclic_group(5), QQ)
+    m = canonical_bimodule(c)
+    tracemalloc.start()
+    try:
+        result = cohomology_dims(build_hm_complex(c, m, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [d.dim_h for d in result.degrees] == [5, 0, 0, 0]
+    assert peak < 12_000_000, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestClosedForms:

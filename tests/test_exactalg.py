@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,20 @@ def test_kernel_columns_annihilate(a):
 def test_rref_idempotent(a):
     red = a.rref().reduced
     assert red.rref().reduced == red
+
+
+def test_rref_leaves_no_reference_cycle():
+    # a cycle would keep each reduced matrix, often the largest object of a
+    # rational elimination, alive until the next full garbage collection
+    m = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
+    gc.collect()
+    gc.disable()
+    try:
+        m.rref()
+        del m
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(matrices(), st.data())
