@@ -167,51 +167,17 @@ def tensor_square_basis(c: FinLinCat, x: str, y: str) -> list[tuple[str, str, st
 
 
 def tensor_square(c: FinLinCat) -> tuple[Bimodule, BimoduleMap]:
-    """The bimodule C (x) C together with the composition map onto C."""
-    bases = {(x, y): tensor_square_basis(c, x, y) for x in c.objects for y in c.objects}
-    index = {key: {t: i for i, t in enumerate(b)} for key, b in bases.items()}
-    dims = {key: len(b) for key, b in bases.items()}
-    fld = c.field
-    left = {}
-    for f in c.label_info:
-        x, x2, _ = c.label_info[f]
-        for y in c.objects:
-            src = bases[(x, y)]
-            tgt_index = index[(x2, y)]
-            left[(f, y)] = Matrix.from_entries(
-                fld,
-                dims[(x2, y)],
-                len(src),
-                (
-                    (tgt_index[(z, c.hom(z, x2)[k], v)], j, coeff)
-                    for j, (z, u, v) in enumerate(src)
-                    for k, coeff in c.comp_terms(f, u)
-                ),
-            )
-    right = {}
-    for g in c.label_info:
-        y2, y, _ = c.label_info[g]
-        for x in c.objects:
-            src = bases[(x, y)]
-            tgt_index = index[(x, y2)]
-            right[(g, x)] = Matrix.from_entries(
-                fld,
-                dims[(x, y2)],
-                len(src),
-                (
-                    (tgt_index[(z, u, c.hom(y2, z)[k])], j, coeff)
-                    for j, (z, u, v) in enumerate(src)
-                    for k, coeff in c.comp_terms(v, g)
-                ),
-            )
-    cxc = Bimodule(c, dims, left, right)
-    creg = canonical_bimodule(c)
+    """The bimodule C (x) C together with the composition map onto C.
+
+    C (x) C is the direct sum of the representables P(z, z) over the
+    objects z, whose bases concatenate to tensor_square_basis."""
+    cxc = direct_sum_bimodules(c, [representable_bimodule(c, z, z) for z in c.objects])
     blocks = {}
     for x in c.objects:
         for y in c.objects:
-            src = bases[(x, y)]
+            src = tensor_square_basis(c, x, y)
             blocks[(x, y)] = Matrix.from_entries(
-                fld,
+                c.field,
                 c.dim_hom(y, x),
                 len(src),
                 (
@@ -220,7 +186,7 @@ def tensor_square(c: FinLinCat) -> tuple[Bimodule, BimoduleMap]:
                     for i, coeff in c.comp_terms(u, v)
                 ),
             )
-    return cxc, BimoduleMap(cxc, creg, blocks)
+    return cxc, BimoduleMap(cxc, canonical_bimodule(c), blocks)
 
 
 def _solve_by_kernel(kernels: dict, systems: list[tuple[object, Matrix]]) -> list[Optional[Matrix]]:
@@ -312,18 +278,12 @@ def character_left_module(c: FinLinCat, values: dict[str, object]) -> LeftModule
 
 def _block_diag(field: Field, mats: list[Matrix]) -> Matrix:
     """The block-diagonal matrix with the given blocks in order."""
-
-    def triplets():
-        r0 = c0 = 0
-        for m in mats:
-            for i in range(m.rows):
-                for j, v in enumerate(m.entries[i * m.cols : (i + 1) * m.cols]):
-                    if v:
-                        yield r0 + i, c0 + j, v
-            r0 += m.rows
-            c0 += m.cols
-
-    return Matrix.from_entries(field, sum(m.rows for m in mats), sum(m.cols for m in mats), triplets())
+    rows = []
+    c0 = 0
+    for m in mats:
+        rows.extend(tuple((c0 + j, v) for j, v in row) for row in m.row_terms)
+        c0 += m.cols
+    return Matrix._of_rows(field, c0, tuple(rows))
 
 
 def direct_sum_bimodules(c: FinLinCat, summands: list[Bimodule]) -> Bimodule:
@@ -519,46 +479,41 @@ def _yoneda_basis(
     for comp in components:
         offsets[comp] = total
         total += tgt_dims[comp] * src_dims[comp]
-    zero = field.zero
-    rows: list[list] = []
+    spans: list[dict] = []
     first_col = dict.fromkeys(components, 0)
     for k, images in summands:
-        span = [[zero] * total for _ in range(k)]
+        span: list[dict] = [{} for _ in range(k)]
         for comp in components:
             stride = src_dims[comp]
             # reversed column of unknown (r, col) of phi[comp]
             base = total - 1 - offsets[comp] - first_col[comp]
             for j, img in enumerate(images[comp]):
-                ent = img.entries
-                for r in range(img.rows):
+                for r, row in enumerate(img.row_terms):
                     at = base - r * stride - j
-                    for s in range(k):
-                        v = ent[r * k + s]
-                        if v:
-                            span[s][at] = v
+                    for s, v in row:
+                        span[s][at] = v
             first_col[comp] += len(images[comp])
-        rows.extend(span)
-    n = len(rows)
-    res = Matrix(field, n, total, [e for row in rows for e in row]).rref()
+        spans.extend(span)
+    n = len(spans)
+    res = Matrix.from_entries(field, n, total, ((i, j, v) for i, row in enumerate(spans) for j, v in row.items())).rref()
     if res.rank != n:
         raise InternalCheckError(f"Yoneda spanning set has rank {res.rank}, expected {n}")
-    red = res.reduced.entries
-    # basis columns in ascending free column: reduced rows last to first
-    ent = [red[(n - j) * total - 1 - i] for i in range(total) for j in range(n)]
-    return Matrix(field, total, n, ent), offsets
+    # basis columns in ascending free column: reduced rows last to first,
+    # and reduced column c is basis row total - 1 - c
+    rows: list[list] = [[] for _ in range(total)]
+    for j, red in enumerate(reversed(res.reduced.row_terms[:n])):
+        for c, v in red:
+            rows[total - 1 - c].append((j, v))
+    return Matrix._of_rows(field, n, tuple(map(tuple, rows))), offsets
 
 
 def _random_intertwiner(rng: random.Random, field: Field, basis: Matrix) -> list:
     """A random combination of the basis columns, one coefficient per column."""
-    vec = [field.zero] * basis.rows
-    for k in range(basis.cols):
-        coeff = field.of(rng.randint(-2, 2)) if field.is_rationals else field.of(rng.randrange(field.p))
-        if not coeff:
-            continue
-        for i, v in enumerate(basis.col(k)):
-            if v:
-                vec[i] = field.add(vec[i], field.mul(coeff, v))
-    return vec
+    if field.is_rationals:
+        coeffs = [field.of(rng.randint(-2, 2)) for _ in range(basis.cols)]
+    else:
+        coeffs = [field.of(rng.randrange(field.p)) for _ in range(basis.cols)]
+    return (basis @ Matrix.column(field, coeffs)).col(0)
 
 
 def _blocks_from_vector(field: Field, src_dims: dict, tgt_dims: dict, vec: list, offsets: dict) -> dict:

@@ -10,17 +10,19 @@ product of the diagonal components M[x][x]. The differential is
 
 Basis order is fixed: object tuples lexicographically in object order,
 input indices row-major, coefficient index fastest; this makes every
-matrix in this module reproducible bit-for-bit.
+matrix in this module reproducible bit-for-bit. Each differential and
+cochain map is written column by column straight into the nonzero rows
+of one Matrix, which the d . d = 0 check, the ranks, the obstruction and
+the long exact sequence all read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .exactalg import Matrix, _SparseRows, _rank_mod
+from .exactalg import Matrix, _rank_mod
 from .errors import BudgetExceededError, InternalCheckError
 from .lincat import FinLinCat
 from .cmod import Bimodule, BimoduleMap, ShortExactSeq, tensor_square, kernel_of, validate_module
@@ -65,42 +67,20 @@ class _DegreeSpace:
     by_objs: dict[tuple[str, ...], _Slot]
 
 
-class _DenseDiffs(Sequence):
-    """The differentials as dense matrices, each built from its sparse rows
-    on first use and then kept, so its rref is computed at most once."""
-
-    def __init__(self, sparse: list[_SparseRows]):
-        self._sparse = sparse
-
-    def __len__(self) -> int:
-        return len(self._sparse)
-
-    def __getitem__(self, n):
-        if isinstance(n, slice):
-            return [d.dense() for d in self._sparse[n]]
-        return self._sparse[n].dense()
-
-
 class CochainComplex:
     """Bar cochain spaces C^0 .. C^(max_degree+1) and differentials
-    d^0 .. d^max_degree.
-
-    sparse_diffs holds each differential as its nonzero rows; diffs gives
-    the same differentials as dense matrices, for the rational rref, solve
-    and kernel.
+    d^0 .. d^max_degree, each a Matrix of its nonzero rows.
 
     Invariant: every adjacent pair of differentials has passed the exact
-    check d^(n+1) . d^n = 0 on their sparse rows in build_hm_complex, so
-    im d^(n-1) lies in ker d^n; cohomology_dims relies on it to certify
-    ranks."""
+    check d^(n+1) . d^n = 0 in build_hm_complex, so im d^(n-1) lies in
+    ker d^n; cohomology_dims relies on it to certify ranks."""
 
-    def __init__(self, cat: FinLinCat, coefficients: Bimodule, max_degree: int, spaces, sparse_diffs):
+    def __init__(self, cat: FinLinCat, coefficients: Bimodule, max_degree: int, spaces, diffs):
         self.cat = cat
         self.coefficients = coefficients
         self.max_degree = max_degree
         self.spaces: list[_DegreeSpace] = spaces
-        self.sparse_diffs: list[_SparseRows] = sparse_diffs
-        self.diffs = _DenseDiffs(sparse_diffs)
+        self.diffs: list[Matrix] = diffs
 
     def space(self, n: int) -> _DegreeSpace:
         return self.spaces[n]
@@ -131,13 +111,32 @@ def _degree_space(c: FinLinCat, m: Bimodule, n: int, budget: int) -> _DegreeSpac
     return _DegreeSpace(offset, slots, by_objs)
 
 
-def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _DegreeSpace, n: int) -> _SparseRows:
+def _composites_by_result(c: FinLinCat) -> dict:
+    """{(x, w, y): {k: [(b_idx, b2_idx, gamma)]}}: the pairs of basis
+    morphisms b in hom(w, x), b2 in hom(y, w) whose composite b . b2 has
+    the nonzero coefficient gamma at basis element k of hom(y, x)."""
+    index: dict = {}
+    for x, w, y in product(c.objects, repeat=3):
+        by_k: dict = {}
+        for b_idx, b in enumerate(c.hom(w, x)):
+            for b2_idx, b2 in enumerate(c.hom(y, w)):
+                for k, gamma in c.comp_terms(b, b2):
+                    by_k.setdefault(k, []).append((b_idx, b2_idx, gamma))
+        index[(x, w, y)] = by_k
+    return index
+
+
+def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _DegreeSpace, n: int) -> Matrix:
     fld = c.field
     zero = fld.zero
-    rows: list[dict] = [{} for _ in range(tgt.dim)]
+    rows: list[list] = [[] for _ in range(tgt.dim)]
     add = fld.add
     sub = fld.sub
     odd_last = (n + 1) % 2 == 1
+    # column t of an action is row t of its transpose
+    left = {key: act.transpose().row_terms for key, act in m.left.items()}
+    right = {key: act.transpose().row_terms for key, act in m.right.items()}
+    composites = _composites_by_result(c)
     for slot in src.slots:
         objs = slot.objs
         x0, xn = objs[0], objs[n]
@@ -153,61 +152,50 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
                     if tslot is None:
                         continue
                     for b_idx, b in enumerate(c.hom(x0, w)):
-                        act = m.left[(b, xn)]
-                        for s in range(act.rows):
-                            v = act.entries[s * act.cols + t]
-                            if v:
-                                row = tslot.flat((b_idx,) + combo, s)
-                                entries[row] = add(entries.get(row, zero), v)
+                        for s, v in left[(b, xn)][t]:
+                            row = tslot.flat((b_idx,) + combo, s)
+                            entries[row] = add(entries.get(row, zero), v)
                 # terms 2..n+? : merge fi . f(i+1) against the stored input a_i
                 for i in range(1, n + 1):
                     negative = i % 2 == 1
                     a_idx = combo[i - 1]
-                    left_obj = objs[i - 1]
-                    right_obj = objs[i]
                     for w in c.objects:
                         tslot = tgt.by_objs.get(objs[:i] + (w,) + objs[i:])
                         if tslot is None:
                             continue
-                        for b_idx, b in enumerate(c.hom(w, left_obj)):
-                            for b2_idx, b2 in enumerate(c.hom(right_obj, w)):
-                                for k, gamma in c.comp_terms(b, b2):
-                                    if k != a_idx:
-                                        continue
-                                    new_combo = combo[: i - 1] + (b_idx, b2_idx) + combo[i:]
-                                    row = tslot.flat(new_combo, t)
-                                    if negative:
-                                        entries[row] = sub(entries.get(row, zero), gamma)
-                                    else:
-                                        entries[row] = add(entries.get(row, zero), gamma)
+                        for b_idx, b2_idx, gamma in composites[(objs[i - 1], w, objs[i])].get(a_idx, ()):
+                            new_combo = combo[: i - 1] + (b_idx, b2_idx) + combo[i:]
+                            row = tslot.flat(new_combo, t)
+                            if negative:
+                                entries[row] = sub(entries.get(row, zero), gamma)
+                            else:
+                                entries[row] = add(entries.get(row, zero), gamma)
                 # last term: f(n+1) acts on the right of the value
                 for w in c.objects:
                     tslot = tgt.by_objs.get(objs + (w,))
                     if tslot is None:
                         continue
                     for b_idx, b in enumerate(c.hom(w, xn)):
-                        act = m.right[(b, x0)]
-                        for s in range(act.rows):
-                            v = act.entries[s * act.cols + t]
-                            if v:
-                                row = tslot.flat(combo + (b_idx,), s)
-                                if odd_last:
-                                    entries[row] = sub(entries.get(row, zero), v)
-                                else:
-                                    entries[row] = add(entries.get(row, zero), v)
+                        for s, v in right[(b, x0)][t]:
+                            row = tslot.flat(combo + (b_idx,), s)
+                            if odd_last:
+                                entries[row] = sub(entries.get(row, zero), v)
+                            else:
+                                entries[row] = add(entries.get(row, zero), v)
+                # columns come in increasing order, so each row stays sorted
                 for row, v in entries.items():
                     if v:
-                        rows[row][col] = v
-    return _SparseRows(fld, src.dim, rows)
+                        rows[row].append((col, v))
+    return Matrix._of_rows(fld, src.dim, tuple(map(tuple, rows)))
 
 
 def build_hm_complex(
     c: FinLinCat, m: Bimodule, max_degree: int, budget: int = DEFAULT_BUDGET
 ) -> CochainComplex:
     """Cochain spaces to degree max_degree + 1 and differentials to degree
-    max_degree, built as sparse rows; raises BudgetExceededError when a
-    space outgrows budget and InternalCheckError when the exact sparse
-    product d^(n+1) . d^n of some adjacent pair is nonzero."""
+    max_degree; raises BudgetExceededError when a space outgrows budget
+    and InternalCheckError when the exact product d^(n+1) . d^n of some
+    adjacent pair is nonzero."""
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     spaces = [_degree_space(c, m, n, budget) for n in range(max_degree + 2)]
@@ -237,21 +225,21 @@ class CohomologyResult:
 def cohomology_dims(complex: CochainComplex) -> CohomologyResult:
     """dim H^n = dim ker d^n - rank d^(n-1) for n up to max_degree.
 
-    Every rank is first taken mod a prime, by streaming the sparse rows of
-    d^n through the elimination; over F_p that is the rank itself.
+    Every rank is first taken mod a prime, by streaming the nonzero rows
+    of d^n through the elimination; over F_p that is the rank itself.
 
     Over Q each rank r_n = rank d^n is sandwiched before any rational
     elimination. From below by rho_n, the rank of d^n mod the prime
     _RANK_PRIME (rho_n <= r_n). From above by the complex's invariant
-    d . d = 0, checked exactly on the sparse rows when the complex was
-    built, which puts im d^(n-1) in ker d^n and im d^n in ker d^(n+1):
+    d . d = 0, checked exactly when the complex was built, which puts
+    im d^(n-1) in ker d^n and im d^n in ker d^(n+1):
     r_n <= min(dim C^(n+1), dim C^n - r_(n-1), dim C^(n+1) - rho_(n+1)),
     with r_(n-1) already exact. When rho_n meets the upper bound it is r_n;
     otherwise (nonzero cohomology, or a denominator divisible by the prime)
-    r_n comes from the exact rational rref of the dense d^n.
+    r_n comes from the exact rational rref of d^n.
     """
     p = complex.cat.field.p
-    lower = [_rank_mod(d, p or _RANK_PRIME) for d in complex.sparse_diffs]
+    lower = [_rank_mod(d, p or _RANK_PRIME) for d in complex.diffs]
     out = []
     prev_rank = 0
     for n, rank in enumerate(lower):
@@ -325,10 +313,10 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
             coords = incl.blocks[(x0, x1)].solve_many(value)
             if coords is None:
                 raise InternalCheckError("obstruction value has no kernel coordinates")
-            for s, v in enumerate(coords.entries):
+            for s, v in enumerate(coords.col(0)):
                 values[slot.flat((b_idx,), s)] = v
     cocycle = Matrix(fld, len(values), 1, values)
-    if not (complex.sparse_diffs[1] @ cocycle).is_zero():
+    if not (complex.diffs[1] @ cocycle).is_zero():
         raise InternalCheckError("obstruction cochain is not a cocycle")
     is_coboundary = complex.diffs[0].solve_many(cocycle) is not None
     return ObstructionResult(cocycle, is_coboundary, ker, complex)
@@ -361,22 +349,21 @@ class LesReport:
         return all(rec.exact for rec in self.positions)
 
 
-def _cochain_map(src: CochainComplex, tgt: CochainComplex, blocks: dict, n: int) -> _SparseRows:
+def _cochain_map(src: CochainComplex, tgt: CochainComplex, blocks: dict, n: int) -> Matrix:
     sspace, tspace = src.space(n), tgt.space(n)
-    rows: list[dict] = [{} for _ in range(tspace.dim)]
+    rows: list[list] = [[] for _ in range(tspace.dim)]
     for slot in sspace.slots:
         tslot = tspace.by_objs.get(slot.objs)
         if tslot is None:
             continue
-        blk = blocks[(slot.objs[0], slot.objs[n])]
+        # column t of the block is row t of its transpose
+        blk = blocks[(slot.objs[0], slot.objs[n])].transpose().row_terms
         for combo in product(*[range(d) for d in slot.hom_dims]):
             for t in range(slot.mdim):
                 col = slot.flat(combo, t)
-                for s in range(blk.rows):
-                    v = blk.entries[s * blk.cols + t]
-                    if v:
-                        rows[tslot.flat(combo, s)][col] = v
-    return _SparseRows(src.cat.field, sspace.dim, rows)
+                for s, v in blk[t]:
+                    rows[tslot.flat(combo, s)].append((col, v))
+    return Matrix._of_rows(src.cat.field, sspace.dim, tuple(map(tuple, rows)))
 
 
 def les_analysis(c: FinLinCat, ses: ShortExactSeq, max_degree: int, budget: int = DEFAULT_BUDGET) -> LesReport:
@@ -417,11 +404,11 @@ def les_analysis(c: FinLinCat, ses: ShortExactSeq, max_degree: int, budget: int 
         return image.hstack(cols).rank() - image.rank()
 
     def zigzag(n: int, z: Matrix) -> Matrix:
-        w = qmaps[n].dense().solve_many(z)
+        w = qmaps[n].solve_many(z)
         if w is None:
             raise InternalCheckError("cochain-level surjectivity of q failed")
-        v = cn.sparse_diffs[n] @ w
-        u = imaps[n + 1].dense().solve_many(v)
+        v = cn.diffs[n] @ w
+        u = imaps[n + 1].solve_many(v)
         if u is None:
             raise InternalCheckError("connecting lift escapes the image of i")
         return u

@@ -1,11 +1,12 @@
-"""Exact scalars over Q or F_p and dense exact linear algebra.
+"""Exact scalars over Q or F_p and sparse exact linear algebra.
 
 Scalars are plain Python values: fractions.Fraction for rationals and
 integers in [0, p) for prime fields. A Field object carries the
-arithmetic; matrices store their field and their entries as a tuple, so
-they cannot change after construction. All Gaussian elimination, over Q
-and over F_p, runs through one forward-elimination routine, _echelon.
-The private _SparseRows keeps a mostly-zero matrix as its nonzero rows.
+arithmetic. A Matrix stores its field and only its nonzero entries, row
+by row, in tuples, so it cannot change after construction; the systems
+and differentials it holds are mostly zeros. All Gaussian elimination,
+over Q and over F_p, runs through one forward-elimination routine,
+_echelon, on dense working rows.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence
 
 __all__ = ["Field", "QQ", "Matrix", "RrefResult"]
@@ -128,24 +128,53 @@ class RrefResult:
     pivot_cols: tuple[int, ...]
 
 
-class Matrix:
-    """Dense exact matrix; entries are a row-major tuple of field scalars.
+def _nonzeros(row: Sequence) -> tuple:
+    """The (column, value) pairs of a dense row's nonzero entries."""
+    return tuple((j, v) for j, v in enumerate(row) if v)
 
-    Instances are immutable, so the reduced row echelon form, which is
-    unique, is computed once and cached.
+
+def _pack(acc: dict, p: Optional[int]) -> tuple:
+    """A row from {column: value}, reduced mod p when p is given, in
+    increasing column and without zeros."""
+    if p is None:
+        items = [jv for jv in acc.items() if jv[1]]
+    else:
+        items = []
+        for j, v in acc.items():
+            v %= p
+            if v:
+                items.append((j, v))
+    if len(items) > 1:
+        items.sort()
+    return tuple(items)
+
+
+class Matrix:
+    """Exact matrix, stored as its nonzero entries row by row.
+
+    row_terms[i] holds the (column, value) pairs of row i's nonzero
+    entries in increasing column, so two matrices are equal exactly when
+    their fields, shapes and row_terms are. Instances are immutable, so
+    the reduced row echelon form, which is unique, is computed once and
+    cached. entries is the dense row-major tuple, built when it is read.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "_rref")
+    __slots__ = ("field", "rows", "cols", "row_terms", "_rref")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: Sequence):
+        """From the dense row-major entries."""
         if rows < 0 or cols < 0:
             raise ValueError(f"negative matrix shape {rows}x{cols}")
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
+        terms = tuple(_nonzeros(entries[i * cols : (i + 1) * cols]) for i in range(rows))
+        self._set(field, rows, cols, terms)
+
+    def _set(self, field: Field, rows: int, cols: int, terms: tuple) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "row_terms", terms)
         object.__setattr__(self, "_rref", None)
 
     def __setattr__(self, name, value):
@@ -154,27 +183,31 @@ class Matrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _of_rows(cls, field: Field, cols: int, terms: tuple) -> "Matrix":
+        """A matrix from rows already in row_terms form."""
+        m = object.__new__(cls)
+        m._set(field, len(terms), cols, terms)
+        return m
+
+    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
+        return cls._of_rows(field, cols, ((),) * rows)
 
     @classmethod
     def from_entries(cls, field: Field, rows: int, cols: int, triplets: Iterable) -> "Matrix":
         """A rows x cols matrix from (i, j, value) triplets of field scalars;
         absent entries are zero and each (i, j) is given at most once."""
-        ent = [field.zero] * (rows * cols)
+        acc: list[dict] = [{} for _ in range(rows)]
         for i, j, v in triplets:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError((i, j))
-            ent[i * cols + j] = v
-        return cls(field, rows, cols, ent)
+            acc[i][j] = v
+        return cls._of_rows(field, cols, tuple(_pack(a, None) for a in acc))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        zero, one = field.zero, field.one
-        ent = [zero] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = one
-        return cls(field, n, n, ent)
+        one = field.one
+        return cls._of_rows(field, n, tuple(((i, one),) for i in range(n)))
 
     @classmethod
     def from_rows(cls, field: Field, rows: Iterable[Iterable]) -> "Matrix":
@@ -182,29 +215,39 @@ class Matrix:
         ncols = len(data[0]) if data else 0
         if any(len(row) != ncols for row in data):
             raise ValueError("ragged rows")
-        return cls(field, len(data), ncols, [e for row in data for e in row])
+        return cls._of_rows(field, ncols, tuple(_nonzeros(row) for row in data))
 
     @classmethod
     def column(cls, field: Field, values: Iterable) -> "Matrix":
-        vals = [field.of(v) for v in values]
-        return cls(field, len(vals), 1, vals)
+        return cls._of_rows(field, 1, tuple(((0, v),) if v else () for v in map(field.of, values)))
 
     # -- access -------------------------------------------------------
+
+    @property
+    def entries(self) -> tuple:
+        """All rows x cols entries, row-major, zeros included."""
+        return tuple(e for i in range(self.rows) for e in self.row(i))
 
     def __getitem__(self, key: tuple[int, int]):
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self.entries[i * self.cols + j]
+        return next((v for c, v in self.row_terms[i] if c == j), self.field.zero)
 
     def row(self, i: int) -> list:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        out = [self.field.zero] * self.cols
+        for j, v in self.row_terms[i]:
+            out[j] = v
+        return out
 
     def col(self, j: int) -> list:
-        return list(self.entries[j :: self.cols]) if self.cols else []
+        if not 0 <= j < self.cols:
+            raise IndexError(j)
+        zero = self.field.zero
+        return [next((v for c, v in row if c == j), zero) for row in self.row_terms]
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.row_terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -212,7 +255,7 @@ class Matrix:
             and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.row_terms == other.row_terms
         )
 
     def __repr__(self) -> str:
@@ -227,65 +270,63 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _plus(self, other: "Matrix", sign: int, op: str) -> "Matrix":
+        """self + sign * other, for sign 1 or -1."""
         self._check_compatible(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in add")
+            raise ValueError(f"shape mismatch in {op}")
         p = self.field.p
-        if p is None:
-            ent = [a + b for a, b in zip(self.entries, other.entries)]
-        else:
-            ent = [(a + b) % p for a, b in zip(self.entries, other.entries)]
-        return Matrix(self.field, self.rows, self.cols, ent)
+        out = []
+        for a, b in zip(self.row_terms, other.row_terms):
+            if not b:
+                out.append(a)
+                continue
+            acc = dict(a)
+            for j, v in b:
+                acc[j] = acc.get(j, 0) + sign * v
+            out.append(_pack(acc, p))
+        return Matrix._of_rows(self.field, self.cols, tuple(out))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1, "add")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_compatible(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in sub")
-        p = self.field.p
-        if p is None:
-            ent = [a - b for a, b in zip(self.entries, other.entries)]
-        else:
-            ent = [(a - b) % p for a, b in zip(self.entries, other.entries)]
-        return Matrix(self.field, self.rows, self.cols, ent)
+        return self._plus(other, -1, "sub")
 
     def scale(self, scalar) -> "Matrix":
         s = self.field.of(scalar)
+        if not s:
+            return Matrix.zeros(self.field, self.rows, self.cols)
         p = self.field.p
-        ent = [s * a for a in self.entries] if p is None else [(s * a) % p for a in self.entries]
-        return Matrix(self.field, self.rows, self.cols, ent)
+        if p is None:
+            rows = tuple(tuple((j, s * v) for j, v in row) for row in self.row_terms)
+        else:
+            rows = tuple(tuple((j, s * v % p) for j, v in row) for row in self.row_terms)
+        return Matrix._of_rows(self.field, self.cols, rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The exact product, row by row: row i of self @ other sums
+        a * (row k of other) over the nonzeros a = self[i, k]."""
         self._check_compatible(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in matmul: {self.cols} vs {other.rows}")
-        m, n, q = self.rows, self.cols, other.cols
         p = self.field.p
-        out = [self.field.zero] * (m * q)
-        a, b = self.entries, other.entries
-        for i in range(m):
-            ai = i * n
-            oi = i * q
-            for k in range(n):
-                aik = a[ai + k]
-                if not aik:
-                    continue
-                bk = k * q
-                if p is None:
-                    for j in range(q):
-                        v = b[bk + j]
-                        if v:
-                            out[oi + j] += aik * v
-                else:
-                    for j in range(q):
-                        v = b[bk + j]
-                        if v:
-                            out[oi + j] = (out[oi + j] + aik * v) % p
-        return Matrix(self.field, m, q, out)
+        brows = other.row_terms
+        out = []
+        for row in self.row_terms:
+            acc: dict = {}
+            for k, a in row:
+                for j, b in brows[k]:
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(_pack(acc, p))
+        return Matrix._of_rows(self.field, other.cols, tuple(out))
 
     def transpose(self) -> "Matrix":
-        ent = [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return Matrix(self.field, self.cols, self.rows, ent)
+        cols: list[list] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.row_terms):
+            for j, v in row:
+                cols[j].append((i, v))
+        return Matrix._of_rows(self.field, self.rows, tuple(map(tuple, cols)))
 
     def hstack(self, *others: "Matrix") -> "Matrix":
         """self and others side by side, in order."""
@@ -293,40 +334,40 @@ class Matrix:
             self._check_compatible(other)
             if self.rows != other.rows:
                 raise ValueError("row count mismatch in hstack")
-        mats = (self,) + others
-        ent = []
-        for i in range(self.rows):
-            for m in mats:
-                ent.extend(m.entries[i * m.cols : (i + 1) * m.cols])
-        return Matrix(self.field, self.rows, sum(m.cols for m in mats), ent)
+        offsets = []
+        width = self.cols
+        for m in others:
+            offsets.append(width)
+            width += m.cols
+        rows = []
+        for first, *rest in zip(self.row_terms, *(m.row_terms for m in others)):
+            row = list(first)
+            for off, part in zip(offsets, rest):
+                row.extend([(off + j, v) for j, v in part])
+            rows.append(tuple(row))
+        return Matrix._of_rows(self.field, width, tuple(rows))
 
     def take_cols(self, cols: Sequence[int]) -> "Matrix":
         """The columns of self with the given indices, in the given order."""
         n = self.cols
         if any(not 0 <= j < n for j in cols):
             raise IndexError(f"column index out of range for {n} columns")
-        ent = [self.entries[i * n + j] for i in range(self.rows) for j in cols]
-        return Matrix(self.field, self.rows, len(cols), ent)
+        by_col = self.transpose().row_terms
+        return Matrix._of_rows(self.field, self.rows, tuple(by_col[j] for j in cols)).transpose()
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; row (i,k) and column (j,l) with i, j major."""
         self._check_compatible(other)
-        m, n = self.rows, self.cols
-        r, c = other.rows, other.cols
-        fmul = self.field.mul
-        out = [self.field.zero] * (m * r * n * c)
-        for i in range(m):
-            for j in range(n):
-                a = self.entries[i * n + j]
-                if not a:
-                    continue
-                for k in range(r):
-                    base = (i * r + k) * (n * c) + j * c
-                    orow = other.entries[k * c : (k + 1) * c]
-                    for l, b in enumerate(orow):
-                        if b:
-                            out[base + l] = fmul(a, b)
-        return Matrix(self.field, m * r, n * c, out)
+        c = other.cols
+        p = self.field.p
+        rows = []
+        for arow in self.row_terms:
+            for brow in other.row_terms:
+                if p is None:
+                    rows.append(tuple([(j * c + l, a * b) for j, a in arow for l, b in brow]))
+                else:
+                    rows.append(tuple([(j * c + l, a * b % p) for j, a in arow for l, b in brow]))
+        return Matrix._of_rows(self.field, self.cols * c, tuple(rows))
 
     # -- elimination ---------------------------------------------------
 
@@ -334,9 +375,9 @@ class Matrix:
         cached = self._rref
         if cached is not None:
             return cached
-        nrows, ncols = self.rows, self.cols
+        ncols = self.cols
         p = self.field.p
-        order, pivots = _echelon((self.row(i) for i in range(nrows)), p)
+        order, pivots = _echelon((self.row(i) for i in range(self.rows)), p)
         # back substitution: clear each pivot column above its pivot, last
         # pivot first, so every row used is already fully reduced
         for k in range(len(order) - 1, 0, -1):
@@ -347,16 +388,12 @@ class Matrix:
                 support = [j for j in range(pc, ncols) if prow[j]]
                 for row in above:
                     _eliminate(row, row[pc], prow, support, p)
-        # the entries go straight into one tuple, and each pivot row is
-        # released once copied: a list of them and its tuple copy, both
-        # alive at once, set the peak memory of a large rational solve
-        rows = chain.from_iterable(pivots.pop(pc) for pc in order)
-        zeros = repeat(self.field.zero, (nrows - len(order)) * ncols)
-        reduced = Matrix(self.field, nrows, ncols, tuple(chain(rows, zeros)))
+        # each dense pivot row is released as soon as its nonzeros are kept
+        rows = tuple(_nonzeros(pivots.pop(pc)) for pc in order) + ((),) * (self.rows - len(order))
         # reduced does not cache result: that would be a reference cycle,
         # which keeps the whole reduced matrix alive until the next full
         # garbage collection
-        result = RrefResult(reduced, len(order), tuple(order))
+        result = RrefResult(Matrix._of_rows(self.field, ncols, rows), len(order), tuple(order))
         object.__setattr__(self, "_rref", result)
         return result
 
@@ -373,28 +410,24 @@ class Matrix:
         aug = self.hstack(b).rref()
         if any(pc >= n for pc in aug.pivot_cols):
             return None
-        red, k, width = aug.reduced.entries, b.cols, n + b.cols
-        # row pc of the solution is the right-hand part of reduced row r
-        ent = [self.field.zero] * (n * k)
-        for r, pc in enumerate(aug.pivot_cols):
-            ent[pc * k : (pc + 1) * k] = red[r * width + n : (r + 1) * width]
-        return Matrix(self.field, n, k, ent)
+        # row pc of the solution is the right-hand part of the reduced row
+        # whose pivot is pc
+        rows = [()] * n
+        for pc, red in zip(aug.pivot_cols, aug.reduced.row_terms):
+            rows[pc] = tuple((j - n, v) for j, v in red if j >= n)
+        return Matrix._of_rows(self.field, b.cols, tuple(rows))
 
     def kernel_basis(self) -> "Matrix":
         """Columns span ker(self): the standard free-variable basis from rref."""
         res = self.rref()
-        red = res.reduced
         pivot_set = set(res.pivot_cols)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        ent = [self.field.zero] * (self.cols * len(free))
-        neg = self.field.neg
-        for k, fc in enumerate(free):
-            ent[fc * len(free) + k] = self.field.one
-            for r, pc in enumerate(res.pivot_cols):
-                v = red.entries[r * red.cols + fc]
-                if v:
-                    ent[pc * len(free) + k] = neg(v)
-        return Matrix(self.field, self.cols, len(free), ent)
+        free = {j: k for k, j in enumerate(j for j in range(self.cols) if j not in pivot_set)}
+        one, neg = self.field.one, self.field.neg
+        rows = [((free[j], one),) if j in free else () for j in range(self.cols)]
+        # a reduced row is 1 at its pivot and nonzero only at free columns after it
+        for pc, red in zip(res.pivot_cols, res.reduced.row_terms):
+            rows[pc] = tuple((free[j], neg(v)) for j, v in red[1:])
+        return Matrix._of_rows(self.field, len(free), tuple(rows))
 
     def to_json(self) -> list[str]:
         return [self.field.format(e) for e in self.entries]
@@ -451,75 +484,7 @@ def _echelon(rows: Iterable[list], p: Optional[int]) -> tuple[list[int], dict[in
     return order, pivots
 
 
-class _SparseRows:
-    """A matrix kept as its rows of nonzero entries, one {column: value}
-    dict per row; the bar complex's differentials and cochain maps are
-    almost all zeros. The rows are never changed after construction, and
-    dense() builds the Matrix once, for the rref, solve and kernel that
-    still need it.
-    """
-
-    __slots__ = ("field", "ncols", "rows", "_dense")
-
-    def __init__(self, field: Field, ncols: int, rows: list[dict]):
-        self.field = field
-        self.ncols = ncols
-        self.rows = rows
-        self._dense: Optional[Matrix] = None
-
-    def dense(self) -> Matrix:
-        if self._dense is None:
-            n = self.ncols
-            ent = [self.field.zero] * (len(self.rows) * n)
-            for i, row in enumerate(self.rows):
-                base = i * n
-                for j, v in row.items():
-                    ent[base + j] = v
-            self._dense = Matrix(self.field, len(self.rows), n, ent)
-        return self._dense
-
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
-    def __matmul__(self, other):
-        """The exact product: sparse rows for a _SparseRows factor, a dense
-        Matrix for a Matrix factor."""
-        p = self.field.p
-        if isinstance(other, _SparseRows):
-            if self.ncols != len(other.rows):
-                raise ValueError(f"shape mismatch in matmul: {self.ncols} vs {len(other.rows)}")
-            brows = other.rows
-            out = []
-            for row in self.rows:
-                acc: dict = {}
-                for k, a in row.items():
-                    for j, b in brows[k].items():
-                        acc[j] = acc.get(j, 0) + a * b
-                if p is not None:
-                    acc = {j: v % p for j, v in acc.items()}
-                out.append({j: v for j, v in acc.items() if v})
-            return _SparseRows(self.field, other.ncols, out)
-        if other.field != self.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-        if self.ncols != other.rows:
-            raise ValueError(f"shape mismatch in matmul: {self.ncols} vs {other.rows}")
-        q = other.cols
-        b = other.entries
-        ent = [self.field.zero] * (len(self.rows) * q)
-        for i, row in enumerate(self.rows):
-            oi = i * q
-            for k, a in row.items():
-                bk = k * q
-                for j in range(q):
-                    v = b[bk + j]
-                    if v:
-                        ent[oi + j] += a * v
-        if p is not None:
-            ent = [v % p for v in ent]
-        return Matrix(self.field, len(self.rows), q, ent)
-
-
-def _rank_mod(m: _SparseRows, p: int) -> Optional[int]:
+def _rank_mod(m: Matrix, p: int) -> Optional[int]:
     """Rank over F_p of m with every entry reduced mod the prime p; None
     when some entry's denominator is divisible by p. Over F_p itself this
     is the rank of m.
@@ -531,12 +496,12 @@ def _rank_mod(m: _SparseRows, p: int) -> Optional[int]:
     this one keeps the fill-in of the pivot rows low (on the 3125 x 625
     d^3 of Z_5 it took a third of the time of the stored order).
     """
-    ncols = m.ncols
+    ncols = m.cols
 
     def residues():
-        for r in sorted(m.rows, key=lambda r: min(r, default=ncols)):
+        for r in sorted(m.row_terms, key=lambda r: r[0][0] if r else ncols):
             row = [0] * ncols
-            for j, e in r.items():
+            for j, e in r:
                 row[j] = e.numerator * pow(e.denominator, -1, p) % p
             yield row
 

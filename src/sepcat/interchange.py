@@ -41,6 +41,16 @@ def _require(doc: Any, key: str, context: str):
     return doc[key]
 
 
+def _require_type(value: Any, kind: type, member: str, context: str):
+    """value, after checking that the JSON member is an array (list) or an
+    object (dict): a string would otherwise be read one character at a
+    time, and an array of pairs as an object."""
+    if not isinstance(value, kind):
+        name = "a JSON array" if kind is list else "a JSON object"
+        raise ValueError(f"{context}: member {member!r} must be {name}")
+    return value
+
+
 def _require_dim(entry: Any) -> int:
     dim = _require(entry, "dim", "space entry")
     if not _is_int(dim) or dim < 0:
@@ -79,9 +89,7 @@ def category_to_json(c: FinLinCat) -> dict:
 
 def category_from_json(doc: dict) -> FinLinCat:
     field = Field.from_json(_require(doc, "field", "category"))
-    objects = _require(doc, "objects", "category")
-    if not isinstance(objects, list):
-        raise ValueError("category: member 'objects' must be a JSON array")
+    objects = _require_type(_require(doc, "objects", "category"), list, "objects", "category")
     hom_basis: dict[tuple[str, str], list[str]] = {}
     for entry in doc.get("homs", []):
         pair = (_require(entry, "from", "hom entry"), _require(entry, "to", "hom entry"))
@@ -95,9 +103,7 @@ def category_from_json(doc: dict) -> FinLinCat:
             if lab in label_pos:
                 raise ValueError(f"category: basis label {lab!r} is not globally unique")
             label_pos[lab] = (x, y, i)
-    identity_doc = _require(doc, "identity", "category")
-    if not isinstance(identity_doc, dict):
-        raise ValueError("category: member 'identity' must be a JSON object")
+    identity_doc = _require_type(_require(doc, "identity", "category"), dict, "identity", "category")
     identity = {}
     for x, coeffs in identity_doc.items():
         if not isinstance(coeffs, dict):
@@ -146,20 +152,21 @@ def presentation_to_json(p: FiniteCatPresentation) -> dict:
 
 
 def presentation_from_json(doc: dict) -> FiniteCatPresentation:
-    objects = _require(doc, "objects", "presentation")
+    objects = _require_type(_require(doc, "objects", "presentation"), list, "objects", "presentation")
     morphisms = {}
-    for entry in _require(doc, "morphisms", "presentation"):
+    for entry in _require_type(_require(doc, "morphisms", "presentation"), list, "morphisms", "presentation"):
         name = _require(entry, "name", "morphism entry")
         if name in morphisms:
             raise ValueError(f"presentation: duplicate morphism name {name!r}")
         morphisms[name] = (_require(entry, "from", "morphism entry"), _require(entry, "to", "morphism entry"))
-    identity = _require(doc, "identity", "presentation")
+    identity = _require_type(_require(doc, "identity", "presentation"), dict, "identity", "presentation")
     composition = {}
-    for entry in doc.get("composition", []):
+    for entry in _require_type(doc.get("composition", []), list, "composition", "presentation"):
         g = _require(entry, "g", "composition entry")
         f = _require(entry, "f", "composition entry")
         composition[(g, f)] = _require(entry, "result", "composition entry")
-    return FiniteCatPresentation(objects, morphisms, identity, composition, doc.get("inverse"))
+    inverse = _require_type(doc.get("inverse") or {}, dict, "inverse", "presentation")
+    return FiniteCatPresentation(objects, morphisms, identity, composition, inverse)
 
 
 def bimodule_to_json(m: Bimodule) -> dict:
@@ -314,11 +321,9 @@ def certificate_to_json(c: FinLinCat, fam: SeparabilityFamily) -> list:
             us = c.hom(y, x)
             vs = c.hom(x, y)
             terms = []
-            for i in range(blk.rows):
-                for j in range(blk.cols):
-                    v = blk.entries[i * blk.cols + j]
-                    if v:
-                        terms.append({"coeff": c.field.format(v), "u": us[i], "v": vs[j]})
+            for i, row in enumerate(blk.row_terms):
+                for j, v in row:
+                    terms.append({"coeff": c.field.format(v), "u": us[i], "v": vs[j]})
             out.append({"x": x, "y": y, "terms": terms})
     return out
 

@@ -94,12 +94,11 @@ def separability_system(c: FinLinCat) -> tuple[Matrix, Matrix, dict[tuple[str, s
     """
     fld = c.field
     pairs, offsets, total = _block_layout(c)
-    rows: list[list] = []
+    rows: list[dict] = []  # one {column: coefficient} per equation
     rhs: list = []
     # unit condition, one scalar equation per basis vector of hom(x, x)
     for x in c.objects:
-        dim_xx = c.dim_hom(x, x)
-        block_rows = [[fld.zero] * total for _ in range(dim_xx)]
+        block_rows: list[dict] = [{} for _ in range(c.dim_hom(x, x))]
         for y in c.objects:
             us = c.hom(y, x)
             vs = c.hom(x, y)
@@ -109,38 +108,32 @@ def separability_system(c: FinLinCat) -> tuple[Matrix, Matrix, dict[tuple[str, s
                 for j, v in enumerate(vs):
                     for t, coeff in c.comp_terms(u, v):
                         cell = block_rows[t]
-                        cell[base + i * n + j] = fld.add(cell[base + i * n + j], coeff)
-        ident = c.identity[x]
-        for t in range(dim_xx):
-            rows.append(block_rows[t])
-            rhs.append(ident[t])
+                        idx = base + i * n + j
+                        cell[idx] = fld.add(cell.get(idx, fld.zero), coeff)
+        rows.extend(block_rows)
+        rhs.extend(c.identity[x])
     # equivariance, one scalar equation per entry of the (f, y) identity
     for f, (x, z, _) in c.label_info.items():
         for y in c.objects:
-            cf = post_mul_matrix(c, f, y)  # hom(y,x) -> hom(y,z)
-            rf = pre_mul_matrix(c, f, y)  # hom(z,y) -> hom(x,y)
-            m_xy = c.dim_hom(y, x)
+            cf = post_mul_matrix(c, f, y).row_terms  # hom(y,x) -> hom(y,z)
+            rf = pre_mul_matrix(c, f, y).row_terms  # hom(z,y) -> hom(x,y)
             n_xy = c.dim_hom(x, y)
             n_zy = c.dim_hom(z, y)
             base_x = offsets[(x, y)]
             base_z = offsets[(z, y)]
             for s in range(c.dim_hom(y, z)):
                 for t in range(n_xy):
-                    row = [fld.zero] * total
-                    for i in range(m_xy):
-                        coeff = cf.entries[s * m_xy + i]
-                        if coeff:
-                            idx = base_x + i * n_xy + t
-                            row[idx] = fld.add(row[idx], coeff)
-                    for l in range(n_zy):
-                        coeff = rf.entries[t * n_zy + l]
-                        if coeff:
-                            idx = base_z + s * n_zy + l
-                            row[idx] = fld.sub(row[idx], coeff)
-                    if any(row):
+                    row: dict = {}
+                    for i, coeff in cf[s]:
+                        idx = base_x + i * n_xy + t
+                        row[idx] = fld.add(row.get(idx, fld.zero), coeff)
+                    for l, coeff in rf[t]:
+                        idx = base_z + s * n_zy + l
+                        row[idx] = fld.sub(row.get(idx, fld.zero), coeff)
+                    if any(row.values()):
                         rows.append(row)
                         rhs.append(fld.zero)
-    mat = Matrix(fld, len(rows), total, [e for row in rows for e in row])
+    mat = Matrix.from_entries(fld, len(rows), total, ((i, j, v) for i, row in enumerate(rows) for j, v in row.items()))
     return mat, Matrix.column(fld, rhs), offsets
 
 
@@ -166,8 +159,10 @@ def _solve_with_freedom(c: FinLinCat) -> tuple[Optional[SeparabilityFamily], int
     if rank < aug.rank:
         return None, n - rank
     vec = [c.field.zero] * n
-    for r, pc in enumerate(aug.pivot_cols):
-        vec[pc] = aug.reduced.entries[r * (n + 1) + n]
+    for pc, red in zip(aug.pivot_cols, aug.reduced.row_terms):
+        # the right-hand side, column n, can only be a row's last nonzero
+        if red[-1][0] == n:
+            vec[pc] = red[-1][1]
     return family_from_vector(c, vec, offsets), n - rank
 
 
@@ -194,11 +189,8 @@ def verify_family(c: FinLinCat, fam: SeparabilityFamily) -> FamilyCheck:
             us = c.hom(y, x)
             vs = c.hom(x, y)
             for i, u in enumerate(us):
-                for j, v in enumerate(vs):
-                    coeff = blk.entries[i * len(vs) + j]
-                    if not coeff:
-                        continue
-                    for t, w in c.comp_terms(u, v):
+                for j, coeff in blk.row_terms[i]:
+                    for t, w in c.comp_terms(u, vs[j]):
                         total[t] = fld.add(total[t], fld.mul(coeff, w))
         residual = tuple(fld.sub(a, b) for a, b in zip(total, c.identity[x]))
         if any(residual):
@@ -222,8 +214,8 @@ def rank_factor(a: Matrix) -> list[tuple[tuple, tuple]]:
     res = a.rref()
     terms = []
     for r, pc in enumerate(res.pivot_cols):
-        col = tuple(a.entries[i * a.cols + pc] for i in range(a.rows))
-        row = tuple(res.reduced.entries[r * a.cols + j] for j in range(a.cols))
+        col = tuple(a.col(pc))
+        row = tuple(res.reduced.row(r))
         terms.append((col, row))
     return terms
 

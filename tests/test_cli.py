@@ -296,6 +296,33 @@ class TestMalformedInput:
         result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
         self.assert_malformed(result, "bad field description")
 
+    # each value below was read as a presentation before: "x" as the
+    # objects x, arrays of pairs as objects, and {} as an empty array
+    @pytest.mark.parametrize(
+        "preset,member,value,verb",
+        [
+            ("z2", "objects", "x", "linearize"),
+            ("z2", "identity", [["x", "g0"]], "maschke"),
+            ("z2", "inverse", [["g0", "g0"], ["g1", "g1"]], "maschke"),
+            ("d2", "composition", {}, "linearize"),
+            ("d2", "morphisms", {"idx1": ["x1", "x1"]}, "maschke"),
+        ],
+    )
+    def test_presentation_member_types(self, runner, tmp_path, preset, member, value, verb):
+        pres = presets.cyclic_group(2) if preset == "z2" else presets.discrete_category(2)
+        doc = io.presentation_to_json(pres)
+        doc[member] = value
+        path = self.write(tmp_path, "pres.json", doc)
+        args = [verb, path, "--field", "Q"] + (["-o", str(tmp_path / "cat.json")] if verb == "linearize" else [])
+        kind = "array" if isinstance(value, str) or member in ("objects", "morphisms", "composition") else "object"
+        result = runner.invoke(main, args)
+        self.assert_malformed(result, f"presentation: member {member!r} must be a JSON {kind}")
+
+    def test_null_inverse_reads_as_absent(self, tmp_path):
+        doc = io.presentation_to_json(presets.cyclic_group(2))
+        absent = io.presentation_from_json({k: v for k, v in doc.items() if k != "inverse"})
+        assert io.presentation_from_json({**doc, "inverse": None}).inverse == absent.inverse
+
     def trivial_group_module(self, tmp_path, dim, matrix):
         cat = io.category_to_json(linearize(presets.cyclic_group(1), QQ))
         mod = {"spaces": [{"x": "x", "dim": dim}], "action": [{"f": "g0", "matrix": matrix}]}

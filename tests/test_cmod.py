@@ -75,6 +75,31 @@ class TestTensorSquare:
             assert blk.rank() == c.dim_hom(y, x)
 
 
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(7)])
+@pytest.mark.parametrize("pres", [presets.klein_four(), presets.vee_poset(), presets.idempotent_monoid()]
+                         + [presets.random_presentation(seed) for seed in range(4)])
+def test_tensor_square_actions_compose_factors(field, pres):
+    # f acts on u (x) v as (f.u) (x) v and g as u (x) (v.g), read here off
+    # the composition table by basis element
+    c = linearize(pres, field)
+    cxc, _ = tensor_square(c)
+    index = {(x, y): {b: i for i, b in enumerate(tensor_square_basis(c, x, y))} for x in c.objects for y in c.objects}
+    for (x, y), basis in index.items():
+        for j, (z, u, v) in enumerate(basis):
+            for f, (_, x2, _) in c.label_info.items():
+                if c.label_info[f][0] != x:
+                    continue
+                want = {index[(x2, y)][(z, c.hom(z, x2)[k], v)]: coeff for k, coeff in c.comp_terms(f, u)}
+                got = {i: e for i, e in enumerate(cxc.left[(f, y)].col(j)) if e}
+                assert got == want
+            for g, (y2, _, _) in c.label_info.items():
+                if c.label_info[g][1] != y:
+                    continue
+                want = {index[(x, y2)][(z, u, c.hom(y2, z)[k])]: coeff for k, coeff in c.comp_terms(v, g)}
+                got = {i: e for i, e in enumerate(cxc.right[(g, x)].col(j)) if e}
+                assert got == want
+
+
 class TestKernelOf:
     def test_kernel_of_comp_group_algebra(self, z2_over_q):
         _, comp_map = tensor_square(z2_over_q)

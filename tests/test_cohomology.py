@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepcat import cohomology, presets
-from sepcat.exactalg import Field, Matrix, QQ, _SparseRows, _rank_mod
+from sepcat.exactalg import Field, Matrix, QQ, _rank_mod
 from sepcat.errors import BudgetExceededError, InternalCheckError
 from sepcat.lincat import linearize
 from sepcat.cmod import (
@@ -29,11 +29,6 @@ from sepcat.separability import solve_separability
 from test_exactalg import gauss_jordan
 
 F2, F3 = Field(2), Field(3)
-
-
-def sparse_rows(m: Matrix) -> _SparseRows:
-    """The nonzero rows of m, as the complex stores its differentials."""
-    return _SparseRows(m.field, m.cols, [{j: v for j, v in enumerate(m.row(i)) if v} for i in range(m.rows)])
 
 
 def kernel_comp_ses(c):
@@ -309,7 +304,7 @@ class TestRankCertificate:
         assert [d.dim_h for d in result.degrees] == expected == [2, 0, 0]
 
     def test_denominator_divisible_by_prime_has_no_bound(self):
-        m = sparse_rows(Matrix.from_rows(QQ, [[1, 2], [0, "1/7"]]))
+        m = Matrix.from_rows(QQ, [[1, 2], [0, "1/7"]])
         assert _rank_mod(m, 7) is None
         assert _rank_mod(m, 5) == 2
 
@@ -343,17 +338,17 @@ def test_rank_mod_matches_prime_field_rank(shape, p):
     rows, cols, ents = shape
     _, pivots = gauss_jordan([ents[i * cols : (i + 1) * cols] for i in range(rows)], p)
     expected = len(pivots)
-    assert _rank_mod(sparse_rows(Matrix(QQ, rows, cols, [QQ.of(e) for e in ents])), p) == expected
+    assert _rank_mod(Matrix(QQ, rows, cols, [QQ.of(e) for e in ents]), p) == expected
     # dividing by a unit mod p changes no rank
-    assert _rank_mod(sparse_rows(Matrix(QQ, rows, cols, [QQ.of(e) / 11 for e in ents])), p) == expected
+    assert _rank_mod(Matrix(QQ, rows, cols, [QQ.of(e) / 11 for e in ents]), p) == expected
     # over F_p itself, as cohomology_dims takes its ranks there
     fp = Field(p)
-    assert _rank_mod(sparse_rows(Matrix(fp, rows, cols, [fp.of(e) for e in ents])), p) == expected
+    assert _rank_mod(Matrix(fp, rows, cols, [fp.of(e) for e in ents]), p) == expected
 
 
-# -- sparse differentials ---------------------------------------------------
+# -- the matrix product and the differentials ------------------------------
 
-SPARSE_FIELDS = (QQ, F2, Field(7), Field(2**31 - 1))
+PRODUCT_FIELDS = (QQ, F2, Field(7), Field(2**31 - 1))
 
 
 @st.composite
@@ -370,18 +365,29 @@ def factor_pairs(draw):
     return m, 2 * k, n, a, r_ents + [-e for e in r_ents]
 
 
-@given(st.sampled_from(SPARSE_FIELDS), factor_pairs())
+def textbook_product(m, k, n, a, b) -> list:
+    """The m x n integer product of row-major integer lists, by definition."""
+    return [sum(a[i * k + l] * b[l * n + j] for l in range(k)) for i in range(m) for j in range(n)]
+
+
+@given(st.sampled_from(PRODUCT_FIELDS), factor_pairs())
 @settings(max_examples=200, deadline=None)
-def test_sparse_product_matches_dense(field, pair):
+def test_product_matches_textbook(field, pair):
+    # integers map to the field as a ring homomorphism, so the image of the
+    # integer product is the product over the field
     m, k, n, a_ents, b_ents = pair
     a = Matrix(field, m, k, [field.of(e) for e in a_ents])
     b = Matrix(field, k, n, [field.of(e) for e in b_ents])
-    dense = a @ b
-    product_rows = sparse_rows(a) @ sparse_rows(b)
-    assert product_rows.is_zero() == dense.is_zero()
-    assert product_rows.dense() == dense
-    assert all(v for row in product_rows.rows for v in row.values())
-    assert sparse_rows(a) @ b == dense
+    expected = [field.of(e) for e in textbook_product(m, k, n, a_ents, b_ents)]
+    product = a @ b
+    assert (product.rows, product.cols) == (m, n)
+    assert product.entries == tuple(expected)
+    assert product.is_zero() == (not any(expected))
+    assert product == Matrix(field, m, n, expected)
+    # no stored zero, and each row in increasing column
+    for row in product.row_terms:
+        assert all(v for _, v in row)
+        assert [j for j, _ in row] == sorted({j for j, _ in row})
 
 
 DIFF_PRESETS = {
@@ -462,11 +468,10 @@ def test_flipped_sign_fails_the_dd_check(monkeypatch, name, kind, field_name, de
         d = original(c, m, src, tgt, n)
         if n != degree:
             return d
-        rows = [dict(row) for row in d.rows]
-        i = next(i for i, row in enumerate(rows) if row)
-        j = next(iter(rows[i]))
-        rows[i][j] = c.field.neg(rows[i][j])
-        return _SparseRows(d.field, d.ncols, rows)
+        cells = [(i, j, v) for i, row in enumerate(d.row_terms) for j, v in row]
+        i, j, v = cells[0]
+        cells[0] = (i, j, c.field.neg(v))
+        return Matrix.from_entries(d.field, d.rows, d.cols, cells)
 
     monkeypatch.setattr(cohomology, "_build_differential", flipped)
     with pytest.raises(InternalCheckError):
@@ -475,7 +480,7 @@ def test_flipped_sign_fails_the_dd_check(monkeypatch, name, kind, field_name, de
 
 def test_z5_degree_three_memory():
     # a dense d^3 (3125 x 625) alone holds about 2 M entry references; the
-    # sparse rows of the whole complex and the mod-p elimination fit well
+    # nonzero rows of the whole complex and the mod-p elimination fit well
     # under 12 MB
     c = linearize(presets.cyclic_group(5), QQ)
     m = canonical_bimodule(c)

@@ -90,6 +90,26 @@ class TestImmutable:
             m.entries[1] = QQ.zero
         assert m == Matrix.from_rows(QQ, [[1, 2], [3, 4]])
 
+    def test_stored_rows_reject_writes(self):
+        m = Matrix.from_rows(QQ, [[1, 0], [0, 4]])
+        with pytest.raises(TypeError):
+            m.row_terms[0] = ()
+        with pytest.raises(TypeError):
+            m.row_terms[1][0] = (0, QQ.one)
+        with pytest.raises(TypeError):
+            m.row_terms[1][0][1] = QQ.one
+        with pytest.raises(AttributeError):
+            m.row_terms = ((), ())
+        with pytest.raises(AttributeError):
+            m.rows = 3
+        assert m == Matrix.from_rows(QQ, [[1, 0], [0, 4]])
+
+    def test_entries_are_dense_row_major(self):
+        m = Matrix.from_rows(F5, [[1, 0, 2], [0, 3, 0]])
+        assert m.entries == (1, 0, 2, 0, 3, 0)
+        assert m.row_terms == (((0, 1), (2, 2)), ((1, 3),))
+        assert Matrix.zeros(QQ, 2, 1).entries == (QQ.zero, QQ.zero)
+
     def test_from_entries_rejects_out_of_range(self):
         with pytest.raises(IndexError):
             Matrix.from_entries(QQ, 2, 2, [(0, 2, QQ.one)])
@@ -226,6 +246,16 @@ def test_take_cols_picks_columns(field, rows, cols, data):
     picks = data.draw(st.lists(st.integers(0, cols - 1), max_size=5))
     by_hand = Matrix.from_rows(field, [[row[j] for j in picks] for row in ints])
     assert Matrix.from_rows(field, ints).take_cols(picks) == by_hand
+
+
+@given(fields, st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_transpose_matches_textbook(field, rows, cols, data):
+    ints = _int_rows(data, rows, cols)
+    t = Matrix(field, rows, cols, [field.of(e) for row in ints for e in row]).transpose()
+    assert (t.rows, t.cols) == (cols, rows)
+    assert t.entries == tuple(field.of(ints[i][j]) for j in range(cols) for i in range(rows))
+    assert t == Matrix(field, cols, rows, [field.of(ints[i][j]) for j in range(cols) for i in range(rows)])
 
 
 def gauss_jordan(rows: list[list[int]], p):
