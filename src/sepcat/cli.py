@@ -15,7 +15,7 @@ import click
 
 from .exactalg import Field
 from .errors import BudgetExceededError, InternalCheckError
-from .lincat import classify_presentation, linearize, validate_category
+from .lincat import linearize, validate_category
 from .cmod import canonical_bimodule, kernel_of, tensor_square, validate_module, ShortExactSeq
 from .cohomology import build_hm_complex, cohomology_dims, les_analysis, obstruction_cocycle
 from .separability import (
@@ -210,8 +210,6 @@ def maschke(pres_file, field_text):
     """Groupoid criterion, cross-checked against the solver."""
     p = io.presentation_from_json(_load_json(pres_file))
     k = _parse_field(field_text)
-    if not classify_presentation(p).is_groupoid:
-        raise ValueError("presentation is not a groupoid")
     verdict = maschke_predict(p, k)
     c = linearize(p, k)
     solved = solve_separability(c)
@@ -235,15 +233,13 @@ def maschke(pres_file, field_text):
 def delta(pres_file):
     """Delta-category criterion, cross-checked against the solver."""
     p = io.presentation_from_json(_load_json(pres_file))
-    if not classify_presentation(p).is_delta:
-        raise ValueError("presentation is not a delta category")
     verdict = delta_predict(p)
-    for k in (Field(), Field(2), Field(3)):
-        c = linearize(p, k)
+    cats = {k: linearize(p, k) for k in (Field(), Field(2), Field(3))}
+    for k, c in cats.items():
         if verdict.separable != (solve_separability(c) is not None):
             _fail(3, f"internal cross-check failure: delta criterion disagrees with the solver over {k}")
     if verdict.separable:
-        c = linearize(p, Field())
+        c = cats[Field()]
         check = verify_family(c, verdict.family)
         if not check.ok:
             _fail(3, "internal cross-check failure: discrete certificate does not verify")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .errors import InternalCheckError
 from .exactalg import Field, Matrix
@@ -189,50 +189,24 @@ def tensor_square(c: FinLinCat) -> tuple[Bimodule, BimoduleMap]:
     return cxc, BimoduleMap(cxc, canonical_bimodule(c), blocks)
 
 
-def _solve_by_kernel(kernels: dict, systems: list[tuple[object, Matrix]]) -> list[Optional[Matrix]]:
-    """X with kernels[key] @ X = image for every (key, image), from one
-    solve_many per distinct key: a key's images are stacked side by side
-    and the solution is split back by columns. A kernel basis has full
-    column rank, so each solution is unique and equals the one solved
-    alone. A key whose stacked solve fails is solved again one image at a
-    time, so None marks exactly the images that have no solution."""
-    by_key: dict = {}
-    for idx, (key, _) in enumerate(systems):
-        by_key.setdefault(key, []).append(idx)
-    out: list[Optional[Matrix]] = [None] * len(systems)
-    for key, idxs in by_key.items():
-        images = [systems[i][1] for i in idxs]
-        sol = kernels[key].solve_many(images[0].hstack(*images[1:]))
-        start = 0
-        for i, image in zip(idxs, images):
-            if sol is None:
-                out[i] = kernels[key].solve_many(image)
-                continue
-            out[i] = sol.take_cols(range(start, start + image.cols))
-            start += image.cols
-    return out
-
-
 def kernel_of(m: BimoduleMap) -> tuple[Bimodule, BimoduleMap]:
-    """Componentwise kernel with the induced actions, plus its inclusion."""
+    """Componentwise kernel with the induced actions, plus its inclusion:
+    each block's kernel_basis(), with each induced action read off the
+    target kernel's basis."""
     c = m.source.cat
     kernels = {key: m.blocks[key].kernel_basis() for key in m.blocks}
     dims = {key: kernels[key].cols for key in kernels}
-    systems = []
+    left = {}
     for (f, y), act in m.source.left.items():
         x, x2, _ = c.label_info[f]
-        systems.append(((x2, y), act @ kernels[(x, y)]))
+        left[(f, y)] = kernels[(x2, y)]._coords(act @ kernels[(x, y)])
+        if left[(f, y)] is None:
+            raise ValueError(f"map does not commute with left action of {f}; kernel has no induced action")
+    right = {}
     for (g, x), act in m.source.right.items():
         y2, y, _ = c.label_info[g]
-        systems.append(((x, y2), act @ kernels[(x, y)]))
-    induced = _solve_by_kernel(kernels, systems)
-    left = dict(zip(m.source.left, induced))
-    right = dict(zip(m.source.right, induced[len(left) :]))
-    for (f, y), act in left.items():
-        if act is None:
-            raise ValueError(f"map does not commute with left action of {f}; kernel has no induced action")
-    for (g, x), act in right.items():
-        if act is None:
+        right[(g, x)] = kernels[(x, y2)]._coords(act @ kernels[(x, y)])
+        if right[(g, x)] is None:
             raise ValueError(f"map does not commute with right action of {g}; kernel has no induced action")
     ker = Bimodule(c, dims, left, right)
     return ker, BimoduleMap(ker, m.source, dict(kernels))
@@ -587,10 +561,10 @@ def _left_module_map_kernel(c: FinLinCat, src: LeftModule, tgt: LeftModule, vec:
     blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)
     kernels = {x: blocks[x].kernel_basis() for x in c.objects}
     dims = {x: kernels[x].cols for x in c.objects}
-    systems = [(y, src.action[f] @ kernels[x]) for f, (x, y, _) in c.label_info.items()]
-    action = dict(zip(c.label_info, _solve_by_kernel(kernels, systems)))
-    for f, induced in action.items():
-        if induced is None:
+    action = {}
+    for f, (x, y, _) in c.label_info.items():
+        action[f] = kernels[y]._coords(src.action[f] @ kernels[x])
+        if action[f] is None:
             raise ValueError(f"map does not commute with action of {f}")
     return LeftModule(c, dims, action)
 

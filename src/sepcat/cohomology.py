@@ -310,7 +310,7 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
             value = cxc.left[(b, x1)] @ sigma[x1] - cxc.right[(b, x0)] @ sigma[x0]
             if not (comp_map.blocks[(x0, x1)] @ value).is_zero():
                 raise InternalCheckError("obstruction value escapes ker comp")
-            coords = incl.blocks[(x0, x1)].solve_many(value)
+            coords = incl.blocks[(x0, x1)]._coords(value)
             if coords is None:
                 raise InternalCheckError("obstruction value has no kernel coordinates")
             for s, v in enumerate(coords.col(0)):

@@ -418,7 +418,12 @@ class Matrix:
         return Matrix._of_rows(self.field, b.cols, tuple(rows))
 
     def kernel_basis(self) -> "Matrix":
-        """Columns span ker(self): the standard free-variable basis from rref."""
+        """Columns span ker(self): the standard free-variable basis from rref.
+
+        Guaranteed normal form: the rows at the free (non-pivot) columns of
+        self, in increasing order, form the identity, and the basis column
+        of a free column j is zero below row j, so row j holds the column's
+        last nonzero entry."""
         res = self.rref()
         pivot_set = set(res.pivot_cols)
         free = {j: k for k, j in enumerate(j for j in range(self.cols) if j not in pivot_set)}
@@ -428,6 +433,22 @@ class Matrix:
         for pc, red in zip(res.pivot_cols, res.reduced.row_terms):
             rows[pc] = tuple((free[j], neg(v)) for j, v in red[1:])
         return Matrix._of_rows(self.field, len(free), tuple(rows))
+
+    def _coords(self, image: "Matrix", at: Optional[Sequence[int]] = None) -> Optional["Matrix"]:
+        """The X with self @ X == image, or None when there is none, for a
+        basis self whose rows at the indices at form the identity: X can
+        only be image's rows there, and one product confirms it. at
+        defaults to the row of each column's last nonzero entry, where a
+        kernel_basis() is the identity; for a basis in reduced column
+        echelon form, the transpose of an rref, pass its pivot columns."""
+        self._check_compatible(image)
+        if image.rows != self.rows:
+            raise ValueError(f"dimension mismatch: {self.rows} basis rows vs {image.rows} image rows")
+        if at is None:
+            last = {j: i for i, row in enumerate(self.row_terms) for j, _ in row}
+            at = [last[j] for j in range(self.cols)]
+        x = Matrix._of_rows(self.field, image.cols, tuple(image.row_terms[i] for i in at))
+        return x if self @ x == image else None
 
     def to_json(self) -> list[str]:
         return [self.field.format(e) for e in self.entries]

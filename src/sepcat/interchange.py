@@ -3,8 +3,10 @@
 All scalar values are exchanged as text: rationals as "n" or "n/d" in
 lowest terms with positive denominator, prime-field elements as the least
 non-negative residue in decimal. Omitted hom pairs, composition entries,
-module spaces, and certificate blocks are zero. Malformed documents raise
-ValueError.
+module spaces, and certificate blocks are zero. Each keyed entry (a hom
+pair, morphism name, composition pair, space, action or map block) is
+given at most once; repeated certificate terms and blocks add up.
+Malformed documents raise ValueError.
 """
 
 from __future__ import annotations
@@ -51,6 +53,20 @@ def _require_type(value: Any, kind: type, member: str, context: str):
     return value
 
 
+def _keyed(entries: list, fields: tuple[str, ...], entry_name: str, member: str, context: str):
+    """(key, entry) for each entry of the JSON array member, key being the
+    tuple of the entry's values of fields. Each key is given at most once:
+    a later entry would otherwise replace an earlier one without a word."""
+    seen = set()
+    for entry in entries:
+        key = tuple(_require(entry, name, entry_name) for name in fields)
+        if key in seen:
+            shown = key if len(key) > 1 else key[0]
+            raise ValueError(f"{context}: member {member!r} gives the key {shown!r} more than once")
+        seen.add(key)
+        yield key, entry
+
+
 def _require_dim(entry: Any) -> int:
     dim = _require(entry, "dim", "space entry")
     if not _is_int(dim) or dim < 0:
@@ -91,8 +107,7 @@ def category_from_json(doc: dict) -> FinLinCat:
     field = Field.from_json(_require(doc, "field", "category"))
     objects = _require_type(_require(doc, "objects", "category"), list, "objects", "category")
     hom_basis: dict[tuple[str, str], list[str]] = {}
-    for entry in doc.get("homs", []):
-        pair = (_require(entry, "from", "hom entry"), _require(entry, "to", "hom entry"))
+    for pair, entry in _keyed(doc.get("homs", []), ("from", "to"), "hom entry", "homs", "category"):
         basis = _require(entry, "basis", "hom entry")
         if not isinstance(basis, list):
             raise ValueError(f"category: member 'basis' of hom entry {pair} must be a JSON array")
@@ -116,9 +131,8 @@ def category_from_json(doc: dict) -> FinLinCat:
             vec[labels.index(lab)] = field.of_text(text)
         identity[x] = vec
     comp_table = {}
-    for entry in doc.get("composition", []):
-        g = _require(entry, "g", "composition entry")
-        f = _require(entry, "f", "composition entry")
+    entries = doc.get("composition", [])
+    for (g, f), entry in _keyed(entries, ("g", "f"), "composition entry", "composition", "category"):
         if g not in label_pos or f not in label_pos:
             raise ValueError(f"category: composition entry ({g},{f}) names unknown labels")
         x, _, _ = label_pos[f]
@@ -154,17 +168,14 @@ def presentation_to_json(p: FiniteCatPresentation) -> dict:
 def presentation_from_json(doc: dict) -> FiniteCatPresentation:
     objects = _require_type(_require(doc, "objects", "presentation"), list, "objects", "presentation")
     morphisms = {}
-    for entry in _require_type(_require(doc, "morphisms", "presentation"), list, "morphisms", "presentation"):
-        name = _require(entry, "name", "morphism entry")
-        if name in morphisms:
-            raise ValueError(f"presentation: duplicate morphism name {name!r}")
+    entries = _require_type(_require(doc, "morphisms", "presentation"), list, "morphisms", "presentation")
+    for (name,), entry in _keyed(entries, ("name",), "morphism entry", "morphisms", "presentation"):
         morphisms[name] = (_require(entry, "from", "morphism entry"), _require(entry, "to", "morphism entry"))
     identity = _require_type(_require(doc, "identity", "presentation"), dict, "identity", "presentation")
     composition = {}
-    for entry in _require_type(doc.get("composition", []), list, "composition", "presentation"):
-        g = _require(entry, "g", "composition entry")
-        f = _require(entry, "f", "composition entry")
-        composition[(g, f)] = _require(entry, "result", "composition entry")
+    entries = _require_type(doc.get("composition", []), list, "composition", "presentation")
+    for key, entry in _keyed(entries, ("g", "f"), "composition entry", "composition", "presentation"):
+        composition[key] = _require(entry, "result", "composition entry")
     inverse = _require_type(doc.get("inverse") or {}, dict, "inverse", "presentation")
     return FiniteCatPresentation(objects, morphisms, identity, composition, inverse)
 
@@ -194,15 +205,14 @@ def bimodule_to_json(m: Bimodule) -> dict:
 
 def bimodule_from_json(c: FinLinCat, doc: dict) -> Bimodule:
     dims = {(x, y): 0 for x in c.objects for y in c.objects}
-    for entry in _require(doc, "spaces", "bimodule"):
-        pair = (_require(entry, "x", "space entry"), _require(entry, "y", "space entry"))
+    entries = _require(doc, "spaces", "bimodule")
+    for pair, entry in _keyed(entries, ("x", "y"), "space entry", "spaces", "bimodule"):
         if pair not in dims:
             raise ValueError(f"bimodule: space entry names unknown objects {pair}")
         dims[pair] = _require_dim(entry)
     left = {}
-    for entry in doc.get("left_action", []):
-        f = _require(entry, "f", "left action entry")
-        y = _require(entry, "y", "left action entry")
+    entries = doc.get("left_action", [])
+    for (f, y), entry in _keyed(entries, ("f", "y"), "left action entry", "left_action", "bimodule"):
         if f not in c.label_info:
             raise ValueError(f"bimodule: unknown morphism label {f!r}")
         x, x2, _ = c.label_info[f]
@@ -210,9 +220,8 @@ def bimodule_from_json(c: FinLinCat, doc: dict) -> Bimodule:
             c.field, dims[(x2, y)], dims[(x, y)], _require(entry, "matrix", "left action entry")
         )
     right = {}
-    for entry in doc.get("right_action", []):
-        g = _require(entry, "g", "right action entry")
-        x = _require(entry, "x", "right action entry")
+    entries = doc.get("right_action", [])
+    for (g, x), entry in _keyed(entries, ("g", "x"), "right action entry", "right_action", "bimodule"):
         if g not in c.label_info:
             raise ValueError(f"bimodule: unknown morphism label {g!r}")
         y2, y, _ = c.label_info[g]
@@ -247,14 +256,13 @@ def left_module_to_json(m: LeftModule) -> dict:
 
 def left_module_from_json(c: FinLinCat, doc: dict) -> LeftModule:
     dims = {x: 0 for x in c.objects}
-    for entry in _require(doc, "spaces", "left module"):
-        x = _require(entry, "x", "space entry")
+    entries = _require(doc, "spaces", "left module")
+    for (x,), entry in _keyed(entries, ("x",), "space entry", "spaces", "left module"):
         if x not in dims:
             raise ValueError(f"left module: unknown object {x!r}")
         dims[x] = _require_dim(entry)
     action = {}
-    for entry in doc.get("action", []):
-        f = _require(entry, "f", "action entry")
+    for (f,), entry in _keyed(doc.get("action", []), ("f",), "action entry", "action", "left module"):
         if f not in c.label_info:
             raise ValueError(f"left module: unknown morphism label {f!r}")
         x, y, _ = c.label_info[f]
@@ -278,14 +286,14 @@ def _map_blocks_to_json(m: BimoduleMap) -> list:
     return out
 
 
-def _map_blocks_from_json(c: FinLinCat, src: Bimodule, tgt: Bimodule, entries: list) -> BimoduleMap:
+def _map_blocks_from_json(c: FinLinCat, src: Bimodule, tgt: Bimodule, doc: dict, member: str) -> BimoduleMap:
     blocks = {
         (x, y): Matrix.zeros(c.field, tgt.dims[(x, y)], src.dims[(x, y)])
         for x in c.objects
         for y in c.objects
     }
-    for entry in entries:
-        pair = (_require(entry, "x", "map entry"), _require(entry, "y", "map entry"))
+    entries = _require(doc, member, "short exact sequence")
+    for pair, entry in _keyed(entries, ("x", "y"), "map entry", member, "short exact sequence"):
         blocks[pair] = Matrix.from_json(
             c.field, tgt.dims[pair], src.dims[pair], _require(entry, "matrix", "map entry")
         )
@@ -306,8 +314,8 @@ def ses_from_json(c: FinLinCat, doc: dict) -> ShortExactSeq:
     m = bimodule_from_json(c, _require(doc, "M", "short exact sequence"))
     n = bimodule_from_json(c, _require(doc, "N", "short exact sequence"))
     p = bimodule_from_json(c, _require(doc, "P", "short exact sequence"))
-    i = _map_blocks_from_json(c, m, n, _require(doc, "i", "short exact sequence"))
-    q = _map_blocks_from_json(c, n, p, _require(doc, "q", "short exact sequence"))
+    i = _map_blocks_from_json(c, m, n, doc, "i")
+    q = _map_blocks_from_json(c, n, p, doc, "q")
     return ShortExactSeq(m, n, p, i, q)
 
 

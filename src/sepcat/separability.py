@@ -396,54 +396,49 @@ class ZelinskyReport:
 def zelinsky_report(c: FinLinCat, fam: SeparabilityFamily) -> ZelinskyReport:
     """Locally-finite embedding check: left composition embeds hom(x, z) into
     the direct sum over the support of maps V[y,x] -> V[y,z], where V[y,x]
-    is spanned by the left tensor factors of a[x][y]."""
+    is spanned by the left tensor factors of a[x][y].
+
+    V[y,x] is kept in reduced column echelon form, the transpose of the
+    rref of the left factors, so coordinates in it are read at its pivot
+    rows. hom(x, z) embeds when the map phi, whose column for a basis
+    morphism f lists the coordinates of f . V[y,x] in V[y,z] over y, has
+    full column rank; phi is built transposed, one row per f."""
     if fam.terms is None:
         raise ValueError("family must be reduced first (call reduce_family)")
     fld = c.field
-    vbasis: dict[tuple[str, str], Matrix] = {}
+    vbasis: dict[tuple[str, str], tuple[Matrix, tuple[int, ...]]] = {}
     for x in c.objects:
         for y in c.objects:
-            terms = fam.terms.get((x, y), [])
-            if not terms:
-                vbasis[(y, x)] = Matrix.zeros(fld, c.dim_hom(y, x), 0)
-                continue
-            f_mat = Matrix(fld, c.dim_hom(y, x), len(terms), [
-                terms[j][0][i] for i in range(c.dim_hom(y, x)) for j in range(len(terms))
-            ])
-            vbasis[(y, x)] = f_mat.take_cols(f_mat.rref().pivot_cols)
+            us = [u for u, _ in fam.terms.get((x, y), [])]
+            res = Matrix(fld, len(us), c.dim_hom(y, x), [e for u in us for e in u]).rref()
+            vbasis[(y, x)] = (res.reduced.transpose().take_cols(range(res.rank)), res.pivot_cols)
     records = []
     for x in c.objects:
         support = fam.support(c, x)
         for z in c.objects:
             hom_dim = c.dim_hom(x, z)
-            v_dims = [(y, vbasis[(y, x)].cols, vbasis[(y, z)].cols) for y in support]
+            v_dims = [(y, vbasis[(y, x)][0].cols, vbasis[(y, z)][0].cols) for y in support]
             bound = sum(a * b for (_, a, b) in v_dims)
             note = ""
             if hom_dim == 0:
                 records.append(PairEmbedding(x, z, 0, support, v_dims, bound, True))
                 continue
-            columns: list[list] = [[] for _ in range(hom_dim)]
-            ok = True
+            phi_t = []  # (f, row of phi, value) triplets of phi transposed
+            width = 0
             for y in support:
-                vx = vbasis[(y, x)]
-                vz = vbasis[(y, z)]
+                vx, _ = vbasis[(y, x)]
+                vz, pivots = vbasis[(y, z)]
                 for t, f in enumerate(c.hom(x, z)):
-                    post = post_mul_matrix(c, f, y)
-                    images = post @ vx  # columns: f . (basis of V[y,x]) in hom(y,z)
-                    coords = vz.solve_many(images)
+                    coords = vz._coords(post_mul_matrix(c, f, y) @ vx, pivots)
                     if coords is None:
-                        ok = False
                         note = f"f.V[{y},{x}] is not contained in V[{y},{z}]"
-                        coords = Matrix.zeros(fld, vz.cols, vx.cols)
-                    columns[t].extend(coords.entries)
-            if not ok:
+                        continue
+                    for r, row in enumerate(coords.row_terms):
+                        phi_t.extend((t, width + r * vx.cols + j, v) for j, v in row)
+                width += vz.cols * vx.cols
+            if note:
                 records.append(PairEmbedding(x, z, hom_dim, support, v_dims, bound, False, note))
                 continue
-            nrows = len(columns[0]) if columns else 0
-            phi = Matrix(fld, nrows, hom_dim, [
-                columns[t][r] for r in range(nrows) for t in range(hom_dim)
-            ])
-            records.append(
-                PairEmbedding(x, z, hom_dim, support, v_dims, bound, phi.rank() == hom_dim)
-            )
+            rank = Matrix.from_entries(fld, hom_dim, width, phi_t).rank()
+            records.append(PairEmbedding(x, z, hom_dim, support, v_dims, bound, rank == hom_dim))
     return ZelinskyReport(records)

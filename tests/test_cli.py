@@ -8,7 +8,7 @@ from sepcat import interchange as io
 from sepcat.cli import main
 from sepcat.exactalg import Field, QQ
 from sepcat.lincat import linearize
-from sepcat.cmod import canonical_bimodule, representable_left_module
+from sepcat.cmod import ShortExactSeq, canonical_bimodule, kernel_of, representable_left_module, tensor_square
 
 
 @pytest.fixture
@@ -81,6 +81,7 @@ class TestPredicateCommands:
     def test_maschke_rejects_non_groupoid(self, runner, files):
         result = runner.invoke(main, ["maschke", files["a2_pres.json"], "--field", "Q"])
         assert result.exit_code == 2
+        assert result.stderr == "malformed input: presentation is not a groupoid\n"
 
     def test_delta_discrete(self, runner, files):
         result = runner.invoke(main, ["delta", files["d2_pres.json"]])
@@ -89,6 +90,12 @@ class TestPredicateCommands:
     def test_delta_chain(self, runner, files):
         result = runner.invoke(main, ["delta", files["a2_pres.json"]])
         assert result.exit_code == 1
+
+    def test_delta_rejects_non_delta(self, runner, files):
+        # g1 is an endomorphism other than the identity
+        result = runner.invoke(main, ["delta", files["z2_pres.json"]])
+        assert result.exit_code == 2
+        assert result.stderr == "malformed input: presentation is not a delta category\n"
 
 
 class TestCohomologyCommands:
@@ -322,6 +329,61 @@ class TestMalformedInput:
         doc = io.presentation_to_json(presets.cyclic_group(2))
         absent = io.presentation_from_json({k: v for k, v in doc.items() if k != "inverse"})
         assert io.presentation_from_json({**doc, "inverse": None}).inverse == absent.inverse
+
+    # a repeated key was read as its last entry, so the conflicting first
+    # entry below was dropped without a word and the file validated
+    def test_category_repeats_composition_key(self, runner, tmp_path):
+        doc = self.z2_doc()
+        doc["composition"].insert(0, {"g": "g1", "f": "g1", "result": [{"basis": "g1", "coeff": "1"}]})
+        path = self.write(tmp_path, "cat.json", doc)
+        for args in (["validate", path], ["separability", "check", path]):
+            result = runner.invoke(main, args)
+            self.assert_malformed(result, "category: member 'composition' gives the key ('g1', 'g1') more than once")
+
+    def test_presentation_repeats_composition_key(self, runner, tmp_path):
+        # read as the idempotent monoid, which maschke rejected as no groupoid
+        doc = io.presentation_to_json(presets.cyclic_group(2))
+        doc["composition"].append({"g": "g1", "f": "g1", "result": "g1"})
+        result = runner.invoke(main, ["maschke", self.write(tmp_path, "pres.json", doc), "--field", "Q"])
+        self.assert_malformed(result, "presentation: member 'composition' gives the key ('g1', 'g1') more than once")
+
+    @pytest.mark.parametrize(
+        "context,member,key",
+        [
+            ("category", "homs", "('x', 'x')"),
+            ("bimodule", "spaces", "('x', 'x')"),
+            ("bimodule", "left_action", "('g0', 'x')"),
+            ("bimodule", "right_action", "('g0', 'x')"),
+            ("left module", "spaces", "'x'"),
+            ("left module", "action", "'g0'"),
+            ("short exact sequence", "i", "('x', 'x')"),
+            ("short exact sequence", "q", "('x', 'x')"),
+        ],
+    )
+    def test_repeated_key(self, runner, files, tmp_path, context, member, key):
+        # each file gets a second copy of its member's first entry
+        c = linearize(presets.cyclic_group(2), QQ)
+        cat = files["z2_over_Q.json"]
+        if context == "category":
+            doc = self.z2_doc()
+        elif context == "bimodule":
+            doc = io.bimodule_to_json(canonical_bimodule(c))
+        elif context == "left module":
+            doc = io.left_module_to_json(representable_left_module(c, "x"))
+        else:
+            cxc, comp_map = tensor_square(c)
+            ker, incl = kernel_of(comp_map)
+            doc = io.ses_to_json(ShortExactSeq(ker, cxc, comp_map.target, incl, comp_map))
+        doc[member].append(dict(doc[member][0]))
+        path = self.write(tmp_path, "doc.json", doc)
+        args = {
+            "category": ["validate", path],
+            "bimodule": ["validate", path, "--category", cat],
+            "left module": ["validate", path, "--category", cat],
+            "short exact sequence": ["les", cat, "--ses", path, "--max-degree", "1"],
+        }[context]
+        result = runner.invoke(main, args)
+        self.assert_malformed(result, f"{context}: member {member!r} gives the key {key} more than once")
 
     def trivial_group_module(self, tmp_path, dim, matrix):
         cat = io.category_to_json(linearize(presets.cyclic_group(1), QQ))

@@ -143,6 +143,16 @@ class TestKernelOf:
         with pytest.raises(ValueError, match="left action of g1;"):
             kernel_of(proj)
 
+    def test_map_failing_one_right_action_names_it(self, a2_over_q):
+        # on the canonical bimodule of x1 <= x2 with alpha = x1<=x2, the map
+        # kills 1_x2 but not alpha = 1_x2 . alpha, so its kernel is closed
+        # under every action but the right action of alpha
+        m = canonical_bimodule(a2_over_q)
+        one, zero = Matrix.identity(QQ, 1), Matrix.zeros(QQ, 1, 1)
+        blocks = {("x1", "x1"): one, ("x2", "x2"): zero, ("x2", "x1"): one, ("x1", "x2"): Matrix.zeros(QQ, 0, 0)}
+        with pytest.raises(ValueError, match=r"^map does not commute with right action of x1<=x2;"):
+            kernel_of(BimoduleMap(m, m, blocks))
+
 
 class TestValidate:
     def test_broken_left_action_reported(self, z2_over_q):

@@ -155,6 +155,62 @@ def test_kernel_columns_annihilate(a):
 
 
 @given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_normal_form(a):
+    # the documented guarantee that coordinates in a kernel basis rely on:
+    # the identity at the free columns, each at its column's last nonzero
+    k = a.kernel_basis()
+    free = [j for j in range(a.cols) if j not in a.rref().pivot_cols]
+    assert Matrix.from_rows(a.field, [k.row(j) for j in free]) == Matrix.identity(a.field, len(free))
+    assert [max(i for i in range(k.rows) if k[i, col]) for col in range(k.cols)] == free
+
+
+def _random_matrix(data, field, rows, cols):
+    ents = data.draw(st.lists(st.integers(-9, 9), min_size=rows * cols, max_size=rows * cols))
+    return Matrix(field, rows, cols, [field.of(e) for e in ents])
+
+
+coords_fields = st.sampled_from([QQ, F2, Field(7)])
+
+
+@given(coords_fields, st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernel_coords_match_solve_many(field, data):
+    """Coordinates read off a kernel basis are the ones solve_many finds,
+    for images inside the kernel, outside it and with no columns, also
+    when the map has full column rank and the kernel is zero."""
+    cols = data.draw(st.integers(0, 4))
+    m = _random_matrix(data, field, data.draw(st.integers(0, 4)), cols)
+    if data.draw(st.booleans()):
+        m = Matrix.identity(field, cols).hstack(m.transpose()).transpose()  # full column rank
+    k = m.kernel_basis()
+    width = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        image = k @ _random_matrix(data, field, k.cols, width)
+    else:
+        image = _random_matrix(data, field, cols, width)
+    want = k.solve_many(image)
+    assert k._coords(image) == want
+    if (m @ image).is_zero():
+        assert want is not None
+
+
+@given(coords_fields, st.data())
+@settings(max_examples=200, deadline=None)
+def test_column_echelon_coords_match_solve_many(field, data):
+    # the transpose of an rref is the identity at its pivot rows
+    a = _random_matrix(data, field, data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4)))
+    res = a.rref()
+    basis = res.reduced.transpose().take_cols(range(res.rank))
+    width = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        image = basis @ _random_matrix(data, field, res.rank, width)
+    else:
+        image = _random_matrix(data, field, a.cols, width)
+    assert basis._coords(image, res.pivot_cols) == basis.solve_many(image)
+
+
+@given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_rref_idempotent(a):
     red = a.rref().reduced

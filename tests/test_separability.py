@@ -287,6 +287,26 @@ class TestZelinsky:
         (rec,) = zelinsky_report(trivial_cat, fam).pairs
         assert rec.bound == 1 and rec.injective
 
+    @pytest.mark.parametrize(
+        "us,note",
+        [
+            # V[x,x] = span(e + g): closed under g, but one-dimensional
+            ([(1, 1), (2, 2)], ""),
+            # V[x,x] = span(e), and g . e = g leaves it
+            ([(1, 0), (3, 0)], "f.V[x,x] is not contained in V[x,x]"),
+        ],
+    )
+    def test_dependent_left_factors(self, z2_over_q, us, note):
+        # hand-built terms u (x) v with linearly dependent u's, so V[x,x] has
+        # fewer basis vectors than there are terms; the v's are the unit
+        # vectors, so column j of the block is us[j]
+        terms = [(tuple(map(QQ.of, u)), v) for u, v in zip(us, [(QQ.one, QQ.zero), (QQ.zero, QQ.one)])]
+        block = Matrix.from_rows(QQ, [[u[i] for u in us] for i in range(2)])
+        fam = SeparabilityFamily({("x", "x"): block}, {("x", "x"): terms})
+        (rec,) = zelinsky_report(z2_over_q, fam).pairs
+        assert (rec.hom_dim, rec.v_dims, rec.bound) == (2, [("x", 1, 1)], 1)
+        assert (rec.injective, rec.note) == (False, note)
+
     def test_discrete_cross_pairs_vacuous(self, discrete2_over_q):
         fam = reduce_family(discrete2_over_q, solve_separability(discrete2_over_q))
         report = zelinsky_report(discrete2_over_q, fam)
