@@ -10,17 +10,21 @@ product of the diagonal components M[x][x]. The differential is
 
 Basis order is fixed: object tuples lexicographically in object order,
 input indices row-major, coefficient index fastest; this makes every
-matrix in this module reproducible bit-for-bit. Each differential and
-cochain map is written column by column straight into the nonzero rows
-of one Matrix, which the d . d = 0 check, the ranks, the obstruction and
-the long exact sequence all read.
+matrix in this module reproducible bit-for-bit. A tuple is enumerated
+only while its hom spaces are nonzero, so building a cochain space costs
+work in its nonzero hom chains, not in all |objects|^(n+1) tuples. Each
+differential and cochain map is written column by column straight into
+the nonzero rows of one Matrix, which the d . d = 0 check, the ranks, the
+obstruction and the long exact sequence all read. The long exact sequence
+of a short exact sequence of bimodules is walked as one list of
+positions H^n(M), H^n(N), H^n(P), H^(n+1)(M), ...
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from math import prod
 
 from .exactalg import Matrix, _rank_mod
 from .errors import BudgetExceededError, InternalCheckError
@@ -93,17 +97,19 @@ def _degree_space(c: FinLinCat, m: Bimodule, n: int, budget: int) -> _DegreeSpac
     slots: list[_Slot] = []
     by_objs = {}
     offset = 0
-    for objs in product(c.objects, repeat=n + 1):
-        hom_dims = tuple(c.dim_hom(objs[i], objs[i - 1]) for i in range(1, n + 1))
-        size = m.dims[(objs[0], objs[n])]
-        for d in hom_dims:
-            size *= d
-        if size == 0:
+    # object tuples grow lazily, in lexicographic order, along nonzero homs only
+    homs = {x: [(y, c.dim_hom(y, x)) for y in c.objects] for x in c.objects}
+    chains = (((x,), ()) for x in c.objects)
+    for _ in range(n):
+        chains = ((objs + (y,), dims + (d,)) for objs, dims in chains for y, d in homs[objs[-1]] if d)
+    for objs, hom_dims in chains:
+        mdim = m.dims[(objs[0], objs[n])]
+        if mdim == 0:
             continue
-        slot = _Slot(objs, hom_dims, m.dims[(objs[0], objs[n])], offset)
+        slot = _Slot(objs, hom_dims, mdim, offset)
         slots.append(slot)
         by_objs[objs] = slot
-        offset += size
+        offset += mdim * prod(hom_dims)
         if offset > budget:
             raise BudgetExceededError(
                 f"cochain dimension at degree {n} exceeds the budget of {budget} columns"
@@ -369,83 +375,72 @@ def _cochain_map(src: CochainComplex, tgt: CochainComplex, blocks: dict, n: int)
 def les_analysis(c: FinLinCat, ses: ShortExactSeq, max_degree: int, budget: int = DEFAULT_BUDGET) -> LesReport:
     """Verify the long exact cohomology sequence of a short exact sequence.
 
-    Connecting maps are computed by the zig-zag construction with the
-    deterministic solver (lift through q, apply d, pull back through i);
-    exactness at each position is decided by rank counting.
+    Walks the positions in order: position 3n + k is H^n of (M, N, P)[k]
+    and maps to the next one by i, q or the connecting map delta. Each
+    position takes its cocycles from the kernel basis of d^n and ranks its
+    outgoing map modulo the next position's coboundaries (the last one
+    modulo d_M^max_degree); it is exact when the ranks count out and the
+    incoming map followed by the outgoing one is zero in cohomology.
+    delta is the zig-zag through a section of each q block and a
+    retraction of each i block (q is onto and i one-to-one on every
+    component), confirmed by one product; another lift would move each
+    value of delta by a coboundary only.
     """
     report = validate_module(c, ses)
     if not report.ok:
         raise ValueError("input sequence is not short exact: " + "; ".join(report.violations[:3]))
-    cm = build_hm_complex(c, ses.m, max_degree, budget)
-    cn = build_hm_complex(c, ses.n, max_degree, budget)
-    cp = build_hm_complex(c, ses.p, max_degree, budget)
-    imaps = [_cochain_map(cm, cn, ses.i.blocks, n) for n in range(max_degree + 2)]
-    qmaps = [_cochain_map(cn, cp, ses.q.blocks, n) for n in range(max_degree + 2)]
-    kers = {
-        "m": [cm.diffs[n].kernel_basis() for n in range(max_degree + 1)],
-        "n": [cn.diffs[n].kernel_basis() for n in range(max_degree + 1)],
-        "p": [cp.diffs[n].kernel_basis() for n in range(max_degree + 1)],
+    complexes = [build_hm_complex(c, mod, max_degree, budget) for mod in (ses.m, ses.n, ses.p)]
+    cm, cn, cp = complexes
+
+    def right_inverse(blk: Matrix, message: str) -> Matrix:
+        x = blk.solve_many(Matrix.identity(c.field, blk.rows))
+        if x is None:
+            raise InternalCheckError(message)
+        return x
+
+    sections = {key: right_inverse(b, "cochain-level surjectivity of q failed") for key, b in ses.q.blocks.items()}
+    retractions = {
+        key: right_inverse(b.transpose(), "cochain-level injectivity of i failed").transpose()
+        for key, b in ses.i.blocks.items()
     }
-    hdims = {}
-    for key, cx in (("m", cm), ("n", cn), ("p", cp)):
-        dims = []
-        prev_rank = 0
-        for n in range(max_degree + 1):
-            rank = cx.diffs[n].rank()
-            dims.append(kers[key][n].cols - prev_rank)
-            prev_rank = rank
-        hdims[key] = dims
+    imaps = [_cochain_map(cm, cn, ses.i.blocks, n) for n in range(max_degree + 2)]
+    qmaps = [_cochain_map(cn, cp, ses.q.blocks, n) for n in range(max_degree + 1)]
+    lifts = [_cochain_map(cp, cn, sections, n) for n in range(max_degree + 1)]
+    pulls = [_cochain_map(cn, cm, retractions, n + 1) for n in range(max_degree + 1)]
 
-    def rank_mod_image(cols: Matrix, image: Optional[Matrix]) -> int:
-        if cols.cols == 0:
-            return 0
-        if image is None:
-            return cols.rank()
-        return image.hstack(cols).rank() - image.rank()
-
-    def zigzag(n: int, z: Matrix) -> Matrix:
-        w = qmaps[n].solve_many(z)
-        if w is None:
-            raise InternalCheckError("cochain-level surjectivity of q failed")
-        v = cn.diffs[n] @ w
-        u = imaps[n + 1].solve_many(v)
-        if u is None:
+    def delta(n: int, z: Matrix) -> Matrix:
+        v = cn.diffs[n] @ (lifts[n] @ z)
+        u = pulls[n] @ v
+        if imaps[n + 1] @ u != v:
             raise InternalCheckError("connecting lift escapes the image of i")
         return u
 
-    connecting_cols = [zigzag(n, kers["p"][n]) for n in range(max_degree + 1)]
-    d_of = {"m": cm.diffs, "n": cn.diffs, "p": cp.diffs}
+    outgoing = (lambda n, z: imaps[n] @ z, lambda n, z: qmaps[n] @ z, delta)
 
-    def image_matrix(key: str, n: int) -> Optional[Matrix]:
-        return None if n == 0 else d_of[key][n - 1]
+    def rank_mod_image(j: int, cols: Matrix) -> int:
+        """The rank of cols modulo the coboundaries of position j."""
+        if cols.is_zero():
+            return 0
+        n, k = divmod(j, 3)
+        if n == 0:
+            return cols.rank()
+        image = complexes[k].diffs[n - 1]
+        return image.hstack(cols).rank() - image.rank()
 
-    # induced maps on cohomology, by rank over the coboundary space
-    rank_i = [rank_mod_image(imaps[n] @ kers["m"][n], image_matrix("n", n)) for n in range(max_degree + 1)]
-    rank_q = [rank_mod_image(qmaps[n] @ kers["n"][n], image_matrix("p", n)) for n in range(max_degree + 1)]
-    rank_delta = [rank_mod_image(connecting_cols[n], d_of["m"][n]) for n in range(max_degree + 1)]
-
-    positions = []
-    degrees = []
-    for n in range(max_degree + 1):
-        degrees.append(LesDegreeDims(n, hdims["m"][n], hdims["n"][n], hdims["p"][n]))
-        # H^n(M): incoming delta^(n-1), outgoing i
-        incoming = 0 if n == 0 else rank_delta[n - 1]
-        kernel_dim = hdims["m"][n] - rank_i[n]
-        composite_zero = True
-        if n > 0:
-            composite_zero = (
-                rank_mod_image(imaps[n] @ connecting_cols[n - 1], image_matrix("n", n)) == 0
-            )
+    positions, dims, ranks = [], [], []
+    incoming, incoming_cols = 0, None
+    for j in range(3 * (max_degree + 1)):
+        n, k = divmod(j, 3)
+        diffs = complexes[k].diffs
+        cocycles = diffs[n].kernel_basis()
+        dims.append(cocycles.cols - (diffs[n - 1].rank() if n else 0))
+        out_cols = outgoing[k](n, cocycles)
+        ranks.append(rank_mod_image(j + 1, out_cols))
+        composite_zero = incoming_cols is None or rank_mod_image(j + 1, outgoing[k](n, incoming_cols)) == 0
+        kernel_dim = dims[j] - ranks[j]
         positions.append(
-            PositionRecord(f"H{n}(M)", incoming, kernel_dim, composite_zero and incoming == kernel_dim)
+            PositionRecord(f"H{n}({'MNP'[k]})", incoming, kernel_dim, composite_zero and incoming == kernel_dim)
         )
-        # H^n(N): incoming i, outgoing q; q.i = 0 on the nose
-        kernel_dim = hdims["n"][n] - rank_q[n]
-        positions.append(PositionRecord(f"H{n}(N)", rank_i[n], kernel_dim, rank_i[n] == kernel_dim))
-        # H^n(P): incoming q, outgoing delta
-        kernel_dim = hdims["p"][n] - rank_delta[n]
-        composite_zero = rank_mod_image(zigzag(n, qmaps[n] @ kers["n"][n]), d_of["m"][n]) == 0
-        positions.append(
-            PositionRecord(f"H{n}(P)", rank_q[n], kernel_dim, composite_zero and rank_q[n] == kernel_dim)
-        )
-    return LesReport(degrees, rank_delta, positions)
+        incoming, incoming_cols = ranks[j], out_cols
+    degrees = [LesDegreeDims(n, *dims[3 * n : 3 * n + 3]) for n in range(max_degree + 1)]
+    return LesReport(degrees, ranks[2::3], positions)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .exactalg import Field, Matrix
-from .lincat import FinLinCat, FiniteCatPresentation, classify_presentation, linearize
+from .lincat import FinLinCat, FiniteCatPresentation, classify_presentation
 from .cmod import LeftModule, _linear_action, post_mul_matrix, pre_mul_matrix
 
 __all__ = [
@@ -286,13 +286,13 @@ def maschke_predict(p: FiniteCatPresentation, k: Field) -> MaschkeVerdict:
             n = len(p.hom_set(x, y))
             if n and not k.of(n):
                 return MaschkeVerdict(separable=False, witness=(x, y, n))
-    c = linearize(p, k)
     blocks = {}
     for comp in _connected_components(p):
         y0 = comp[0]
         for x in comp:
-            gs = c.hom(y0, x)
-            hs = c.hom(x, y0)
+            # hom_set lists names in the order linearize gives the hom bases
+            gs = p.hom_set(y0, x)
+            hs = p.hom_set(x, y0)
             inv_weight = k.inv(k.of(len(hs)))
             blocks[(x, y0)] = Matrix.from_entries(
                 k, len(gs), len(hs), ((i, hs.index(p.find_inverse(g)), inv_weight) for i, g in enumerate(gs))

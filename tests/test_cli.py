@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -82,6 +83,22 @@ class TestPredicateCommands:
         result = runner.invoke(main, ["maschke", files["a2_pres.json"], "--field", "Q"])
         assert result.exit_code == 2
         assert result.stderr == "malformed input: presentation is not a groupoid\n"
+
+    def test_maschke_linearizes_once(self, runner, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(p, k):
+            calls.append(k)
+            return linearize(p, k)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sepcat") and getattr(module, "linearize", None) is linearize:
+                monkeypatch.setattr(module, "linearize", counted)
+        pres = tmp_path / "z4_pres.json"
+        pres.write_text(json.dumps(io.presentation_to_json(presets.cyclic_group(4))))
+        result = runner.invoke(main, ["maschke", str(pres), "--field", "Q"])
+        assert result.exit_code == 0
+        assert calls == [QQ]
 
     def test_delta_discrete(self, runner, files):
         result = runner.invoke(main, ["delta", files["d2_pres.json"]])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import tracemalloc
 from itertools import product
 
@@ -11,6 +12,8 @@ from sepcat.exactalg import Field, Matrix, QQ, _rank_mod
 from sepcat.errors import BudgetExceededError, InternalCheckError
 from sepcat.lincat import linearize
 from sepcat.cmod import (
+    Bimodule,
+    BimoduleMap,
     ShortExactSeq,
     canonical_bimodule,
     kernel_of,
@@ -29,6 +32,15 @@ from sepcat.separability import solve_separability
 from test_exactalg import gauss_jordan
 
 F2, F3 = Field(2), Field(3)
+
+
+LES_CATEGORIES = {
+    "Z3": presets.cyclic_group(3),
+    "A4": presets.chain_poset(4),
+    "vee": presets.vee_poset(),
+    "idem": presets.idempotent_monoid(),
+    **{f"random{seed}": presets.random_presentation(seed) for seed in (0, 1, 4, 8, 9)},
+}
 
 
 def kernel_comp_ses(c):
@@ -87,6 +99,26 @@ class TestComplexConstruction:
     def test_budget_enforced(self, z2_over_q):
         with pytest.raises(BudgetExceededError):
             build_hm_complex(z2_over_q, canonical_bimodule(z2_over_q), 2, budget=5)
+
+    def test_spaces_enumerate_nonzero_hom_chains(self, monkeypatch):
+        # 8 objects with only identities: 8 tuples of each length have
+        # nonzero homs, out of 8^(n+1); enumerating the rest is waste
+        c = linearize(presets.discrete_category(8), QQ)
+        m = canonical_bimodule(c)
+        calls = []
+        dim_hom = type(c).dim_hom
+
+        def counted(self, x, y):
+            calls.append((x, y))
+            if len(calls) > 2000:
+                raise AssertionError("dim_hom called more than 2000 times")
+            return dim_hom(self, x, y)
+
+        monkeypatch.setattr(type(c), "dim_hom", counted)
+        complex = build_hm_complex(c, m, 12)
+        assert [complex.dim(n) for n in range(14)] == [8] * 14
+        assert [slot.objs for slot in complex.space(3).slots] == [(x,) * 4 for x in c.objects]
+        assert [d.dim_h for d in cohomology_dims(complex).degrees] == [8] + [0] * 12
 
 
 class TestCohomologyDims:
@@ -229,6 +261,63 @@ class TestLes:
     def test_budget_applies_to_les(self, z2_over_q):
         with pytest.raises(BudgetExceededError):
             les_analysis(z2_over_q, kernel_comp_ses(z2_over_q), 2, budget=3)
+
+    @pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+    @pytest.mark.parametrize("name", ["Z3", "A4", "idem", "random0", "random1", "random4", "random8", "random9"])
+    def test_conjugated_inclusion_gives_the_same_report(self, name, field):
+        """M conjugated by a unit upper-triangular T on each component, with
+        i' = i T and actions T^-1 A T, is the same sequence in another basis,
+        and i' is not in kernel-basis form."""
+        c = linearize(LES_CATEGORIES[name], field)
+        ses = kernel_comp_ses(c)
+        rng = random.Random(name)
+        t, t_inv = {}, {}
+        for key, d in ses.m.dims.items():
+            above = [(r, s, field.of(rng.choice((-3, -2, -1, 1, 2, 3)))) for r in range(d) for s in range(r + 1, d)]
+            t[key] = Matrix.from_entries(field, d, d, [(r, r, field.one) for r in range(d)] + above)
+            t_inv[key] = t[key].solve_many(Matrix.identity(field, d))
+        left = {}
+        for (f, y), act in ses.m.left.items():
+            x, x2, _ = c.label_info[f]
+            left[(f, y)] = t_inv[(x2, y)] @ act @ t[(x, y)]
+        right = {}
+        for (g, x), act in ses.m.right.items():
+            y2, y, _ = c.label_info[g]
+            right[(g, x)] = t_inv[(x, y2)] @ act @ t[(x, y)]
+        m2 = Bimodule(c, ses.m.dims, left, right)
+        i2 = BimoduleMap(m2, ses.n, {key: blk @ t[key] for key, blk in ses.i.blocks.items()})
+        assert any(i2.blocks[key] != blk for key, blk in ses.i.blocks.items())
+        conjugated = les_analysis(c, ShortExactSeq(m2, ses.n, ses.p, i2, ses.q), 2)
+        assert conjugated == les_analysis(c, ses, 2)
+        assert conjugated.all_exact
+
+    @pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+    @pytest.mark.parametrize("name", ["Z3", "vee", "idem"])
+    def test_solves_are_component_sized(self, name, field, monkeypatch):
+        """The zig-zag solves only on components: every system has at most as
+        many rows as the largest component of N, never a whole cochain space."""
+        c = linearize(LES_CATEGORIES[name], field)
+        ses = kernel_comp_ses(c)
+        rows = []
+        solve_many = Matrix.solve_many
+
+        def recorded(self, b):
+            rows.append(self.rows)
+            return solve_many(self, b)
+
+        monkeypatch.setattr(Matrix, "solve_many", recorded)
+        assert les_analysis(c, ses, 2).all_exact
+        assert rows and max(rows) <= max(ses.n.dims.values())
+
+    @pytest.mark.parametrize("field", [QQ, F3], ids=str)
+    @pytest.mark.parametrize("name", ["Z3", "A4", "vee", "idem"])
+    def test_dims_match_cohomology_dims(self, name, field):
+        c = linearize(LES_CATEGORIES[name], field)
+        ses = kernel_comp_ses(c)
+        report = les_analysis(c, ses, 2)
+        dims = [cohomology_dims(build_hm_complex(c, mod, 2)) for mod in (ses.m, ses.n, ses.p)]
+        for d in report.degrees:
+            assert (d.dim_h_m, d.dim_h_n, d.dim_h_p) == tuple(r.dim_h(d.n) for r in dims)
 
 
 class TestVanishingTheorem:
