@@ -46,9 +46,6 @@ __all__ = [
 
 DEFAULT_BUDGET = 20000
 
-# the prime whose ranks bound the ranks of rational differentials from below
-_RANK_PRIME = 2**31 - 1
-
 
 @dataclass
 class _Slot:
@@ -234,18 +231,18 @@ def cohomology_dims(complex: CochainComplex) -> CohomologyResult:
     Every rank is first taken mod a prime, by streaming the nonzero rows
     of d^n through the elimination; over F_p that is the rank itself.
 
-    Over Q each rank r_n = rank d^n is sandwiched before any rational
-    elimination. From below by rho_n, the rank of d^n mod the prime
-    _RANK_PRIME (rho_n <= r_n). From above by the complex's invariant
+    Over Q each rank r_n = rank d^n is sandwiched before any rref is
+    taken. From below by rho_n, the rank of d^n mod the prime
+    exactalg._PRIME (rho_n <= r_n). From above by the complex's invariant
     d . d = 0, checked exactly when the complex was built, which puts
     im d^(n-1) in ker d^n and im d^n in ker d^(n+1):
     r_n <= min(dim C^(n+1), dim C^n - r_(n-1), dim C^(n+1) - rho_(n+1)),
     with r_(n-1) already exact. When rho_n meets the upper bound it is r_n;
     otherwise (nonzero cohomology, or a denominator divisible by the prime)
-    r_n comes from the exact rational rref of d^n.
+    r_n comes from the rational rref of d^n.
     """
     p = complex.cat.field.p
-    lower = [_rank_mod(d, p or _RANK_PRIME) for d in complex.diffs]
+    lower = [_rank_mod(d) for d in complex.diffs]
     out = []
     prev_rank = 0
     for n, rank in enumerate(lower):

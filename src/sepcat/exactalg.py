@@ -7,6 +7,15 @@ by row, in tuples, so it cannot change after construction; the systems
 and differentials it holds are mostly zeros. All Gaussian elimination,
 over Q and over F_p, runs through one forward-elimination routine,
 _echelon, on dense working rows.
+
+Over Q the rref is computed modulo the word-size prime _PRIME and each
+entry rationally reconstructed (Wang-Guy-Davenport); the candidate is kept
+only when one exact product proves it, as in Dixon's p-adic solver. If R
+has pivot columns P and A == A[:, P] @ R, the rows of A lie in the row
+space of R, so rank_Q(A) <= rank(R) = rank_p(A); and rank_p(A) <= rank_Q(A)
+because a minor of the reduction is the reduction of the minor. The two
+row spaces are then equal, and R, being reduced, is the unique rref of A.
+Otherwise the elimination runs in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -14,9 +23,14 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 __all__ = ["Field", "QQ", "Matrix", "RrefResult"]
+
+# the word-size prime that rational matrices are reduced modulo, for the
+# rref and for the ranks that bound cohomology over Q
+_PRIME = 2**31 - 1
 
 
 def _is_int(value) -> bool:
@@ -144,6 +158,15 @@ def _pack(acc: dict, p: Optional[int]) -> tuple:
             v %= p
             if v:
                 items.append((j, v))
+    if len(items) > 1:
+        items.sort()
+    return tuple(items)
+
+
+def _pack_rational(acc: dict) -> tuple:
+    """A rational row from {column: int or Fraction}, each value a
+    Fraction, in increasing column and without zeros."""
+    items = [(j, v if type(v) is Fraction else Fraction(v)) for j, v in acc.items() if v]
     if len(items) > 1:
         items.sort()
     return tuple(items)
@@ -306,19 +329,22 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The exact product, row by row: row i of self @ other sums
-        a * (row k of other) over the nonzeros a = self[i, k]."""
+        a * (row k of other) over the nonzeros a = self[i, k]. Over Q the
+        entries with denominator 1 multiply as ints."""
         self._check_compatible(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in matmul: {self.cols} vs {other.rows}")
         p = self.field.p
-        brows = other.row_terms
+        arows, brows = self.row_terms, other.row_terms
+        if p is None:
+            arows, brows = map(_ints, arows), [_ints(r) for r in brows]
         out = []
-        for row in self.row_terms:
+        for row in arows:
             acc: dict = {}
             for k, a in row:
                 for j, b in brows[k]:
                     acc[j] = acc.get(j, 0) + a * b
-            out.append(_pack(acc, p))
+            out.append(_pack(acc, p) if p is not None else _pack_rational(acc))
         return Matrix._of_rows(self.field, other.cols, tuple(out))
 
     def transpose(self) -> "Matrix":
@@ -372,30 +398,54 @@ class Matrix:
     # -- elimination ---------------------------------------------------
 
     def rref(self) -> RrefResult:
+        """The reduced row echelon form, computed once and cached.
+
+        Over Q it is first taken mod _PRIME and its entries reconstructed
+        as fractions. The candidate R, with pivot columns P, is kept only
+        when self == self[:, P] @ R exactly: then the rows of self lie in
+        the row space of R, whose rank is the rank mod the prime and so at
+        most the rank of self, and R is the unique rref of self. Otherwise
+        the elimination runs in Fraction arithmetic."""
         cached = self._rref
         if cached is not None:
             return cached
-        ncols = self.cols
         p = self.field.p
-        order, pivots = _echelon((self.row(i) for i in range(self.rows)), p)
-        # back substitution: clear each pivot column above its pivot, last
-        # pivot first, so every row used is already fully reduced
-        for k in range(len(order) - 1, 0, -1):
-            pc = order[k]
-            above = [pivots[r] for r in order[:k] if pivots[r][pc]]
-            if above:
-                prow = pivots[pc]
-                support = [j for j in range(pc, ncols) if prow[j]]
-                for row in above:
-                    _eliminate(row, row[pc], prow, support, p)
-        # each dense pivot row is released as soon as its nonzeros are kept
-        rows = tuple(_nonzeros(pivots.pop(pc)) for pc in order) + ((),) * (self.rows - len(order))
+        found = self._certified_rref() if p is None else None
+        if found is None:
+            order, pivots = _echelon((self.row(i) for i in range(self.rows)), p)
+            found = order, _back_substitute(order, pivots, p)
+        order, rows = found
+        rows = tuple(rows) + ((),) * (self.rows - len(order))
         # reduced does not cache result: that would be a reference cycle,
         # which keeps the whole reduced matrix alive until the next full
         # garbage collection
-        result = RrefResult(Matrix._of_rows(self.field, ncols, rows), len(order), tuple(order))
+        result = RrefResult(Matrix._of_rows(self.field, self.cols, rows), len(order), tuple(order))
         object.__setattr__(self, "_rref", result)
         return result
+
+    def _certified_rref(self) -> Optional[tuple[list[int], list[tuple]]]:
+        """The pivot columns and nonzero reduced rows of a rational self
+        from its rref mod _PRIME, reconstructed entry by entry; None when
+        the prime divides a denominator, an entry does not reconstruct, or
+        self != self[:, pivots] @ R."""
+        p = _PRIME
+        bound = isqrt((p - 1) // 2)
+        try:
+            order, pivots = _echelon(_residues(self, p), p)
+        except ValueError:  # from pow: p divides a denominator
+            return None
+        rows = []
+        for red in _back_substitute(order, pivots, p):
+            row = []
+            for j, v in red:
+                q = _rational(v, p, bound)
+                if q is None:
+                    return None
+                row.append((j, q))
+            rows.append(tuple(row))
+        if self.take_cols(order) @ Matrix._of_rows(self.field, self.cols, tuple(rows)) != self:
+            return None
+        return order, rows
 
     def rank(self) -> int:
         return self.rref().rank
@@ -462,6 +512,25 @@ class Matrix:
         return cls(field, rows, cols, [field.of_text(t) for t in texts])
 
 
+def _ints(row: tuple) -> list:
+    """A rational row with each integral entry replaced by its int."""
+    return [(j, v.numerator if v.denominator == 1 else v) for j, v in row]
+
+
+def _rational(a: int, p: int, bound: int) -> Optional[Fraction]:
+    """The n/d with |n|, d <= bound and n = a * d mod p, or None when there
+    is none: the extended Euclidean algorithm on (p, a), stopped at the
+    first remainder within bound (Wang-Guy-Davenport). With
+    2 * bound**2 < p at most one such fraction exists. The cofactor t1 is
+    never zero: |t1| grows strictly from 1."""
+    r0, r1, t0, t1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return Fraction(r1, t1) if abs(t1) <= bound else None
+
+
 def _eliminate(row: list, f, prow: list, support: Iterable[int], p: Optional[int]) -> None:
     """row -= f * prow in place, over Q (p None) or F_p; support holds the
     columns where prow is nonzero. The only place a row meets a pivot row."""
@@ -505,29 +574,49 @@ def _echelon(rows: Iterable[list], p: Optional[int]) -> tuple[list[int], dict[in
     return order, pivots
 
 
-def _rank_mod(m: Matrix, p: int) -> Optional[int]:
-    """Rank over F_p of m with every entry reduced mod the prime p; None
-    when some entry's denominator is divisible by p. Over F_p itself this
-    is the rank of m.
+def _back_substitute(order: list[int], pivots: dict[int, list], p: Optional[int]) -> list[tuple]:
+    """The nonzero rows of the rref, in pivot order, from the output of
+    _echelon over Q (p None) or F_p: each pivot column is cleared above its
+    pivot, last pivot first, so every row used is already fully reduced.
+    Each dense pivot row is released as soon as its nonzeros are kept."""
+    for k in range(len(order) - 1, 0, -1):
+        pc = order[k]
+        above = [pivots[r] for r in order[:k] if pivots[r][pc]]
+        if above:
+            prow = pivots[pc]
+            support = [j for j in range(pc, len(prow)) if prow[j]]
+            for row in above:
+                _eliminate(row, row[pc], prow, support, p)
+    return [_nonzeros(pivots.pop(pc)) for pc in order]
+
+
+def _residues(m: Matrix, p: int) -> Iterable[list]:
+    """The dense rows of m with every entry reduced mod the prime p, in
+    order of leading column; pow raises ValueError when p divides a
+    denominator.
+
+    The order keeps the fill-in of the pivot rows low (on the 3125 x 625
+    d^3 of Z_5 the rank took a third of the time of the stored order),
+    and neither a rank nor an rref depends on it."""
+    ncols = m.cols
+    for r in sorted(m.row_terms, key=lambda r: r[0][0] if r else ncols):
+        row = [0] * ncols
+        for j, e in r:
+            row[j] = e.numerator * pow(e.denominator, -1, p) % p
+        yield row
+
+
+def _rank_mod(m: Matrix, p: Optional[int] = None) -> Optional[int]:
+    """Rank over F_p of m with every entry reduced mod the prime p, which
+    defaults to m's own prime, or _PRIME over Q; None when some entry's
+    denominator is divisible by p. Over F_p itself this is the rank of m.
 
     A minor of the reduction is the reduction of the minor, so for a
-    rational m the result never exceeds its rank over Q. Each residue row
-    is built from the row's nonzeros and streamed through _echelon, in
-    order of leading column: the rank does not depend on the order, and
-    this one keeps the fill-in of the pivot rows low (on the 3125 x 625
-    d^3 of Z_5 it took a third of the time of the stored order).
+    rational m the result never exceeds its rank over Q.
     """
-    ncols = m.cols
-
-    def residues():
-        for r in sorted(m.row_terms, key=lambda r: r[0][0] if r else ncols):
-            row = [0] * ncols
-            for j, e in r:
-                row[j] = e.numerator * pow(e.denominator, -1, p) % p
-            yield row
-
+    p = p or m.field.p or _PRIME
     try:
-        order, _ = _echelon(residues(), p)
+        order, _ = _echelon(_residues(m, p), p)
     except ValueError:  # from pow: p divides a denominator
         return None
     return len(order)

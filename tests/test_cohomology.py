@@ -2,12 +2,13 @@ import hashlib
 import json
 import random
 import tracemalloc
-from itertools import product
+from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepcat import cohomology, presets
+from sepcat import cohomology, exactalg, presets
 from sepcat.exactalg import Field, Matrix, QQ, _rank_mod
 from sepcat.errors import BudgetExceededError, InternalCheckError
 from sepcat.lincat import linearize
@@ -333,6 +334,14 @@ def crown_poset():
     return presets.poset_category(["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
 
 
+def symmetric_group_3():
+    """S_3 as a one-object category, its elements named by their images."""
+    perms = list(permutations(range(3)))
+    name = {g: "".join(map(str, g)) for g in perms}
+    table = {(name[g], name[f]): name[tuple(g[i] for i in f)] for g in perms for f in perms}
+    return presets.one_object_monoid(list(name.values()), table, name[(0, 1, 2)])
+
+
 def rational_rrefs(monkeypatch):
     """Record every rational rref from here on (cached or not)."""
     calls = []
@@ -385,7 +394,7 @@ class TestRankCertificate:
         complex = build_hm_complex(z2_over_q, canonical_bimodule(z2_over_q), 2)
         expected = [d.dim_h for d in cohomology_dims(complex).degrees]
         # mod 2 the complex has H^n = 2 in every degree, so rho_1 < rank_Q d^1
-        monkeypatch.setattr(cohomology, "_RANK_PRIME", 2)
+        monkeypatch.setattr(exactalg, "_PRIME", 2)
         complex = build_hm_complex(z2_over_q, canonical_bimodule(z2_over_q), 2)
         calls = rational_rrefs(monkeypatch)
         result = cohomology_dims(complex)
@@ -440,12 +449,15 @@ def test_rank_mod_matches_prime_field_rank(shape, p):
 PRODUCT_FIELDS = (QQ, F2, Field(7), Field(2**31 - 1))
 
 
+INT_SCALARS = [0, 0, 0, 1, -1, 2, -3]
+
+
 @st.composite
-def factor_pairs(draw):
+def factor_pairs(draw, values=INT_SCALARS):
     """(m, k, n, A entries, B entries) for an m x k by k x n product; half
     the draws are A = [P | P], B = [R ; -R], whose product cancels to zero."""
     m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
-    scalars = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    scalars = st.sampled_from(values)
     p_ents = draw(st.lists(scalars, min_size=m * k, max_size=m * k))
     r_ents = draw(st.lists(scalars, min_size=k * n, max_size=k * n))
     if not draw(st.booleans()):
@@ -459,12 +471,14 @@ def textbook_product(m, k, n, a, b) -> list:
     return [sum(a[i * k + l] * b[l * n + j] for l in range(k)) for i in range(m) for j in range(n)]
 
 
-@given(st.sampled_from(PRODUCT_FIELDS), factor_pairs())
+@given(st.sampled_from(PRODUCT_FIELDS), st.data())
 @settings(max_examples=200, deadline=None)
-def test_product_matches_textbook(field, pair):
+def test_product_matches_textbook(field, data):
     # integers map to the field as a ring homomorphism, so the image of the
-    # integer product is the product over the field
-    m, k, n, a_ents, b_ents = pair
+    # integer product is the product over the field; over Q the factors mix
+    # integers, which multiply as ints, with fractions
+    rational = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)] if field.is_rationals else []
+    m, k, n, a_ents, b_ents = data.draw(factor_pairs(INT_SCALARS + rational))
     a = Matrix(field, m, k, [field.of(e) for e in a_ents])
     b = Matrix(field, k, n, [field.of(e) for e in b_ents])
     expected = [field.of(e) for e in textbook_product(m, k, n, a_ents, b_ents)]
@@ -473,9 +487,11 @@ def test_product_matches_textbook(field, pair):
     assert product.entries == tuple(expected)
     assert product.is_zero() == (not any(expected))
     assert product == Matrix(field, m, n, expected)
-    # no stored zero, and each row in increasing column
+    # no stored zero, each row in increasing column, and over Q only
+    # Fraction scalars
     for row in product.row_terms:
         assert all(v for _, v in row)
+        assert all(type(v) is type(field.one) for _, v in row)
         assert [j for j, _ in row] == sorted({j for j, _ in row})
 
 
@@ -598,6 +614,24 @@ class TestClosedForms:
         result = cohomology_dims(build_hm_complex(c, canonical_bimodule(c), max_degree))
         higher = m if fld.p and m % fld.p == 0 else 0
         assert [d.dim_h for d in result.degrees] == [m] + [higher] * max_degree
+
+    @pytest.mark.parametrize(
+        "pres, fld, expected",
+        [
+            # Kunneth over F_2: dim HH^n(F_2[Z_2 x Z_2]) = 4 (n + 1)
+            pytest.param(presets.klein_four(), F2, [4, 8, 12, 16], id="K4-F2"),
+            # Morita invariance: a connected groupoid has the HH of its group
+            pytest.param(presets.connected_groupoid(presets.cyclic_group(2), 2), F2, [2, 2, 2, 2], id="G2(Z2)-F2"),
+            # centralizer decomposition HH^n(K[S_3]) = H^n(S_3) + H^n(Z_3) + H^n(Z_2)
+            pytest.param(symmetric_group_3(), F2, [3, 2, 2, 2], id="S3-F2"),
+            pytest.param(symmetric_group_3(), F3, [3, 1, 1, 2], id="S3-F3"),
+            pytest.param(symmetric_group_3(), QQ, [3, 0, 0, 0], id="S3-Q"),
+        ],
+    )
+    def test_group_algebra_closed_forms(self, pres, fld, expected):
+        c = linearize(pres, fld)
+        result = cohomology_dims(build_hm_complex(c, canonical_bimodule(c), 3))
+        assert [d.dim_h for d in result.degrees] == expected
 
     def test_crown_poset_is_a_circle(self):
         # HH of a poset is the simplicial cohomology of its order complex

@@ -1,9 +1,12 @@
 import gc
+from contextlib import contextmanager
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sepcat import exactalg
 from sepcat.exactalg import Field, Matrix, QQ
 
 F2 = Field(2)
@@ -356,3 +359,135 @@ def test_rref_matches_textbook_gauss_jordan(field, shape):
     assert res.reduced.entries == tuple(e for row in reduced for e in row)
     assert res.rank == len(pivots)
     assert res.pivot_cols == tuple(pivots)
+
+
+# -- the certified rational rref ---------------------------------------------
+
+P = exactalg._PRIME
+BOUND = isqrt((P - 1) // 2)
+
+
+@contextmanager
+def echelon_primes():
+    """Record the modulus of every forward elimination in the block: None
+    for a Fraction elimination, the prime for a modular one."""
+    calls = []
+    original = exactalg._echelon
+
+    def spy(rows, p):
+        calls.append(p)
+        return original(rows, p)
+
+    exactalg._echelon = spy
+    try:
+        yield calls
+    finally:
+        exactalg._echelon = original
+
+
+def residue(e: Fraction, p: int):
+    """e mod p, or None when p divides its denominator."""
+    return None if e.denominator % p == 0 else e.numerator * pow(e.denominator, -1, p) % p
+
+
+def certifiable(rows: list[list[Fraction]]) -> bool:
+    """Whether the modular path can prove the rref of rows, decided with
+    the textbook oracle alone: no denominator is divisible by the prime,
+    the rank mod the prime is the rank over Q, and every entry of the rref
+    is within the reconstruction bound."""
+    residues = [[residue(e, P) for e in row] for row in rows]
+    if any(r is None for row in residues for r in row):
+        return False
+    reduced, pivots = gauss_jordan(rows, None)
+    if len(gauss_jordan(residues, P)[1]) != len(pivots):
+        return False
+    return all(abs(e.numerator) <= BOUND and e.denominator <= BOUND for row in reduced for e in row)
+
+
+@st.composite
+def adversarial_rational_rows(draw):
+    """Small rational matrices, each drawn so that one fallback may be
+    forced: a denominator divisible by the prime, a row that equals another
+    mod the prime only, or entries past the reconstruction bound."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+    a = [[Fraction(draw(entry)) for _ in range(cols)] for _ in range(rows)]
+    i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    kind = draw(st.sampled_from(["plain", "denominator", "mod-p twin", "large"]))
+    if kind == "denominator":
+        a[i][j] += Fraction(draw(st.integers(1, 3)), P * draw(st.integers(1, 2)))
+    elif kind == "mod-p twin":
+        twin = list(a[i])
+        twin[j] += P * draw(st.sampled_from([1, -2]))
+        a.insert(draw(st.integers(0, rows)), twin)
+    elif kind == "large":
+        a[i][j] = Fraction(draw(st.integers(10**5, 10**7)), draw(st.integers(1, 10**5)))
+    return a
+
+
+@given(adversarial_rational_rows())
+@settings(max_examples=300, deadline=None)
+def test_rational_rref_matches_textbook_and_certifies_exactly_when_it_can(rows):
+    reduced, pivots = gauss_jordan(rows, None)
+    m = Matrix.from_rows(QQ, rows)
+    with echelon_primes() as calls:
+        res = m.rref()
+    assert res.reduced.entries == tuple(e for row in reduced for e in row)
+    assert res.pivot_cols == tuple(pivots)
+    assert all(type(v) is Fraction for row in res.reduced.row_terms for _, v in row)
+    # the Fraction elimination runs exactly when the modular one cannot
+    # answer
+    assert (None in calls) == (not certifiable(rows))
+
+
+class TestCertifiedRref:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param([[1, 2], [0, Fraction(1, P)]], id="denominator-divisible-by-p"),
+            pytest.param([[1, 0], [1, P]], id="mod-p-pivots-differ"),
+            pytest.param([[BOUND + 2, BOUND + 1]], id="entry-beyond-bound"),
+        ],
+    )
+    def test_each_fallback_is_the_textbook_rref(self, rows):
+        rows = [[Fraction(e) for e in row] for row in rows]
+        with echelon_primes() as calls:
+            res = Matrix.from_rows(QQ, rows).rref()
+        reduced, pivots = gauss_jordan(rows, None)
+        assert res.reduced.entries == tuple(e for row in reduced for e in row)
+        assert res.pivot_cols == tuple(pivots)
+        assert None in calls
+
+    def test_fractions_within_bound_are_certified(self):
+        rows = [[3, 1, 1, 0], [1, 2, 0, Fraction(1, 3)], [0, 0, 0, BOUND]]
+        with echelon_primes() as calls:
+            res = Matrix.from_rows(QQ, rows).rref()
+        reduced, _ = gauss_jordan(rows, None)
+        assert res.reduced.entries == tuple(e for row in reduced for e in row)
+        assert Fraction(2, 5) in res.reduced.entries
+        assert calls == [P]
+
+    def test_reconstruction_bound(self):
+        # the largest numerator and denominator come back, one past them not
+        assert exactalg._rational(BOUND, P, BOUND) == BOUND
+        assert exactalg._rational(pow(BOUND, -1, P), P, BOUND) == Fraction(1, BOUND)
+        assert exactalg._rational(-BOUND % P, P, BOUND) == -BOUND
+        assert exactalg._rational(BOUND + 1, P, BOUND) != BOUND + 1
+        assert exactalg._rational(pow(BOUND + 1, -1, P), P, BOUND) != Fraction(1, BOUND + 1)
+
+    def test_les_and_separability_run_no_fraction_elimination(self):
+        from sepcat import presets
+        from sepcat.cmod import ShortExactSeq, kernel_of, tensor_square
+        from sepcat.cohomology import les_analysis
+        from sepcat.lincat import linearize
+        from sepcat.separability import solve_separability, verify_family
+
+        z3 = linearize(presets.cyclic_group(3), QQ)
+        cxc, comp_map = tensor_square(z3)
+        ker, incl = kernel_of(comp_map)
+        z12 = linearize(presets.cyclic_group(12), QQ)
+        with echelon_primes() as calls:
+            report = les_analysis(z3, ShortExactSeq(ker, cxc, comp_map.target, incl, comp_map), 2)
+            family = solve_separability(z12)
+        assert report.all_exact and verify_family(z12, family).ok
+        assert calls and None not in calls
