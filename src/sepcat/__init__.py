@@ -10,6 +10,7 @@ from .lincat import (
     classify_presentation,
     linearize,
     validate_category,
+    generating_labels,
 )
 from .cmod import (
     Bimodule,

@@ -15,7 +15,7 @@ from typing import Union
 
 from .errors import InternalCheckError
 from .exactalg import Field, Matrix
-from .lincat import FinLinCat, ValidationReport
+from .lincat import FinLinCat, ValidationReport, generating_labels
 
 __all__ = [
     "LeftModule",
@@ -305,15 +305,23 @@ def _validate_left_module(c: FinLinCat, m: LeftModule, violations: list[str]) ->
         ident = _linear_action(c.field, zip(c.hom(x, x), c.identity[x]), m.act, m.dims[x], m.dims[x])
         if ident != Matrix.identity(c.field, m.dims[x]):
             violations.append(f"unit law fails at object {x}")
-    for g, (gx, gy, _) in c.label_info.items():
-        for f, (fx, fy, _) in c.label_info.items():
-            if fy != gx:
-                continue
-            labels = c.hom(fx, gy)
-            gf = [(labels[k], v) for k, v in c.comp_terms(g, f)]
-            lhs = _linear_action(c.field, gf, m.act, m.dims[gy], m.dims[fx])
-            if lhs != m.act(g) @ m.act(f):
-                violations.append(f"composition law fails on pair ({g},{f})")
+
+    def failures(heads) -> list[str]:
+        found = []
+        for g in heads:
+            gx, gy, _ = c.label_info[g]
+            for f, (fx, fy, _) in c.label_info.items():
+                if fy != gx:
+                    continue
+                labels = c.hom(fx, gy)
+                gf = [(labels[k], v) for k, v in c.comp_terms(g, f)]
+                lhs = _linear_action(c.field, gf, m.act, m.dims[gy], m.dims[fx])
+                if lhs != m.act(g) @ m.act(f):
+                    found.append(f"composition law fails on pair ({g},{f})")
+        return found
+
+    if violations or failures(generating_labels(c)):
+        violations.extend(failures(c.label_info))
 
 
 def _validate_bimodule(c: FinLinCat, m: Bimodule, violations: list[str]) -> None:
@@ -404,7 +412,12 @@ def _validate_ses(c: FinLinCat, s: ShortExactSeq, violations: list[str]) -> None
 def validate_module(
     c: FinLinCat, m: Union[LeftModule, Bimodule, BimoduleMap, ShortExactSeq]
 ) -> ValidationReport:
-    """Check the functoriality / naturality / exactness axioms; violations are data."""
+    """Check the functoriality / naturality / exactness axioms; violations are data.
+
+    c must be a valid category. When a left module's unit law holds, the g
+    whose composition law holds on all pairs (g, f) include the identities
+    and, as act((s.h).f) = act(s) act(h.f), every s.h for such h; so pairs
+    (s, f), s in lincat.generating_labels(c), suffice unless one fails."""
     violations: list[str] = []
     if isinstance(m, LeftModule):
         _validate_left_module(c, m, violations)

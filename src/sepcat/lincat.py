@@ -21,6 +21,7 @@ __all__ = [
     "FiniteCatPresentation",
     "PresentationFlags",
     "validate_category",
+    "generating_labels",
     "linearize",
     "classify_presentation",
 ]
@@ -110,46 +111,99 @@ class FinLinCat:
         return self.comp_table.get((g, f), ())
 
 
+def _combine(fld: Field, pairs) -> dict:
+    """sum a (g.f) over pairs (a, terms of g.f), as its nonzero terms {k: coeff}."""
+    out: dict = {}
+    for a, terms in pairs:
+        for k, v in terms:
+            out[k] = fld.add(out[k], fld.mul(a, v)) if k in out else fld.mul(a, v)
+    return {k: v for k, v in out.items() if v}
+
+
+def generating_labels(c: FinLinCat) -> list[str]:
+    """Basis labels S, chosen greedily in label order, whose right-nested
+    composites s1 . (s2 . (... . (sk . 1_x))) span every hom space when the
+    right unit law holds. A label joins S when it is not in the span of the
+    composites of the labels before it, read off the composition table and
+    the identity vectors, which need not be basis labels."""
+    fld = c.field
+    # the span in hom(x, y) as rows {k: coeff}, keyed by their least k, where coeff is one
+    span: dict[tuple[str, str], dict[int, dict]] = {pair: {} for pair in c.hom_basis}
+    gens: list[str] = []
+
+    def reduce(pair, vec: dict) -> dict:
+        for p, row in sorted(span[pair].items()):
+            a = vec.get(p)
+            if a:
+                for k, v in row.items():
+                    vec[k] = fld.sub(vec[k], fld.mul(a, v)) if k in vec else fld.neg(fld.mul(a, v))
+        return {k: v for k, v in vec.items() if v}
+
+    def compose(s: str, pair, vec: dict) -> dict:
+        return _combine(fld, ((a, c.comp_terms(s, c.hom(*pair)[t])) for t, a in vec.items()))
+
+    def close(todo: list) -> None:
+        while todo:
+            (w, y), vec = todo.pop()
+            vec = reduce((w, y), vec)
+            if vec:
+                inv = fld.inv(vec[min(vec)])
+                span[(w, y)][min(vec)] = {k: fld.mul(inv, v) for k, v in vec.items()}
+                todo.extend(((w, c.label_info[s][1]), compose(s, (w, y), vec)) for s in gens if c.label_info[s][0] == y)
+
+    close([((x, x), {t: a for t, a in enumerate(vec) if a}) for x, vec in c.identity.items()])
+    for lab, (x, y, i) in c.label_info.items():
+        if reduce((x, y), {i: fld.one}):
+            gens.append(lab)
+            close([((w, y), compose(lab, (w, x), row)) for w in c.objects for row in span[(w, x)].values()])
+    return gens
+
+
 def validate_category(c: FinLinCat) -> ValidationReport:
-    """Check identity laws and associativity on all composable basis triples."""
+    """Check identity laws and associativity on all composable basis triples.
+
+    The associator a(h, g, f) = (h.g).f - h.(g.f) vanishes for an identity h
+    by the left unit law, and a(s.h, g, f) = s.a(h, g, f) once every
+    a(s, -, -) vanishes. So when both unit laws hold, triples headed by
+    generating_labels(c) are checked, and every triple only if one fails."""
     violations: list[str] = []
     for x in c.objects:
         if x not in c.identity:
             violations.append(f"missing identity vector for object {x}")
     fld = c.field
-
-    def combine(pairs) -> dict:
-        """sum a (g.f) over pairs (a, terms of g.f), as its nonzero terms {k: coeff}."""
-        out: dict = {}
-        for a, terms in pairs:
-            for k, v in terms:
-                out[k] = fld.add(out.get(k, fld.zero), fld.mul(a, v))
-        return {k: v for k, v in out.items() if v}
-
     # unit laws against the stored identity vectors: f . 1_x = sum_t (1_x)_t f.e_t
     for (x, y), labels in c.hom_basis.items():
         if x in c.identity:
             one_x = [(a, e) for a, e in zip(c.identity[x], c.hom(x, x)) if a]
             for i, lab in enumerate(labels):
-                if combine((a, c.comp_terms(lab, e)) for a, e in one_x) != {i: fld.one}:
+                if _combine(fld, ((a, c.comp_terms(lab, e)) for a, e in one_x)) != {i: fld.one}:
                     violations.append(f"right unit law fails: {lab} . 1_{x} != {lab}")
         if y in c.identity:
             one_y = [(a, e) for a, e in zip(c.identity[y], c.hom(y, y)) if a]
             for i, lab in enumerate(labels):
-                if combine((a, c.comp_terms(e, lab)) for a, e in one_y) != {i: fld.one}:
+                if _combine(fld, ((a, c.comp_terms(e, lab)) for a, e in one_y)) != {i: fld.one}:
                     violations.append(f"left unit law fails: 1_{y} . {lab} != {lab}")
-    # associativity on basis triples, read off the composition table:
-    # (h.g).f = sum_k (h.g)_k e_k.f and h.(g.f) = sum_k (g.f)_k h.e_k
-    for w, x, y, z in product(c.objects, repeat=4):
-        hom_xz, hom_wy = c.hom(x, z), c.hom(w, y)
-        for h in c.hom(y, z):
-            for g in c.hom(x, y):
-                hg = c.comp_terms(h, g)
-                for f in c.hom(w, x):
-                    left = combine((a, c.comp_terms(hom_xz[k], f)) for k, a in hg)
-                    right = combine((a, c.comp_terms(h, hom_wy[k])) for k, a in c.comp_terms(g, f))
-                    if left != right:
-                        violations.append(f"associativity fails on triple ({h},{g},{f})")
+
+    def associativity(heads) -> list[str]:
+        # on basis triples (h, g, f) with h in heads, read off the table:
+        # (h.g).f = sum_k (h.g)_k e_k.f and h.(g.f) = sum_k (g.f)_k h.e_k
+        found = []
+        for w, x, y, z in product(c.objects, repeat=4):
+            hom_xz, hom_wy = c.hom(x, z), c.hom(w, y)
+            for h in c.hom(y, z):
+                if h not in heads:
+                    continue
+                for g in c.hom(x, y):
+                    hg = c.comp_terms(h, g)
+                    for f in c.hom(w, x):
+                        left = _combine(fld, ((a, c.comp_terms(hom_xz[k], f)) for k, a in hg))
+                        right = _combine(fld, ((a, c.comp_terms(h, hom_wy[k])) for k, a in c.comp_terms(g, f)))
+                        if left != right:
+                            found.append(f"associativity fails on triple ({h},{g},{f})")
+        return found
+
+    if violations or associativity(set(generating_labels(c))):
+        violations.extend(associativity(c.label_info))
     return ValidationReport(ok=not violations, violations=violations)
 
 

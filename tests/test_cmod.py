@@ -6,10 +6,11 @@ import pytest
 
 from sepcat import presets
 from sepcat.exactalg import Field, Matrix, QQ
-from sepcat.lincat import linearize
+from sepcat.lincat import generating_labels, linearize
 from sepcat.cmod import (
     Bimodule,
     BimoduleMap,
+    LeftModule,
     _bimodule_intertwiners,
     _left_module_intertwiners,
     ShortExactSeq,
@@ -164,6 +165,19 @@ class TestValidate:
         report = validate_module(z2_over_q, bad)
         assert not report.ok
         assert any("(g1,g1)" in v for v in report.violations)
+
+    def test_unit_law_failure_checks_every_pair(self, a2_over_q):
+        # 1_x2 acting as zero breaks the unit law and the pair (1_x2, alpha),
+        # whose head is no generator, while every pair headed by the only
+        # generator alpha still holds
+        one = Matrix.from_rows(QQ, [[1]])
+        m = LeftModule(a2_over_q, {"x1": 1, "x2": 1},
+                       {"x1<=x1": one, "x1<=x2": one, "x2<=x2": Matrix.from_rows(QQ, [[0]])})
+        assert generating_labels(a2_over_q) == ["x1<=x2"]
+        assert validate_module(a2_over_q, m).violations == [
+            "unit law fails at object x2",
+            "composition law fails on pair (x2<=x2,x1<=x2)",
+        ]
 
     def test_ses_of_kernel_comp(self, z2_over_q):
         cc, comp_map = tensor_square(z2_over_q)

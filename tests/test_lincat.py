@@ -9,6 +9,7 @@ from sepcat.lincat import (
     FinLinCat,
     FiniteCatPresentation,
     classify_presentation,
+    generating_labels,
     linearize,
     validate_category,
 )
@@ -285,3 +286,104 @@ def test_validate_category_matches_dense_reference(case):
     k, objects, hom_basis, table, identity = case
     c = FinLinCat(k, objects, hom_basis, table, identity)
     assert validate_category(c).violations == _dense_violations(k, objects, hom_basis, table, identity)
+
+
+# -- generating_labels ---------------------------------------------------
+
+
+def crown():
+    return presets.poset_category(["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+
+
+GENERATOR_PRESETS = {
+    **{f"Z{n}": (lambda n=n: presets.cyclic_group(n)) for n in range(2, 13)},
+    "K4": presets.klein_four,
+    "G2(Z3)": lambda: presets.connected_groupoid(presets.cyclic_group(3), 2),
+    "G3(Z3)": lambda: presets.connected_groupoid(presets.cyclic_group(3), 3),
+    "A6": lambda: presets.chain_poset(6),
+    "crown": crown,
+    "idem": presets.idempotent_monoid,
+    **{f"random{seed}": (lambda seed=seed: presets.random_presentation(seed)) for seed in range(10)},
+}
+
+
+# K x K in the idempotent basis {p, q}: the identity p + q is no basis element
+KK_TABLE = {("p", "p"): [1, 0], ("q", "q"): [0, 1]}
+
+
+def kk_idempotent_basis(k: Field) -> FinLinCat:
+    return FinLinCat(k, ["x"], {("x", "x"): ["p", "q"]}, KK_TABLE, {"x": [1, 1]})
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_PRESETS))
+def test_generators_reach_every_morphism(name):
+    # right-nested words s1 . (s2 . (... . (sk . 1_x))), composed in the
+    # presentation's own table, reach every morphism
+    p = GENERATOR_PRESETS[name]()
+    gens = generating_labels(linearize(p, QQ))
+    reached = set(p.identity.values())
+    frontier = list(reached)
+    while frontier:
+        m = frontier.pop()
+        for s in gens:
+            if p.morphisms[s][0] == p.morphisms[m][1] and p.comp(s, m) not in reached:
+                reached.add(p.comp(s, m))
+                frontier.append(p.comp(s, m))
+    assert reached == set(p.morphisms)
+
+
+@pytest.mark.parametrize("k", [QQ, Field(2), Field(7)], ids=str)
+def test_generators_span_the_idempotent_basis(k):
+    # the identity is p + q, so words are vectors; their span, found by the
+    # textbook Gauss-Jordan, is all of hom(x, x)
+    from test_exactalg import gauss_jordan
+
+    gens = generating_labels(kk_idempotent_basis(k))
+    words = [[1, 1]]
+    for _ in range(2):  # words of length up to dim hom(x, x) span what longer ones do
+        words += [[sum(a * KK_TABLE.get((s, lab), [0, 0])[t] for a, lab in zip(w, "pq")) for t in range(2)]
+                  for s in gens for w in words]
+    assert len(gauss_jordan(words, k.p)[1]) == 2
+
+
+def test_generators_are_few_and_in_label_order():
+    assert generating_labels(linearize(presets.cyclic_group(12), QQ)) == ["g1"]
+    assert generating_labels(linearize(presets.klein_four(), QQ)) == ["a", "b"]
+    c = linearize(presets.connected_groupoid(presets.cyclic_group(3), 3), Field(7))
+    gens = generating_labels(c)
+    assert len(gens) == 5 and gens == [lab for lab in c.label_info if lab in gens]
+
+
+def test_validate_category_reads_associativity_on_generators_only():
+    c = linearize(presets.cyclic_group(12), QQ)
+    reads = []
+    table_read = c.comp_terms
+    c.comp_terms = lambda g, f: reads.append((g, f)) or table_read(g, f)
+    assert validate_category(c).ok
+    # 24 unit-law reads, 12 to find the generator g1 and 3 * 144 + 12 for
+    # the triples headed by g1; every triple would take 5,352 reads
+    assert len(reads) <= 480
+
+
+UNIT_LAW_FAILURES = {
+    # Z2 with 1 . g set to zero: the left unit law fails, and so does the
+    # triple (g0, g1, g1), whose head g0 is not a generator
+    "Z2": (["x"], {("x", "x"): ["g0", "g1"]},
+           {("g0", "g0"): [1, 0], ("g0", "g1"): [0, 0], ("g1", "g0"): [0, 1], ("g1", "g1"): [1, 0]},
+           {"x": [1, 0]}, ("g0", "g1", "g1")),
+    # A2 with 1_y . 1_y set to zero: the only triple headed by the generator
+    # a associates, but (1_y, 1_y, a) does not
+    "A2": (["x", "y"], {("x", "x"): ["1x"], ("x", "y"): ["a"], ("y", "y"): ["1y"]},
+           {("1x", "1x"): [1], ("a", "1x"): [1], ("1y", "a"): [1], ("1y", "1y"): [0]},
+           {"x": [1], "y": [1]}, ("1y", "1y", "a")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_LAW_FAILURES))
+def test_unit_law_failure_checks_every_triple(name):
+    objects, hom_basis, table, identity, triple = UNIT_LAW_FAILURES[name]
+    c = FinLinCat(QQ, objects, hom_basis, table, identity)
+    assert triple[0] not in generating_labels(c)
+    violations = validate_category(c).violations
+    assert f"associativity fails on triple ({','.join(triple)})" in violations
+    assert violations == _dense_violations(QQ, objects, hom_basis, table, identity)

@@ -1,11 +1,21 @@
+from contextlib import contextmanager
+from functools import lru_cache
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepcat import presets
 from sepcat.exactalg import Field, Matrix, QQ
 from sepcat.lincat import linearize
-from sepcat.cmod import character_left_module, random_left_module, representable_left_module
+from sepcat.cmod import (
+    LeftModule,
+    character_left_module,
+    random_left_module,
+    representable_left_module,
+    validate_module,
+)
 from sepcat.separability import (
     SeparabilityFamily,
     delta_predict,
@@ -19,6 +29,7 @@ from sepcat.separability import (
     verify_family,
     zelinsky_report,
 )
+from test_lincat import GENERATOR_PRESETS, kk_idempotent_basis
 
 F2, F3, F5 = Field(2), Field(3), Field(5)
 
@@ -102,6 +113,13 @@ class TestVerify:
         assert not check.ok
         assert not check.unit_residuals  # e.e = 1_x holds
         assert ("g1", "x") in check.equivariance_residuals
+
+    def test_every_label_residual_listed(self):
+        # 1_x (x) 1_x on Z3: the generator g1 and the composite g2 = g1 . g1
+        # both have residuals, and both are listed
+        c = linearize(presets.cyclic_group(3), QQ)
+        fam = SeparabilityFamily({("x", "x"): Matrix.from_rows(QQ, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])})
+        assert verify_family(c, fam).equivariance_witnesses == [("g1", "x"), ("g2", "x")]
 
     def test_discrete_certificate(self, discrete2_over_q):
         fam = SeparabilityFamily({
@@ -313,3 +331,79 @@ class TestZelinsky:
         cross = [r for r in report.pairs if r.x != r.z]
         assert cross and all(r.hom_dim == 0 and r.bound == 0 and r.injective for r in cross)
         assert report.all_injective
+
+
+# -- generators first against every label ---------------------------------
+
+
+def _every_label(c):
+    return list(c.label_info)
+
+
+@contextmanager
+def every_label_checked():
+    """The reference: each per-label law checked on every basis label."""
+    with mock.patch("sepcat.separability.generating_labels", _every_label), \
+            mock.patch("sepcat.cmod.generating_labels", _every_label):
+        yield
+
+
+@lru_cache(maxsize=None)
+def _generator_case(name: str, p):
+    k = Field(p) if p else QQ
+    return kk_idempotent_basis(k) if name == "KK" else linearize(GENERATOR_PRESETS[name](), k)
+
+
+def _system_rref(c):
+    mat, rhs, _ = separability_system(c)
+    aug = mat.hstack(rhs).rref()
+    freedom = mat.cols - sum(1 for pc in aug.pivot_cols if pc < mat.cols)
+    return aug.reduced.row_terms[: aug.rank], aug.pivot_cols, freedom
+
+
+def _moved(fld, mat: Matrix, data) -> Matrix:
+    """mat with one entry moved by a nonzero integer (zero in F_p when p divides it)."""
+    if not mat.rows * mat.cols:
+        return mat
+    entries = list(mat.entries)
+    i = data.draw(st.integers(0, len(entries) - 1))
+    entries[i] = fld.add(entries[i], fld.of(data.draw(st.sampled_from([-1, 1, 2, 3]))))
+    return Matrix(fld, mat.rows, mat.cols, entries)
+
+
+@given(st.sampled_from(sorted(GENERATOR_PRESETS) + ["KK"]), st.sampled_from([None, 2, 7]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_generators_first_equals_every_label(name, p, data):
+    c = _generator_case(name, p)
+    fld = c.field
+    # the separability system: the same augmented rref, hence the same certificate and freedom
+    got = _system_rref(c)
+    with every_label_checked():
+        assert got == _system_rref(c)
+    # a family with up to two entries moved: the same check, residuals and witness order
+    blocks = dict((solve_separability(c) or SeparabilityFamily({})).blocks)
+    pairs = [(x, y) for x in c.objects for y in c.objects if c.dim_hom(x, y) * c.dim_hom(y, x)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        x, y = data.draw(st.sampled_from(pairs))
+        blocks[(x, y)] = _moved(fld, SeparabilityFamily(blocks).block(c, x, y), data)
+    got = verify_family(c, SeparabilityFamily(blocks))
+    with every_label_checked():
+        want = verify_family(c, SeparabilityFamily(blocks))
+    assert got.ok == want.ok and got.unit_residuals == want.unit_residuals
+    assert list(got.equivariance_residuals.items()) == list(want.equivariance_residuals.items())
+    # a representable left module with up to two action entries moved: the same violations
+    m = representable_left_module(c, data.draw(st.sampled_from(c.objects)))
+    action = dict(m.action)
+    for _ in range(data.draw(st.integers(0, 2))):
+        f = data.draw(st.sampled_from(sorted(c.label_info)))
+        action[f] = _moved(fld, action[f], data)
+    got = validate_module(c, LeftModule(c, m.dims, action)).violations
+    with every_label_checked():
+        assert got == validate_module(c, LeftModule(c, m.dims, action)).violations
+
+
+def test_separability_system_rows_on_generators_only():
+    # Z12 over Q: 12 unit rows and 12 * 12 equivariance rows for g1 alone;
+    # rows for every label would number 1,596
+    mat, _, _ = separability_system(linearize(presets.cyclic_group(12), QQ))
+    assert mat.rows == 156
