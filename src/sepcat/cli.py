@@ -19,7 +19,6 @@ from .lincat import linearize, validate_category
 from .cmod import canonical_bimodule, kernel_of, tensor_square, validate_module, ShortExactSeq
 from .cohomology import build_hm_complex, cohomology_dims, les_analysis, obstruction_cocycle
 from .separability import (
-    _reduce_verified,
     _solve_with_freedom,
     delta_predict,
     maschke_predict,
@@ -334,7 +333,7 @@ def module_split(file, module_path, cert_path):
         click.echo("certificate: invalid")
         _echo_residuals(check)
         sys.exit(1)
-    result = module_section(c, _reduce_verified(c, fam), m)
+    result = module_section(c, fam, m)
     click.echo(f"section_ok: {'yes' if result.section_ok else 'no'}")
     click.echo(f"linear_ok: {'yes' if result.linear_ok else 'no'}")
     if not (result.section_ok and result.linear_ok):
@@ -354,7 +353,7 @@ def zelinsky(file, cert_path):
     if not check.ok:
         click.echo("certificate: invalid")
         sys.exit(1)
-    report = zelinsky_report(c, _reduce_verified(c, fam))
+    report = zelinsky_report(c, fam)
     click.echo("x  z  dim_hom  bound  injective")
     for rec in report.pairs:
         click.echo(f"{rec.x}  {rec.z}  {rec.hom_dim:<8} {rec.bound:<6} {'yes' if rec.injective else 'NO'}")

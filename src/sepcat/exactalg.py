@@ -73,8 +73,11 @@ class Field:
 
     def of(self, value):
         """Canonicalize an int, string, or rational into a field scalar;
-        raises ValueError on text that names no scalar, such as "1/0"."""
+        raises ValueError on text that names no scalar, such as "1/0". A
+        Fraction over Q is already canonical and comes back as it is."""
         if self.p is None:
+            if type(value) is Fraction:
+                return value
             try:
                 return Fraction(value)
             except ZeroDivisionError:
@@ -250,12 +253,6 @@ class Matrix:
     def entries(self) -> tuple:
         """All rows x cols entries, row-major, zeros included."""
         return tuple(e for i in range(self.rows) for e in self.row(i))
-
-    def __getitem__(self, key: tuple[int, int]):
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(key)
-        return next((v for c, v in self.row_terms[i] if c == j), self.field.zero)
 
     def row(self, i: int) -> list:
         out = [self.field.zero] * self.cols

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .exactalg import Field
@@ -42,7 +43,9 @@ class FinLinCat:
     Construction is permissive about the category axioms; validate_category
     reports violations as data. Structural malformations that make the data
     unreadable (duplicate labels, unknown objects, wrong vector lengths)
-    raise ValueError.
+    raise ValueError. Like Matrix, a FinLinCat is immutable: its tables are
+    read-only mappings and assigning an attribute raises, so what is derived
+    from it, such as generating_labels, can be kept on it.
     """
 
     def __init__(
@@ -53,48 +56,59 @@ class FinLinCat:
         comp_table: dict[tuple[str, str], Sequence],
         identity: dict[str, Sequence],
     ):
-        self.field = field
-        self.objects = tuple(objects)
-        if len(set(self.objects)) != len(self.objects):
+        objects = tuple(objects)
+        if len(set(objects)) != len(objects):
             raise ValueError("duplicate object names")
-        obj_set = set(self.objects)
-        self.hom_basis: dict[tuple[str, str], tuple[str, ...]] = {}
+        obj_set = set(objects)
+        homs: dict[tuple[str, str], tuple[str, ...]] = {}
         for (x, y), labels in hom_basis.items():
             if x not in obj_set or y not in obj_set:
                 raise ValueError(f"hom pair ({x},{y}) names unknown objects")
-            self.hom_basis[(x, y)] = tuple(labels)
-        for x in self.objects:
-            for y in self.objects:
-                self.hom_basis.setdefault((x, y), ())
-        self.label_info: dict[str, tuple[str, str, int]] = {}
-        for (x, y), labels in self.hom_basis.items():
+            homs[(x, y)] = tuple(labels)
+        for x in objects:
+            for y in objects:
+                homs.setdefault((x, y), ())
+        label_info: dict[str, tuple[str, str, int]] = {}
+        for (x, y), labels in homs.items():
             for i, lab in enumerate(labels):
-                if lab in self.label_info:
+                if lab in label_info:
                     raise ValueError(f"basis label {lab!r} is not globally unique")
-                self.label_info[lab] = (x, y, i)
-        self.comp_table: dict[tuple[str, str], tuple[tuple[int, object], ...]] = {}
+                label_info[lab] = (x, y, i)
+        table: dict[tuple[str, str], tuple[tuple[int, object], ...]] = {}
         for (g, f), vec in comp_table.items():
-            if g not in self.label_info or f not in self.label_info:
+            if g not in label_info or f not in label_info:
                 raise ValueError(f"composition entry ({g},{f}) names unknown labels")
-            x, y, _ = self.label_info[f]
-            y2, z, _ = self.label_info[g]
+            x, y, _ = label_info[f]
+            y2, z, _ = label_info[g]
             if y != y2:
                 raise ValueError(f"composition entry ({g},{f}) refers to a non-composable pair")
-            target_dim = len(self.hom_basis[(x, z)])
+            target_dim = len(homs[(x, z)])
             vec = tuple(field.of(v) for v in vec)
             if len(vec) != target_dim:
                 raise ValueError(f"composition ({g},{f}) has vector length {len(vec)}, expected {target_dim}")
             terms = tuple((k, v) for k, v in enumerate(vec) if v)
             if terms:
-                self.comp_table[(g, f)] = terms
-        self.identity: dict[str, tuple] = {}
+                table[(g, f)] = terms
+        ident: dict[str, tuple] = {}
         for x, vec in identity.items():
             if x not in obj_set:
                 raise ValueError(f"identity given for unknown object {x}")
             vec = tuple(field.of(v) for v in vec)
-            if len(vec) != len(self.hom_basis[(x, x)]):
+            if len(vec) != len(homs[(x, x)]):
                 raise ValueError(f"identity vector for {x} has wrong length")
-            self.identity[x] = vec
+            ident[x] = vec
+        vars(self).update(
+            field=field,
+            objects=objects,
+            hom_basis=MappingProxyType(homs),
+            label_info=MappingProxyType(label_info),
+            comp_table=MappingProxyType(table),
+            identity=MappingProxyType(ident),
+            _generating_labels=None,  # set by the first generating_labels(self)
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FinLinCat is immutable")
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self.hom_basis[(x, y)]
@@ -125,7 +139,16 @@ def generating_labels(c: FinLinCat) -> list[str]:
     composites s1 . (s2 . (... . (sk . 1_x))) span every hom space when the
     right unit law holds. A label joins S when it is not in the span of the
     composites of the labels before it, read off the composition table and
-    the identity vectors, which need not be basis labels."""
+    the identity vectors, which need not be basis labels.
+
+    The search runs once per category and is kept on it; each call returns
+    a fresh list."""
+    if c._generating_labels is None:
+        object.__setattr__(c, "_generating_labels", tuple(_search_generators(c)))
+    return list(c._generating_labels)
+
+
+def _search_generators(c: FinLinCat) -> list[str]:
     fld = c.field
     # the span in hom(x, y) as rows {k: coeff}, keyed by their least k, where coeff is one
     span: dict[tuple[str, str], dict[int, dict]] = {pair: {} for pair in c.hom_basis}

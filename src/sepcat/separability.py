@@ -23,7 +23,7 @@ from typing import Optional
 
 from .exactalg import Field, Matrix
 from .lincat import FinLinCat, FiniteCatPresentation, classify_presentation, generating_labels
-from .cmod import LeftModule, _linear_action, post_mul_matrix, pre_mul_matrix
+from .cmod import LeftModule, post_mul_matrix, pre_mul_matrix
 
 __all__ = [
     "SeparabilityFamily",
@@ -46,9 +46,10 @@ __all__ = [
 
 @dataclass
 class SeparabilityFamily:
-    """Coefficient matrices A[x][y]; absent pairs are zero. After
-    reduce_family, terms[(x, y)] lists rank-many (u, v) coefficient-vector
-    pairs with the v's linearly independent."""
+    """Coefficient matrices A[x][y], absent pairs zero: all that is read of
+    a family. reduce_family adds terms[(x, y)], an optional minimal
+    decomposition into rank-many (u, v) coefficient-vector pairs with the
+    v's linearly independent."""
 
     blocks: dict[tuple[str, str], Matrix]
     terms: Optional[dict[tuple[str, str], list[tuple[tuple, tuple]]]] = None
@@ -235,16 +236,11 @@ def rank_factor(a: Matrix) -> list[tuple[tuple, tuple]]:
 
 
 def reduce_family(c: FinLinCat, fam: SeparabilityFamily) -> SeparabilityFamily:
-    """Decompose each block into rank-many terms u (x) v with the v's
-    linearly independent; the recomposition equals the block entrywise."""
+    """The verified family with terms: each block as rank-many terms u (x) v,
+    the v's linearly independent, recomposing to the block entrywise."""
     check = verify_family(c, fam)
     if not check.ok:
         raise ValueError("family does not verify; refusing to reduce")
-    return _reduce_verified(c, fam)
-
-
-def _reduce_verified(c: FinLinCat, fam: SeparabilityFamily) -> SeparabilityFamily:
-    """reduce_family for a family the caller has already verified."""
     terms = {}
     for (x, y), blk in fam.blocks.items():
         if blk.is_zero():
@@ -345,24 +341,20 @@ class SectionResult:
 def module_section(c: FinLinCat, fam: SeparabilityFamily, m: LeftModule) -> SectionResult:
     """The splitting section psi of the evaluation map (+) hom(y,x) (x) M[y] -> M[x].
 
-    psi_x^y sends m to the sum over terms of u (x) (v acting on m). The
-    result records whether psi is a section (evaluation . psi = identity)
-    and whether it commutes with the action of every basis morphism.
-    """
-    if fam.terms is None:
-        raise ValueError("family must be reduced first (call reduce_family)")
+    psi_x^y = (A[x][y] (x) 1) @ S, S the actions of the hom(x, y) basis
+    stacked in order, is linear in the family, so any family gives it,
+    reduced or not. The result records whether psi is a section
+    (evaluation . psi = identity) and whether it commutes with the action
+    of every basis morphism. c and m must be valid: psi commutes with 1_x by
+    the unit laws, and with s.h when it does with s and h, so commuting is
+    tested on generating_labels(c), and on every label if one fails."""
     fld = c.field
     psi: dict[tuple[str, str], Matrix] = {}
     for x in c.objects:
         for y in c.objects:
-            rows = c.dim_hom(y, x) * m.dims[y]
-            out = Matrix.zeros(fld, rows, m.dims[x])
-            for (u_vec, v_vec) in fam.terms.get((x, y), []):
-                act = _linear_action(fld, zip(c.hom(x, y), v_vec), m.act, m.dims[y], m.dims[x])
-                out = out + Matrix(fld, len(u_vec), 1, list(u_vec)).kron(act)
-            psi[(x, y)] = out
+            stacked = Matrix._of_rows(fld, m.dims[x], tuple(row for v in c.hom(x, y) for row in m.action[v].row_terms))
+            psi[(x, y)] = fam.block(c, x, y).kron(Matrix.identity(fld, m.dims[y])) @ stacked
     failures: list[str] = []
-    section_ok = True
     for x in c.objects:
         total = Matrix.zeros(fld, m.dims[x], m.dims[x])
         for y in c.objects:
@@ -373,17 +365,23 @@ def module_section(c: FinLinCat, fam: SeparabilityFamily, m: LeftModule) -> Sect
             ev = m.action[labels[0]].hstack(*(m.action[lab] for lab in labels[1:]))
             total = total + ev @ psi[(x, y)]
         if total != Matrix.identity(fld, m.dims[x]):
-            section_ok = False
             failures.append(f"evaluation . psi is not the identity at object {x}")
-    linear_ok = True
-    for f, (z, x, _) in c.label_info.items():
-        for y in c.objects:
-            lhs = psi[(x, y)] @ m.action[f]
-            rhs = post_mul_matrix(c, f, y).kron(Matrix.identity(fld, m.dims[y])) @ psi[(z, y)]
-            if lhs != rhs:
-                linear_ok = False
-                failures.append(f"psi does not commute with {f} at y={y}")
-    return SectionResult(psi=psi, section_ok=section_ok, linear_ok=linear_ok, failures=failures)
+    section_ok = not failures
+
+    def noncommuting(labels) -> list[str]:
+        found = []
+        for f in labels:
+            z, x, _ = c.label_info[f]
+            for y in c.objects:
+                lhs = psi[(x, y)] @ m.action[f]
+                rhs = post_mul_matrix(c, f, y).kron(Matrix.identity(fld, m.dims[y])) @ psi[(z, y)]
+                if lhs != rhs:
+                    found.append(f"psi does not commute with {f} at y={y}")
+        return found
+
+    bad = noncommuting(generating_labels(c)) and noncommuting(c.label_info)  # every label on a failure
+    failures.extend(bad)
+    return SectionResult(psi=psi, section_ok=section_ok, linear_ok=not bad, failures=failures)
 
 
 @dataclass
@@ -410,21 +408,19 @@ class ZelinskyReport:
 def zelinsky_report(c: FinLinCat, fam: SeparabilityFamily) -> ZelinskyReport:
     """Locally-finite embedding check: left composition embeds hom(x, z) into
     the direct sum over the support of maps V[y,x] -> V[y,z], where V[y,x]
-    is spanned by the left tensor factors of a[x][y].
+    is spanned by the left tensor factors of a[x][y], which is the column
+    space of A[x][y] however a[x][y] is written as rank-one terms.
 
     V[y,x] is kept in reduced column echelon form, the transpose of the
-    rref of the left factors, so coordinates in it are read at its pivot
+    rref of A[x][y] transposed, so coordinates in it are read at its pivot
     rows. hom(x, z) embeds when the map phi, whose column for a basis
     morphism f lists the coordinates of f . V[y,x] in V[y,z] over y, has
     full column rank; phi is built transposed, one row per f."""
-    if fam.terms is None:
-        raise ValueError("family must be reduced first (call reduce_family)")
     fld = c.field
     vbasis: dict[tuple[str, str], tuple[Matrix, tuple[int, ...]]] = {}
     for x in c.objects:
         for y in c.objects:
-            us = [u for u, _ in fam.terms.get((x, y), [])]
-            res = Matrix(fld, len(us), c.dim_hom(y, x), [e for u in us for e in u]).rref()
+            res = fam.block(c, x, y).transpose().rref()
             vbasis[(y, x)] = (res.reduced.transpose().take_cols(range(res.rank)), res.pivot_cols)
     records = []
     for x in c.objects:

@@ -178,6 +178,25 @@ class TestModuleCommands:
         assert result.exit_code == 0
         assert "yes" in result.output
 
+    @pytest.mark.parametrize("k", [QQ, Field(7)], ids=str)
+    def test_split_and_zelinsky_read_the_certificate_blocks(self, runner, tmp_path, monkeypatch, k):
+        # neither verb decomposes the certificate into rank-one terms
+        c = linearize(presets.connected_groupoid(presets.cyclic_group(3), 2), k)
+        cat, mod, cert = (str(tmp_path / name) for name in ("cat.json", "mod.json", "cert.json"))
+        (tmp_path / "cat.json").write_text(json.dumps(io.category_to_json(c)))
+        (tmp_path / "mod.json").write_text(json.dumps(io.left_module_to_json(representable_left_module(c, c.objects[0]))))
+        assert runner.invoke(main, ["separability", "check", cat, "--certificate-out", cert]).exit_code == 0
+        verbs = [["module", "split", cat, "--module", mod, "--certificate", cert], ["zelinsky", cat, "--certificate", cert]]
+        want = [runner.invoke(main, args) for args in verbs]
+
+        def refuse(a):
+            raise AssertionError("rank_factor called")
+
+        monkeypatch.setattr("sepcat.separability.rank_factor", refuse)
+        for args, before in zip(verbs, want):
+            result = runner.invoke(main, args)
+            assert (result.exit_code, result.stdout) == (0, before.stdout)
+
 
 class TestValidateAndLinearize:
     def test_validate_category(self, runner, files):

@@ -348,15 +348,17 @@ def _dense_kernel(fld, comps, src_dims, tgt_dims, constraints):
         total += tgt_dims[comp] * src_dims[comp]
     rows = []
     for c1, c2, s_act, t_act in constraints:
+        s_act = [s_act.row(i) for i in range(s_act.rows)]
+        t_act = [t_act.row(i) for i in range(t_act.rows)]
         for r in range(tgt_dims[c2]):
             for s in range(src_dims[c1]):
                 row = [fld.zero] * total
                 for m in range(src_dims[c2]):
                     idx = offset[c2] + r * src_dims[c2] + m
-                    row[idx] = fld.add(row[idx], s_act[m, s])
+                    row[idx] = fld.add(row[idx], s_act[m][s])
                 for m in range(tgt_dims[c1]):
                     idx = offset[c1] + m * src_dims[c1] + s
-                    row[idx] = fld.sub(row[idx], t_act[r, m])
+                    row[idx] = fld.sub(row[idx], t_act[r][m])
                 rows.append(row)
     return Matrix(fld, len(rows), total, [e for row in rows for e in row]).kernel_basis()
 

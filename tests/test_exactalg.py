@@ -42,6 +42,20 @@ class TestScalars:
             with pytest.raises(ValueError):
                 QQ.of(text)
 
+    def test_rational_scalar_comes_back_as_is(self):
+        q = Fraction(-3, 4)
+        assert QQ.of(q) is q
+
+        class Tagged(Fraction):
+            pass
+
+        # only an exact Fraction is canonical; anything else is converted
+        tagged = QQ.of(Tagged(1, 2))
+        assert type(tagged) is Fraction and tagged == Fraction(1, 2)
+        for value, want in [(3, Fraction(3)), ("-3/4", q), ("6/8", Fraction(3, 4))]:
+            got = QQ.of(value)
+            assert type(got) is Fraction and got == want
+
     def test_field_json(self):
         assert Field.from_json("Q") == QQ
         assert Field.from_json({"Fp": 7}) == Field(7)
@@ -165,7 +179,7 @@ def test_kernel_basis_normal_form(a):
     k = a.kernel_basis()
     free = [j for j in range(a.cols) if j not in a.rref().pivot_cols]
     assert Matrix.from_rows(a.field, [k.row(j) for j in free]) == Matrix.identity(a.field, len(free))
-    assert [max(i for i in range(k.rows) if k[i, col]) for col in range(k.cols)] == free
+    assert [max(i for i, v in enumerate(k.col(col)) if v) for col in range(k.cols)] == free
 
 
 def _random_matrix(data, field, rows, cols):

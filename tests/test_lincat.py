@@ -354,11 +354,17 @@ def test_generators_are_few_and_in_label_order():
     assert len(gens) == 5 and gens == [lab for lab in c.label_info if lab in gens]
 
 
-def test_validate_category_reads_associativity_on_generators_only():
-    c = linearize(presets.cyclic_group(12), QQ)
+def _count_reads(monkeypatch) -> list:
+    """Record every composition-table read, through FinLinCat.comp_terms."""
     reads = []
-    table_read = c.comp_terms
-    c.comp_terms = lambda g, f: reads.append((g, f)) or table_read(g, f)
+    table_read = FinLinCat.comp_terms
+    monkeypatch.setattr(FinLinCat, "comp_terms", lambda c, g, f: reads.append((g, f)) or table_read(c, g, f))
+    return reads
+
+
+def test_validate_category_reads_associativity_on_generators_only(monkeypatch):
+    c = linearize(presets.cyclic_group(12), QQ)
+    reads = _count_reads(monkeypatch)
     assert validate_category(c).ok
     # 24 unit-law reads, 12 to find the generator g1 and 3 * 144 + 12 for
     # the triples headed by g1; every triple would take 5,352 reads
@@ -387,3 +393,32 @@ def test_unit_law_failure_checks_every_triple(name):
     violations = validate_category(c).violations
     assert f"associativity fails on triple ({','.join(triple)})" in violations
     assert violations == _dense_violations(QQ, objects, hom_basis, table, identity)
+
+
+def test_generators_are_searched_once_per_category(monkeypatch):
+    c = linearize(presets.connected_groupoid(presets.cyclic_group(3), 3), QQ)
+    reads = _count_reads(monkeypatch)
+    first = generating_labels(c)
+    assert reads
+    reads.clear()
+    second = generating_labels(c)
+    assert second == first and not reads
+    # each call hands out its own list
+    second.append("extra")
+    assert generating_labels(c) == first
+
+
+def test_category_is_immutable():
+    c = linearize(presets.chain_poset(2), QQ)
+    with pytest.raises(AttributeError):
+        c.field = Field(2)
+    with pytest.raises(AttributeError):
+        c._generating_labels = ("x",)
+    with pytest.raises(TypeError):
+        c.hom_basis[("x1", "x1")] = ()
+    with pytest.raises(TypeError):
+        c.label_info["new"] = ("x1", "x1", 0)
+    with pytest.raises(TypeError):
+        c.comp_table[next(iter(c.comp_table))] = ()
+    with pytest.raises(TypeError):
+        c.identity["x1"] = (QQ.zero,)

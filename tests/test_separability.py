@@ -31,7 +31,7 @@ from sepcat.separability import (
 )
 from test_lincat import GENERATOR_PRESETS, kk_idempotent_basis
 
-F2, F3, F5 = Field(2), Field(3), Field(5)
+F2, F3, F5, F7 = Field(2), Field(3), Field(5), Field(7)
 
 
 class TestSolver:
@@ -256,6 +256,25 @@ class TestOracleAgreement:
         assert verdict.separable == (solve_separability(c) is not None)
 
 
+SECTION_PRESETS = {
+    **{f"Z{n}": (lambda n=n: presets.cyclic_group(n)) for n in range(2, 7)},
+    "K4": presets.klein_four,
+    "G2(Z3)": lambda: presets.connected_groupoid(presets.cyclic_group(3), 2),
+    "G3(Z2)": lambda: presets.connected_groupoid(presets.cyclic_group(2), 3),
+    "D2": lambda: presets.discrete_category(2),
+    **{f"random{seed}": (lambda seed=seed: presets.random_presentation(seed)) for seed in range(6)},
+}
+
+
+def _section_modules(c):
+    """Representable modules, the trivial character and two random modules."""
+    mods = [representable_left_module(c, x) for x in c.objects]
+    mods.append(character_left_module(c, {f: 1 for f in c.label_info}))
+    mods.extend(random_left_module(c, seed) for seed in range(2))
+    assert all(validate_module(c, m).ok for m in mods)
+    return mods
+
+
 class TestModuleSection:
     def test_trivial_category_unit_section(self, trivial_cat):
         fam = reduce_family(trivial_cat, solve_separability(trivial_cat))
@@ -278,11 +297,38 @@ class TestModuleSection:
         # psi(m) = (1/2) e (x) m - (1/2) g (x) m, frozen by hand
         assert result.psi[("x", "x")] == Matrix.from_rows(QQ, [["1/2"], ["-1/2"]])
 
-    def test_unreduced_family_rejected(self, z2_over_q):
-        fam = solve_separability(z2_over_q)
-        m = representable_left_module(z2_over_q, "x")
-        with pytest.raises(ValueError):
-            module_section(z2_over_q, fam, m)
+    @pytest.mark.parametrize("k", [QQ, F7], ids=str)
+    @pytest.mark.parametrize("name", sorted(SECTION_PRESETS))
+    def test_unreduced_family_gives_the_same_section_and_report(self, name, k):
+        c = linearize(SECTION_PRESETS[name](), k)
+        fam = solve_separability(c)
+        if fam is None:
+            pytest.skip(f"{name} is not separable over {k}")
+        reduced = reduce_family(c, fam)
+        for m in _section_modules(c):
+            got, want = module_section(c, fam, m), module_section(c, reduced, m)
+            assert got.section_ok and got.linear_ok
+            assert (got.psi, got.section_ok, got.linear_ok, got.failures) == \
+                (want.psi, want.section_ok, want.linear_ok, want.failures)
+            # the section summed over rank-one terms u (x) (v acting), written out
+            for (x, y), terms in reduced.terms.items():
+                by_terms = Matrix.zeros(k, c.dim_hom(y, x) * m.dims[y], m.dims[x])
+                for u, v in terms:
+                    act = Matrix.zeros(k, m.dims[y], m.dims[x])
+                    for lab, a in zip(c.hom(x, y), v):
+                        act = act + m.action[lab].scale(a)
+                    by_terms = by_terms + Matrix(k, len(u), 1, list(u)).kron(act)
+                assert got.psi[(x, y)] == by_terms
+        assert zelinsky_report(c, fam).pairs == zelinsky_report(c, reduced).pairs
+
+    def test_unit_only_family_splits_but_does_not_commute(self, z2_over_q):
+        # a = e (x) e satisfies the unit condition but not equivariance, so
+        # psi(m) = e (x) m is a section that g does not commute with
+        fam = SeparabilityFamily({("x", "x"): Matrix.from_rows(QQ, [[1, 0], [0, 0]])})
+        assert verify_family(z2_over_q, fam).equivariance_witnesses
+        result = module_section(z2_over_q, fam, representable_left_module(z2_over_q, "x"))
+        assert result.section_ok and not result.linear_ok
+        assert result.failures == ["psi does not commute with g1 at y=x"]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_modules_split(self, z2_over_q, seed):
@@ -354,6 +400,11 @@ def _generator_case(name: str, p):
     return kk_idempotent_basis(k) if name == "KK" else linearize(GENERATOR_PRESETS[name](), k)
 
 
+@lru_cache(maxsize=None)
+def _generator_module(name: str, p, seed: int):
+    return random_left_module(_generator_case(name, p), seed)
+
+
 def _system_rref(c):
     mat, rhs, _ = separability_system(c)
     aug = mat.hstack(rhs).rref()
@@ -391,6 +442,14 @@ def test_generators_first_equals_every_label(name, p, data):
         want = verify_family(c, SeparabilityFamily(blocks))
     assert got.ok == want.ok and got.unit_residuals == want.unit_residuals
     assert list(got.equivariance_residuals.items()) == list(want.equivariance_residuals.items())
+    # the section of that family on valid modules: the same psi, verdicts and failures
+    for m in (representable_left_module(c, data.draw(st.sampled_from(c.objects))),
+              _generator_module(name, p, data.draw(st.integers(0, 2)))):
+        got = module_section(c, SeparabilityFamily(blocks), m)
+        with every_label_checked():
+            want = module_section(c, SeparabilityFamily(blocks), m)
+        assert (got.psi, got.section_ok, got.linear_ok, got.failures) == \
+            (want.psi, want.section_ok, want.linear_ok, want.failures)
     # a representable left module with up to two action entries moved: the same violations
     m = representable_left_module(c, data.draw(st.sampled_from(c.objects)))
     action = dict(m.action)
