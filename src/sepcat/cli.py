@@ -116,6 +116,8 @@ def main():
 def validate(file, category_path):
     """Validate a category or module file; exit 0 ok / 1 violations."""
     doc = _load_json(file)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{file} is not a JSON object")
     if "objects" in doc:
         c = io.category_from_json(doc)
         report = validate_category(c)

@@ -39,7 +39,6 @@ __all__ = [
     "LesReport",
     "build_hm_complex",
     "cohomology_dims",
-    "cocycle_representatives",
     "obstruction_cocycle",
     "les_analysis",
 ]
@@ -256,17 +255,6 @@ def cohomology_dims(complex: CochainComplex) -> CohomologyResult:
         out.append(DegreeData(n, complex.dim(n), rank, dim_ker - prev_rank))
         prev_rank = rank
     return CohomologyResult(out)
-
-
-def cocycle_representatives(complex: CochainComplex, n: int) -> Matrix:
-    """Columns representing a basis of H^n: kernel columns completing a
-    basis of the coboundary space."""
-    ker = complex.diffs[n].kernel_basis()
-    if n == 0:
-        return ker
-    image = complex.diffs[n - 1]
-    pivots = image.hstack(ker).rref().pivot_cols
-    return ker.take_cols([pc - image.cols for pc in pivots if pc >= image.cols])
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 from types import MappingProxyType
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactalg import Field
 
@@ -40,12 +40,16 @@ class ValidationReport:
 class FinLinCat:
     """A finite K-linear category given by structure constants.
 
-    Construction is permissive about the category axioms; validate_category
-    reports violations as data. Structural malformations that make the data
-    unreadable (duplicate labels, unknown objects, wrong vector lengths)
-    raise ValueError. Like Matrix, a FinLinCat is immutable: its tables are
-    read-only mappings and assigning an attribute raises, so what is derived
-    from it, such as generating_labels, can be kept on it.
+    composition[(g, f)] and identity[x] are iterables of (basis label,
+    scalar) terms of g . f in hom(src f, tgt g) and of 1_x in hom(x, x);
+    repeated labels add up and absent labels are zero. The constructor is
+    the one place that checks the structure: a duplicate object or label,
+    an unknown object or label, a non-composable pair or a term outside its
+    hom space raises ValueError. It is permissive about the category
+    axioms; validate_category reports violations as data. Like Matrix, a
+    FinLinCat is immutable: its tables are read-only mappings and assigning
+    an attribute raises, so what is derived from it, such as
+    generating_labels, can be kept on it.
     """
 
     def __init__(
@@ -53,8 +57,8 @@ class FinLinCat:
         field: Field,
         objects: Sequence[str],
         hom_basis: dict[tuple[str, str], Sequence[str]],
-        comp_table: dict[tuple[str, str], Sequence],
-        identity: dict[str, Sequence],
+        composition: dict[tuple[str, str], Iterable[tuple[str, object]]],
+        identity: dict[str, Iterable[tuple[str, object]]],
     ):
         objects = tuple(objects)
         if len(set(objects)) != len(objects):
@@ -74,29 +78,37 @@ class FinLinCat:
                 if lab in label_info:
                     raise ValueError(f"basis label {lab!r} is not globally unique")
                 label_info[lab] = (x, y, i)
+
+        def summed(what: str, pair: tuple[str, str], terms) -> tuple:
+            # the nonzero (k, coeff) of terms over the basis of hom pair, in k order
+            out: dict = {}
+            for lab, v in terms:
+                x, y, k = label_info.get(lab, (None, None, None))
+                if (x, y) != pair:
+                    raise ValueError(f"{what} names {lab!r} outside hom({pair[0]},{pair[1]})")
+                v = field.of(v)
+                out[k] = field.add(out[k], v) if k in out else v
+            return tuple((k, out[k]) for k in sorted(out) if out[k])
+
         table: dict[tuple[str, str], tuple[tuple[int, object], ...]] = {}
-        for (g, f), vec in comp_table.items():
+        for (g, f), terms in composition.items():
             if g not in label_info or f not in label_info:
                 raise ValueError(f"composition entry ({g},{f}) names unknown labels")
             x, y, _ = label_info[f]
             y2, z, _ = label_info[g]
             if y != y2:
                 raise ValueError(f"composition entry ({g},{f}) refers to a non-composable pair")
-            target_dim = len(homs[(x, z)])
-            vec = tuple(field.of(v) for v in vec)
-            if len(vec) != target_dim:
-                raise ValueError(f"composition ({g},{f}) has vector length {len(vec)}, expected {target_dim}")
-            terms = tuple((k, v) for k, v in enumerate(vec) if v)
+            terms = summed(f"composition ({g},{f})", (x, z), terms)
             if terms:
                 table[(g, f)] = terms
         ident: dict[str, tuple] = {}
-        for x, vec in identity.items():
+        for x, terms in identity.items():
             if x not in obj_set:
                 raise ValueError(f"identity given for unknown object {x}")
-            vec = tuple(field.of(v) for v in vec)
-            if len(vec) != len(homs[(x, x)]):
-                raise ValueError(f"identity vector for {x} has wrong length")
-            ident[x] = vec
+            vec = [field.zero] * len(homs[(x, x)])
+            for k, v in summed(f"identity of {x}", (x, x), terms):
+                vec[k] = v
+            ident[x] = tuple(vec)
         vars(self).update(
             field=field,
             objects=objects,
@@ -241,8 +253,14 @@ class FiniteCatPresentation:
     """A finite ordinary category: named morphisms and a total composition table.
 
     Compositions with identities may be omitted; they are filled in on
-    construction. The inverse table is optional and only advisory; groupoid
-    classification searches for two-sided inverses directly.
+    construction. The constructor checks the whole structure once: an
+    unknown endpoint, a missing identity or a non-composable entry raises
+    ValueError, and so does a table that misses a composable pair or breaks
+    associativity or a unit law, as "invalid presentation: ...". So every
+    presentation is a category, and what reads one does not check it again.
+    Like FinLinCat it is immutable. The inverse table is optional and only
+    advisory; groupoid classification searches for two-sided inverses
+    directly.
     """
 
     def __init__(
@@ -253,59 +271,75 @@ class FiniteCatPresentation:
         composition: dict[tuple[str, str], str],
         inverse: Optional[dict[str, str]] = None,
     ):
-        self.objects = tuple(objects)
-        if len(set(self.objects)) != len(self.objects):
+        objects = tuple(objects)
+        if len(set(objects)) != len(objects):
             raise ValueError("duplicate object names")
-        self.morphisms = dict(morphisms)
-        self.identity = dict(identity)
-        self.inverse = dict(inverse) if inverse else None
-        for name, (x, y) in self.morphisms.items():
-            if x not in self.objects or y not in self.objects:
+        morphisms = dict(morphisms)
+        identity = dict(identity)
+        for name, (x, y) in morphisms.items():
+            if x not in objects or y not in objects:
                 raise ValueError(f"morphism {name} has unknown endpoint")
-        for x in self.objects:
-            e = self.identity.get(x)
-            if e is None or self.morphisms.get(e) != (x, x):
+        for x in objects:
+            e = identity.get(x)
+            if e is None or morphisms.get(e) != (x, x):
                 raise ValueError(f"object {x} lacks an identity endomorphism")
-        self.composition = dict(composition)
-        for name, (x, y) in self.morphisms.items():
-            self.composition.setdefault((self.identity[y], name), name)
-            self.composition.setdefault((name, self.identity[x]), name)
-        for (g, f), h in self.composition.items():
-            gx, gy = self.morphisms[g]
-            fx, fy = self.morphisms[f]
+        composition = dict(composition)
+        for name, (x, y) in morphisms.items():
+            composition.setdefault((identity[y], name), name)
+            composition.setdefault((name, identity[x]), name)
+        for (g, f), h in composition.items():
+            gx, gy = morphisms[g]
+            fx, fy = morphisms[f]
             if fy != gx:
                 raise ValueError(f"composition entry ({g},{f}) is not composable")
-            if self.morphisms[h] != (fx, gy):
+            if morphisms[h] != (fx, gy):
                 raise ValueError(f"composition ({g},{f})={h} has wrong endpoints")
+        vars(self).update(
+            objects=objects,
+            morphisms=MappingProxyType(morphisms),
+            identity=MappingProxyType(identity),
+            composition=MappingProxyType(composition),
+            inverse=MappingProxyType(dict(inverse)) if inverse else None,
+        )
+        violations = self._law_violations()
+        if violations:
+            raise ValueError("invalid presentation: " + "; ".join(violations[:3]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteCatPresentation is immutable")
+
+    def _law_violations(self) -> list[str]:
+        """The composable pairs the table misses or, when it is total, the
+        triples that do not associate and the morphisms a unit law fails for."""
+        into: dict[str, list[str]] = {x: [] for x in self.objects}
+        for f, (_, y) in self.morphisms.items():
+            into[y].append(f)
+        missing = [
+            f"composition table is missing the pair ({g},{f})"
+            for g, (gx, _) in self.morphisms.items()
+            for f in into[gx]
+            if (g, f) not in self.composition
+        ]
+        if missing:
+            return missing
+        comp = self.comp
+        violations = [
+            f"associativity fails on triple ({h},{g},{f})"
+            for h, (hx, _) in self.morphisms.items()
+            for g in into[hx]
+            for f in into[self.morphisms[g][0]]
+            if comp(comp(h, g), f) != comp(h, comp(g, f))
+        ]
+        for f, (x, y) in self.morphisms.items():
+            if comp(self.identity[y], f) != f or comp(f, self.identity[x]) != f:
+                violations.append(f"unit law fails for {f}")
+        return violations
 
     def hom_set(self, x: str, y: str) -> list[str]:
         return [n for n, (a, b) in self.morphisms.items() if (a, b) == (x, y)]
 
     def comp(self, g: str, f: str) -> str:
         return self.composition[(g, f)]
-
-    def validate(self) -> ValidationReport:
-        violations: list[str] = []
-        for g, (gx, gy) in self.morphisms.items():
-            for f, (fx, fy) in self.morphisms.items():
-                if fy == gx and (g, f) not in self.composition:
-                    violations.append(f"composition table is missing the pair ({g},{f})")
-        if violations:
-            return ValidationReport(False, violations)
-        for h, (hx, hy) in self.morphisms.items():
-            for g, (gx, gy) in self.morphisms.items():
-                if gy != hx:
-                    continue
-                hg = self.comp(h, g)
-                for f, (fx, fy) in self.morphisms.items():
-                    if fy != gx:
-                        continue
-                    if self.comp(hg, f) != self.comp(h, self.comp(g, f)):
-                        violations.append(f"associativity fails on triple ({h},{g},{f})")
-        for f, (x, y) in self.morphisms.items():
-            if self.comp(self.identity[y], f) != f or self.comp(f, self.identity[x]) != f:
-                violations.append(f"unit law fails for {f}")
-        return ValidationReport(ok=not violations, violations=violations)
 
     def find_inverse(self, f: str) -> Optional[str]:
         x, y = self.morphisms[f]
@@ -316,15 +350,13 @@ class FiniteCatPresentation:
 
 
 def classify_presentation(p: FiniteCatPresentation) -> PresentationFlags:
-    """Groupoid / delta / discrete flags of a valid presentation.
+    """Groupoid / delta / discrete flags of a presentation, whose laws its
+    constructor has checked.
 
     Delta means: every endomorphism set is exactly the identity, and no two
     distinct objects have morphisms both ways (such a pair would compose to
     identities and yield a cross-object isomorphism).
     """
-    report = p.validate()
-    if not report.ok:
-        raise ValueError("invalid presentation: " + "; ".join(report.violations[:3]))
     ids = set(p.identity.values())
     is_discrete = set(p.morphisms) == ids
     is_groupoid = all(p.find_inverse(f) is not None for f in p.morphisms)
@@ -338,25 +370,12 @@ def classify_presentation(p: FiniteCatPresentation) -> PresentationFlags:
 
 
 def linearize(p: FiniteCatPresentation, k: Field) -> FinLinCat:
-    """The K-linearization: hom bases are the morphism name sets of p."""
-    report = p.validate()
-    if not report.ok:
-        raise ValueError("invalid presentation: " + "; ".join(report.violations[:3]))
+    """The K-linearization: hom bases are the morphism name sets of p, and
+    g . f is the basis label p.comp(g, f). p is a category by construction,
+    so its linearization satisfies the category axioms."""
     hom_basis: dict[tuple[str, str], list[str]] = {}
     for name, (x, y) in p.morphisms.items():
         hom_basis.setdefault((x, y), []).append(name)
-    comp_table: dict[tuple[str, str], list] = {}
-    for (g, f), h in p.composition.items():
-        fx, _ = p.morphisms[f]
-        _, gy = p.morphisms[g]
-        basis = hom_basis[(fx, gy)]
-        vec = [k.zero] * len(basis)
-        vec[basis.index(h)] = k.one
-        comp_table[(g, f)] = vec
-    identity = {}
-    for x in p.objects:
-        basis = hom_basis[(x, x)]
-        vec = [k.zero] * len(basis)
-        vec[basis.index(p.identity[x])] = k.one
-        identity[x] = vec
-    return FinLinCat(k, p.objects, hom_basis, comp_table, identity)
+    composition = {gf: ((h, k.one),) for gf, h in p.composition.items()}
+    identity = {x: ((p.identity[x], k.one),) for x in p.objects}
+    return FinLinCat(k, p.objects, hom_basis, composition, identity)

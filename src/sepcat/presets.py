@@ -7,7 +7,7 @@ interchange formats.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .lincat import FiniteCatPresentation
 
@@ -25,10 +25,12 @@ __all__ = [
 ]
 
 
-def one_object_monoid(elements: Sequence[str], table: dict[tuple[str, str], str], unit: str, obj: str = "x") -> FiniteCatPresentation:
-    """A monoid as a one-object category; table is total multiplication."""
+def one_object_monoid(elements: Sequence[str], table: dict[tuple[str, str], str], unit: str, obj: str = "x",
+                      inverse: Optional[dict[str, str]] = None) -> FiniteCatPresentation:
+    """A monoid as a one-object category; table is total multiplication,
+    and inverse the optional inverse table of a group."""
     morphisms = {e: (obj, obj) for e in elements}
-    return FiniteCatPresentation([obj], morphisms, {obj: unit}, dict(table))
+    return FiniteCatPresentation([obj], morphisms, {obj: unit}, table, inverse)
 
 
 def cyclic_group(n: int, obj: str = "x") -> FiniteCatPresentation:
@@ -38,9 +40,7 @@ def cyclic_group(n: int, obj: str = "x") -> FiniteCatPresentation:
     elements = [f"g{i}" for i in range(n)]
     table = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)}
     inverse = {f"g{i}": f"g{(-i) % n}" for i in range(n)}
-    p = one_object_monoid(elements, table, "g0", obj)
-    p.inverse = inverse
-    return p
+    return one_object_monoid(elements, table, "g0", obj, inverse)
 
 
 def klein_four(obj: str = "x") -> FiniteCatPresentation:
@@ -53,9 +53,7 @@ def klein_four(obj: str = "x") -> FiniteCatPresentation:
         for h in els:
             gg, hh = code[g], code[h]
             mul[(g, h)] = dec[((gg[0] + hh[0]) % 2, (gg[1] + hh[1]) % 2)]
-    p = one_object_monoid(els, mul, "e", obj)
-    p.inverse = {g: g for g in els}
-    return p
+    return one_object_monoid(els, mul, "e", obj, {g: g for g in els})
 
 
 def connected_groupoid(group: FiniteCatPresentation, n_objects: int) -> FiniteCatPresentation:

@@ -8,8 +8,9 @@ from sepcat import presets
 from sepcat import interchange as io
 from sepcat.cli import main
 from sepcat.exactalg import Field, QQ
-from sepcat.lincat import linearize
+from sepcat.lincat import FiniteCatPresentation, linearize
 from sepcat.cmod import ShortExactSeq, canonical_bimodule, kernel_of, representable_left_module, tensor_square
+from test_interchange import NON_ASSOCIATIVE
 
 
 @pytest.fixture
@@ -99,6 +100,23 @@ class TestPredicateCommands:
         result = runner.invoke(main, ["maschke", str(pres), "--field", "Q"])
         assert result.exit_code == 0
         assert calls == [QQ]
+
+    def test_maschke_rejects_non_associative_presentation(self, runner, tmp_path):
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps(NON_ASSOCIATIVE))
+        result = runner.invoke(main, ["maschke", str(pres), "--field", "Q"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("malformed input: invalid presentation: associativity fails")
+
+    def test_delta_checks_presentation_laws_once(self, runner, tmp_path, monkeypatch):
+        pres = tmp_path / "a3_pres.json"
+        pres.write_text(json.dumps(io.presentation_to_json(presets.chain_poset(3))))
+        calls = []
+        law_check = FiniteCatPresentation._law_violations
+        monkeypatch.setattr(FiniteCatPresentation, "_law_violations", lambda p: calls.append(p) or law_check(p))
+        result = runner.invoke(main, ["delta", str(pres)])
+        assert result.exit_code == 1
+        assert len(calls) == 1
 
     def test_delta_discrete(self, runner, files):
         result = runner.invoke(main, ["delta", files["d2_pres.json"]])
@@ -218,6 +236,15 @@ class TestValidateAndLinearize:
         c = io.category_from_json(json.loads((tmp_path / "z2f3.json").read_text()))
         assert c.field == Field(3)
 
+    @pytest.mark.parametrize("with_category", [False, True], ids=["alone", "with-category"])
+    @pytest.mark.parametrize("value", ["spaces", 3, [], None], ids=repr)
+    def test_file_must_be_a_json_object(self, runner, files, tmp_path, value, with_category):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(value))
+        result = runner.invoke(main, ["validate", str(bad)] + (["--category", files["z2_over_Q.json"]] if with_category else []))
+        assert result.exit_code == 2
+        assert result.stderr == f"malformed input: {bad} is not a JSON object\n"
+
     def test_malformed_json_is_exit_two(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -247,6 +274,44 @@ class TestMalformedInput:
 
     def z2_doc(self):
         return io.category_to_json(linearize(presets.cyclic_group(2), QQ))
+
+    # each structural fault of a category file, made in the file of Z2 or of
+    # the chain x1 < x2 (A2); FinLinCat rejects every one on construction
+    @pytest.mark.parametrize(
+        "preset,fault,needle",
+        [
+            ("a2", lambda d: d["homs"][-1].update(basis=["x1<=x1"]), "basis label 'x1<=x1' is not globally unique"),
+            ("z2", lambda d: d["homs"].append({"from": "x", "to": "z", "basis": ["h"]}),
+             "hom pair (x,z) names unknown objects"),
+            ("z2", lambda d: d["composition"].append({"g": "g1", "f": "h", "result": []}),
+             "composition entry (g1,h) names unknown labels"),
+            ("a2", lambda d: d["composition"].append({"g": "x1<=x2", "f": "x1<=x2", "result": []}),
+             "composition entry (x1<=x2,x1<=x2) refers to a non-composable pair"),
+            ("a2", lambda d: d["composition"][1].update(result=[{"basis": "x1<=x1", "coeff": "1"}]),
+             "composition (x1<=x2,x1<=x1) names 'x1<=x1' outside hom(x1,x2)"),
+            ("a2", lambda d: d["identity"].update(x1={"x1<=x2": "1"}), "identity of x1 names 'x1<=x2' outside hom(x1,x1)"),
+            ("z2", lambda d: d["identity"].update(y={}), "identity given for unknown object y"),
+        ],
+        ids=["duplicate-label", "unknown-object", "unknown-label", "non-composable", "result-outside-hom",
+             "identity-outside-hom", "identity-of-unknown-object"],
+    )
+    def test_category_structure_rejected(self, runner, tmp_path, preset, fault, needle):
+        doc = io.category_to_json(linearize(presets.cyclic_group(2) if preset == "z2" else presets.chain_poset(2), QQ))
+        fault(doc)
+        with pytest.raises(ValueError) as exc:
+            io.category_from_json(doc)
+        assert needle in str(exc.value)
+        result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
+        self.assert_malformed(result, needle)
+
+    def test_repeated_result_terms_add_up(self, runner, tmp_path):
+        # g1 . g1 = 1/2 g0 + 1/2 g0 = g0
+        doc = self.z2_doc()
+        (entry,) = [e for e in doc["composition"] if (e["g"], e["f"]) == ("g1", "g1")]
+        entry["result"] = [{"basis": "g0", "coeff": "1/2"}, {"basis": "g0", "coeff": "1/2"}]
+        assert io.category_from_json(doc).comp_table == linearize(presets.cyclic_group(2), QQ).comp_table
+        result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
+        assert (result.exit_code, result.output) == (0, "ok\n")
 
     def test_zero_denominator_in_category(self, runner, tmp_path):
         doc = self.z2_doc()

@@ -24,7 +24,6 @@ from sepcat.cmod import (
 )
 from sepcat.cohomology import (
     build_hm_complex,
-    cocycle_representatives,
     cohomology_dims,
     les_analysis,
     obstruction_cocycle,
@@ -143,12 +142,6 @@ class TestCohomologyDims:
         m = canonical_bimodule(c)
         result = cohomology_dims(build_hm_complex(c, m, 1))
         assert result.dim_h(0) == center_dimension(c, m)
-
-    def test_cocycle_representatives_span(self, z2_over_f2):
-        complex = build_hm_complex(z2_over_f2, canonical_bimodule(z2_over_f2), 2)
-        reps = cocycle_representatives(complex, 1)
-        assert reps.cols == 2
-        assert (complex.diffs[1] @ reps).is_zero()
 
 
 def derivation_space_dimension_mod2():

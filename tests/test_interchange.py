@@ -8,16 +8,40 @@ from sepcat.exactalg import Field, QQ
 from sepcat.lincat import linearize, validate_category
 from sepcat.cmod import canonical_bimodule, kernel_of, random_left_module, tensor_square, ShortExactSeq
 from sepcat.separability import reduce_family, solve_separability, verify_family
+from test_lincat import GENERATOR_PRESETS
 
 
 def roundtrip(doc):
     return json.loads(json.dumps(doc))
 
 
+ROUND_TRIP_CASES = [
+    pytest.param(lambda seed=seed: presets.random_presentation(seed), Field(5) if seed % 2 else QQ, id=str(seed))
+    for seed in range(8)
+] + [
+    pytest.param(GENERATOR_PRESETS[name], k, id=f"{name}-{k}")
+    for name in ("G3(Z3)", "A6", "crown")
+    for k in (QQ, Field(2), Field(7))
+]
+
+# a table that is total and unital but not associative: (a.a).a = a, a.(a.a) = e
+NON_ASSOCIATIVE = {
+    "objects": ["x"],
+    "morphisms": [{"name": n, "from": "x", "to": "x"} for n in ("e", "a", "b")],
+    "identity": {"x": "e"},
+    "composition": [
+        {"g": "a", "f": "a", "result": "b"},
+        {"g": "a", "f": "b", "result": "e"},
+        {"g": "b", "f": "a", "result": "a"},
+        {"g": "b", "f": "b", "result": "a"},
+    ],
+}
+
+
 class TestCategoryFormat:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_round_trip(self, seed):
-        c = linearize(presets.random_presentation(seed), Field(5) if seed % 2 else QQ)
+    @pytest.mark.parametrize("make,k", ROUND_TRIP_CASES)
+    def test_round_trip(self, make, k):
+        c = linearize(make(), k)
         c2 = io.category_from_json(roundtrip(io.category_to_json(c)))
         assert c2.objects == c.objects
         assert c2.hom_basis == c.hom_basis
@@ -60,6 +84,10 @@ class TestPresentationFormat:
         assert p2.morphisms == p.morphisms
         assert p2.identity == p.identity
         assert p2.composition == p.composition
+
+    def test_non_associative_rejected(self):
+        with pytest.raises(ValueError, match="invalid presentation: associativity fails on triple"):
+            io.presentation_from_json(NON_ASSOCIATIVE)
 
 
 class TestModuleFormats:

@@ -26,12 +26,12 @@ def test_broken_composition_table_reported():
         ["x"],
         {("x", "x"): ["e", "g"]},
         {
-            ("e", "e"): [1, 0],
-            ("e", "g"): [0, 1],
-            ("g", "e"): [1, 0],
-            ("g", "g"): [1, 0],
+            ("e", "e"): [("e", 1)],
+            ("e", "g"): [("g", 1)],
+            ("g", "e"): [("e", 1)],
+            ("g", "g"): [("e", 1)],
         },
-        {"x": [1, 0]},
+        {"x": [("e", 1)]},
     )
     report = validate_category(c)
     assert not report.ok
@@ -47,18 +47,18 @@ def test_single_entry_change_can_stay_valid():
         ["x"],
         {("x", "x"): ["e", "g"]},
         {
-            ("e", "e"): [1, 0],
-            ("e", "g"): [0, 1],
-            ("g", "e"): [0, 1],
-            ("g", "g"): [0, 1],
+            ("e", "e"): [("e", 1)],
+            ("e", "g"): [("g", 1)],
+            ("g", "e"): [("g", 1)],
+            ("g", "g"): [("g", 1)],
         },
-        {"x": [1, 0]},
+        {"x": [("e", 1)]},
     )
     assert validate_category(c).ok
 
 
 def test_missing_identity_reported():
-    c = FinLinCat(QQ, ["x"], {("x", "x"): ["e"]}, {("e", "e"): [1]}, {})
+    c = FinLinCat(QQ, ["x"], {("x", "x"): ["e"]}, {("e", "e"): [("e", 1)]}, {})
     report = validate_category(c)
     assert not report.ok
     assert any("missing identity" in v for v in report.violations)
@@ -78,7 +78,9 @@ class TestCompose:
         assert a2_over_q.comp_terms("x2<=x2", "x1<=x2") == ((0, QQ.one),)
 
     def test_zero_composites_are_absent(self):
-        c = FinLinCat(QQ, ["x"], {("x", "x"): ["p", "q"]}, {("p", "p"): [1, 0], ("p", "q"): [0, 0]}, {"x": [1, 1]})
+        # repeated labels add up, here to p . q = 0
+        table = {("p", "p"): [("p", 1)], ("p", "q"): [("q", 1), ("q", -1)]}
+        c = FinLinCat(QQ, ["x"], {("x", "x"): ["p", "q"]}, table, {"x": [("p", 1), ("q", 1)]})
         assert c.comp_terms("p", "p") == ((0, QQ.one),)
         assert c.comp_terms("p", "q") == c.comp_terms("q", "p") == ()
         assert ("p", "q") not in c.comp_table
@@ -91,7 +93,7 @@ class TestCompose:
                 a2_over_q.objects,
                 a2_over_q.hom_basis,
                 {(alpha, alpha): []},
-                {"x1": [1], "x2": [1]},
+                {"x1": [("x1<=x1", 1)], "x2": [("x2<=x2", 1)]},
             )
 
 
@@ -112,14 +114,13 @@ class TestLinearize:
                 assert c.dim_hom(x, y) == (1 if x == y else 0)
 
     def test_invalid_presentation_rejected(self):
-        p = FiniteCatPresentation(
-            ["x"],
-            {"e": ("x", "x"), "a": ("x", "x")},
-            {"x": "e"},
-            {("a", "a"): "a", ("e", "a"): "a", ("a", "e"): "e"},  # breaks the unit law
-        )
-        with pytest.raises(ValueError):
-            linearize(p, QQ)
+        with pytest.raises(ValueError, match="invalid presentation: .*unit law fails for a"):
+            FiniteCatPresentation(
+                ["x"],
+                {"e": ("x", "x"), "a": ("x", "x")},
+                {"x": "e"},
+                {("a", "a"): "a", ("e", "a"): "a", ("a", "e"): "e"},  # breaks the unit law
+            )
 
     @pytest.mark.parametrize("seed", range(12))
     def test_linearization_always_validates(self, seed):
@@ -163,8 +164,8 @@ def test_identity_need_not_be_a_basis_element():
         QQ,
         ["x"],
         {("x", "x"): ["p", "q"]},
-        {("p", "p"): [1, 0], ("q", "q"): [0, 1]},
-        {"x": [1, 1]},
+        {("p", "p"): [("p", 1)], ("q", "q"): [("q", 1)]},
+        {"x": [("p", 1), ("q", 1)]},
     )
     assert validate_category(c).ok
     # p . (p + q) = p . p + p . q = p
@@ -190,11 +191,8 @@ def _dense_linearization(p: FiniteCatPresentation):
     for name, (x, y) in p.morphisms.items():
         hom_basis.setdefault((x, y), []).append(name)
 
-    def unit(pair, label):
-        return [int(lab == label) for lab in hom_basis[pair]]
-
-    table = {(g, f): unit((p.morphisms[f][0], p.morphisms[g][1]), h) for (g, f), h in p.composition.items()}
-    identity = {x: unit((x, x), p.identity[x]) for x in p.objects}
+    table = {(g, f): [(h, 1)] for (g, f), h in p.composition.items()}
+    identity = {x: [(p.identity[x], 1)] for x in p.objects}
     return list(p.objects), hom_basis, table, identity
 
 
@@ -212,7 +210,7 @@ _BASES = [
     ]
 ] + [
     # K x K in the idempotent basis: the identity p + q is no basis element
-    (["x"], {("x", "x"): ["p", "q"]}, {("p", "p"): [1, 0], ("q", "q"): [0, 1]}, {"x": [1, 1]}),
+    (["x"], {("x", "x"): ["p", "q"]}, {("p", "p"): [("p", 1)], ("q", "q"): [("q", 1)]}, {"x": [("p", 1), ("q", 1)]}),
 ]
 
 
@@ -223,12 +221,19 @@ def _dense_violations(k: Field, objects, hom_basis, table, identity) -> list[str
     def hom(x, y):
         return hom_basis.get((x, y), [])
 
+    def dense(x, y, terms):
+        vec = [k.zero] * len(hom(x, y))
+        for lab, v in terms:
+            i = hom(x, y).index(lab)
+            vec[i] = k.add(vec[i], k.of(v))
+        return vec
+
     def compose(g, f, x, y, z):
         # g in hom(y, z) and f in hom(x, y) as coefficient vectors
         out = [k.zero] * len(hom(x, z))
         for gl, a in zip(hom(y, z), g):
             for fl, b in zip(hom(x, y), f):
-                vec = table.get((gl, fl), [0] * len(out))
+                vec = dense(x, z, table.get((gl, fl), ()))
                 for t, v in enumerate(vec):
                     out[t] = k.add(out[t], k.mul(k.mul(a, b), k.of(v)))
         return out
@@ -236,7 +241,7 @@ def _dense_violations(k: Field, objects, hom_basis, table, identity) -> list[str
     def basis(x, y, i):
         return [k.one if j == i else k.zero for j in range(len(hom(x, y)))]
 
-    ids = {x: [k.of(v) for v in vec] for x, vec in identity.items()}
+    ids = {x: dense(x, x, terms) for x, terms in identity.items()}
     violations = [f"missing identity vector for object {x}" for x in objects if x not in identity]
     for (x, y), labels in hom_basis.items():
         if x in ids:
@@ -265,18 +270,22 @@ def perturbed_tables(draw):
     objects, hom_basis, table, identity = draw(st.sampled_from(_BASES))
     info = {lab: (x, y) for (x, y), labels in hom_basis.items() for lab in labels}
     pairs = sorted((g, f) for g in info for f in info if info[f][1] == info[g][0])
-    table = {key: list(vec) for key, vec in table.items()}
-    identity = {x: list(vec) for x, vec in identity.items()}
+    table, identity = dict(table), dict(identity)
+
+    def terms(labels):
+        # repeated labels add up and absent ones are zero
+        return st.lists(st.tuples(st.sampled_from(labels), st.integers(-2, 2)), max_size=len(labels) + 1)
+
     for _ in range(draw(st.integers(0, 3))):
         g, f = draw(st.sampled_from(pairs))
-        dim = len(hom_basis.get((info[f][0], info[g][1]), []))
-        if dim:
-            table[(g, f)] = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+        labels = hom_basis.get((info[f][0], info[g][1]), [])
+        if labels:
+            table[(g, f)] = draw(terms(labels))
     if draw(st.integers(0, 3)) == 0:
         x = draw(st.sampled_from(objects))
-        vec = identity.pop(x)
+        identity.pop(x)
         if draw(st.booleans()):
-            identity[x] = draw(st.lists(st.integers(-2, 2), min_size=len(vec), max_size=len(vec)))
+            identity[x] = draw(terms(hom_basis[(x, x)]))
     return k, objects, hom_basis, table, identity
 
 
@@ -308,11 +317,11 @@ GENERATOR_PRESETS = {
 
 
 # K x K in the idempotent basis {p, q}: the identity p + q is no basis element
-KK_TABLE = {("p", "p"): [1, 0], ("q", "q"): [0, 1]}
+KK_TABLE = {("p", "p"): [("p", 1)], ("q", "q"): [("q", 1)]}
 
 
 def kk_idempotent_basis(k: Field) -> FinLinCat:
-    return FinLinCat(k, ["x"], {("x", "x"): ["p", "q"]}, KK_TABLE, {"x": [1, 1]})
+    return FinLinCat(k, ["x"], {("x", "x"): ["p", "q"]}, KK_TABLE, {"x": [("p", 1), ("q", 1)]})
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_PRESETS))
@@ -341,8 +350,8 @@ def test_generators_span_the_idempotent_basis(k):
     gens = generating_labels(kk_idempotent_basis(k))
     words = [[1, 1]]
     for _ in range(2):  # words of length up to dim hom(x, x) span what longer ones do
-        words += [[sum(a * KK_TABLE.get((s, lab), [0, 0])[t] for a, lab in zip(w, "pq")) for t in range(2)]
-                  for s in gens for w in words]
+        words += [[sum(a * v for a, lab in zip(w, "pq") for out, v in KK_TABLE.get((s, lab), ()) if out == t)
+                   for t in "pq"] for s in gens for w in words]
     assert len(gauss_jordan(words, k.p)[1]) == 2
 
 
@@ -375,13 +384,13 @@ UNIT_LAW_FAILURES = {
     # Z2 with 1 . g set to zero: the left unit law fails, and so does the
     # triple (g0, g1, g1), whose head g0 is not a generator
     "Z2": (["x"], {("x", "x"): ["g0", "g1"]},
-           {("g0", "g0"): [1, 0], ("g0", "g1"): [0, 0], ("g1", "g0"): [0, 1], ("g1", "g1"): [1, 0]},
-           {"x": [1, 0]}, ("g0", "g1", "g1")),
+           {("g0", "g0"): [("g0", 1)], ("g0", "g1"): [], ("g1", "g0"): [("g1", 1)], ("g1", "g1"): [("g0", 1)]},
+           {"x": [("g0", 1)]}, ("g0", "g1", "g1")),
     # A2 with 1_y . 1_y set to zero: the only triple headed by the generator
     # a associates, but (1_y, 1_y, a) does not
     "A2": (["x", "y"], {("x", "x"): ["1x"], ("x", "y"): ["a"], ("y", "y"): ["1y"]},
-           {("1x", "1x"): [1], ("a", "1x"): [1], ("1y", "a"): [1], ("1y", "1y"): [0]},
-           {"x": [1], "y": [1]}, ("1y", "1y", "a")),
+           {("1x", "1x"): [("1x", 1)], ("a", "1x"): [("a", 1)], ("1y", "a"): [("a", 1)], ("1y", "1y"): []},
+           {"x": [("1x", 1)], "y": [("1y", 1)]}, ("1y", "1y", "a")),
 }
 
 
@@ -422,3 +431,19 @@ def test_category_is_immutable():
         c.comp_table[next(iter(c.comp_table))] = ()
     with pytest.raises(TypeError):
         c.identity["x1"] = (QQ.zero,)
+
+
+def test_presentation_is_immutable():
+    p = presets.cyclic_group(2)
+    with pytest.raises(AttributeError):
+        p.inverse = None
+    with pytest.raises(AttributeError):
+        p.objects = ("y",)
+    with pytest.raises(TypeError):
+        p.morphisms["h"] = ("x", "x")
+    with pytest.raises(TypeError):
+        p.identity["x"] = "g1"
+    with pytest.raises(TypeError):
+        p.composition[("g1", "g1")] = "g1"
+    with pytest.raises(TypeError):
+        p.inverse["g1"] = "g0"

@@ -81,8 +81,8 @@ class TestSolver:
             QQ,
             ["x"],
             {("x", "x"): ["p", "q"]},
-            {("p", "p"): [1, 0], ("q", "q"): [0, 1]},
-            {"x": [1, 1]},
+            {("p", "p"): [("p", 1)], ("q", "q"): [("q", 1)]},
+            {"x": [("p", 1), ("q", 1)]},
         )
         fam = solve_separability(c)
         assert fam is not None and verify_family(c, fam).ok
