@@ -15,18 +15,20 @@ only while its hom spaces are nonzero, so building a cochain space costs
 work in its nonzero hom chains, not in all |objects|^(n+1) tuples. Each
 differential and cochain map is written column by column straight into
 the nonzero rows of one Matrix, which the d . d = 0 check, the ranks, the
-obstruction and the long exact sequence all read. The long exact sequence
-of a short exact sequence of bimodules is walked as one list of
-positions H^n(M), H^n(N), H^n(P), H^(n+1)(M), ...
+obstruction and the long exact sequence all read; a differential finds
+each term's row by integer strides from its column's input index. The
+long exact sequence of a short exact sequence of bimodules is walked as
+one list of positions H^n(M), H^n(N), H^n(P), H^(n+1)(M), ...
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .exactalg import Matrix, _rank_mod
+from .exactalg import Matrix, _ints, _rank_mod
 from .errors import BudgetExceededError, InternalCheckError
 from .lincat import FinLinCat
 from .cmod import Bimodule, BimoduleMap, ShortExactSeq, tensor_square, kernel_of, validate_module
@@ -116,79 +118,89 @@ def _degree_space(c: FinLinCat, m: Bimodule, n: int, budget: int) -> _DegreeSpac
 def _composites_by_result(c: FinLinCat) -> dict:
     """{(x, w, y): {k: [(b_idx, b2_idx, gamma)]}}: the pairs of basis
     morphisms b in hom(w, x), b2 in hom(y, w) whose composite b . b2 has
-    the nonzero coefficient gamma at basis element k of hom(y, x)."""
+    the nonzero coefficient gamma at basis element k of hom(y, x); an
+    integral rational gamma is an int."""
     index: dict = {}
     for x, w, y in product(c.objects, repeat=3):
         by_k: dict = {}
         for b_idx, b in enumerate(c.hom(w, x)):
             for b2_idx, b2 in enumerate(c.hom(y, w)):
-                for k, gamma in c.comp_terms(b, b2):
+                for k, gamma in _ints(c.comp_terms(b, b2)):
                     by_k.setdefault(k, []).append((b_idx, b2_idx, gamma))
         index[(x, w, y)] = by_k
     return index
 
 
 def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _DegreeSpace, n: int) -> Matrix:
-    fld = c.field
-    zero = fld.zero
-    rows: list[list] = [[] for _ in range(tgt.dim)]
-    add = fld.add
-    sub = fld.sub
-    odd_last = (n + 1) % 2 == 1
+    """d^n, column by column. For a source slot every term's target row
+    is an integer stride away from the column's flat input index f: the
+    two actions land at off + f * stride + s, and merge i splits f into
+    prefix, stored input a_i and suffix. Each column is summed with plain
+    + (integral rationals as ints) and each entry reduced once."""
+    p = c.field.p
+    last = -1 if n % 2 == 0 else 1  # (-1)^(n+1), the sign of the right action
     # column t of an action is row t of its transpose
-    left = {key: act.transpose().row_terms for key, act in m.left.items()}
-    right = {key: act.transpose().row_terms for key, act in m.right.items()}
+    left = {key: [_ints(col) for col in act.transpose().row_terms] for key, act in m.left.items()}
+    right = {
+        key: [[(s, last * v) for s, v in _ints(col)] for col in act.transpose().row_terms]
+        for key, act in m.right.items()
+    }
     composites = _composites_by_result(c)
+    rows: list[list] = [[] for _ in range(tgt.dim)]
     for slot in src.slots:
-        objs = slot.objs
+        objs, dims, mdim = slot.objs, slot.hom_dims, slot.mdim
         x0, xn = objs[0], objs[n]
-        input_ranges = [range(d) for d in slot.hom_dims]
-        for combo in product(*input_ranges):
-            col_base = slot.flat(combo, 0)
-            for t in range(slot.mdim):
-                col = col_base + t
-                entries: dict = {}  # this column's entries, by row
-                # term 1: f1 acts on the left of the value
-                for w in c.objects:
-                    tslot = tgt.by_objs.get((w,) + objs)
-                    if tslot is None:
-                        continue
-                    for b_idx, b in enumerate(c.hom(x0, w)):
-                        for s, v in left[(b, xn)][t]:
-                            row = tslot.flat((b_idx,) + combo, s)
-                            entries[row] = add(entries.get(row, zero), v)
-                # terms 2..n+? : merge fi . f(i+1) against the stored input a_i
-                for i in range(1, n + 1):
-                    negative = i % 2 == 1
-                    a_idx = combo[i - 1]
-                    for w in c.objects:
-                        tslot = tgt.by_objs.get(objs[:i] + (w,) + objs[i:])
-                        if tslot is None:
-                            continue
-                        for b_idx, b2_idx, gamma in composites[(objs[i - 1], w, objs[i])].get(a_idx, ()):
-                            new_combo = combo[: i - 1] + (b_idx, b2_idx) + combo[i:]
-                            row = tslot.flat(new_combo, t)
-                            if negative:
-                                entries[row] = sub(entries.get(row, zero), gamma)
-                            else:
-                                entries[row] = add(entries.get(row, zero), gamma)
-                # last term: f(n+1) acts on the right of the value
-                for w in c.objects:
-                    tslot = tgt.by_objs.get(objs + (w,))
-                    if tslot is None:
-                        continue
-                    for b_idx, b in enumerate(c.hom(w, xn)):
-                        for s, v in right[(b, x0)][t]:
-                            row = tslot.flat(combo + (b_idx,), s)
-                            if odd_last:
-                                entries[row] = sub(entries.get(row, zero), v)
-                            else:
-                                entries[row] = add(entries.get(row, zero), v)
+        size = prod(dims)
+        # (off, stride, action columns): f1 on the left, f(n+1) on the right
+        actions = []
+        for w in c.objects:
+            ts = tgt.by_objs.get((w,) + objs)
+            if ts is not None:
+                step = size * ts.mdim
+                actions += [(ts.offset + b * step, ts.mdim, left[(h, xn)]) for b, h in enumerate(c.hom(x0, w))]
+            ts = tgt.by_objs.get(objs + (w,))
+            if ts is not None:
+                step = ts.hom_dims[n] * ts.mdim
+                actions += [(ts.offset + b * ts.mdim, step, right[(h, x0)]) for b, h in enumerate(c.hom(w, xn))]
+        # (off, suffix size, dims[i-1], merged size, terms by a_i) for merge i
+        merges = []
+        for i in range(1, n + 1):
+            suffix = prod(dims[i:])
+            for w in c.objects:
+                ts = tgt.by_objs.get(objs[:i] + (w,) + objs[i:])
+                if ts is None:
+                    continue
+                d2 = ts.hom_dims[i]
+                by_k = composites[(objs[i - 1], w, objs[i])]
+                terms = [
+                    [((b * d2 + b2) * suffix * mdim, -g if i % 2 else g) for b, b2, g in by_k.get(a, ())]
+                    for a in range(dims[i - 1])
+                ]
+                merges.append((ts.offset, suffix, dims[i - 1], ts.hom_dims[i - 1] * d2 * suffix, terms))
+        col = slot.offset
+        for f in range(size):
+            for t in range(mdim):
+                acc: dict = {}  # this column's entries, by row
+                for off, stride, cols in actions:
+                    base = off + f * stride
+                    for s, v in cols[t]:
+                        acc[base + s] = acc.get(base + s, 0) + v
+                for off, suffix, d, merged, terms in merges:
+                    q, low = divmod(f, suffix)
+                    high, a = divmod(q, d)
+                    base = off + (high * merged + low) * mdim + t
+                    for step, g in terms[a]:
+                        acc[base + step] = acc.get(base + step, 0) + g
                 # columns come in increasing order, so each row stays sorted
-                for row, v in entries.items():
+                for r, v in acc.items():
+                    if p is None:
+                        v = v if type(v) is Fraction else Fraction(v)
+                    else:
+                        v %= p
                     if v:
-                        rows[row].append((col, v))
-    return Matrix._of_rows(fld, src.dim, tuple(map(tuple, rows)))
+                        rows[r].append((col, v))
+                col += 1
+    return Matrix._of_rows(c.field, src.dim, tuple(map(tuple, rows)))
 
 
 def build_hm_complex(
@@ -228,7 +240,8 @@ def cohomology_dims(complex: CochainComplex) -> CohomologyResult:
     """dim H^n = dim ker d^n - rank d^(n-1) for n up to max_degree.
 
     Every rank is first taken mod a prime, by streaming the nonzero rows
-    of d^n through the elimination; over F_p that is the rank itself.
+    of each block of d^n through the elimination; over F_p that is the
+    rank itself.
 
     Over Q each rank r_n = rank d^n is sandwiched before any rref is
     taken. From below by rho_n, the rank of d^n mod the prime

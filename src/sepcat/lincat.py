@@ -254,7 +254,8 @@ class FiniteCatPresentation:
 
     Compositions with identities may be omitted; they are filled in on
     construction. The constructor checks the whole structure once: an
-    unknown endpoint, a missing identity or a non-composable entry raises
+    unknown endpoint, a missing identity, an entry naming an unknown
+    morphism or a non-composable entry raises
     ValueError, and so does a table that misses a composable pair or breaks
     associativity or a unit law, as "invalid presentation: ...". So every
     presentation is a category, and what reads one does not check it again.
@@ -288,11 +289,13 @@ class FiniteCatPresentation:
             composition.setdefault((identity[y], name), name)
             composition.setdefault((name, identity[x]), name)
         for (g, f), h in composition.items():
-            gx, gy = morphisms[g]
-            fx, fy = morphisms[f]
+            try:
+                (gx, gy), (fx, fy), hxy = morphisms[g], morphisms[f], morphisms[h]
+            except KeyError as exc:
+                raise ValueError(f"composition entry ({g},{f})={h} names unknown morphism {exc.args[0]!r}") from None
             if fy != gx:
                 raise ValueError(f"composition entry ({g},{f}) is not composable")
-            if morphisms[h] != (fx, gy):
+            if hxy != (fx, gy):
                 raise ValueError(f"composition ({g},{f})={h} has wrong endpoints")
         vars(self).update(
             objects=objects,

@@ -10,7 +10,7 @@ from sepcat.cli import main
 from sepcat.exactalg import Field, QQ
 from sepcat.lincat import FiniteCatPresentation, linearize
 from sepcat.cmod import ShortExactSeq, canonical_bimodule, kernel_of, representable_left_module, tensor_square
-from test_interchange import NON_ASSOCIATIVE
+from test_interchange import NON_ASSOCIATIVE, unknown_morphism
 
 
 @pytest.fixture
@@ -107,6 +107,13 @@ class TestPredicateCommands:
         result = runner.invoke(main, ["maschke", str(pres), "--field", "Q"])
         assert result.exit_code == 2
         assert result.stderr.startswith("malformed input: invalid presentation: associativity fails")
+
+    def test_maschke_names_an_unknown_morphism(self, runner, tmp_path):
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps(unknown_morphism({"g": "zz", "f": "e", "result": "e"})))
+        result = runner.invoke(main, ["maschke", str(pres), "--field", "Q"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("malformed input: composition entry (zz,e)=e names unknown morphism 'zz'")
 
     def test_delta_checks_presentation_laws_once(self, runner, tmp_path, monkeypatch):
         pres = tmp_path / "a3_pres.json"

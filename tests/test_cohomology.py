@@ -335,6 +335,13 @@ def symmetric_group_3():
     return presets.one_object_monoid(list(name.values()), table, name[(0, 1, 2)])
 
 
+def z2_times_z4():
+    """Z_2 x Z_4 as a one-object category, the element (a, b) named "ab"."""
+    name = {(a, b): f"{a}{b}" for a in range(2) for b in range(4)}
+    table = {(name[g], name[f]): name[((g[0] + f[0]) % 2, (g[1] + f[1]) % 4)] for g in name for f in name}
+    return presets.one_object_monoid(list(name.values()), table, name[(0, 0)])
+
+
 def rational_rrefs(monkeypatch):
     """Record every rational rref from here on (cached or not)."""
     calls = []
@@ -550,6 +557,86 @@ def test_differentials_match_golden(name, kind, field_name):
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16] == DIFF_DIGESTS[(name, kind, field_name)]
 
 
+def textbook_differential(c, m, n):
+    """d^n straight from the formula in the module docstring, one column
+    per basis cochain phi: (d phi)(f1, ..., f(n+1)) is evaluated through
+    comp_terms and the action matrices on every basis tuple where it can
+    be nonzero, and the tuples are numbered in the documented basis order."""
+    fld = c.field
+
+    def basis(k):
+        # object tuples lexicographically, input indices row-major,
+        # coefficient index fastest; tuples with a zero hom or coefficient
+        # space have no basis cochain
+        index = {}
+        for objs in product(c.objects, repeat=k + 1):
+            homs = [c.hom(objs[i + 1], objs[i]) for i in range(k)]
+            if all(homs):
+                for combo in product(*(range(len(h)) for h in homs)):
+                    for t in range(m.dims[(objs[0], objs[k])]):
+                        index[(objs, combo, t)] = len(index)
+        return index
+
+    src, tgt = basis(n), basis(n + 1)
+    cells = []
+    for (objs, combo, t), col in src.items():
+        x0, xn = objs[0], objs[n]
+        value: dict = {}
+
+        def put(key, v):
+            value[tgt[key]] = fld.add(value.get(tgt[key], fld.zero), v)
+
+        for w in c.objects:
+            # f1 . phi(f2, ..., f(n+1)) for f1 in hom(x0, w)
+            for b_idx, b in enumerate(c.hom(x0, w)):
+                for s, v in enumerate(m.left[(b, xn)].col(t)):
+                    put(((w,) + objs, (b_idx,) + combo, s), v)
+            # (-1)^i phi(..., fi . f(i+1), ...) for fi in hom(w, x(i-1)) and
+            # f(i+1) in hom(xi, w), where phi sees input a_i of the composite
+            for i in range(1, n + 1):
+                for b_idx, b in enumerate(c.hom(w, objs[i - 1])):
+                    for b2_idx, b2 in enumerate(c.hom(objs[i], w)):
+                        for k, gamma in c.comp_terms(b, b2):
+                            if k == combo[i - 1]:
+                                key = (objs[:i] + (w,) + objs[i:], combo[: i - 1] + (b_idx, b2_idx) + combo[i:], t)
+                                put(key, fld.neg(gamma) if i % 2 else gamma)
+            # (-1)^(n+1) phi(f1, ..., fn) . f(n+1) for f(n+1) in hom(w, xn)
+            for b_idx, b in enumerate(c.hom(w, xn)):
+                for s, v in enumerate(m.right[(b, x0)].col(t)):
+                    put((objs + (w,), combo + (b_idx,), s), fld.neg(v) if n % 2 == 0 else v)
+        cells += [(row, col, v) for row, v in value.items() if v]
+    return Matrix.from_entries(fld, len(tgt), len(src), cells)
+
+
+ORACLE_PRESETS = {
+    **{name: DIFF_PRESETS[name] for name in ("Z3", "K4", "A3", "crown", "G2(Z2)")},
+    **{f"random{seed}": lambda seed=seed: presets.random_presentation(seed) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F7"])
+@pytest.mark.parametrize("kind", ["canonical", "kernel-comp", "random"])
+@pytest.mark.parametrize("name", sorted(ORACLE_PRESETS))
+def test_differentials_match_textbook_formula(name, kind, field_name):
+    c = linearize(ORACLE_PRESETS[name](), DIFF_FIELDS[field_name])
+    # two random draws, as one may be the zero bimodule
+    if kind == "random":
+        coefficients = [random_bimodule(c, 0), random_bimodule(c, 1)]
+    else:
+        coefficients = [coefficient_bimodule(c, kind)]
+    for m in coefficients:
+        # the builder alone, without the d . d check of build_hm_complex
+        spaces = [cohomology._degree_space(c, m, n, cohomology.DEFAULT_BUDGET) for n in range(4)]
+        for n in range(3):
+            d = cohomology._build_differential(c, m, spaces[n], spaces[n + 1], n)
+            want = textbook_differential(c, m, n)
+            assert (d.rows, d.cols) == (want.rows, want.cols)
+            # entry for entry, and over Q every entry a Fraction
+            assert [[(j, type(v), v) for j, v in row] for row in d.row_terms] == [
+                [(j, type(v), v) for j, v in row] for row in want.row_terms
+            ]
+
+
 @pytest.mark.parametrize("name,kind", [("Z3", "kernel-comp"), ("G2(Z2)", "canonical")])
 @pytest.mark.parametrize("field_name", ["Q", "F7"])
 @pytest.mark.parametrize("degree", [0, 1, 2])
@@ -615,6 +702,14 @@ class TestClosedForms:
             pytest.param(presets.klein_four(), F2, [4, 8, 12, 16], id="K4-F2"),
             # Morita invariance: a connected groupoid has the HH of its group
             pytest.param(presets.connected_groupoid(presets.cyclic_group(2), 2), F2, [2, 2, 2, 2], id="G2(Z2)-F2"),
+            pytest.param(presets.connected_groupoid(presets.cyclic_group(2), 3), F2, [2, 2, 2, 2], id="G3(Z2)-F2"),
+            # Kunneth for abelian A = Z_2 x Z_4 over F_2, where 2 divides both
+            # factors: dim HH^n = |A| (n + 1)
+            pytest.param(z2_times_z4(), F2, [8, 16, 24], id="Z2xZ4-F2"),
+            # over F_2 a flipped sign is no change, so the same two over F_3,
+            # where 3 does not divide the group order (Maschke): HH^n = 0, n > 0
+            pytest.param(presets.connected_groupoid(presets.cyclic_group(2), 3), F3, [2, 0, 0, 0], id="G3(Z2)-F3"),
+            pytest.param(z2_times_z4(), F3, [8, 0, 0], id="Z2xZ4-F3"),
             # centralizer decomposition HH^n(K[S_3]) = H^n(S_3) + H^n(Z_3) + H^n(Z_2)
             pytest.param(symmetric_group_3(), F2, [3, 2, 2, 2], id="S3-F2"),
             pytest.param(symmetric_group_3(), F3, [3, 1, 1, 2], id="S3-F3"),
@@ -623,7 +718,7 @@ class TestClosedForms:
     )
     def test_group_algebra_closed_forms(self, pres, fld, expected):
         c = linearize(pres, fld)
-        result = cohomology_dims(build_hm_complex(c, canonical_bimodule(c), 3))
+        result = cohomology_dims(build_hm_complex(c, canonical_bimodule(c), len(expected) - 1))
         assert [d.dim_h for d in result.degrees] == expected
 
     def test_crown_poset_is_a_circle(self):

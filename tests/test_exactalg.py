@@ -375,6 +375,39 @@ def test_rref_matches_textbook_gauss_jordan(field, shape):
     assert res.pivot_cols == tuple(pivots)
 
 
+# -- block elimination -----------------------------------------------------
+
+
+@st.composite
+def hidden_blocks(draw):
+    """An integer matrix that is block diagonal up to a shuffle of its rows
+    and a permutation of its columns: 1-4 blocks of 1-4 rows and columns."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4))
+    cols = sum(c for _, c in shapes)
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows, start = [], 0
+    for r, c in shapes:
+        for _ in range(r):
+            row = [0] * cols
+            row[start : start + c] = [draw(entry) for _ in range(c)]
+            rows.append(row)
+        start += c
+    perm = draw(st.permutations(range(cols)))
+    return [[row[j] for j in perm] for row in draw(st.permutations(rows))], cols
+
+
+@given(st.sampled_from([QQ, F2, Field(3), Field(2**31 - 1)]), hidden_blocks())
+@settings(max_examples=300, deadline=None)
+def test_block_elimination_matches_textbook(field, shape):
+    ints, cols = shape
+    m = Matrix(field, len(ints), cols, [field.of(e) for row in ints for e in row])
+    res = m.rref()
+    reduced, pivots = gauss_jordan(ints, field.p)
+    assert res.reduced.entries == tuple(e for row in reduced for e in row)
+    assert res.pivot_cols == tuple(pivots)
+    assert exactalg._rank_mod(m) == len(gauss_jordan(ints, field.p or exactalg._PRIME)[1])
+
+
 # -- the certified rational rref ---------------------------------------------
 
 P = exactalg._PRIME
@@ -480,6 +513,33 @@ class TestCertifiedRref:
         assert res.reduced.entries == tuple(e for row in reduced for e in row)
         assert Fraction(2, 5) in res.reduced.entries
         assert calls == [P]
+
+    def test_one_block_past_the_bound_falls_back_whole(self):
+        # columns 0 and 2 form one block, columns 1 and 3 the other; only the
+        # second block's rref has an entry past the reconstruction bound
+        rows = [[1, 0, 2, 0], [0, BOUND + 2, 0, BOUND + 1], [3, 0, 4, 0]]
+        with echelon_primes() as calls:
+            res = Matrix.from_rows(QQ, rows).rref()
+        reduced, pivots = gauss_jordan(rows, None)
+        assert res.reduced.entries == tuple(e for row in reduced for e in row)
+        assert res.pivot_cols == tuple(pivots)
+        # both blocks mod the prime, then both in Fractions
+        assert calls == [P, P, None, None]
+
+    def test_z5_degree_three_rank_runs_one_elimination_per_block(self):
+        # the bar complex of Z_5 splits by conjugacy class: d^3 (3125 x 625)
+        # has 5 blocks of 125 columns
+        from sepcat import presets
+        from sepcat.cmod import canonical_bimodule
+        from sepcat.cohomology import build_hm_complex
+        from sepcat.lincat import linearize
+
+        c = linearize(presets.cyclic_group(5), QQ)
+        d3 = build_hm_complex(c, canonical_bimodule(c), 3).diffs[3]
+        with echelon_primes() as calls:
+            rank = exactalg._rank_mod(d3)
+        assert (d3.rows, d3.cols, rank) == (3125, 625, 525)
+        assert calls == [P] * 5
 
     def test_reconstruction_bound(self):
         # the largest numerator and denominator come back, one past them not

@@ -38,6 +38,18 @@ NON_ASSOCIATIVE = {
 }
 
 
+
+def unknown_morphism(entry: dict) -> dict:
+    """A one-object presentation whose composition table has the given
+    entry, which names the morphism zz that it does not declare."""
+    return {
+        "objects": ["x"],
+        "morphisms": [{"name": "e", "from": "x", "to": "x"}],
+        "identity": {"x": "e"},
+        "composition": [entry],
+    }
+
+
 class TestCategoryFormat:
     @pytest.mark.parametrize("make,k", ROUND_TRIP_CASES)
     def test_round_trip(self, make, k):
@@ -88,6 +100,18 @@ class TestPresentationFormat:
     def test_non_associative_rejected(self):
         with pytest.raises(ValueError, match="invalid presentation: associativity fails on triple"):
             io.presentation_from_json(NON_ASSOCIATIVE)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"g": "zz", "f": "e", "result": "e"},
+            {"g": "e", "f": "zz", "result": "e"},
+            {"g": "e", "f": "e", "result": "zz"},
+        ],
+    )
+    def test_unknown_morphism_in_composition_rejected(self, entry):
+        with pytest.raises(ValueError, match="names unknown morphism 'zz'"):
+            io.presentation_from_json(unknown_morphism(entry))
 
 
 class TestModuleFormats:
