@@ -24,11 +24,10 @@ one list of positions H^n(M), H^n(N), H^n(P), H^(n+1)(M), ...
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .exactalg import Matrix, _ints, _rank_mod
+from .exactalg import Matrix, _rank_mod
 from .errors import BudgetExceededError, InternalCheckError
 from .lincat import FinLinCat
 from .cmod import Bimodule, BimoduleMap, ShortExactSeq, tensor_square, kernel_of, validate_module
@@ -118,14 +117,14 @@ def _degree_space(c: FinLinCat, m: Bimodule, n: int, budget: int) -> _DegreeSpac
 def _composites_by_result(c: FinLinCat) -> dict:
     """{(x, w, y): {k: [(b_idx, b2_idx, gamma)]}}: the pairs of basis
     morphisms b in hom(w, x), b2 in hom(y, w) whose composite b . b2 has
-    the nonzero coefficient gamma at basis element k of hom(y, x); an
-    integral rational gamma is an int."""
+    the nonzero coefficient gamma at basis element k of hom(y, x), a field
+    scalar: over Q an int when integral, as every stored rational is."""
     index: dict = {}
     for x, w, y in product(c.objects, repeat=3):
         by_k: dict = {}
         for b_idx, b in enumerate(c.hom(w, x)):
             for b2_idx, b2 in enumerate(c.hom(y, w)):
-                for k, gamma in _ints(c.comp_terms(b, b2)):
+                for k, gamma in c.comp_terms(b, b2):
                     by_k.setdefault(k, []).append((b_idx, b2_idx, gamma))
         index[(x, w, y)] = by_k
     return index
@@ -136,13 +135,14 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
     is an integer stride away from the column's flat input index f: the
     two actions land at off + f * stride + s, and merge i splits f into
     prefix, stored input a_i and suffix. Each column is summed with plain
-    + (integral rationals as ints) and each entry reduced once."""
+    +, which adds integral rationals as the ints they are stored as, and
+    each entry is reduced once: mod p, or over Q to its canonical form."""
     p = c.field.p
     last = -1 if n % 2 == 0 else 1  # (-1)^(n+1), the sign of the right action
     # column t of an action is row t of its transpose
-    left = {key: [_ints(col) for col in act.transpose().row_terms] for key, act in m.left.items()}
+    left = {key: act.transpose().row_terms for key, act in m.left.items()}
     right = {
-        key: [[(s, last * v) for s, v in _ints(col)] for col in act.transpose().row_terms]
+        key: [[(s, last * v) for s, v in col] for col in act.transpose().row_terms]
         for key, act in m.right.items()
     }
     composites = _composites_by_result(c)
@@ -193,10 +193,10 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
                         acc[base + step] = acc.get(base + step, 0) + g
                 # columns come in increasing order, so each row stays sorted
                 for r, v in acc.items():
-                    if p is None:
-                        v = v if type(v) is Fraction else Fraction(v)
-                    else:
+                    if p is not None:
                         v %= p
+                    elif type(v) is not int and v.denominator == 1:
+                        v = v.numerator
                     if v:
                         rows[r].append((col, v))
                 col += 1

@@ -1,14 +1,19 @@
 """Exact scalars over Q or F_p and sparse exact linear algebra.
 
-Scalars are plain Python values: fractions.Fraction for rationals and
-integers in [0, p) for prime fields. A Field object carries the
-arithmetic. A Matrix stores its field and only its nonzero entries, row
-by row, in tuples, so it cannot change after construction; the systems
-and differentials it holds are mostly zeros. All Gaussian elimination,
-over Q and over F_p, runs through one forward-elimination routine,
-_echelon, once per block of the matrix: a connected component of the
-graph that joins the columns of each row's nonzeros. Its working rows
-are dense but only as wide as their block.
+Scalars are plain Python values in one canonical form per field. Over Q a
+scalar is an int when it is integral and otherwise a fractions.Fraction
+with denominator > 1, so the mostly integral structure constants,
+certificates and differentials multiply at int speed and only a proper
+fraction pays for Fraction arithmetic (small values inline, promoted when
+needed, as FLINT's fmpz/fmpq do). Over F_p a scalar is an int in [0, p).
+Since int / int is a float, Field.inv and Field.div are the only division.
+A Field object carries the arithmetic. A Matrix stores its field and only
+its nonzero entries, row by row, in tuples, so it cannot change after
+construction; the systems and differentials it holds are mostly zeros.
+All Gaussian elimination, over Q and over F_p, runs through one
+forward-elimination routine, _echelon, once per block of the matrix: a
+connected component of the graph that joins the columns of each row's
+nonzeros. Its working rows are dense but only as wide as their block.
 
 Over Q the rref is computed modulo the word-size prime _PRIME and each
 entry rationally reconstructed (Wang-Guy-Davenport); the candidate is kept
@@ -22,10 +27,12 @@ Otherwise the elimination runs in Fraction arithmetic.
 
 from __future__ import annotations
 
+import re
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from numbers import Rational
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = ["Field", "QQ", "Matrix", "RrefResult"]
@@ -34,10 +41,20 @@ __all__ = ["Field", "QQ", "Matrix", "RrefResult"]
 # rref and for the ranks that bound cohomology over Q
 _PRIME = 2**31 - 1
 
+# scalar text: "n" or "n/d" over Q, "n" over F_p, in ASCII digits
+_Q_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_FP_TEXT = re.compile(r"-?[0-9]+")
+
 
 def _is_int(value) -> bool:
     """True for a JSON integer; bool is a subclass of int but not one."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _canonical(q):
+    """A rational in canonical form: an int when integral, else q itself,
+    a Fraction with denominator > 1."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
 
 
 def _is_prime(p: int) -> bool:
@@ -65,30 +82,42 @@ class Field:
     def is_rationals(self) -> bool:
         return self.p is None
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
+    # the same ints in every field, and canonical in each
+    zero = 0
+    one = 1
 
     def of(self, value):
-        """Canonicalize an int, string, or rational into a field scalar;
-        raises ValueError on text that names no scalar, such as "1/0". A
-        Fraction over Q is already canonical and comes back as it is."""
-        if self.p is None:
-            if type(value) is Fraction:
-                return value
-            try:
-                return Fraction(value)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {value!r}") from None
+        """Canonicalize an int, a rational or scalar text (see of_text) into
+        a field scalar. Raises ValueError on text that names no scalar, such
+        as "1/0" or "1.5", and TypeError on any other value, such as a float,
+        whose binary expansion is not the number it was written as."""
         if isinstance(value, str):
-            value = int(value)
+            return self._parse(value)
+        if self.p is None:
+            if type(value) is int:
+                return value
+            if isinstance(value, Rational):
+                return _canonical(value if type(value) is Fraction else Fraction(value))
+            raise TypeError(f"cannot coerce {value!r} into Q")
         if not isinstance(value, int):
             raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
         return value % self.p
+
+    def _parse(self, text: str):
+        """The scalar that text names: "n" or "n/d" over Q, "n" over F_p,
+        reduced mod p, with n an optionally signed run of ASCII digits and d
+        one without a sign."""
+        found = (_Q_TEXT if self.p is None else _FP_TEXT).fullmatch(text)
+        if found is None:
+            raise ValueError(f"malformed scalar {text!r}")
+        if self.p is not None:
+            return int(text) % self.p
+        num, den = found.groups()
+        if den is None:
+            return int(num)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return _canonical(Fraction(int(num), int(den)))
 
     def of_text(self, value):
         """A scalar as the file formats write it, as text such as "-3/4";
@@ -96,16 +125,16 @@ class Field:
         would be read as its binary expansion, or a boolean."""
         if not isinstance(value, str):
             raise ValueError(f"scalar must be text, not {value!r}")
-        return self.of(value)
+        return self._parse(value)
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return _canonical(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        return _canonical(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        return _canonical(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
@@ -113,13 +142,13 @@ class Field:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError(f"division by zero in {self}")
-        return 1 / Fraction(a) if self.p is None else pow(a, -1, self.p)
+        return _canonical(1 / Fraction(a)) if self.p is None else pow(a, -1, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def format(self, a) -> str:
-        # Q: "n" or "n/d" in lowest terms with d > 0; F_p: least residue.
+        # Q: "n" or "n/d" in lowest terms with d > 1; F_p: least residue.
         return str(a)
 
     def to_json(self):
@@ -147,31 +176,26 @@ class RrefResult:
     pivot_cols: tuple[int, ...]
 
 
-def _nonzeros(row: Sequence) -> tuple:
-    """The (column, value) pairs of a dense row's nonzero entries."""
+def _nonzeros(row: Sequence, p: Optional[int]) -> tuple:
+    """The (column, value) pairs of a dense row's nonzero entries, each in
+    canonical form over Q (p None); an F_p row is taken as it is."""
+    if p is None:
+        return tuple((j, _canonical(v)) for j, v in enumerate(row) if v)
     return tuple((j, v) for j, v in enumerate(row) if v)
 
 
 def _pack(acc: dict, p: Optional[int]) -> tuple:
-    """A row from {column: value}, reduced mod p when p is given, in
-    increasing column and without zeros."""
+    """A row from {column: value} in increasing column and without zeros,
+    each value in canonical form over Q (p None), else reduced mod p."""
     if p is None:
-        items = [jv for jv in acc.items() if jv[1]]
+        # _canonical, inline: the products of a rational matrix land here
+        items = [(j, v if type(v) is int or v.denominator != 1 else v.numerator) for j, v in acc.items() if v]
     else:
         items = []
         for j, v in acc.items():
             v %= p
             if v:
                 items.append((j, v))
-    if len(items) > 1:
-        items.sort()
-    return tuple(items)
-
-
-def _pack_rational(acc: dict) -> tuple:
-    """A rational row from {column: int or Fraction}, each value a
-    Fraction, in increasing column and without zeros."""
-    items = [(j, v if type(v) is Fraction else Fraction(v)) for j, v in acc.items() if v]
     if len(items) > 1:
         items.sort()
     return tuple(items)
@@ -195,7 +219,7 @@ class Matrix:
             raise ValueError(f"negative matrix shape {rows}x{cols}")
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
-        terms = tuple(_nonzeros(entries[i * cols : (i + 1) * cols]) for i in range(rows))
+        terms = tuple(_nonzeros(entries[i * cols : (i + 1) * cols], field.p) for i in range(rows))
         self._set(field, rows, cols, terms)
 
     def _set(self, field: Field, rows: int, cols: int, terms: tuple) -> None:
@@ -223,14 +247,21 @@ class Matrix:
 
     @classmethod
     def from_entries(cls, field: Field, rows: int, cols: int, triplets: Iterable) -> "Matrix":
-        """A rows x cols matrix from (i, j, value) triplets of field scalars;
-        absent entries are zero and each (i, j) is given at most once."""
+        """A rows x cols matrix from (i, j, value) triplets of field scalars,
+        already in canonical form; absent entries are zero and each (i, j)
+        is given at most once."""
         acc: list[dict] = [{} for _ in range(rows)]
         for i, j, v in triplets:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError((i, j))
             acc[i][j] = v
-        return cls._of_rows(field, cols, tuple(_pack(a, None) for a in acc))
+        rows = []
+        for a in acc:
+            items = [jv for jv in a.items() if jv[1]]
+            if len(items) > 1:
+                items.sort()
+            rows.append(tuple(items))
+        return cls._of_rows(field, cols, tuple(rows))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -243,7 +274,7 @@ class Matrix:
         ncols = len(data[0]) if data else 0
         if any(len(row) != ncols for row in data):
             raise ValueError("ragged rows")
-        return cls._of_rows(field, ncols, tuple(_nonzeros(row) for row in data))
+        return cls._of_rows(field, ncols, tuple(_nonzeros(row, field.p) for row in data))
 
     @classmethod
     def column(cls, field: Field, values: Iterable) -> "Matrix":
@@ -321,7 +352,7 @@ class Matrix:
             return Matrix.zeros(self.field, self.rows, self.cols)
         p = self.field.p
         if p is None:
-            rows = tuple(tuple((j, s * v) for j, v in row) for row in self.row_terms)
+            rows = tuple(tuple((j, _canonical(s * v)) for j, v in row) for row in self.row_terms)
         else:
             rows = tuple(tuple((j, s * v % p) for j, v in row) for row in self.row_terms)
         return Matrix._of_rows(self.field, self.cols, rows)
@@ -329,21 +360,19 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The exact product, row by row: row i of self @ other sums
         a * (row k of other) over the nonzeros a = self[i, k]. Over Q the
-        entries with denominator 1 multiply as ints."""
+        integral entries are ints, so they multiply as ints."""
         self._check_compatible(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in matmul: {self.cols} vs {other.rows}")
         p = self.field.p
-        arows, brows = self.row_terms, other.row_terms
-        if p is None:
-            arows, brows = map(_ints, arows), [_ints(r) for r in brows]
+        brows = other.row_terms
         out = []
-        for row in arows:
+        for row in self.row_terms:
             acc: dict = {}
             for k, a in row:
                 for j, b in brows[k]:
                     acc[j] = acc.get(j, 0) + a * b
-            out.append(_pack(acc, p) if p is not None else _pack_rational(acc))
+            out.append(_pack(acc, p))
         return Matrix._of_rows(self.field, other.cols, tuple(out))
 
     def transpose(self) -> "Matrix":
@@ -373,12 +402,20 @@ class Matrix:
         return Matrix._of_rows(self.field, width, tuple(rows))
 
     def take_cols(self, cols: Sequence[int]) -> "Matrix":
-        """The columns of self with the given indices, in the given order."""
+        """The columns of self with the given indices, in the given order,
+        picked in one pass over the rows; a row is sorted only when the
+        indices are not increasing."""
         n = self.cols
         if any(not 0 <= j < n for j in cols):
             raise IndexError(f"column index out of range for {n} columns")
-        by_col = self.transpose().row_terms
-        return Matrix._of_rows(self.field, self.rows, tuple(by_col[j] for j in cols)).transpose()
+        at: dict[int, list[int]] = {}  # old column: its new columns
+        for k, j in enumerate(cols):
+            at.setdefault(j, []).append(k)
+        rows = [[(k, v) for j, v in row if j in at for k in at[j]] for row in self.row_terms]
+        if any(a >= b for a, b in zip(cols, cols[1:])):
+            for row in rows:
+                row.sort()
+        return Matrix._of_rows(self.field, len(cols), tuple(map(tuple, rows)))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; row (i,k) and column (j,l) with i, j major."""
@@ -389,7 +426,7 @@ class Matrix:
         for arow in self.row_terms:
             for brow in other.row_terms:
                 if p is None:
-                    rows.append(tuple([(j * c + l, a * b) for j, a in arow for l, b in brow]))
+                    rows.append(tuple([(j * c + l, _canonical(a * b)) for j, a in arow for l, b in brow]))
                 else:
                     rows.append(tuple([(j * c + l, a * b % p) for j, a in arow for l, b in brow]))
         return Matrix._of_rows(self.field, self.cols * c, tuple(rows))
@@ -510,15 +547,10 @@ class Matrix:
         return cls(field, rows, cols, [field.of_text(t) for t in texts])
 
 
-def _ints(row: tuple) -> list:
-    """A rational row with each integral entry replaced by its int."""
-    return [(j, v.numerator if v.denominator == 1 else v) for j, v in row]
-
-
-def _rational(a: int, p: int, bound: int) -> Optional[Fraction]:
-    """The n/d with |n|, d <= bound and n = a * d mod p, or None when there
-    is none: the extended Euclidean algorithm on (p, a), stopped at the
-    first remainder within bound (Wang-Guy-Davenport). With
+def _rational(a: int, p: int, bound: int):
+    """The n/d with |n|, d <= bound and n = a * d mod p, in canonical form,
+    or None when there is none: the extended Euclidean algorithm on (p, a),
+    stopped at the first remainder within bound (Wang-Guy-Davenport). With
     2 * bound**2 < p at most one such fraction exists. The cofactor t1 is
     never zero: |t1| grows strictly from 1."""
     r0, r1, t0, t1 = p, a, 0, 1
@@ -526,7 +558,9 @@ def _rational(a: int, p: int, bound: int) -> Optional[Fraction]:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    return Fraction(r1, t1) if abs(t1) <= bound else None
+    if t1 in (1, -1):
+        return r1 * t1
+    return _canonical(Fraction(r1, t1)) if abs(t1) <= bound else None
 
 
 def _eliminate(row: list, f, prow: list, support: Iterable[int], p: Optional[int]) -> None:
@@ -576,7 +610,8 @@ def _back_substitute(order: list[int], pivots: dict[int, list], p: Optional[int]
     """The nonzero rows of the rref, in pivot order, from the output of
     _echelon over Q (p None) or F_p: each pivot column is cleared above its
     pivot, last pivot first, so every row used is already fully reduced.
-    Each dense pivot row is released as soon as its nonzeros are kept."""
+    Each dense pivot row is released as soon as its nonzeros are kept, in
+    canonical form over Q."""
     for k in range(len(order) - 1, 0, -1):
         pc = order[k]
         above = [pivots[r] for r in order[:k] if pivots[r][pc]]
@@ -585,7 +620,7 @@ def _back_substitute(order: list[int], pivots: dict[int, list], p: Optional[int]
             support = [j for j in range(pc, len(prow)) if prow[j]]
             for row in above:
                 _eliminate(row, row[pc], prow, support, p)
-    return [_nonzeros(pivots.pop(pc)) for pc in order]
+    return [_nonzeros(pivots.pop(pc), p) for pc in order]
 
 
 def _blocks(m: Matrix, p: Optional[int]) -> Iterator[tuple[list[int], Iterator[list]]]:
@@ -630,7 +665,7 @@ def _dense_rows(block: list, cols: list[int], p: Optional[int]) -> Iterator[list
     for r in block:
         row = [0] * len(cols)
         for j, e in r:
-            row[local[j]] = e if p is None else e.numerator * pow(e.denominator, -1, p) % p
+            row[local[j]] = e if p is None else e % p if type(e) is int else e.numerator * pow(e.denominator, -1, p) % p
         yield row
 
 

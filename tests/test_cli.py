@@ -346,6 +346,16 @@ class TestMalformedInput:
         result = runner.invoke(main, ["cohomology", files["z2_over_Q.json"], "--bimodule", mod])
         self.assert_malformed(result, "'-1/0'")
 
+    # the scalar grammar is "n" or "n/d" over Q and "n" over F_p, in ASCII
+    # digits; what Fraction or int would also read is malformed
+    @pytest.mark.parametrize("text", ["1e3", "1.5", "1_000", " 3 ", "+2"])
+    @pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+    def test_scalar_text_outside_the_grammar(self, runner, tmp_path, field, text):
+        doc = io.category_to_json(linearize(presets.cyclic_group(2), field))
+        doc["composition"][0]["result"][0]["coeff"] = text
+        result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
+        self.assert_malformed(result, f"malformed scalar {text!r}")
+
     # a JSON number would be read as its binary expansion and true as 1
     NON_TEXT_SCALARS = pytest.mark.parametrize("value", [0.1, True])
 

@@ -29,6 +29,7 @@ from sepcat.cohomology import (
     obstruction_cocycle,
 )
 from sepcat.separability import solve_separability
+from conftest import assert_canonical
 from test_exactalg import gauss_jordan
 
 F2, F3 = Field(2), Field(3)
@@ -265,20 +266,7 @@ class TestLes:
         c = linearize(LES_CATEGORIES[name], field)
         ses = kernel_comp_ses(c)
         rng = random.Random(name)
-        t, t_inv = {}, {}
-        for key, d in ses.m.dims.items():
-            above = [(r, s, field.of(rng.choice((-3, -2, -1, 1, 2, 3)))) for r in range(d) for s in range(r + 1, d)]
-            t[key] = Matrix.from_entries(field, d, d, [(r, r, field.one) for r in range(d)] + above)
-            t_inv[key] = t[key].solve_many(Matrix.identity(field, d))
-        left = {}
-        for (f, y), act in ses.m.left.items():
-            x, x2, _ = c.label_info[f]
-            left[(f, y)] = t_inv[(x2, y)] @ act @ t[(x, y)]
-        right = {}
-        for (g, x), act in ses.m.right.items():
-            y2, y, _ = c.label_info[g]
-            right[(g, x)] = t_inv[(x, y2)] @ act @ t[(x, y)]
-        m2 = Bimodule(c, ses.m.dims, left, right)
+        m2, t = in_triangular_basis(c, ses.m, lambda: field.of(rng.choice((-3, -2, -1, 1, 2, 3))))
         i2 = BimoduleMap(m2, ses.n, {key: blk @ t[key] for key, blk in ses.i.blocks.items()})
         assert any(i2.blocks[key] != blk for key, blk in ses.i.blocks.items())
         conjugated = les_analysis(c, ShortExactSeq(m2, ses.n, ses.p, i2, ses.q), 2)
@@ -321,6 +309,27 @@ class TestVanishingTheorem:
         m = random_bimodule(z2_over_q, seed)
         result = cohomology_dims(build_hm_complex(z2_over_q, m, 2))
         assert result.dim_h(1) == 0 and result.dim_h(2) == 0
+
+
+def in_triangular_basis(c, m, above):
+    """m in the basis of a unit upper-triangular T on each component, whose
+    entries above the diagonal are drawn by above(): the bimodule with
+    actions T^-1 A T, and the T of each component."""
+    fld = c.field
+    t, t_inv = {}, {}
+    for key, d in m.dims.items():
+        cells = [(r, r, fld.one) for r in range(d)] + [(r, s, above()) for r in range(d) for s in range(r + 1, d)]
+        t[key] = Matrix.from_entries(fld, d, d, cells)
+        t_inv[key] = t[key].solve_many(Matrix.identity(fld, d))
+    left = {}
+    for (f, y), act in m.left.items():
+        x, x2, _ = c.label_info[f]
+        left[(f, y)] = t_inv[(x2, y)] @ act @ t[(x, y)]
+    right = {}
+    for (g, x), act in m.right.items():
+        y2, y, _ = c.label_info[g]
+        right[(g, x)] = t_inv[(x, y2)] @ act @ t[(x, y)]
+    return Bimodule(c, m.dims, left, right), t
 
 
 def crown_poset():
@@ -437,8 +446,11 @@ def test_rank_mod_matches_prime_field_rank(shape, p):
     _, pivots = gauss_jordan([ents[i * cols : (i + 1) * cols] for i in range(rows)], p)
     expected = len(pivots)
     assert _rank_mod(Matrix(QQ, rows, cols, [QQ.of(e) for e in ents]), p) == expected
-    # dividing by a unit mod p changes no rank
-    assert _rank_mod(Matrix(QQ, rows, cols, [QQ.of(e) / 11 for e in ents]), p) == expected
+    # dividing by a unit mod p changes no rank; QQ.of(e) / 11 would be a
+    # float, as QQ.of(e) is an int
+    divided = Matrix(QQ, rows, cols, [QQ.div(QQ.of(e), QQ.of(11)) for e in ents])
+    assert_canonical(divided)
+    assert _rank_mod(divided, p) == expected
     # over F_p itself, as cohomology_dims takes its ranks there
     fp = Field(p)
     assert _rank_mod(Matrix(fp, rows, cols, [fp.of(e) for e in ents]), p) == expected
@@ -487,11 +499,10 @@ def test_product_matches_textbook(field, data):
     assert product.entries == tuple(expected)
     assert product.is_zero() == (not any(expected))
     assert product == Matrix(field, m, n, expected)
-    # no stored zero, each row in increasing column, and over Q only
-    # Fraction scalars
+    # no stored zero, each row in increasing column, and every scalar in
+    # canonical form: over Q an int when integral, else a Fraction
+    assert_canonical(product)
     for row in product.row_terms:
-        assert all(v for _, v in row)
-        assert all(type(v) is type(field.one) for _, v in row)
         assert [j for j, _ in row] == sorted({j for j, _ in row})
 
 
@@ -631,10 +642,25 @@ def test_differentials_match_textbook_formula(name, kind, field_name):
             d = cohomology._build_differential(c, m, spaces[n], spaces[n + 1], n)
             want = textbook_differential(c, m, n)
             assert (d.rows, d.cols) == (want.rows, want.cols)
-            # entry for entry, and over Q every entry a Fraction
+            # entry for entry, each in the same canonical form
             assert [[(j, type(v), v) for j, v in row] for row in d.row_terms] == [
                 [(j, type(v), v) for j, v in row] for row in want.row_terms
             ]
+
+
+@pytest.mark.parametrize("name", ["Z3", "K4"])
+def test_fractional_actions_give_canonical_differentials(name):
+    # the canonical bimodule in a basis with halves: its actions have proper
+    # fractions as entries, and some sums of them in one entry of d^n are
+    # integral, so the builder must store those as ints
+    c = linearize(DIFF_PRESETS[name](), QQ)
+    m, _ = in_triangular_basis(c, canonical_bimodule(c), lambda: Fraction(1, 2))
+    spaces = [cohomology._degree_space(c, m, n, cohomology.DEFAULT_BUDGET) for n in range(4)]
+    diffs = [cohomology._build_differential(c, m, spaces[n], spaces[n + 1], n) for n in range(3)]
+    assert any(type(v) is Fraction for d in diffs for row in d.row_terms for _, v in row)
+    for n, d in enumerate(diffs):
+        assert_canonical(d)
+        assert d == textbook_differential(c, m, n)
 
 
 @pytest.mark.parametrize("name,kind", [("Z3", "kernel-comp"), ("G2(Z2)", "canonical")])
@@ -661,6 +687,48 @@ def test_flipped_sign_fails_the_dd_check(monkeypatch, name, kind, field_name, de
     monkeypatch.setattr(cohomology, "_build_differential", flipped)
     with pytest.raises(InternalCheckError):
         build_hm_complex(c, m, 2)
+
+
+# the categories of the rational cohomology benchmark
+HM_Q_CORPUS = {
+    "Z3": lambda: presets.cyclic_group(3),
+    "Z4": lambda: presets.cyclic_group(4),
+    "Z5": lambda: presets.cyclic_group(5),
+    "K4": presets.klein_four,
+    "G2(Z2)": lambda: presets.connected_groupoid(presets.cyclic_group(2), 2),
+    "A5": lambda: presets.chain_poset(5),
+    "crown": lambda: crown_poset(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HM_Q_CORPUS))
+def test_les_over_q_stores_only_canonical_scalars(monkeypatch, name):
+    # no float, bool or integral Fraction lands in any differential, cochain
+    # map, product, kernel basis or rref that les takes, nor in the
+    # canonical complex to degree 3
+    seen = []
+
+    def keep(fn):
+        def kept(*args):
+            out = fn(*args)
+            seen.append(out)
+            return out
+
+        return kept
+
+    for owner, attr in [(cohomology, "build_hm_complex"), (cohomology, "_cochain_map"), (Matrix, "__matmul__"),
+                        (Matrix, "kernel_basis"), (Matrix, "rref")]:
+        monkeypatch.setattr(owner, attr, keep(getattr(owner, attr)))
+    c = linearize(HM_Q_CORPUS[name](), QQ)
+    assert les_analysis(c, kernel_comp_ses(c), 2).all_exact
+    cohomology.build_hm_complex(c, canonical_bimodule(c), 3)
+    assert sum(isinstance(x, cohomology.CochainComplex) for x in seen) == 4
+    for x in seen:
+        if isinstance(x, cohomology.CochainComplex):
+            for d in x.diffs:
+                assert_canonical(d)
+        else:
+            assert_canonical(x.reduced if isinstance(x, exactalg.RrefResult) else x)
 
 
 def test_z5_degree_three_memory():

@@ -6,6 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import assert_canonical, is_canonical
 from sepcat import exactalg
 from sepcat.exactalg import Field, Matrix, QQ
 
@@ -49,12 +50,45 @@ class TestScalars:
         class Tagged(Fraction):
             pass
 
-        # only an exact Fraction is canonical; anything else is converted
+        # a rational is canonical as an int when integral and otherwise as
+        # an exact Fraction with denominator > 1; anything else is converted
         tagged = QQ.of(Tagged(1, 2))
         assert type(tagged) is Fraction and tagged == Fraction(1, 2)
-        for value, want in [(3, Fraction(3)), ("-3/4", q), ("6/8", Fraction(3, 4))]:
+        for value, want in [
+            (3, 3),
+            (True, 1),
+            (Fraction(6, 3), 2),
+            (Tagged(-4, 2), -2),
+            ("-3/4", q),
+            ("6/8", Fraction(3, 4)),
+            ("4/2", 2),
+            ("-0/5", 0),
+        ]:
             got = QQ.of(value)
-            assert type(got) is Fraction and got == want
+            assert type(got) is type(want) and got == want
+        assert (type(QQ.zero), type(QQ.one)) == (int, int)
+
+    @pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+    def test_float_is_rejected(self, field):
+        # a float is its binary expansion, not the number it was written as:
+        # 0.1 would be 3602879701896397/36028797018963968
+        for value in [0.1, 2.0, float("nan")]:
+            with pytest.raises(TypeError, match="cannot coerce"):
+                field.of(value)
+
+    def test_text_grammar(self):
+        # Q reads exactly -?[0-9]+(/[0-9]+)?, F_p exactly -?[0-9]+ reduced
+        # mod p
+        for text, want in [("007", 7), ("-0", 0), ("-12/8", Fraction(-3, 2)), ("10/5", 2)]:
+            got = QQ.of_text(text)
+            assert type(got) is type(want) and got == want
+        assert [F5.of_text(t) for t in ["12", "-1", "0", "-10"]] == [2, 4, 0, 0]
+        malformed = ["1e3", "1.5", "1_000", " 3 ", "3\n", "+2", "", "-", "--1", "1/", "/2", "1/-2", "1/+2", "1//2",
+                     "\u0663", "\u00b2", "0x10", "inf", "nan"]
+        for field in (QQ, F5):
+            for text in malformed + (["1/2"] if field.p else []):
+                with pytest.raises(ValueError):
+                    field.of_text(text)
 
     def test_field_json(self):
         assert Field.from_json("Q") == QQ
@@ -167,6 +201,7 @@ def matrices(draw, field=None):
 @settings(max_examples=150, deadline=None)
 def test_kernel_columns_annihilate(a):
     k = a.kernel_basis()
+    assert_canonical(k)
     assert (a @ k).is_zero()
     assert a.rank() + k.cols == a.cols
 
@@ -207,7 +242,10 @@ def test_kernel_coords_match_solve_many(field, data):
     else:
         image = _random_matrix(data, field, cols, width)
     want = k.solve_many(image)
-    assert k._coords(image) == want
+    got = k._coords(image)
+    assert got == want
+    if got is not None:
+        assert_canonical(got)
     if (m @ image).is_zero():
         assert want is not None
 
@@ -224,7 +262,10 @@ def test_column_echelon_coords_match_solve_many(field, data):
         image = basis @ _random_matrix(data, field, res.rank, width)
     else:
         image = _random_matrix(data, field, a.cols, width)
-    assert basis._coords(image, res.pivot_cols) == basis.solve_many(image)
+    got = basis._coords(image, res.pivot_cols)
+    assert got == basis.solve_many(image)
+    if got is not None:
+        assert_canonical(got)
 
 
 @given(matrices())
@@ -267,21 +308,28 @@ def test_solve_complete_on_consistent_systems(a, data):
     assert x is not None and a @ x == b
 
 
-@given(st.integers(-40, 40), st.integers(-40, 40), st.sampled_from(["add", "sub", "mul", "div"]))
-@settings(max_examples=200, deadline=None)
-def test_scalar_canonical_form(m, n, op):
+@given(
+    st.integers(-40, 40),
+    st.integers(-40, 40),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from(["add", "sub", "mul", "div", "inv"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_scalar_canonical_form(m, n, dm, dn, op):
+    # over Q the operands are m/dm and n/dn, so a result of proper fractions
+    # may be integral
     for f in (QQ, F5):
-        a, b = f.of(m), f.of(n)
-        if op == "div" and not b:
+        a, b = (f.of(Fraction(m, dm)), f.of(Fraction(n, dn))) if f.is_rationals else (f.of(m), f.of(n))
+        if op in ("div", "inv") and not b:
             continue
-        r = getattr(f, op)(a, b)
+        r = f.inv(b) if op == "inv" else getattr(f, op)(a, b)
         if f.is_rationals:
             import math
 
             assert r.denominator > 0
             assert math.gcd(int(r.numerator), int(r.denominator)) == 1
-        else:
-            assert 0 <= r < f.p
+        assert is_canonical(f, r)
 
 
 def _int_rows(data, rows, cols):
@@ -316,9 +364,12 @@ def test_nary_hstack_is_the_binary_fold(data):
 @settings(max_examples=100, deadline=None)
 def test_take_cols_picks_columns(field, rows, cols, data):
     ints = _int_rows(data, rows, cols)
-    picks = data.draw(st.lists(st.integers(0, cols - 1), max_size=5))
-    by_hand = Matrix.from_rows(field, [[row[j] for j in picks] for row in ints])
-    assert Matrix.from_rows(field, ints).take_cols(picks) == by_hand
+    drawn = data.draw(st.lists(st.integers(0, cols - 1), max_size=5))
+    # increasing, as the rref certificate picks its pivot columns, then
+    # decreasing with every column repeated
+    for picks in (drawn, sorted(set(drawn)), drawn[::-1] + drawn):
+        by_hand = Matrix.from_rows(field, [[row[j] for j in picks] for row in ints])
+        assert Matrix.from_rows(field, ints).take_cols(picks) == by_hand
 
 
 @given(fields, st.integers(0, 4), st.integers(0, 4), st.data())
@@ -329,6 +380,26 @@ def test_transpose_matches_textbook(field, rows, cols, data):
     assert (t.rows, t.cols) == (cols, rows)
     assert t.entries == tuple(field.of(ints[i][j]) for j in range(cols) for i in range(rows))
     assert t == Matrix(field, cols, rows, [field.of(ints[i][j]) for j in range(cols) for i in range(rows)])
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        (QQ, 3 / 11),  # QQ.of(3) / 11: int / int is a float
+        (QQ, Fraction(3)),
+        (QQ, True),
+        (F5, 5),
+        (F5, -1),
+        (F5, Fraction(1, 2)),
+        (F5, 1.0),
+    ],
+    ids=["float", "integral-fraction", "bool", "p", "negative", "fraction-mod-p", "float-mod-p"],
+)
+def test_canonical_checker_rejects_every_other_form(field, value):
+    # from_entries trusts its scalars, so it stores these as given
+    with pytest.raises(AssertionError):
+        assert_canonical(Matrix.from_entries(field, 1, 1, [(0, 0, value)]))
+    assert_canonical(Matrix.from_entries(field, 1, 2, [(0, 0, field.div(field.of(3), field.of(11))), (0, 1, 1)]))
 
 
 def gauss_jordan(rows: list[list[int]], p):
@@ -371,6 +442,7 @@ def test_rref_matches_textbook_gauss_jordan(field, shape):
     res = Matrix(field, len(ints), cols, [field.of(e) for row in ints for e in row]).rref()
     reduced, pivots = gauss_jordan(ints, field.p)
     assert res.reduced.entries == tuple(e for row in reduced for e in row)
+    assert_canonical(res.reduced)
     assert res.rank == len(pivots)
     assert res.pivot_cols == tuple(pivots)
 
@@ -404,6 +476,7 @@ def test_block_elimination_matches_textbook(field, shape):
     res = m.rref()
     reduced, pivots = gauss_jordan(ints, field.p)
     assert res.reduced.entries == tuple(e for row in reduced for e in row)
+    assert_canonical(res.reduced)
     assert res.pivot_cols == tuple(pivots)
     assert exactalg._rank_mod(m) == len(gauss_jordan(ints, field.p or exactalg._PRIME)[1])
 
@@ -481,7 +554,7 @@ def test_rational_rref_matches_textbook_and_certifies_exactly_when_it_can(rows):
         res = m.rref()
     assert res.reduced.entries == tuple(e for row in reduced for e in row)
     assert res.pivot_cols == tuple(pivots)
-    assert all(type(v) is Fraction for row in res.reduced.row_terms for _, v in row)
+    assert_canonical(res.reduced)
     # the Fraction elimination runs exactly when the modular one cannot
     # answer
     assert (None in calls) == (not certifiable(rows))
@@ -502,6 +575,7 @@ class TestCertifiedRref:
             res = Matrix.from_rows(QQ, rows).rref()
         reduced, pivots = gauss_jordan(rows, None)
         assert res.reduced.entries == tuple(e for row in reduced for e in row)
+        assert_canonical(res.reduced)
         assert res.pivot_cols == tuple(pivots)
         assert None in calls
 
