@@ -11,35 +11,44 @@ A Field object carries the arithmetic. A Matrix stores its field and only
 its nonzero entries, row by row, in tuples, so it cannot change after
 construction; the systems and differentials it holds are mostly zeros.
 All Gaussian elimination, over Q and over F_p, runs through one
-forward-elimination routine, _echelon, once per block of the matrix: a
+forward-elimination routine, _echelon, per block of the matrix: a
 connected component of the graph that joins the columns of each row's
 nonzeros. Its working rows are dense but only as wide as their block.
+Within one rref or rank, blocks that are equal in their own coordinates,
+with their exact values, share one elimination: the 5 blocks of d^3 in
+the bar complex of Z_5, one per conjugacy class, are one matrix.
 
-Over Q the rref is computed modulo the word-size prime _PRIME and each
-entry rationally reconstructed (Wang-Guy-Davenport); the candidate is kept
-only when one exact product proves it, as in Dixon's p-adic solver. If R
-has pivot columns P and A == A[:, P] @ R, the rows of A lie in the row
-space of R, so rank_Q(A) <= rank(R) = rank_p(A); and rank_p(A) <= rank_Q(A)
-because a minor of the reduction is the reduction of the minor. The two
-row spaces are then equal, and R, being reduced, is the unique rref of A.
-Otherwise the elimination runs in Fraction arithmetic.
+Over Q each distinct block is reduced modulo the word-size prime _PRIME
+and each entry of its rref rationally reconstructed (Wang-Guy-Davenport);
+the candidate is kept only when one exact product on the block proves it,
+as in Dixon's p-adic solver. If R has pivot columns P and B == B[:, P] @ R,
+the rows of B lie in the row space of R, so rank_Q(B) <= rank(R) =
+rank_p(B); and rank_p(B) <= rank_Q(B) because a minor of the reduction is
+the reduction of the minor. The two row spaces are then equal, and R,
+being reduced, is the unique rref of B. Otherwise that block is
+eliminated in Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from numbers import Rational
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 __all__ = ["Field", "QQ", "Matrix", "RrefResult"]
 
 # the word-size prime that rational matrices are reduced modulo, for the
 # rref and for the ranks that bound cohomology over Q
 _PRIME = 2**31 - 1
+# the largest numerator and denominator rationally reconstructed mod _PRIME
+_BOUND = isqrt((_PRIME - 1) // 2)
+
+_T = TypeVar("_T")
 
 # scalar text: "n" or "n/d" over Q, "n" over F_p, in ASCII digits
 _Q_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -91,11 +100,11 @@ class Field:
         a field scalar. Raises ValueError on text that names no scalar, such
         as "1/0" or "1.5", and TypeError on any other value, such as a float,
         whose binary expansion is not the number it was written as."""
+        if type(value) is int:
+            return value if self.p is None else value % self.p
         if isinstance(value, str):
             return self._parse(value)
         if self.p is None:
-            if type(value) is int:
-                return value
             if isinstance(value, Rational):
                 return _canonical(value if type(value) is Fraction else Fraction(value))
             raise TypeError(f"cannot coerce {value!r} into Q")
@@ -214,12 +223,15 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "row_terms", "_rref")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: Sequence):
-        """From the dense row-major entries."""
+        """From the dense row-major entries, each canonicalized as Field.of
+        does it, so a float raises TypeError."""
         if rows < 0 or cols < 0:
             raise ValueError(f"negative matrix shape {rows}x{cols}")
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
-        terms = tuple(_nonzeros(entries[i * cols : (i + 1) * cols], field.p) for i in range(rows))
+        of = field.of
+        values = [of(e) for e in entries]
+        terms = tuple(_nonzeros(values[i * cols : (i + 1) * cols], field.p) for i in range(rows))
         self._set(field, rows, cols, terms)
 
     def _set(self, field: Field, rows: int, cols: int, terms: tuple) -> None:
@@ -435,52 +447,34 @@ class Matrix:
 
     def rref(self) -> RrefResult:
         """The reduced row echelon form, computed once and cached. Each
-        block is reduced on its own and the reduced rows merged by pivot
-        column; the rref is unique, so it equals that of the whole matrix.
+        distinct block is reduced once, in its own coordinates (see
+        _distinct_blocks), and the reduced rows of every block are mapped
+        back through its columns and merged by pivot column; the rref is
+        unique, so it equals that of the whole matrix.
 
-        Over Q it is first taken mod _PRIME and its entries reconstructed
-        as fractions. The candidate R, with pivot columns P, is kept only
-        when self == self[:, P] @ R exactly: then the rows of self lie in
-        the row space of R, whose rank is the rank mod the prime and so at
-        most the rank of self, and R is the unique rref of self. The check
-        is one product over the whole matrix; when it fails, the whole
-        elimination runs again in Fraction arithmetic."""
+        Over Q a block is first reduced mod _PRIME and its entries
+        reconstructed as fractions; the candidate is kept only when the
+        block's own product certifies it (see _certified_block_rref), and
+        otherwise that block alone is eliminated in Fraction arithmetic. A
+        row of self has nonzeros in one block only, and so does a reduced
+        row at its pivot column, so self == self[:, P] @ R holds exactly
+        when it holds on every block."""
         cached = self._rref
         if cached is not None:
             return cached
         p = self.field.p
-        order, rows = (self._certified_rref() if p is None else None) or _reduce(self, p)
-        rows = tuple(rows) + ((),) * (self.rows - len(order))
+        found = {}
+        for cols, (order, reduced) in _distinct_blocks(self, lambda rows, width: _block_rref(rows, width, p)):
+            for pc, red in zip(order, reduced):
+                found[cols[pc]] = tuple([(cols[j], v) for j, v in red])
+        order = sorted(found)
+        rows = tuple([found[pc] for pc in order]) + ((),) * (self.rows - len(order))
         # reduced does not cache result: that would be a reference cycle,
         # which keeps the whole reduced matrix alive until the next full
         # garbage collection
         result = RrefResult(Matrix._of_rows(self.field, self.cols, rows), len(order), tuple(order))
         object.__setattr__(self, "_rref", result)
         return result
-
-    def _certified_rref(self) -> Optional[tuple[list[int], list[tuple]]]:
-        """The pivot columns and nonzero reduced rows of a rational self
-        from its rref mod _PRIME, reconstructed entry by entry; None when
-        the prime divides a denominator, an entry does not reconstruct, or
-        self != self[:, pivots] @ R."""
-        p = _PRIME
-        bound = isqrt((p - 1) // 2)
-        try:
-            order, reduced = _reduce(self, p)
-        except ValueError:  # from pow: p divides a denominator
-            return None
-        rows = []
-        for red in reduced:
-            row = []
-            for j, v in red:
-                q = _rational(v, p, bound)
-                if q is None:
-                    return None
-                row.append((j, q))
-            rows.append(tuple(row))
-        if self.take_cols(order) @ Matrix._of_rows(self.field, self.cols, tuple(rows)) != self:
-            return None
-        return order, rows
 
     def rank(self) -> int:
         return self.rref().rank
@@ -623,13 +617,13 @@ def _back_substitute(order: list[int], pivots: dict[int, list], p: Optional[int]
     return [_nonzeros(pivots.pop(pc), p) for pc in order]
 
 
-def _blocks(m: Matrix, p: Optional[int]) -> Iterator[tuple[list[int], Iterator[list]]]:
+def _blocks(m: Matrix) -> list[tuple[list[int], tuple]]:
     """The blocks of m: the connected components of the graph that joins
     the columns of each row's nonzeros. For each, its columns in
-    increasing order and a stream of its dense rows over just those
-    columns, in order of leading column, every entry reduced mod the prime
-    p unless p is None; pow raises ValueError when p divides a
-    denominator.
+    increasing order and its rows in the block's own coordinates, where
+    column k is the block's k-th column, in order of leading column and
+    with m's exact stored values. Two blocks with equal rows are one
+    matrix in their own coordinates.
 
     No elimination moves a row's nonzeros out of its block, so the rank of
     m is the sum of the blocks' ranks and the rref of m is their rrefs
@@ -653,46 +647,102 @@ def _blocks(m: Matrix, p: Optional[int]) -> Iterator[tuple[list[int], Iterator[l
     blocks: dict[int, list] = {}
     for r in rows:
         blocks.setdefault(find(r[0][0]), []).append(r)
+    out = []
     for block in blocks.values():
         cols = sorted({j for r in block for j, _ in r})
-        yield cols, _dense_rows(block, cols, p)
+        if len(cols) == m.cols:  # one block on every column: its coordinates are m's
+            out.append((cols, tuple(block)))
+            continue
+        local = {j: k for k, j in enumerate(cols)}
+        out.append((cols, tuple([tuple([(local[j], v) for j, v in r]) for r in block])))
+    return out
 
 
-def _dense_rows(block: list, cols: list[int], p: Optional[int]) -> Iterator[list]:
-    """The rows of block as dense rows over cols, reduced mod p unless p is
-    None, one at a time."""
-    local = {j: k for k, j in enumerate(cols)}
-    for r in block:
-        row = [0] * len(cols)
+def _distinct_blocks(m: Matrix, solve: Callable[[tuple, int], _T]) -> Iterator[tuple[list[int], _T]]:
+    """Each block of m's columns with solve(rows, width) of its rows in its
+    own coordinates, called once per distinct block: a block equal to an
+    earlier one in its own coordinates shares that block's result. The
+    rows are the key, exact values and not their residues, so two blocks
+    congruent mod a prime but different over Q are solved apart. Only a
+    block with a sibling of the same shape is looked up, so a matrix of
+    one block, or of blocks of different shapes, hashes no key."""
+    blocks = _blocks(m)
+    shapes = Counter((len(rows), len(cols)) for cols, rows in blocks)
+    seen: dict[tuple, _T] = {}
+    for cols, rows in blocks:
+        if shapes[len(rows), len(cols)] == 1:
+            yield cols, solve(rows, len(cols))
+            continue
+        result = seen.get(rows)
+        if result is None:
+            result = seen[rows] = solve(rows, len(cols))
+        yield cols, result
+
+
+def _dense_rows(rows: tuple, width: int, p: Optional[int]) -> Iterator[list]:
+    """The sparse rows as dense rows of the given width, reduced mod p
+    unless p is None, one at a time; pow raises ValueError when p divides a
+    denominator."""
+    for r in rows:
+        row = [0] * width
         for j, e in r:
-            row[local[j]] = e if p is None else e % p if type(e) is int else e.numerator * pow(e.denominator, -1, p) % p
+            row[j] = e if p is None else e % p if type(e) is int else e.numerator * pow(e.denominator, -1, p) % p
         yield row
 
 
-def _reduce(m: Matrix, p: Optional[int]) -> tuple[list[int], list[tuple]]:
-    """The pivot columns and nonzero rows, in pivot order, of the rref of m
-    over Q (p None) or of m reduced mod the prime p, eliminated block by
-    block."""
-    found = {}
-    for cols, rows in _blocks(m, p):
-        order, pivots = _echelon(rows, p)
-        for pc, red in zip(order, _back_substitute(order, pivots, p)):
-            found[cols[pc]] = tuple([(cols[j], v) for j, v in red])
-    order = sorted(found)
-    return order, [found[pc] for pc in order]
+def _block_rref(rows: tuple, width: int, p: Optional[int]) -> tuple[list[int], list[tuple]]:
+    """The pivot columns and nonzero reduced rows, in pivot order, of the
+    rref of one block given by its rows in its own coordinates, over F_p,
+    or over Q when p is None: certified from the rref mod _PRIME when it
+    can be (_certified_block_rref), else in Fraction arithmetic."""
+    found = _certified_block_rref(rows, width) if p is None else None
+    if found is None:
+        order, pivots = _echelon(_dense_rows(rows, width, p), p)
+        found = order, _back_substitute(order, pivots, p)
+    return found
+
+
+def _certified_block_rref(rows: tuple, width: int) -> Optional[tuple[list[int], list[tuple]]]:
+    """The pivot columns P and nonzero reduced rows R of a rational block
+    B from its rref mod _PRIME, reconstructed entry by entry, kept only
+    when B == B[:, P] @ R; None when the prime divides a denominator, an
+    entry does not reconstruct, or the product differs."""
+    p = _PRIME
+    try:
+        order, pivots = _echelon(_dense_rows(rows, width, p), p)
+    except ValueError:  # from pow: p divides a denominator
+        return None
+    reduced = []
+    for red in _back_substitute(order, pivots, p):
+        row = []
+        for j, v in red:
+            q = _rational(v, p, _BOUND)
+            if q is None:
+                return None
+            row.append((j, q))
+        reduced.append(tuple(row))
+    b = Matrix._of_rows(QQ, width, rows)
+    if b.take_cols(order) @ Matrix._of_rows(QQ, width, tuple(reduced)) != b:
+        return None
+    return order, reduced
 
 
 def _rank_mod(m: Matrix, p: Optional[int] = None) -> Optional[int]:
     """Rank over F_p of m with every entry reduced mod the prime p, which
     defaults to m's own prime, or _PRIME over Q; None when some entry's
     denominator is divisible by p. Over F_p itself this is the rank of m.
-    It is the sum of the ranks of m's blocks, each eliminated alone.
+    It is the sum of the ranks of m's blocks, each distinct block
+    eliminated once (see _distinct_blocks).
 
     A minor of the reduction is the reduction of the minor, so for a
     rational m the result never exceeds its rank over Q.
     """
     p = p or m.field.p or _PRIME
+
+    def rank(rows: tuple, width: int) -> int:
+        return len(_echelon(_dense_rows(rows, width, p), p)[0])
+
     try:
-        return sum(len(_echelon(rows, p)[0]) for _, rows in _blocks(m, p))
+        return sum(r for _, r in _distinct_blocks(m, rank))
     except ValueError:  # from pow: p divides a denominator
         return None

@@ -171,6 +171,16 @@ class TestImmutable:
         with pytest.raises(ValueError):
             Matrix(QQ, -1, -1, [QQ.one])
 
+    def test_dense_constructor_canonicalizes_like_field_of(self):
+        # from_entries trusts its scalars; the dense constructor does not
+        with pytest.raises(TypeError, match="cannot coerce"):
+            Matrix(Field(7), 1, 2, [0.5, 9])
+        with pytest.raises(TypeError, match="cannot coerce"):
+            Matrix(QQ, 1, 1, [0.5])
+        m = Matrix(Field(7), 1, 2, [4, 9])
+        assert m.row_terms == (((0, 4), (1, 2)),)
+        assert_canonical(m)
+
 
 class TestKernel:
     def test_identity_has_no_kernel(self):
@@ -481,6 +491,66 @@ def test_block_elimination_matches_textbook(field, shape):
     assert exactalg._rank_mod(m) == len(gauss_jordan(ints, field.p or exactalg._PRIME)[1])
 
 
+@st.composite
+def repeated_blocks(draw):
+    """An integer matrix of 1-3 distinct blocks of 1-3 rows and columns,
+    each repeated at 1-3 column sets, with the rows and the columns of all
+    the copies shuffled together. Each copy keeps the order of its own rows
+    and columns, so the copies of a block are one matrix in their own
+    coordinates. A block's first row is all +-1 and every other row leads
+    with +-1, so in every field a block stays connected and keeps its rows.
+    Returns the rows, the column count and the distinct blocks."""
+    unit = st.sampled_from([1, -1])
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    distinct = []
+    for _ in range(draw(st.integers(1, 3))):
+        r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        block = [[draw(unit) for _ in range(c)]]
+        for _ in range(r - 1):
+            lead = draw(st.integers(0, c - 1))
+            block.append([0] * lead + [draw(unit)] + [draw(entry) for _ in range(c - lead - 1)])
+        distinct.append(block)
+    copies = [b for b in distinct for _ in range(draw(st.integers(1, 3)))]
+
+    def shuffle_together(sizes):
+        # position -> (copy, index within the copy), indices in order per copy
+        owners = draw(st.permutations([k for k, n in enumerate(sizes) for _ in range(n)]))
+        taken = [0] * len(sizes)
+        out = []
+        for k in owners:
+            out.append((k, taken[k]))
+            taken[k] += 1
+        return out
+
+    rows = shuffle_together([len(b) for b in copies])
+    cols = shuffle_together([len(b[0]) for b in copies])
+    return [[copies[k][a][b] if k == l else 0 for l, b in cols] for k, a in rows], len(cols), distinct
+
+
+@given(st.sampled_from([QQ, F2, Field(3), Field(2**31 - 1)]), repeated_blocks())
+@settings(max_examples=200, deadline=None)
+def test_equal_blocks_share_one_elimination(field, drawn):
+    ints, cols, distinct = drawn
+    m = Matrix(field, len(ints), cols, [field.of(e) for row in ints for e in row])
+    # a block in its own coordinates: its rows in field values, in order of
+    # leading column
+    own = {
+        tuple(sorted((tuple(map(field.of, row)) for row in b), key=lambda row: next(j for j, v in enumerate(row) if v)))
+        for b in distinct
+    }
+    with echelon_primes() as calls:
+        res = m.rref()
+    reduced, pivots = gauss_jordan(ints, field.p)
+    assert res.reduced.entries == tuple(e for row in reduced for e in row)
+    assert_canonical(res.reduced)
+    assert res.pivot_cols == tuple(pivots)
+    assert calls == [field.p or P] * len(own)
+    with echelon_primes() as calls:
+        rank = exactalg._rank_mod(m)
+    assert rank == len(gauss_jordan(ints, field.p or P)[1])
+    assert calls == [field.p or P] * len(own)
+
+
 # -- the certified rational rref ---------------------------------------------
 
 P = exactalg._PRIME
@@ -588,7 +658,7 @@ class TestCertifiedRref:
         assert Fraction(2, 5) in res.reduced.entries
         assert calls == [P]
 
-    def test_one_block_past_the_bound_falls_back_whole(self):
+    def test_one_block_past_the_bound_falls_back_alone(self):
         # columns 0 and 2 form one block, columns 1 and 3 the other; only the
         # second block's rref has an entry past the reconstruction bound
         rows = [[1, 0, 2, 0], [0, BOUND + 2, 0, BOUND + 1], [3, 0, 4, 0]]
@@ -597,12 +667,24 @@ class TestCertifiedRref:
         reduced, pivots = gauss_jordan(rows, None)
         assert res.reduced.entries == tuple(e for row in reduced for e in row)
         assert res.pivot_cols == tuple(pivots)
-        # both blocks mod the prime, then both in Fractions
-        assert calls == [P, P, None, None]
+        # both blocks mod the prime, then the second alone in Fractions
+        assert calls == [P, P, None]
 
-    def test_z5_degree_three_rank_runs_one_elimination_per_block(self):
+    def test_blocks_congruent_mod_the_prime_are_reduced_apart(self):
+        # two 1 x 2 blocks on disjoint columns, equal mod the prime only
+        rows = [[1, 2, 0, 0], [0, 0, 1, 2 + P]]
+        with echelon_primes() as calls:
+            res = Matrix.from_rows(QQ, rows).rref()
+        reduced, pivots = gauss_jordan(rows, None)
+        assert res.reduced.entries == tuple(e for row in reduced for e in row)
+        assert res.pivot_cols == tuple(pivots)
+        # each block mod the prime; 2 + P is past the reconstruction bound,
+        # so the second then falls back to Fractions
+        assert calls == [P, P, None]
+
+    def test_z5_degree_three_rank_eliminates_its_equal_blocks_once(self):
         # the bar complex of Z_5 splits by conjugacy class: d^3 (3125 x 625)
-        # has 5 blocks of 125 columns
+        # has 5 blocks of 125 columns, one matrix in their own coordinates
         from sepcat import presets
         from sepcat.cmod import canonical_bimodule
         from sepcat.cohomology import build_hm_complex
@@ -613,7 +695,7 @@ class TestCertifiedRref:
         with echelon_primes() as calls:
             rank = exactalg._rank_mod(d3)
         assert (d3.rows, d3.cols, rank) == (3125, 625, 525)
-        assert calls == [P] * 5
+        assert calls == [P]
 
     def test_reconstruction_bound(self):
         # the largest numerator and denominator come back, one past them not
