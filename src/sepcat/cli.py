@@ -95,10 +95,14 @@ def _resolve_bimodule(c, spec: str):
         _, comp_map = tensor_square(c)
         ker, _ = kernel_of(comp_map)
         return ker
-    m = io.bimodule_from_json(c, _load_json(spec))
+    return _valid_bimodule(c, io.bimodule_from_json(c, _load_json(spec)), spec)
+
+
+def _valid_bimodule(c, m, what: str):
+    """m, or ValueError naming what when m is not a valid bimodule."""
     report = validate_module(c, m)
     if not report.ok:
-        raise ValueError(f"{spec} is not a valid bimodule: " + "; ".join(report.violations[:3]))
+        raise ValueError(f"{what} is not a valid bimodule: " + "; ".join(report.violations[:3]))
     return m
 
 
@@ -300,6 +304,8 @@ def les(file, ses_spec, max_degree, json_out):
         ses = ShortExactSeq(ker, cxc, comp_map.target, incl, comp_map)
     else:
         ses = io.ses_from_json(c, _load_json(ses_spec))
+        for member, mod in (("M", ses.m), ("N", ses.n), ("P", ses.p)):
+            _valid_bimodule(c, mod, f"member {member} of {ses_spec}")
     report = les_analysis(c, ses, max_degree)
     click.echo("position  incoming_rank  kernel_dim  exact")
     for rec in report.positions:

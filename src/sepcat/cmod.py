@@ -15,7 +15,7 @@ from typing import Union
 
 from .errors import InternalCheckError
 from .exactalg import Field, Matrix
-from .lincat import FinLinCat, ValidationReport, generating_labels
+from .lincat import FinLinCat, ValidationReport, generating_labels, opposite
 
 __all__ = [
     "LeftModule",
@@ -104,12 +104,6 @@ class Bimodule:
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-    def left_act(self, f: str, y: str) -> Matrix:
-        return self.left[(f, y)]
-
-    def right_act(self, g: str, x: str) -> Matrix:
-        return self.right[(g, x)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -335,37 +329,22 @@ def _validate_bimodule(c: FinLinCat, m: Bimodule, violations: list[str]) -> None
         if (mat.rows, mat.cols) != (m.dims[(x, y2)], m.dims[(x, y)]):
             violations.append(f"right action for ({g},{x}) has wrong shape")
             return
+
+    def check(cat: FinLinCat, side: str, dims: dict, action: dict) -> None:
+        found: list[str] = []
+        _validate_left_module(cat, LeftModule(cat, dims, action), found)
+        violations.extend(f"{side}: {v}" for v in found)
+
+    # column y is a left C-module; row x is a right C-module, a left C^op-module
     for y in c.objects:
-        for x in c.objects:
-            d = m.dims[(x, y)]
-            ident = _linear_action(c.field, zip(c.hom(x, x), c.identity[x]), lambda lab: m.left_act(lab, y), d, d)
-            if ident != Matrix.identity(c.field, d):
-                violations.append(f"left unit law fails at component ({x},{y})")
+        check(c, f"left action at y={y}", {x: m.dims[(x, y)] for x in c.objects}, {f: m.left[(f, y)] for f in c.label_info})
+    op = opposite(c)
     for x in c.objects:
-        for y in c.objects:
-            d = m.dims[(x, y)]
-            ident = _linear_action(c.field, zip(c.hom(y, y), c.identity[y]), lambda lab: m.right_act(lab, x), d, d)
-            if ident != Matrix.identity(c.field, d):
-                violations.append(f"right unit law fails at component ({x},{y})")
-    for g, (gx, gy, _) in c.label_info.items():
-        for f, (fx, fy, _) in c.label_info.items():
-            if fy != gx:
-                continue
-            labels = c.hom(fx, gy)
-            gf = [(labels[k], v) for k, v in c.comp_terms(g, f)]
-            for y in c.objects:
-                lhs = _linear_action(c.field, gf, lambda lab: m.left_act(lab, y), m.dims[(gy, y)], m.dims[(fx, y)])
-                if lhs != m.left_act(g, y) @ m.left_act(f, y):
-                    violations.append(f"left composition law fails on ({g},{f}) at y={y}")
-            # right action is contravariant: (g.f) acts as act(f) @ act(g)
-            for x in c.objects:
-                lhs = _linear_action(c.field, gf, lambda lab: m.right_act(lab, x), m.dims[(x, fx)], m.dims[(x, gy)])
-                if lhs != m.right_act(f, x) @ m.right_act(g, x):
-                    violations.append(f"right composition law fails on ({g},{f}) at x={x}")
+        check(op, f"right action at x={x}", {y: m.dims[(x, y)] for y in c.objects}, {g: m.right[(g, x)] for g in c.label_info})
     for f, (x, x2, _) in c.label_info.items():
         for g, (y2, y, _) in c.label_info.items():
-            lhs = m.left_act(f, y2) @ m.right_act(g, x)
-            rhs = m.right_act(g, x2) @ m.left_act(f, y)
+            lhs = m.left[(f, y2)] @ m.right[(g, x)]
+            rhs = m.right[(g, x2)] @ m.left[(f, y)]
             if lhs != rhs:
                 violations.append(f"left/right actions do not commute on ({f},{g})")
 
@@ -417,7 +396,15 @@ def validate_module(
     c must be a valid category. When a left module's unit law holds, the g
     whose composition law holds on all pairs (g, f) include the identities
     and, as act((s.h).f) = act(s) act(h.f), every s.h for such h; so pairs
-    (s, f), s in lincat.generating_labels(c), suffice unless one fails."""
+    (s, f), s in lincat.generating_labels(c), suffice unless one fails.
+
+    A bimodule is checked as one-sided modules by that same check: column
+    y as a left C-module, row x as a left module over lincat.opposite(c),
+    then the commutation of the two actions on every pair. Their
+    violations read "left action at y=Y: ..." and "right action at x=X:
+    ...". A right-side pair is named in C^op order, so (a,b) is the
+    C-composite b.a. A short exact sequence's maps and exactness are
+    checked, not its three bimodules."""
     violations: list[str] = []
     if isinstance(m, LeftModule):
         _validate_left_module(c, m, violations)

@@ -30,7 +30,7 @@ from math import prod
 from .exactalg import Matrix, _rank_mod
 from .errors import BudgetExceededError, InternalCheckError
 from .lincat import FinLinCat
-from .cmod import Bimodule, BimoduleMap, ShortExactSeq, tensor_square, kernel_of, validate_module
+from .cmod import Bimodule, BimoduleMap, ShortExactSeq, tensor_square, tensor_square_basis, kernel_of, validate_module
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -53,12 +53,6 @@ class _Slot:
     hom_dims: tuple[int, ...]
     mdim: int
     offset: int
-
-    def flat(self, combo: tuple[int, ...], t: int) -> int:
-        idx = 0
-        for i, d in zip(combo, self.hom_dims):
-            idx = idx * d + i
-        return self.offset + idx * self.mdim + t
 
 
 @dataclass
@@ -290,8 +284,6 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
     complex = build_hm_complex(c, ker, 1, budget)
     fld = c.field
     # sigma_x = section(1_x) in the (x, x) component of C (x) C
-    from .cmod import tensor_square_basis
-
     sigma = {}
     for x in c.objects:
         basis = tensor_square_basis(c, x, x)
@@ -318,7 +310,7 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
             if coords is None:
                 raise InternalCheckError("obstruction value has no kernel coordinates")
             for s, v in enumerate(coords.col(0)):
-                values[slot.flat((b_idx,), s)] = v
+                values[slot.offset + b_idx * slot.mdim + s] = v
     cocycle = Matrix(fld, len(values), 1, values)
     if not (complex.diffs[1] @ cocycle).is_zero():
         raise InternalCheckError("obstruction cochain is not a cocycle")
@@ -362,16 +354,20 @@ def _cochain_map(src: CochainComplex, tgt: CochainComplex, blocks: dict, n: int)
             continue
         # column t of the block is row t of its transpose
         blk = blocks[(slot.objs[0], slot.objs[n])].transpose().row_terms
-        for combo in product(*[range(d) for d in slot.hom_dims]):
+        # input index f, row-major over hom_dims, is shared by both slots
+        for f in range(prod(slot.hom_dims)):
             for t in range(slot.mdim):
-                col = slot.flat(combo, t)
+                col = slot.offset + f * slot.mdim + t
                 for s, v in blk[t]:
-                    rows[tslot.flat(combo, s)].append((col, v))
+                    rows[tslot.offset + f * tslot.mdim + s].append((col, v))
     return Matrix._of_rows(src.cat.field, sspace.dim, tuple(map(tuple, rows)))
 
 
 def les_analysis(c: FinLinCat, ses: ShortExactSeq, max_degree: int, budget: int = DEFAULT_BUDGET) -> LesReport:
     """Verify the long exact cohomology sequence of a short exact sequence.
+
+    M, N and P must be valid bimodules: the maps and their exactness are
+    checked here, the modules are not (cli les checks those of a file).
 
     Walks the positions in order: position 3n + k is H^n of (M, N, P)[k]
     and maps to the next one by i, q or the connecting map delta. Each

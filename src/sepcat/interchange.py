@@ -131,7 +131,7 @@ def category_from_json(doc: dict) -> FinLinCat:
 
 
 def presentation_to_json(p: FiniteCatPresentation) -> dict:
-    doc = {
+    return {
         "objects": list(p.objects),
         "morphisms": [
             {"name": name, "from": src, "to": tgt} for name, (src, tgt) in p.morphisms.items()
@@ -141,9 +141,6 @@ def presentation_to_json(p: FiniteCatPresentation) -> dict:
             {"g": g, "f": f, "result": h} for (g, f), h in sorted(p.composition.items())
         ],
     }
-    if p.inverse:
-        doc["inverse"] = dict(p.inverse)
-    return doc
 
 
 def presentation_from_json(doc: dict) -> FiniteCatPresentation:
@@ -157,8 +154,7 @@ def presentation_from_json(doc: dict) -> FiniteCatPresentation:
     entries = _require_type(doc.get("composition", []), list, "composition", "presentation")
     for key, entry in _keyed(entries, ("g", "f"), "composition entry", "composition", "presentation"):
         composition[key] = _require(entry, "result", "composition entry")
-    inverse = _require_type(doc.get("inverse") or {}, dict, "inverse", "presentation")
-    return FiniteCatPresentation(objects, morphisms, identity, composition, inverse)
+    return FiniteCatPresentation(objects, morphisms, identity, composition)
 
 
 def bimodule_to_json(m: Bimodule) -> dict:

@@ -24,6 +24,7 @@ __all__ = [
     "validate_category",
     "generating_labels",
     "linearize",
+    "opposite",
     "classify_presentation",
 ]
 
@@ -259,9 +260,8 @@ class FiniteCatPresentation:
     ValueError, and so does a table that misses a composable pair or breaks
     associativity or a unit law, as "invalid presentation: ...". So every
     presentation is a category, and what reads one does not check it again.
-    Like FinLinCat it is immutable. The inverse table is optional and only
-    advisory; groupoid classification searches for two-sided inverses
-    directly.
+    Like FinLinCat it is immutable. Inverses are not stored: find_inverse
+    searches for a two-sided inverse.
     """
 
     def __init__(
@@ -270,7 +270,6 @@ class FiniteCatPresentation:
         morphisms: dict[str, tuple[str, str]],
         identity: dict[str, str],
         composition: dict[tuple[str, str], str],
-        inverse: Optional[dict[str, str]] = None,
     ):
         objects = tuple(objects)
         if len(set(objects)) != len(objects):
@@ -302,7 +301,6 @@ class FiniteCatPresentation:
             morphisms=MappingProxyType(morphisms),
             identity=MappingProxyType(identity),
             composition=MappingProxyType(composition),
-            inverse=MappingProxyType(dict(inverse)) if inverse else None,
         )
         violations = self._law_violations()
         if violations:
@@ -382,3 +380,16 @@ def linearize(p: FiniteCatPresentation, k: Field) -> FinLinCat:
     composition = {gf: ((h, k.one),) for gf, h in p.composition.items()}
     identity = {x: ((p.identity[x], k.one),) for x in p.objects}
     return FinLinCat(k, p.objects, hom_basis, composition, identity)
+
+
+def opposite(c: FinLinCat) -> FinLinCat:
+    """The opposite category C^op: its hom(x, y) is c's hom(y, x) with the
+    same labels, g . f in C^op is f . g in C, and the identities are c's.
+    A left C^op-module is a right C-module."""
+    hom_basis = {(y, x): labels for (x, y), labels in c.hom_basis.items()}
+    composition = {
+        (f, g): [(c.hom(c.label_info[f][0], c.label_info[g][1])[k], v) for k, v in terms]
+        for (g, f), terms in c.comp_table.items()
+    }
+    identity = {x: zip(c.hom(x, x), vec) for x, vec in c.identity.items()}
+    return FinLinCat(c.field, c.objects, hom_basis, composition, identity)

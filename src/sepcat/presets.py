@@ -7,7 +7,7 @@ interchange formats.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .lincat import FiniteCatPresentation
 
@@ -25,12 +25,11 @@ __all__ = [
 ]
 
 
-def one_object_monoid(elements: Sequence[str], table: dict[tuple[str, str], str], unit: str, obj: str = "x",
-                      inverse: Optional[dict[str, str]] = None) -> FiniteCatPresentation:
-    """A monoid as a one-object category; table is total multiplication,
-    and inverse the optional inverse table of a group."""
+def one_object_monoid(elements: Sequence[str], table: dict[tuple[str, str], str], unit: str,
+                      obj: str = "x") -> FiniteCatPresentation:
+    """A monoid as a one-object category; table is total multiplication."""
     morphisms = {e: (obj, obj) for e in elements}
-    return FiniteCatPresentation([obj], morphisms, {obj: unit}, table, inverse)
+    return FiniteCatPresentation([obj], morphisms, {obj: unit}, table)
 
 
 def cyclic_group(n: int, obj: str = "x") -> FiniteCatPresentation:
@@ -39,8 +38,7 @@ def cyclic_group(n: int, obj: str = "x") -> FiniteCatPresentation:
         raise ValueError("n must be positive")
     elements = [f"g{i}" for i in range(n)]
     table = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)}
-    inverse = {f"g{i}": f"g{(-i) % n}" for i in range(n)}
-    return one_object_monoid(elements, table, "g0", obj, inverse)
+    return one_object_monoid(elements, table, "g0", obj)
 
 
 def klein_four(obj: str = "x") -> FiniteCatPresentation:
@@ -53,7 +51,7 @@ def klein_four(obj: str = "x") -> FiniteCatPresentation:
         for h in els:
             gg, hh = code[g], code[h]
             mul[(g, h)] = dec[((gg[0] + hh[0]) % 2, (gg[1] + hh[1]) % 2)]
-    return one_object_monoid(els, mul, "e", obj, {g: g for g in els})
+    return one_object_monoid(els, mul, "e", obj)
 
 
 def connected_groupoid(group: FiniteCatPresentation, n_objects: int) -> FiniteCatPresentation:
@@ -84,14 +82,7 @@ def connected_groupoid(group: FiniteCatPresentation, n_objects: int) -> FiniteCa
                     for h in els:
                         hg = group.comp(h, g)
                         composition[(f"{h}:{j}>{k}", f"{g}:{i}>{j}")] = f"{hg}:{i}>{k}"
-    inverse = None
-    if group.inverse:
-        inverse = {}
-        for i in range(n_objects):
-            for j in range(n_objects):
-                for g in els:
-                    inverse[f"{g}:{i}>{j}"] = f"{group.inverse[g]}:{j}>{i}"
-    return FiniteCatPresentation(objects, morphisms, identity, composition, inverse)
+    return FiniteCatPresentation(objects, morphisms, identity, composition)
 
 
 def poset_category(objects: Sequence[str], relations: Sequence[tuple[str, str]]) -> FiniteCatPresentation:
@@ -187,6 +178,4 @@ def random_presentation(seed: int) -> FiniteCatPresentation:
     morphisms["idy"] = ("y", "y")
     identity = dict(g.identity)
     identity["y"] = "idy"
-    inverse = dict(g.inverse) if g.inverse else {}
-    inverse["idy"] = "idy"
-    return FiniteCatPresentation(objects, morphisms, identity, dict(g.composition), inverse)
+    return FiniteCatPresentation(objects, morphisms, identity, dict(g.composition))

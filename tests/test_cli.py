@@ -7,9 +7,18 @@ from click.testing import CliRunner
 from sepcat import presets
 from sepcat import interchange as io
 from sepcat.cli import main
-from sepcat.exactalg import Field, QQ
+from sepcat.exactalg import Field, Matrix, QQ
 from sepcat.lincat import FiniteCatPresentation, linearize
-from sepcat.cmod import ShortExactSeq, canonical_bimodule, kernel_of, representable_left_module, tensor_square
+from sepcat.cmod import (
+    Bimodule,
+    BimoduleMap,
+    ShortExactSeq,
+    canonical_bimodule,
+    kernel_of,
+    representable_left_module,
+    tensor_square,
+    zero_bimodule,
+)
 from test_interchange import NON_ASSOCIATIVE, unknown_morphism
 
 
@@ -180,6 +189,25 @@ class TestCohomologyCommands:
         result = runner.invoke(main, ["les", files["z2_over_Q.json"], "--ses", "kernel-comp", "--max-degree", "1"])
         assert result.exit_code == 0
         assert "NO" not in result.output
+
+    def test_les_file_with_invalid_bimodule_is_exit_two(self, runner, files, tmp_path):
+        # 0 -> 0 -> N -> N -> 0 is exact, but doubling the left action of g1
+        # at y = x breaks N's composition law (g1 . g1) = g0
+        c = linearize(presets.cyclic_group(2), QQ)
+        canon = canonical_bimodule(c)
+        left = dict(canon.left)
+        left[("g1", "x")] = left[("g1", "x")].scale(2)
+        n = Bimodule(c, canon.dims, left, canon.right)
+        zero = zero_bimodule(c)
+        i = BimoduleMap(zero, n, {key: Matrix.zeros(QQ, d, 0) for key, d in n.dims.items()})
+        q = BimoduleMap(n, n, {key: Matrix.identity(QQ, d) for key, d in n.dims.items()})
+        ses = tmp_path / "bad.ses.json"
+        ses.write_text(json.dumps(io.ses_to_json(ShortExactSeq(zero, n, n, i, q))))
+        result = runner.invoke(main, ["les", files["z2_over_Q.json"], "--ses", str(ses), "--max-degree", "2"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"malformed input: member N of {ses} is not a valid bimodule: ")
+        assert "left action at y=x: composition law fails on pair (g1,g1)" in result.stderr
 
 
 class TestModuleCommands:
@@ -428,7 +456,6 @@ class TestMalformedInput:
         [
             ("z2", "objects", "x", "linearize"),
             ("z2", "identity", [["x", "g0"]], "maschke"),
-            ("z2", "inverse", [["g0", "g0"], ["g1", "g1"]], "maschke"),
             ("d2", "composition", {}, "linearize"),
             ("d2", "morphisms", {"idx1": ["x1", "x1"]}, "maschke"),
         ],
@@ -443,10 +470,13 @@ class TestMalformedInput:
         result = runner.invoke(main, args)
         self.assert_malformed(result, f"presentation: member {member!r} must be a JSON {kind}")
 
-    def test_null_inverse_reads_as_absent(self, tmp_path):
+    def test_inverse_member_is_ignored(self):
+        # files written with the old advisory inverse table still load
         doc = io.presentation_to_json(presets.cyclic_group(2))
-        absent = io.presentation_from_json({k: v for k, v in doc.items() if k != "inverse"})
-        assert io.presentation_from_json({**doc, "inverse": None}).inverse == absent.inverse
+        assert "inverse" not in doc
+        old = io.presentation_from_json({**doc, "inverse": {"g0": "g0", "g1": "g1"}})
+        want = io.category_to_json(linearize(io.presentation_from_json(doc), QQ))
+        assert io.category_to_json(linearize(old, QQ)) == want
 
     # a repeated key was read as its last entry, so the conflicting first
     # entry below was dropped without a word and the file validated

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepcat import presets
 from sepcat.exactalg import Field, Matrix, QQ
@@ -165,6 +166,22 @@ class TestValidate:
         report = validate_module(z2_over_q, bad)
         assert not report.ok
         assert any("(g1,g1)" in v for v in report.violations)
+
+    def test_bimodule_violations_name_side_and_component(self):
+        # zeroing the action of x1<=x3 on the canonical bimodule of the chain
+        # x1 <= x2 <= x3 breaks (x2<=x3).(x1<=x2) = x1<=x3 on each side; a
+        # right-side pair is named in C^op order
+        c = linearize(presets.chain_poset(3), QQ)
+        m = canonical_bimodule(c)
+        zero = Matrix.zeros(QQ, 1, 1)
+        left = {**m.left, ("x1<=x3", "x1"): zero}
+        right = {**m.right, ("x1<=x3", "x3"): zero}
+        assert validate_module(c, Bimodule(c, m.dims, left, m.right)).violations == [
+            "left action at y=x1: composition law fails on pair (x2<=x3,x1<=x2)",
+        ]
+        assert validate_module(c, Bimodule(c, m.dims, m.left, right)).violations == [
+            "right action at x=x3: composition law fails on pair (x1<=x2,x2<=x3)",
+        ]
 
     def test_unit_law_failure_checks_every_pair(self, a2_over_q):
         # 1_x2 acting as zero breaks the unit law and the pair (1_x2, alpha),
@@ -417,3 +434,77 @@ def test_left_module_yoneda_basis(seed):
             assert phi[y] @ src.action[f] == tgt.action[f] @ phi[x]
     constraints = [(x, y, src.action[f], tgt.action[f]) for f, (x, y, _) in c.label_info.items()]
     assert basis == _dense_kernel(c.field, list(c.objects), src.dims, tgt.dims, constraints)
+
+
+# Checked against the definitions only: every unit law, every composition
+# law on every composable pair of basis labels, on both sides, and the
+# commutation of the two actions, in the conventions of the cmod docstring.
+
+
+def _reference_bimodule_ok(c, m) -> bool:
+    fld = c.field
+
+    def combo(terms, act, rows, cols):
+        out = Matrix.zeros(fld, rows, cols)
+        for label, coeff in terms:
+            out = out + act(label).scale(coeff)
+        return out
+
+    for x in c.objects:
+        for y in c.objects:
+            d = m.dims[(x, y)]
+            one = Matrix.identity(fld, d)
+            # 1_x acts on the left of M[x][y], 1_y on its right
+            if combo(zip(c.hom(x, x), c.identity[x]), lambda e: m.left[(e, y)], d, d) != one:
+                return False
+            if combo(zip(c.hom(y, y), c.identity[y]), lambda e: m.right[(e, x)], d, d) != one:
+                return False
+    for g, (b, z, _) in c.label_info.items():
+        for f, (a, b2, _) in c.label_info.items():
+            if b2 != b:
+                continue
+            gf = [(c.hom(a, z)[k], v) for k, v in c.comp_terms(g, f)]
+            for y in c.objects:
+                # f then g on the left: M[a][y] -> M[b][y] -> M[z][y]
+                lhs = combo(gf, lambda e: m.left[(e, y)], m.dims[(z, y)], m.dims[(a, y)])
+                if lhs != m.left[(g, y)] @ m.left[(f, y)]:
+                    return False
+            for x in c.objects:
+                # g then f on the right: M[x][z] -> M[x][b] -> M[x][a]
+                lhs = combo(gf, lambda e: m.right[(e, x)], m.dims[(x, a)], m.dims[(x, z)])
+                if lhs != m.right[(f, x)] @ m.right[(g, x)]:
+                    return False
+    for f, (x, x2, _) in c.label_info.items():
+        for g, (y2, y, _) in c.label_info.items():
+            if m.left[(f, y2)] @ m.right[(g, x)] != m.right[(g, x2)] @ m.left[(f, y)]:
+                return False
+    return True
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_bimodule_validator_matches_reference(data):
+    fld = data.draw(st.sampled_from(PROPERTY_FIELDS))
+    pres = data.draw(st.sampled_from(PROPERTY_PRESETS + (lambda: presets.random_presentation(data.draw(st.integers(0, 9))),)))
+    c = linearize(pres(), fld)
+    kind = data.draw(st.sampled_from(["canonical", "cxc", "ker comp", "random"]))
+    if kind == "canonical":
+        m = canonical_bimodule(c)
+    elif kind == "cxc":
+        m = tensor_square(c)[0]
+    elif kind == "ker comp":
+        m = kernel_of(tensor_square(c)[1])[0]
+    else:
+        m = random_bimodule(c, data.draw(st.integers(0, 5)))
+    # move one entry of one action matrix on either side, or none
+    side = data.draw(st.sampled_from(["none", "left", "right"]))
+    acts = {"none": {}, "left": m.left, "right": m.right}[side]
+    keys = sorted(k for k, mat in acts.items() if mat.rows * mat.cols)
+    if keys:
+        key = data.draw(st.sampled_from(keys))
+        entries = list(acts[key].entries)
+        i = data.draw(st.integers(0, len(entries) - 1))
+        entries[i] = fld.add(entries[i], fld.of(data.draw(st.sampled_from([-1, 1, 2, 3]))))
+        moved = {**acts, key: Matrix(fld, acts[key].rows, acts[key].cols, entries)}
+        m = Bimodule(c, m.dims, moved, m.right) if side == "left" else Bimodule(c, m.dims, m.left, moved)
+    assert validate_module(c, m).ok == _reference_bimodule_ok(c, m)
