@@ -129,9 +129,10 @@ def validate(file, category_path):
         if category_path is None:
             raise ValueError("module files need --category")
         c = _load_category(category_path)
-        if "spaces" in doc and doc.get("spaces") and "y" in doc["spaces"][0]:
-            mod = io.bimodule_from_json(c, doc)
-        elif "left_action" in doc or "right_action" in doc:
+        # a bimodule file has an action on either side or spaces at pairs (x, y)
+        spaces = doc.get("spaces")
+        pairs = isinstance(spaces, list) and any(isinstance(e, dict) and "y" in e for e in spaces)
+        if pairs or "left_action" in doc or "right_action" in doc:
             mod = io.bimodule_from_json(c, doc)
         else:
             mod = io.left_module_from_json(c, doc)

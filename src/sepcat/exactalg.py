@@ -66,14 +66,33 @@ def _canonical(q):
     return q if type(q) is int or q.denominator != 1 else q.numerator
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# the first twelve primes: as Miller-Rabin bases they leave no strong
+# pseudoprime below 2**64 (no composite passes all of them there)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n < 2**64 is prime, by the Miller-Rabin test to every base
+    of _PRIME_BASES: n - 1 = d * 2**s with d odd, and n passes base a when
+    a**d = 1 or a**(d * 2**r) = -1 mod n for some r < s."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -84,6 +103,8 @@ class Field:
     p: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.p is not None and self.p >= 2**64:
+            raise ValueError(f"prime fields need p < 2**64, not {self.p}")
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 

@@ -2,15 +2,19 @@
 
 All scalar values are exchanged as text: rationals as "n" or "n/d" in
 lowest terms with positive denominator, prime-field elements as the least
-non-negative residue in decimal. Omitted hom pairs, composition entries,
-module spaces, and certificate blocks are zero. Each keyed entry (a hom
-pair, morphism name, composition pair, space, action or map block) is
-given at most once; repeated certificate terms and blocks add up.
+non-negative residue in decimal; a prime field {"Fp": p} needs a prime
+p < 2**64. Omitted hom pairs, composition entries, module spaces, map
+blocks of a short exact sequence, and certificate blocks are zero; an
+action may be omitted only where its matrix is empty. Each keyed entry (a
+hom pair, morphism name, composition pair, space, action or map block) is
+given at most once, in a JSON array, and an entry naming an unknown label
+or object is malformed; repeated certificate terms and blocks add up.
 Malformed documents raise ValueError.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Any
 
 from .exactalg import Field, Matrix, _is_int
@@ -53,25 +57,60 @@ def _require_type(value: Any, kind: type, member: str, context: str):
     return value
 
 
-def _keyed(entries: list, fields: tuple[str, ...], entry_name: str, member: str, context: str):
+def _keyed(entries: Any, fields: tuple[str, ...], entry_name: str, member: str, context: str, known: dict | None = None):
     """(key, entry) for each entry of the JSON array member, key being the
-    tuple of the entry's values of fields. Each key is given at most once:
-    a later entry would otherwise replace an earlier one without a word."""
+    entry's value of its one field, or the tuple of its values of fields.
+    Each key is given at most once: a later entry would otherwise replace
+    an earlier one without a word. With known given, each key is in it."""
     seen = set()
-    for entry in entries:
+    for entry in _require_type(entries, list, member, context):
         key = tuple(_require(entry, name, entry_name) for name in fields)
+        key = key if len(key) > 1 else key[0]
         if key in seen:
-            shown = key if len(key) > 1 else key[0]
-            raise ValueError(f"{context}: member {member!r} gives the key {shown!r} more than once")
+            raise ValueError(f"{context}: member {member!r} gives the key {key!r} more than once")
+        if known is not None and key not in known:
+            raise ValueError(f"{context}: member {member!r} names the unknown key {key!r}")
         seen.add(key)
         yield key, entry
 
 
-def _require_dim(entry: Any) -> int:
-    dim = _require(entry, "dim", "space entry")
-    if not _is_int(dim) or dim < 0:
-        raise ValueError(f"space entry: member 'dim' must be a non-negative integer, not {dim!r}")
-    return dim
+def _dims_from_json(doc: Any, fields: tuple[str, ...], keys, context: str) -> dict:
+    """The dimension of the space at each key, 0 where member 'spaces' of
+    the module document doc gives none."""
+    dims = dict.fromkeys(keys, 0)
+    for key, entry in _keyed(_require(doc, "spaces", context), fields, "space entry", "spaces", context, dims):
+        dim = dims[key] = _require(entry, "dim", "space entry")
+        if not _is_int(dim) or dim < 0:
+            raise ValueError(f"space entry: member 'dim' must be a non-negative integer, not {dim!r}")
+    return dims
+
+
+def _table_from_json(field: Field, entries: Any, fields: tuple[str, ...], shapes: dict, what: str, member: str,
+                     context: str, required: bool) -> dict:
+    """The matrix at each key of shapes, read from the keyed table member: a
+    JSON array of {fields..., "matrix"} entries, each naming a key of
+    shapes. A key without an entry gets the zero matrix of its shape; when
+    required (an action), only where that shape is empty."""
+    given = {
+        key: Matrix.from_json(field, *shapes[key], _require(entry, "matrix", f"{what} entry"))
+        for key, entry in _keyed(entries, fields, f"{what} entry", member, context, shapes)
+    }
+    for key, (rows, cols) in shapes.items():
+        if required and rows * cols and key not in given:
+            shown = f"({','.join(key)})" if len(fields) > 1 else key
+            raise ValueError(f"{context}: missing {what} for {shown}")
+    return {key: given[key] if key in given else Matrix.zeros(field, *shape) for key, shape in shapes.items()}
+
+
+def _table_to_json(mats: dict, keys, fields: tuple[str, ...]) -> list:
+    """The keyed table of mats: one {fields..., "matrix"} entry for each
+    key of keys whose matrix is not empty, in the order of keys."""
+    out = []
+    for key in keys:
+        mat = mats[key]
+        if mat.rows * mat.cols:
+            out.append({**dict(zip(fields, key if len(fields) > 1 else (key,))), "matrix": mat.to_json()})
+    return out
 
 
 def category_to_json(c: FinLinCat) -> dict:
@@ -146,12 +185,12 @@ def presentation_to_json(p: FiniteCatPresentation) -> dict:
 def presentation_from_json(doc: dict) -> FiniteCatPresentation:
     objects = _require_type(_require(doc, "objects", "presentation"), list, "objects", "presentation")
     morphisms = {}
-    entries = _require_type(_require(doc, "morphisms", "presentation"), list, "morphisms", "presentation")
-    for (name,), entry in _keyed(entries, ("name",), "morphism entry", "morphisms", "presentation"):
+    entries = _require(doc, "morphisms", "presentation")
+    for name, entry in _keyed(entries, ("name",), "morphism entry", "morphisms", "presentation"):
         morphisms[name] = (_require(entry, "from", "morphism entry"), _require(entry, "to", "morphism entry"))
     identity = _require_type(_require(doc, "identity", "presentation"), dict, "identity", "presentation")
     composition = {}
-    entries = _require_type(doc.get("composition", []), list, "composition", "presentation")
+    entries = doc.get("composition", [])
     for key, entry in _keyed(entries, ("g", "f"), "composition entry", "composition", "presentation"):
         composition[key] = _require(entry, "result", "composition entry")
     return FiniteCatPresentation(objects, morphisms, identity, composition)
@@ -165,135 +204,64 @@ def bimodule_to_json(m: Bimodule) -> dict:
         for y in c.objects
         if m.dims[(x, y)]
     ]
-    left = []
-    for f in sorted(c.label_info):
-        for y in c.objects:
-            mat = m.left[(f, y)]
-            if mat.rows * mat.cols:
-                left.append({"f": f, "y": y, "matrix": mat.to_json()})
-    right = []
-    for g in sorted(c.label_info):
-        for x in c.objects:
-            mat = m.right[(g, x)]
-            if mat.rows * mat.cols:
-                right.append({"g": g, "x": x, "matrix": mat.to_json()})
-    return {"spaces": spaces, "left_action": left, "right_action": right}
+    keys = list(product(sorted(c.label_info), c.objects))
+    return {
+        "spaces": spaces,
+        "left_action": _table_to_json(m.left, keys, ("f", "y")),
+        "right_action": _table_to_json(m.right, keys, ("g", "x")),
+    }
 
 
 def bimodule_from_json(c: FinLinCat, doc: dict) -> Bimodule:
-    dims = {(x, y): 0 for x in c.objects for y in c.objects}
-    entries = _require(doc, "spaces", "bimodule")
-    for pair, entry in _keyed(entries, ("x", "y"), "space entry", "spaces", "bimodule"):
-        if pair not in dims:
-            raise ValueError(f"bimodule: space entry names unknown objects {pair}")
-        dims[pair] = _require_dim(entry)
-    left = {}
-    entries = doc.get("left_action", [])
-    for (f, y), entry in _keyed(entries, ("f", "y"), "left action entry", "left_action", "bimodule"):
-        if f not in c.label_info:
-            raise ValueError(f"bimodule: unknown morphism label {f!r}")
-        x, x2, _ = c.label_info[f]
-        left[(f, y)] = Matrix.from_json(
-            c.field, dims[(x2, y)], dims[(x, y)], _require(entry, "matrix", "left action entry")
-        )
-    right = {}
-    entries = doc.get("right_action", [])
-    for (g, x), entry in _keyed(entries, ("g", "x"), "right action entry", "right_action", "bimodule"):
-        if g not in c.label_info:
-            raise ValueError(f"bimodule: unknown morphism label {g!r}")
-        y2, y, _ = c.label_info[g]
-        right[(g, x)] = Matrix.from_json(
-            c.field, dims[(x, y2)], dims[(x, y)], _require(entry, "matrix", "right action entry")
-        )
-    for f, (x, x2, _) in c.label_info.items():
-        for y in c.objects:
-            if (f, y) not in left:
-                if dims[(x2, y)] * dims[(x, y)]:
-                    raise ValueError(f"bimodule: missing left action for ({f},{y})")
-                left[(f, y)] = Matrix.zeros(c.field, dims[(x2, y)], dims[(x, y)])
-    for g, (y2, y, _) in c.label_info.items():
-        for x in c.objects:
-            if (g, x) not in right:
-                if dims[(x, y2)] * dims[(x, y)]:
-                    raise ValueError(f"bimodule: missing right action for ({g},{x})")
-                right[(g, x)] = Matrix.zeros(c.field, dims[(x, y2)], dims[(x, y)])
+    dims = _dims_from_json(doc, ("x", "y"), product(c.objects, repeat=2), "bimodule")
+    # f: x -> x2 acts at column y, g: y2 -> y at row x
+    shapes = {(f, y): (dims[(x2, y)], dims[(x, y)]) for f, (x, x2, _) in c.label_info.items() for y in c.objects}
+    left = _table_from_json(
+        c.field, doc.get("left_action", []), ("f", "y"), shapes, "left action", "left_action", "bimodule", True
+    )
+    shapes = {(g, x): (dims[(x, y2)], dims[(x, y)]) for g, (y2, y, _) in c.label_info.items() for x in c.objects}
+    right = _table_from_json(
+        c.field, doc.get("right_action", []), ("g", "x"), shapes, "right action", "right_action", "bimodule", True
+    )
     return Bimodule(c, dims, left, right)
 
 
 def left_module_to_json(m: LeftModule) -> dict:
     c = m.cat
     spaces = [{"x": x, "dim": m.dims[x]} for x in c.objects if m.dims[x]]
-    action = []
-    for f in sorted(c.label_info):
-        mat = m.action[f]
-        if mat.rows * mat.cols:
-            action.append({"f": f, "matrix": mat.to_json()})
-    return {"spaces": spaces, "action": action}
+    return {"spaces": spaces, "action": _table_to_json(m.action, sorted(c.label_info), ("f",))}
 
 
 def left_module_from_json(c: FinLinCat, doc: dict) -> LeftModule:
-    dims = {x: 0 for x in c.objects}
-    entries = _require(doc, "spaces", "left module")
-    for (x,), entry in _keyed(entries, ("x",), "space entry", "spaces", "left module"):
-        if x not in dims:
-            raise ValueError(f"left module: unknown object {x!r}")
-        dims[x] = _require_dim(entry)
-    action = {}
-    for (f,), entry in _keyed(doc.get("action", []), ("f",), "action entry", "action", "left module"):
-        if f not in c.label_info:
-            raise ValueError(f"left module: unknown morphism label {f!r}")
-        x, y, _ = c.label_info[f]
-        action[f] = Matrix.from_json(c.field, dims[y], dims[x], _require(entry, "matrix", "action entry"))
-    for f, (x, y, _) in c.label_info.items():
-        if f not in action:
-            if dims[x] * dims[y]:
-                raise ValueError(f"left module: missing action for {f}")
-            action[f] = Matrix.zeros(c.field, dims[y], dims[x])
+    dims = _dims_from_json(doc, ("x",), c.objects, "left module")
+    shapes = {f: (dims[y], dims[x]) for f, (x, y, _) in c.label_info.items()}
+    entries = doc.get("action", [])
+    action = _table_from_json(c.field, entries, ("f",), shapes, "action", "action", "left module", True)
     return LeftModule(c, dims, action)
 
 
-def _map_blocks_to_json(m: BimoduleMap) -> list:
-    c = m.source.cat
-    out = []
-    for x in c.objects:
-        for y in c.objects:
-            blk = m.blocks[(x, y)]
-            if blk.rows * blk.cols:
-                out.append({"x": x, "y": y, "matrix": blk.to_json()})
-    return out
-
-
-def _map_blocks_from_json(c: FinLinCat, src: Bimodule, tgt: Bimodule, doc: dict, member: str) -> BimoduleMap:
-    blocks = {
-        (x, y): Matrix.zeros(c.field, tgt.dims[(x, y)], src.dims[(x, y)])
-        for x in c.objects
-        for y in c.objects
-    }
-    entries = _require(doc, member, "short exact sequence")
-    for pair, entry in _keyed(entries, ("x", "y"), "map entry", member, "short exact sequence"):
-        blocks[pair] = Matrix.from_json(
-            c.field, tgt.dims[pair], src.dims[pair], _require(entry, "matrix", "map entry")
-        )
-    return BimoduleMap(src, tgt, blocks)
-
-
 def ses_to_json(s: ShortExactSeq) -> dict:
+    pairs = list(product(s.m.cat.objects, repeat=2))
     return {
         "M": bimodule_to_json(s.m),
         "N": bimodule_to_json(s.n),
         "P": bimodule_to_json(s.p),
-        "i": _map_blocks_to_json(s.i),
-        "q": _map_blocks_to_json(s.q),
+        "i": _table_to_json(s.i.blocks, pairs, ("x", "y")),
+        "q": _table_to_json(s.q.blocks, pairs, ("x", "y")),
     }
 
 
 def ses_from_json(c: FinLinCat, doc: dict) -> ShortExactSeq:
-    m = bimodule_from_json(c, _require(doc, "M", "short exact sequence"))
-    n = bimodule_from_json(c, _require(doc, "N", "short exact sequence"))
-    p = bimodule_from_json(c, _require(doc, "P", "short exact sequence"))
-    i = _map_blocks_from_json(c, m, n, doc, "i")
-    q = _map_blocks_from_json(c, n, p, doc, "q")
-    return ShortExactSeq(m, n, p, i, q)
+    context = "short exact sequence"
+    m, n, p = (bimodule_from_json(c, _require(doc, name, context)) for name in "MNP")
+
+    def map_from_json(src: Bimodule, tgt: Bimodule, member: str) -> BimoduleMap:
+        shapes = {pair: (tgt.dims[pair], src.dims[pair]) for pair in src.dims}
+        entries = _require(doc, member, context)
+        blocks = _table_from_json(c.field, entries, ("x", "y"), shapes, "map", member, context, False)
+        return BimoduleMap(src, tgt, blocks)
+
+    return ShortExactSeq(m, n, p, map_from_json(m, n, "i"), map_from_json(n, p, "q"))
 
 
 def certificate_to_json(c: FinLinCat, fam: SeparabilityFamily) -> list:
@@ -326,7 +294,7 @@ def certificate_from_json(c: FinLinCat, doc: list) -> SeparabilityFamily:
         us = c.hom(y, x)
         vs = c.hom(x, y)
         cells = sums.setdefault((x, y), {})
-        for term in entry.get("terms", []):
+        for term in _require_type(entry.get("terms", []), list, "terms", "certificate"):
             u = _require(term, "u", "certificate term")
             v = _require(term, "v", "certificate term")
             if u not in us:

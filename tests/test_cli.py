@@ -61,6 +61,16 @@ class TestSeparabilityCommands:
         cert = json.loads((tmp_path / "cert.json").read_text())
         assert cert[0]["terms"][0]["coeff"] == "1/2"
 
+    def test_check_over_a_large_prime(self, runner, tmp_path):
+        # primality was tested by trial division, for minutes on 2**61 - 1
+        cat = tmp_path / "cat.json"
+        doc = io.category_to_json(linearize(presets.cyclic_group(1), QQ))
+        for p, code in [(2**61 - 1, 0), (2**64 + 13, 2)]:
+            cat.write_text(json.dumps({**doc, "field": {"Fp": p}}))
+            result = runner.invoke(main, ["separability", "check", str(cat)])
+            assert result.exit_code == code
+        assert result.stderr.startswith("malformed input: prime fields need p < 2**64")
+
     def test_check_not_separable(self, runner, files):
         result = runner.invoke(main, ["separability", "check", files["a2_over_Q.json"]])
         assert result.exit_code == 1
@@ -510,28 +520,99 @@ class TestMalformedInput:
     )
     def test_repeated_key(self, runner, files, tmp_path, context, member, key):
         # each file gets a second copy of its member's first entry
-        c = linearize(presets.cyclic_group(2), QQ)
-        cat = files["z2_over_Q.json"]
-        if context == "category":
-            doc = self.z2_doc()
-        elif context == "bimodule":
-            doc = io.bimodule_to_json(canonical_bimodule(c))
-        elif context == "left module":
-            doc = io.left_module_to_json(representable_left_module(c, "x"))
-        else:
-            cxc, comp_map = tensor_square(c)
-            ker, incl = kernel_of(comp_map)
-            doc = io.ses_to_json(ShortExactSeq(ker, cxc, comp_map.target, incl, comp_map))
+        doc = self.doc_of(context)
         doc[member].append(dict(doc[member][0]))
-        path = self.write(tmp_path, "doc.json", doc)
-        args = {
+        result = runner.invoke(main, self.args_of(files, context, self.write(tmp_path, "doc.json", doc)))
+        self.assert_malformed(result, f"{context}: member {member!r} gives the key {key} more than once")
+
+    def doc_of(self, context):
+        """The file of Z2, or of a Z2-module, of the kind context names."""
+        if context == "category":
+            return self.z2_doc()
+        c = linearize(presets.cyclic_group(2), QQ)
+        if context == "bimodule":
+            return io.bimodule_to_json(canonical_bimodule(c))
+        if context == "left module":
+            return io.left_module_to_json(representable_left_module(c, "x"))
+        cxc, comp_map = tensor_square(c)
+        ker, incl = kernel_of(comp_map)
+        return io.ses_to_json(ShortExactSeq(ker, cxc, comp_map.target, incl, comp_map))
+
+    @staticmethod
+    def args_of(files, context, path):
+        """The command that reads the file path of the kind context names."""
+        cat = files["z2_over_Q.json"]
+        return {
             "category": ["validate", path],
             "bimodule": ["validate", path, "--category", cat],
             "left module": ["validate", path, "--category", cat],
             "short exact sequence": ["les", cat, "--ses", path, "--max-degree", "1"],
         }[context]
-        result = runner.invoke(main, args)
-        self.assert_malformed(result, f"{context}: member {member!r} gives the key {key} more than once")
+
+    # each value was read before: {"x": 1} failed as "malformed input: 0",
+    # [3] as "argument of type 'int' is not iterable", and "xy" one
+    # character at a time
+    @pytest.mark.parametrize(
+        "value,needle",
+        [({"x": 1}, "member 'spaces' must be a JSON array"), ([3], "space entry: missing member 'x'"),
+         ("xy", "member 'spaces' must be a JSON array")],
+        ids=["object", "array-of-int", "string"],
+    )
+    @pytest.mark.parametrize("context", ["left module", "bimodule"])
+    def test_module_spaces_must_be_an_array(self, runner, files, tmp_path, context, value, needle):
+        doc = self.doc_of(context)
+        doc["spaces"] = value
+        result = runner.invoke(main, self.args_of(files, context, self.write(tmp_path, "mod.json", doc)))
+        self.assert_malformed(result, needle)
+
+    # {} was read as an empty table
+    @pytest.mark.parametrize(
+        "context,member",
+        [("category", "homs"), ("category", "composition"), ("left module", "action"), ("bimodule", "left_action"),
+         ("bimodule", "right_action"), ("short exact sequence", "i"), ("short exact sequence", "q")],
+    )
+    def test_table_must_be_an_array(self, runner, files, tmp_path, context, member):
+        doc = self.doc_of(context)
+        doc[member] = {}
+        result = runner.invoke(main, self.args_of(files, context, self.write(tmp_path, "mod.json", doc)))
+        self.assert_malformed(result, f"{context}: member {member!r} must be a JSON array")
+
+    def test_certificate_terms_must_be_an_array(self, runner, files, tmp_path):
+        cert = self.write(tmp_path, "cert.json", [{"x": "x", "y": "x", "terms": "g0"}])
+        result = runner.invoke(main, ["separability", "verify", files["z2_over_Q.json"], "--certificate", cert])
+        self.assert_malformed(result, "certificate: member 'terms' must be a JSON array")
+
+    # an unknown object in an action or map entry failed with the bare key,
+    # as "malformed input: ('x', 'zz')"
+    @pytest.mark.parametrize(
+        "context,member,field,key",
+        [
+            ("bimodule", "left_action", "y", "('g0', 'zz')"),
+            ("bimodule", "left_action", "f", "('zz', 'x')"),
+            ("bimodule", "right_action", "x", "('g0', 'zz')"),
+            ("left module", "action", "f", "'zz'"),
+            ("short exact sequence", "i", "y", "('x', 'zz')"),
+            ("short exact sequence", "q", "x", "('zz', 'x')"),
+        ],
+    )
+    def test_unknown_key(self, runner, files, tmp_path, context, member, field, key):
+        doc = self.doc_of(context)
+        doc[member][0][field] = "zz"
+        result = runner.invoke(main, self.args_of(files, context, self.write(tmp_path, "doc.json", doc)))
+        self.assert_malformed(result, f"{context}: member {member!r} names the unknown key {key}")
+
+    @pytest.mark.parametrize(
+        "context,member,needle",
+        [("bimodule", "left_action", "bimodule: missing left action for (g0,x)"),
+         ("bimodule", "right_action", "bimodule: missing right action for (g0,x)"),
+         ("left module", "action", "left module: missing action for g0")],
+    )
+    def test_missing_action(self, runner, files, tmp_path, context, member, needle):
+        # an action on a nonzero space must be given
+        doc = self.doc_of(context)
+        del doc[member][0]
+        result = runner.invoke(main, self.args_of(files, context, self.write(tmp_path, "doc.json", doc)))
+        self.assert_malformed(result, needle)
 
     def trivial_group_module(self, tmp_path, dim, matrix):
         cat = io.category_to_json(linearize(presets.cyclic_group(1), QQ))

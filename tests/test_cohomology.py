@@ -29,7 +29,7 @@ from sepcat.cohomology import (
     obstruction_cocycle,
 )
 from sepcat.separability import solve_separability
-from conftest import assert_canonical
+from canonical import assert_canonical
 from test_exactalg import gauss_jordan
 
 F2, F3 = Field(2), Field(3)

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_canonical, is_canonical
+from canonical import assert_canonical, is_canonical
 from sepcat import exactalg
 from sepcat.exactalg import Field, Matrix, QQ
 
@@ -32,6 +32,27 @@ class TestScalars:
     def test_prime_validation(self):
         with pytest.raises(ValueError):
             Field(6)
+
+    def test_primality_agrees_with_trial_division(self):
+        def by_trial_division(n):
+            return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+        assert [n for n in range(10**5) if exactalg._is_prime(n) != by_trial_division(n)] == []
+
+    @pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_are_not_prime(self, n):
+        # strong pseudoprimes to the bases 2; 2, 3, 5, 7; and 2 to 23
+        assert not exactalg._is_prime(n)
+        with pytest.raises(ValueError, match="is not prime"):
+            Field(n)
+
+    def test_large_prime_field(self):
+        # trial division took minutes on 2**61 - 1
+        p = 2**61 - 1
+        field = Field(p)
+        assert field.div(field.one, field.of(2)) == (p + 1) // 2
+        with pytest.raises(ValueError, match=r"prime fields need p < 2\*\*64"):
+            Field(2**64 + 13)
 
     def test_text_round_trip(self):
         for text in ["0", "-3", "5/6", "-7/2"]:

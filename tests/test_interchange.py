@@ -4,7 +4,7 @@ import pytest
 
 from sepcat import presets
 from sepcat import interchange as io
-from sepcat.exactalg import Field, QQ
+from sepcat.exactalg import Field, Matrix, QQ
 from sepcat.lincat import linearize, validate_category
 from sepcat.cmod import canonical_bimodule, kernel_of, random_left_module, tensor_square, ShortExactSeq
 from sepcat.separability import reduce_family, solve_separability, verify_family
@@ -143,6 +143,20 @@ class TestModuleFormats:
         ses2 = io.ses_from_json(z2_over_q, roundtrip(io.ses_to_json(ses)))
         assert ses2.m == ses.m and ses2.n == ses.n and ses2.p == ses.p
         assert ses2.i.blocks == ses.i.blocks and ses2.q.blocks == ses.q.blocks
+
+    def test_omitted_map_blocks_read_as_zero(self, z2_over_q):
+        cxc, comp_map = tensor_square(z2_over_q)
+        ker, incl = kernel_of(comp_map)
+        doc = io.ses_to_json(ShortExactSeq(ker, cxc, comp_map.target, incl, comp_map))
+        x, y = doc["q"][0]["x"], doc["q"][0]["y"]
+        del doc["q"][0]
+        doc["i"] = []
+        ses = io.ses_from_json(z2_over_q, roundtrip(doc))
+        assert ses.i.blocks == {key: Matrix.zeros(QQ, cxc.dims[key], ker.dims[key]) for key in ker.dims}
+        assert ses.q.blocks[(x, y)] == Matrix.zeros(QQ, ses.p.dims[(x, y)], cxc.dims[(x, y)])
+        assert {key: b for key, b in ses.q.blocks.items() if key != (x, y)} == {
+            key: b for key, b in comp_map.blocks.items() if key != (x, y)
+        }
 
 
 class TestCertificateFormat:
