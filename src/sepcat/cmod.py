@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Union
 
 from .errors import InternalCheckError
@@ -220,13 +221,13 @@ def representable_bimodule(c: FinLinCat, a: str, b: str) -> Bimodule:
     left = {}
     right = {}
     for f in c.label_info:
-        x, x2, _ = c.label_info[f]
+        post = post_mul_matrix(c, f, a)
         for y in c.objects:
-            left[(f, y)] = post_mul_matrix(c, f, a).kron(Matrix.identity(fld, c.dim_hom(y, b)))
+            left[(f, y)] = post.kron(Matrix.identity(fld, c.dim_hom(y, b)))
     for g in c.label_info:
-        y2, y, _ = c.label_info[g]
+        pre = pre_mul_matrix(c, g, b)
         for x in c.objects:
-            right[(g, x)] = Matrix.identity(fld, c.dim_hom(a, x)).kron(pre_mul_matrix(c, g, b))
+            right[(g, x)] = Matrix.identity(fld, c.dim_hom(a, x)).kron(pre)
     return Bimodule(c, dims, left, right)
 
 
@@ -534,31 +535,40 @@ def random_bimodule(c: FinLinCat, seed: int, dim_cap: int = 2) -> Bimodule:
     Drawn as the kernel of a random intertwiner between direct sums of
     representable bimodules, a random combination of the Yoneda basis of
     the intertwiners; draws are retried until every component dimension is
-    at most dim_cap (the zero bimodule if no draw qualifies).
+    at most dim_cap (the zero bimodule if no draw qualifies). The cap is
+    checked on the kernel dimensions of the intertwiner's blocks before
+    any action is induced, so only the kept draw builds its kernel, and
+    each representable is built once per call.
     """
     if dim_cap < 1:
         raise ValueError("dim_cap must be at least 1")
     rng = random.Random(seed)
     pairs = [(x, y) for x in c.objects for y in c.objects]
+    rep = cache(partial(representable_bimodule, c))  # for this call only
     for _ in range(32):
         n_src = rng.choice((0, 1, 1, 1, 2, 2))
         if n_src == 0:
             return zero_bimodule(c)
         src_pairs = [rng.choice(pairs) for _ in range(n_src)]
-        src_parts = [representable_bimodule(c, a, b) for a, b in src_pairs]
+        src_parts = [rep(a, b) for a, b in src_pairs]
         src = src_parts[0] if n_src == 1 else direct_sum_bimodules(c, src_parts)
-        tgt = representable_bimodule(c, *rng.choice(pairs))
+        tgt = rep(*rng.choice(pairs))
         basis, offsets = _bimodule_intertwiners(c, src_pairs, src, tgt)
         vec = _random_intertwiner(rng, c.field, basis)
-        phi = BimoduleMap(src, tgt, _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets))
-        ker, _ = kernel_of(phi)
-        if all(d <= dim_cap for d in ker.dims.values()):
-            return ker
+        blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)
+        if _kernels_within(blocks, dim_cap):
+            return kernel_of(BimoduleMap(src, tgt, blocks))[0]
     return zero_bimodule(c)
 
 
-def _left_module_map_kernel(c: FinLinCat, src: LeftModule, tgt: LeftModule, vec: list, offsets: dict):
-    blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)
+def _kernels_within(blocks: dict, dim_cap: int) -> bool:
+    """Whether the kernel of every block has dimension at most dim_cap."""
+    return all(blk.cols - blk.rank() <= dim_cap for blk in blocks.values())
+
+
+def _left_module_map_kernel(c: FinLinCat, src: LeftModule, blocks: dict) -> LeftModule:
+    """The kernel of the map out of src with the given blocks, one per
+    object, with the induced action."""
     kernels = {x: blocks[x].kernel_basis() for x in c.objects}
     dims = {x: kernels[x].cols for x in c.objects}
     action = {}
@@ -572,19 +582,22 @@ def _left_module_map_kernel(c: FinLinCat, src: LeftModule, tgt: LeftModule, vec:
 def random_left_module(c: FinLinCat, seed: int, dim_cap: int = 2) -> LeftModule:
     """A valid random left module, deterministic in the seed (kernel of a
     random map between sums of representable modules, drawn from the Yoneda
-    basis of such maps)."""
+    basis of such maps). As in random_bimodule, the cap is checked on the
+    kernel dimensions of the map's blocks before the action is induced,
+    and each representable is built once per call."""
     if dim_cap < 1:
         raise ValueError("dim_cap must be at least 1")
     rng = random.Random(seed)
+    rep = cache(partial(representable_left_module, c))  # for this call only
     for _ in range(32):
         n_src = rng.choice((1, 1, 1, 2, 2))
         src_objs = [rng.choice(c.objects) for _ in range(n_src)]
-        src_parts = [representable_left_module(c, a) for a in src_objs]
+        src_parts = [rep(a) for a in src_objs]
         src = src_parts[0] if n_src == 1 else direct_sum_left_modules(c, src_parts)
-        tgt = representable_left_module(c, rng.choice(c.objects))
+        tgt = rep(rng.choice(c.objects))
         basis, offsets = _left_module_intertwiners(c, src_objs, src, tgt)
         vec = _random_intertwiner(rng, c.field, basis)
-        mod = _left_module_map_kernel(c, src, tgt, vec, offsets)
-        if all(d <= dim_cap for d in mod.dims.values()):
-            return mod
+        blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)
+        if _kernels_within(blocks, dim_cap):
+            return _left_module_map_kernel(c, src, blocks)
     return LeftModule(c, {x: 0 for x in c.objects}, {f: Matrix.zeros(c.field, 0, 0) for f in c.label_info})

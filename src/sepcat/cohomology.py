@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from typing import Optional
 
-from .exactalg import Matrix, _rank_mod
+from .exactalg import Matrix, RrefResult, _rank_mod
 from .errors import BudgetExceededError, InternalCheckError
 from .lincat import FinLinCat
 from .cmod import Bimodule, BimoduleMap, ShortExactSeq, tensor_square, tensor_square_basis, kernel_of, validate_module
@@ -363,6 +364,20 @@ def _cochain_map(src: CochainComplex, tgt: CochainComplex, blocks: dict, n: int)
     return Matrix._of_rows(src.cat.field, sspace.dim, tuple(map(tuple, rows)))
 
 
+def _mod_image(cols: Matrix, image_rows: Optional[RrefResult]) -> Matrix:
+    """The columns of cols as rows reduced modulo the column space of an
+    image D, given the rref of D.transpose() (None for D = 0): with T =
+    cols.transpose() and P, R that rref's pivot columns and nonzero rows,
+    T - T[:, P] @ R. A row of it is zero exactly when its column of cols
+    lies in the column space of D, since R is the identity at P; its rank
+    is rank([D | cols]) - rank(D)."""
+    t = cols.transpose()
+    if image_rows is None or t.is_zero():
+        return t
+    r = Matrix._of_rows(t.field, t.cols, image_rows.reduced.row_terms[: image_rows.rank])
+    return t - t.take_cols(image_rows.pivot_cols) @ r
+
+
 def les_analysis(c: FinLinCat, ses: ShortExactSeq, max_degree: int, budget: int = DEFAULT_BUDGET) -> LesReport:
     """Verify the long exact cohomology sequence of a short exact sequence.
 
@@ -373,8 +388,10 @@ def les_analysis(c: FinLinCat, ses: ShortExactSeq, max_degree: int, budget: int 
     and maps to the next one by i, q or the connecting map delta. Each
     position takes its cocycles from the kernel basis of d^n and ranks its
     outgoing map modulo the next position's coboundaries (the last one
-    modulo d_M^max_degree); it is exact when the ranks count out and the
-    incoming map followed by the outgoing one is zero in cohomology.
+    modulo d_M^max_degree), reduced against the rref of that d^(n-1)
+    transposed, computed once per position (see _mod_image); it is exact
+    when the ranks count out and the incoming map followed by the outgoing
+    one reduces to zero there.
     delta is the zig-zag through a section of each q block and a
     retraction of each i block (q is onto and i one-to-one on every
     component), confirmed by one product; another lift would move each
@@ -411,16 +428,6 @@ def les_analysis(c: FinLinCat, ses: ShortExactSeq, max_degree: int, budget: int 
 
     outgoing = (lambda n, z: imaps[n] @ z, lambda n, z: qmaps[n] @ z, delta)
 
-    def rank_mod_image(j: int, cols: Matrix) -> int:
-        """The rank of cols modulo the coboundaries of position j."""
-        if cols.is_zero():
-            return 0
-        n, k = divmod(j, 3)
-        if n == 0:
-            return cols.rank()
-        image = complexes[k].diffs[n - 1]
-        return image.hstack(cols).rank() - image.rank()
-
     positions, dims, ranks = [], [], []
     incoming, incoming_cols = 0, None
     for j in range(3 * (max_degree + 1)):
@@ -428,9 +435,12 @@ def les_analysis(c: FinLinCat, ses: ShortExactSeq, max_degree: int, budget: int 
         diffs = complexes[k].diffs
         cocycles = diffs[n].kernel_basis()
         dims.append(cocycles.cols - (diffs[n - 1].rank() if n else 0))
+        # the next position's coboundaries, as the rref of d^(n-1) transposed
+        n1, k1 = divmod(j + 1, 3)
+        image_rows = complexes[k1].diffs[n1 - 1].transpose().rref() if n1 else None
         out_cols = outgoing[k](n, cocycles)
-        ranks.append(rank_mod_image(j + 1, out_cols))
-        composite_zero = incoming_cols is None or rank_mod_image(j + 1, outgoing[k](n, incoming_cols)) == 0
+        ranks.append(_mod_image(out_cols, image_rows).rank())
+        composite_zero = incoming_cols is None or _mod_image(outgoing[k](n, incoming_cols), image_rows).is_zero()
         kernel_dim = dims[j] - ranks[j]
         positions.append(
             PositionRecord(f"H{n}({'MNP'[k]})", incoming, kernel_dim, composite_zero and incoming == kernel_dim)

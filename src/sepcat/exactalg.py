@@ -393,7 +393,12 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The exact product, row by row: row i of self @ other sums
         a * (row k of other) over the nonzeros a = self[i, k]. Over Q the
-        integral entries are ints, so they multiply as ints."""
+        integral entries are ints, so they multiply as ints.
+
+        A row of self with one nonzero (k, a) gives row k of other scaled
+        by a, with no accumulation and no sort: in a field a product of
+        nonzeros is nonzero, and row k is already sorted. When a is 1 that
+        is row k itself, shared, since a Matrix never changes."""
         self._check_compatible(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in matmul: {self.cols} vs {other.rows}")
@@ -401,11 +406,22 @@ class Matrix:
         brows = other.row_terms
         out = []
         for row in self.row_terms:
-            acc: dict = {}
-            for k, a in row:
-                for j, b in brows[k]:
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append(_pack(acc, p))
+            if len(row) == 1:
+                k, a = row[0]
+                if a == 1:
+                    out.append(brows[k])
+                elif p is None:
+                    out.append(tuple([(j, _canonical(a * b)) for j, b in brows[k]]))
+                else:
+                    out.append(tuple([(j, a * b % p) for j, b in brows[k]]))
+            elif row:
+                acc: dict = {}
+                for k, a in row:
+                    for j, b in brows[k]:
+                        acc[j] = acc.get(j, 0) + a * b
+                out.append(_pack(acc, p))
+            else:
+                out.append(())
         return Matrix._of_rows(self.field, other.cols, tuple(out))
 
     def transpose(self) -> "Matrix":

@@ -61,10 +61,16 @@ def _keyed(entries: Any, fields: tuple[str, ...], entry_name: str, member: str, 
     """(key, entry) for each entry of the JSON array member, key being the
     entry's value of its one field, or the tuple of its values of fields.
     Each key is given at most once: a later entry would otherwise replace
-    an earlier one without a word. With known given, each key is in it."""
+    an earlier one without a word. With known given, each key is in it.
+    A key field may not hold a JSON array or object, which names nothing."""
     seen = set()
     for entry in _require_type(entries, list, member, context):
         key = tuple(_require(entry, name, entry_name) for name in fields)
+        for name, value in zip(fields, key):
+            if isinstance(value, (list, dict)):
+                raise ValueError(
+                    f"{context}: member {member!r} has a {entry_name} whose {name!r} is a JSON array or object"
+                )
         key = key if len(key) > 1 else key[0]
         if key in seen:
             raise ValueError(f"{context}: member {member!r} gives the key {key!r} more than once")
@@ -90,15 +96,22 @@ def _table_from_json(field: Field, entries: Any, fields: tuple[str, ...], shapes
     """The matrix at each key of shapes, read from the keyed table member: a
     JSON array of {fields..., "matrix"} entries, each naming a key of
     shapes. A key without an entry gets the zero matrix of its shape; when
-    required (an action), only where that shape is empty."""
-    given = {
-        key: Matrix.from_json(field, *shapes[key], _require(entry, "matrix", f"{what} entry"))
-        for key, entry in _keyed(entries, fields, f"{what} entry", member, context, shapes)
-    }
+    required (an action), only where that shape is empty. An unreadable
+    matrix is named by its member and key."""
+
+    def shown(key) -> str:
+        return f"({','.join(key)})" if len(fields) > 1 else key
+
+    given = {}
+    for key, entry in _keyed(entries, fields, f"{what} entry", member, context, shapes):
+        texts = _require(entry, "matrix", f"{what} entry")
+        try:
+            given[key] = Matrix.from_json(field, *shapes[key], texts)
+        except ValueError as err:
+            raise ValueError(f"{context}: member {member!r}, {what} for {shown(key)}: {err}") from err
     for key, (rows, cols) in shapes.items():
         if required and rows * cols and key not in given:
-            shown = f"({','.join(key)})" if len(fields) > 1 else key
-            raise ValueError(f"{context}: missing {what} for {shown}")
+            raise ValueError(f"{context}: missing {what} for {shown(key)}")
     return {key: given[key] if key in given else Matrix.zeros(field, *shape) for key, shape in shapes.items()}
 
 

@@ -601,6 +601,39 @@ class TestMalformedInput:
         result = runner.invoke(main, self.args_of(files, context, self.write(tmp_path, "doc.json", doc)))
         self.assert_malformed(result, f"{context}: member {member!r} names the unknown key {key}")
 
+    # each failed as "malformed input: unhashable type: 'list'" (or 'dict')
+    @pytest.mark.parametrize(
+        "context,member,field,value",
+        [
+            ("bimodule", "left_action", "y", [1]),
+            ("bimodule", "spaces", "x", {}),
+            ("category", "homs", "from", ["x"]),
+            ("short exact sequence", "q", "y", {"x": 1}),
+        ],
+    )
+    def test_key_field_must_not_be_array_or_object(self, runner, files, tmp_path, context, member, field, value):
+        doc = self.doc_of(context)
+        doc[member][0][field] = value
+        result = runner.invoke(main, self.args_of(files, context, self.write(tmp_path, "doc.json", doc)))
+        self.assert_malformed(result, f"{context}: member {member!r} has a ")
+        self.assert_malformed(result, f" entry whose {field!r} is a JSON array or object")
+
+    # each failed with the bare message of Matrix.from_json, naming no table
+    @pytest.mark.parametrize(
+        "context,member,matrix,needle",
+        [
+            ("bimodule", "left_action", ["1", "0"],
+             "bimodule: member 'left_action', left action for (g0,x): matrix entry count does not match declared shape"),
+            ("short exact sequence", "i", "1",
+             "short exact sequence: member 'i', map for (x,x): matrix entries must be a JSON array"),
+        ],
+    )
+    def test_bad_matrix_names_member_and_key(self, runner, files, tmp_path, context, member, matrix, needle):
+        doc = self.doc_of(context)
+        doc[member][0]["matrix"] = matrix
+        result = runner.invoke(main, self.args_of(files, context, self.write(tmp_path, "doc.json", doc)))
+        self.assert_malformed(result, needle)
+
     @pytest.mark.parametrize(
         "context,member,needle",
         [("bimodule", "left_action", "bimodule: missing left action for (g0,x)"),

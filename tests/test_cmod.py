@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepcat import presets
+from sepcat import cmod, presets
 from sepcat.exactalg import Field, Matrix, QQ
 from sepcat.lincat import generating_labels, linearize
 from sepcat.cmod import (
@@ -326,6 +326,59 @@ def test_random_draws_match_golden(name, field_name):
     assert _draws_digest(random_bimodule, c) == bimodule_digest
     assert _draws_digest(random_left_module, c) == left_digest
 
+
+def _spy(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestDrawCost:
+    """Only the draw that is kept builds its kernel module, and each
+    representable and each per-label matrix is built once."""
+
+    @pytest.mark.parametrize("name", ["G2(Z2)", "A3", "idem"])
+    def test_representable_builds_each_label_matrix_once(self, monkeypatch, name):
+        c = linearize(GOLDEN_PRESETS[name](), QQ)
+        post = _spy(monkeypatch, cmod, "post_mul_matrix")
+        pre = _spy(monkeypatch, cmod, "pre_mul_matrix")
+        for a in c.objects:
+            for b in c.objects:
+                post.clear()
+                pre.clear()
+                representable_bimodule(c, a, b)
+                assert sorted(f for _, f, _ in post) == sorted(c.label_info)
+                assert sorted(g for _, g, _ in pre) == sorted(c.label_info)
+
+    # categories where both generators reject some draw over seeds 0-5
+    @pytest.mark.parametrize("name,field_name", [("K4", "Q"), ("K4", "F7"), ("Z3", "Q"), ("Z3", "F7")])
+    @pytest.mark.parametrize(
+        "generator,kernel,representable",
+        [(random_bimodule, "kernel_of", "representable_bimodule"),
+         (random_left_module, "_left_module_map_kernel", "representable_left_module")],
+        ids=["bimodule", "left-module"],
+    )
+    def test_only_the_kept_draw_builds_a_kernel(self, monkeypatch, name, field_name, generator, kernel, representable):
+        c = linearize(GOLDEN_PRESETS[name](), GOLDEN_FIELDS[field_name])
+        draws = _spy(monkeypatch, cmod, "_random_intertwiner")
+        kernels = _spy(monkeypatch, cmod, kernel)
+        made = _spy(monkeypatch, cmod, representable)
+        retried = False
+        for seed in range(6):
+            for calls in (draws, kernels, made):
+                calls.clear()
+            generator(c, seed)
+            assert len(kernels) <= 1
+            assert len(made) == len(set(made))  # each representable once per call
+            retried |= len(draws) > 1
+        assert retried
 
 # -- Yoneda intertwiner bases ----------------------------------------------
 #

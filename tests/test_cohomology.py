@@ -302,6 +302,29 @@ class TestLes:
             assert (d.dim_h_m, d.dim_h_n, d.dim_h_p) == tuple(r.dim_h(d.n) for r in dims)
 
 
+@given(st.sampled_from([QQ, F2, Field(7)]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mod_image_rank_matches_hstack_rank(field, data):
+    # the rank of cols modulo the column space of an image D, read from the
+    # rref of D transposed, against rank([D | cols]) - rank(D); half the
+    # draws take cols in that column space, with one free column or none
+    def draw_matrix(rows, cols):
+        ents = data.draw(st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=rows * cols, max_size=rows * cols))
+        return Matrix(field, rows, cols, [field.of(e) for e in ents])
+
+    m, r, s = (data.draw(st.integers(0, 5)) for _ in range(3))
+    image = draw_matrix(m, r)
+    cols = draw_matrix(m, s)
+    if data.draw(st.booleans()):
+        cols = image @ draw_matrix(r, s)
+        if data.draw(st.booleans()):
+            cols = cols.hstack(draw_matrix(m, 1))
+    residual = cohomology._mod_image(cols, image.transpose().rref())
+    assert residual.rank() == image.hstack(cols).rank() - image.rank()
+    assert residual.is_zero() == (image.hstack(cols).rank() == image.rank())
+    assert cohomology._mod_image(cols, None).rank() == cols.rank()
+
+
 class TestVanishingTheorem:
     @pytest.mark.parametrize("seed", range(3))
     def test_separable_instances_have_trivial_h1_h2(self, z2_over_q, seed):
@@ -501,6 +524,74 @@ def test_product_matches_textbook(field, data):
     assert product == Matrix(field, m, n, expected)
     # no stored zero, each row in increasing column, and every scalar in
     # canonical form: over Q an int when integral, else a Fraction
+    assert_canonical(product)
+    for row in product.row_terms:
+        assert [j for j, _ in row] == sorted({j for j, _ in row})
+
+
+class TestOneTermRows:
+    """A row of the left factor with one nonzero (k, a) gives row k of the
+    right factor scaled by a, and that row itself when a is 1."""
+
+    def test_coefficient_one_shares_the_partner_row(self):
+        b = Matrix.from_rows(QQ, [[0, 3, Fraction(1, 2)], [4, 0, 5]])
+        a = Matrix.from_rows(QQ, [[0, 1], [1, 0], [0, 0]])
+        product = a @ b
+        assert product.row_terms[0] is b.row_terms[1]
+        assert product.row_terms[1] is b.row_terms[0]
+        assert product.row_terms[2] == ()
+
+    def test_rational_scaling_is_canonical(self):
+        product = Matrix.from_rows(QQ, [[Fraction(1, 2)]]) @ Matrix.from_rows(QQ, [[2, 3]])
+        assert product.row_terms == (((0, 1), (1, Fraction(3, 2))),)
+        assert type(product.row_terms[0][0][1]) is int
+        assert_canonical(product)
+
+    def test_scaling_reduces_mod_p(self):
+        f7 = Field(7)
+        product = Matrix.from_rows(f7, [[0, 3]]) @ Matrix.from_rows(f7, [[1, 1], [5, 0]])
+        assert product.row_terms == (((0, 1),),)
+        assert_canonical(product)
+
+
+@st.composite
+def monomial_factors(draw, values):
+    """(m, k, n, A entries, B entries) with A a permutation matrix, or
+    monomial: each row zero or with one nonzero from values. B is any
+    matrix, or monomial too."""
+
+    def monomial(rows, cols):
+        ents = [0] * (rows * cols)
+        for i in range(rows):
+            if cols and draw(st.booleans()):
+                ents[i * cols + draw(st.integers(0, cols - 1))] = draw(st.sampled_from(values))
+        return ents
+
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    if draw(st.booleans()):
+        k = m
+        a = [0] * (m * m)
+        for i, j in enumerate(draw(st.permutations(range(m)))):
+            a[i * m + j] = 1
+    else:
+        a = monomial(m, k)
+    if draw(st.booleans()):
+        b = monomial(k, n)
+    else:
+        b = draw(st.lists(st.sampled_from(INT_SCALARS + values), min_size=k * n, max_size=k * n))
+    return m, k, n, a, b
+
+
+@given(st.sampled_from(PRODUCT_FIELDS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_monomial_product_matches_textbook(field, data):
+    rational = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)] if field.is_rationals else []
+    m, k, n, a_ents, b_ents = data.draw(monomial_factors([1, 1, -1, 2, 3] + rational))
+    a = Matrix(field, m, k, [field.of(e) for e in a_ents])
+    b = Matrix(field, k, n, [field.of(e) for e in b_ents])
+    expected = [field.of(e) for e in textbook_product(m, k, n, a_ents, b_ents)]
+    product = a @ b
+    assert product == Matrix(field, m, n, expected)
     assert_canonical(product)
     for row in product.row_terms:
         assert [j for j, _ in row] == sorted({j for j, _ in row})
