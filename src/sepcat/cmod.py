@@ -320,6 +320,10 @@ def _validate_left_module(c: FinLinCat, m: LeftModule, violations: list[str]) ->
 
 
 def _validate_bimodule(c: FinLinCat, m: Bimodule, violations: list[str]) -> None:
+    """Shapes, the one-sided checks, then commutation. Once both sides are
+    modules, the f whose left action commutes with right(g) include the
+    identities and are closed under composition and linear combination,
+    and so are the g for a fixed f: pairs of generating labels suffice."""
     for (f, y), mat in m.left.items():
         x, x2, _ = c.label_info[f]
         if (mat.rows, mat.cols) != (m.dims[(x2, y)], m.dims[(x, y)]):
@@ -342,12 +346,19 @@ def _validate_bimodule(c: FinLinCat, m: Bimodule, violations: list[str]) -> None
     op = opposite(c)
     for x in c.objects:
         check(op, f"right action at x={x}", {y: m.dims[(x, y)] for y in c.objects}, {g: m.right[(g, x)] for g in c.label_info})
-    for f, (x, x2, _) in c.label_info.items():
-        for g, (y2, y, _) in c.label_info.items():
-            lhs = m.left[(f, y2)] @ m.right[(g, x)]
-            rhs = m.right[(g, x2)] @ m.left[(f, y)]
-            if lhs != rhs:
-                violations.append(f"left/right actions do not commute on ({f},{g})")
+
+    def noncommuting(labels) -> list[str]:
+        found = []
+        for f in labels:
+            x, x2, _ = c.label_info[f]
+            for g in labels:
+                y2, y, _ = c.label_info[g]
+                if m.left[(f, y2)] @ m.right[(g, x)] != m.right[(g, x2)] @ m.left[(f, y)]:
+                    found.append(f"left/right actions do not commute on ({f},{g})")
+        return found
+
+    if violations or noncommuting(generating_labels(c)):
+        violations.extend(noncommuting(c.label_info))
 
 
 def _validate_bimodule_map(c: FinLinCat, m: BimoduleMap, violations: list[str]) -> None:
@@ -400,12 +411,13 @@ def validate_module(
     (s, f), s in lincat.generating_labels(c), suffice unless one fails.
 
     A bimodule is checked as one-sided modules by that same check: column
-    y as a left C-module, row x as a left module over lincat.opposite(c),
-    then the commutation of the two actions on every pair. Their
-    violations read "left action at y=Y: ..." and "right action at x=X:
-    ...". A right-side pair is named in C^op order, so (a,b) is the
-    C-composite b.a. A short exact sequence's maps and exactness are
-    checked, not its three bimodules."""
+    y as a left C-module, row x as a left module over lincat.opposite(c).
+    Their violations read "left action at y=Y: ..." and "right action at
+    x=X: ...". A right-side pair is named in C^op order, so (a,b) is the
+    C-composite b.a. The two actions are then tested for commutation on
+    pairs of generating labels, and on every pair only if a check fails. A
+    short exact sequence's maps and exactness are checked, not its three
+    bimodules."""
     violations: list[str] = []
     if isinstance(m, LeftModule):
         _validate_left_module(c, m, violations)

@@ -9,12 +9,15 @@ action may be omitted only where its matrix is empty. Each keyed entry (a
 hom pair, morphism name, composition pair, space, action or map block) is
 given at most once, in a JSON array, and an entry naming an unknown label
 or object is malformed; repeated certificate terms and blocks add up.
+Names of objects, basis labels and morphisms are JSON strings: a number
+would be taken for a name, and an array or object cannot be one.
 Malformed documents raise ValueError.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import itemgetter
 from typing import Any
 
 from .exactalg import Field, Matrix, _is_int
@@ -48,10 +51,13 @@ def _require(doc: Any, key: str, context: str):
 
 
 def _require_type(value: Any, kind: type, member: str, context: str):
-    """value, after checking that the JSON member is an array (list) or an
-    object (dict): a string would otherwise be read one character at a
-    time, and an array of pairs as an object."""
+    """value, after checking that the JSON member is an array (list), an
+    object (dict) or a string (str, for a name): a string would otherwise
+    be read one character at a time, an array of pairs as an object, and a
+    number as a name."""
     if not isinstance(value, kind):
+        if kind is str:
+            raise ValueError(f"{context}: member {member!r} holds {value!r}, not a JSON string")
         name = "a JSON array" if kind is list else "a JSON object"
         raise ValueError(f"{context}: member {member!r} must be {name}")
     return value
@@ -64,15 +70,20 @@ def _keyed(entries: Any, fields: tuple[str, ...], entry_name: str, member: str, 
     an earlier one without a word. With known given, each key is in it.
     A key field may not hold a JSON array or object, which names nothing."""
     seen = set()
+    key_of = itemgetter(*fields)
     for entry in _require_type(entries, list, member, context):
-        key = tuple(_require(entry, name, entry_name) for name in fields)
-        for name, value in zip(fields, key):
-            if isinstance(value, (list, dict)):
-                raise ValueError(
-                    f"{context}: member {member!r} has a {entry_name} whose {name!r} is a JSON array or object"
-                )
-        key = key if len(key) > 1 else key[0]
-        if key in seen:
+        try:
+            key = key_of(entry)
+            repeated = key in seen
+        except (KeyError, TypeError):
+            # an entry that is no JSON object, a missing key field, or one holding an array or object
+            for name, value in zip(fields, [_require(entry, name, entry_name) for name in fields]):
+                if isinstance(value, (list, dict)):
+                    raise ValueError(
+                        f"{context}: member {member!r} has a {entry_name} whose {name!r} is a JSON array or object"
+                    ) from None
+            raise
+        if repeated:
             raise ValueError(f"{context}: member {member!r} gives the key {key!r} more than once")
         if known is not None and key not in known:
             raise ValueError(f"{context}: member {member!r} names the unknown key {key!r}")
@@ -160,23 +171,34 @@ def category_from_json(doc: dict) -> FinLinCat:
     reads the scalars; FinLinCat checks the labels and the hom spaces."""
     field = Field.from_json(_require(doc, "field", "category"))
     objects = _require_type(_require(doc, "objects", "category"), list, "objects", "category")
+    for x in objects:
+        _require_type(x, str, "objects", "category")
     hom_basis: dict[tuple[str, str], list[str]] = {}
     for pair, entry in _keyed(doc.get("homs", []), ("from", "to"), "hom entry", "homs", "category"):
         basis = _require(entry, "basis", "hom entry")
         if not isinstance(basis, list):
             raise ValueError(f"category: member 'basis' of hom entry {pair} must be a JSON array")
-        hom_basis[pair] = basis
+        hom_basis[pair] = [_require_type(lab, str, "basis", "category") for lab in basis]
+    parsed: dict[str, object] = {}
+
+    def scalar(text):
+        # each distinct scalar text is parsed once; of_text rejects any other value
+        if text.__class__ is not str or text not in parsed:
+            parsed[text] = field.of_text(text)
+        return parsed[text]
+
     identity_doc = _require_type(_require(doc, "identity", "category"), dict, "identity", "category")
     identity = {}
     for x, coeffs in identity_doc.items():
         if not isinstance(coeffs, dict):
             raise ValueError(f"category: member 'identity' of object {x!r} must be a JSON object")
-        identity[x] = [(lab, field.of_text(text)) for lab, text in coeffs.items()]
+        identity[x] = [(lab, scalar(text)) for lab, text in coeffs.items()]
     composition = {}
     entries = doc.get("composition", [])
     for key, entry in _keyed(entries, ("g", "f"), "composition entry", "composition", "category"):
         composition[key] = [
-            (_require(term, "basis", "composition term"), field.of_text(_require(term, "coeff", "composition term")))
+            (_require_type(_require(term, "basis", "composition term"), str, "basis", "category"),
+             scalar(_require(term, "coeff", "composition term")))
             for term in _require(entry, "result", "composition entry")
         ]
     return FinLinCat(field, objects, hom_basis, composition, identity)
@@ -196,16 +218,23 @@ def presentation_to_json(p: FiniteCatPresentation) -> dict:
 
 
 def presentation_from_json(doc: dict) -> FiniteCatPresentation:
-    objects = _require_type(_require(doc, "objects", "presentation"), list, "objects", "presentation")
+    context = "presentation"
+    objects = _require_type(_require(doc, "objects", context), list, "objects", context)
+    for x in objects:
+        _require_type(x, str, "objects", context)
     morphisms = {}
-    entries = _require(doc, "morphisms", "presentation")
-    for name, entry in _keyed(entries, ("name",), "morphism entry", "morphisms", "presentation"):
-        morphisms[name] = (_require(entry, "from", "morphism entry"), _require(entry, "to", "morphism entry"))
-    identity = _require_type(_require(doc, "identity", "presentation"), dict, "identity", "presentation")
+    entries = _require(doc, "morphisms", context)
+    for name, entry in _keyed(entries, ("name",), "morphism entry", "morphisms", context):
+        morphisms[_require_type(name, str, "name", context)] = tuple(
+            _require_type(_require(entry, end, "morphism entry"), str, end, context) for end in ("from", "to")
+        )
+    identity = _require_type(_require(doc, "identity", context), dict, "identity", context)
+    for e in identity.values():
+        _require_type(e, str, "identity", context)
     composition = {}
     entries = doc.get("composition", [])
-    for key, entry in _keyed(entries, ("g", "f"), "composition entry", "composition", "presentation"):
-        composition[key] = _require(entry, "result", "composition entry")
+    for key, entry in _keyed(entries, ("g", "f"), "composition entry", "composition", context):
+        composition[key] = _require_type(_require(entry, "result", "composition entry"), str, "result", context)
     return FiniteCatPresentation(objects, morphisms, identity, composition)
 
 

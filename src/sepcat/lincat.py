@@ -10,7 +10,6 @@ hom(x, z). Left actions are covariant: f in hom(x, y) acts M[x] -> M[y].
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
@@ -80,14 +79,19 @@ class FinLinCat:
                     raise ValueError(f"basis label {lab!r} is not globally unique")
                 label_info[lab] = (x, y, i)
 
-        def summed(what: str, pair: tuple[str, str], terms) -> tuple:
-            # the nonzero (k, coeff) of terms over the basis of hom pair, in k order
-            out: dict = {}
+        def summed(pair: tuple[str, str], terms, what: str, *names) -> tuple:
+            # the nonzero (k, coeff) of terms over the basis of hom pair, in k
+            # order; what % names is the entry, formatted only for an error
+            found = []
             for lab, v in terms:
                 x, y, k = label_info.get(lab, (None, None, None))
                 if (x, y) != pair:
-                    raise ValueError(f"{what} names {lab!r} outside hom({pair[0]},{pair[1]})")
-                v = field.of(v)
+                    raise ValueError(f"{what % names} names {lab!r} outside hom({pair[0]},{pair[1]})")
+                found.append((k, field.of(v)))
+            if len(found) == 1:
+                return tuple(found) if found[0][1] else ()
+            out: dict = {}
+            for k, v in found:
                 out[k] = field.add(out[k], v) if k in out else v
             return tuple((k, out[k]) for k in sorted(out) if out[k])
 
@@ -99,7 +103,7 @@ class FinLinCat:
             y2, z, _ = label_info[g]
             if y != y2:
                 raise ValueError(f"composition entry ({g},{f}) refers to a non-composable pair")
-            terms = summed(f"composition ({g},{f})", (x, z), terms)
+            terms = summed((x, z), terms, "composition (%s,%s)", g, f)
             if terms:
                 table[(g, f)] = terms
         ident: dict[str, tuple] = {}
@@ -107,7 +111,7 @@ class FinLinCat:
             if x not in obj_set:
                 raise ValueError(f"identity given for unknown object {x}")
             vec = [field.zero] * len(homs[(x, x)])
-            for k, v in summed(f"identity of {x}", (x, x), terms):
+            for k, v in summed((x, x), terms, "identity of %s", x):
                 vec[k] = v
             ident[x] = tuple(vec)
         vars(self).update(
@@ -138,13 +142,18 @@ class FinLinCat:
         return self.comp_table.get((g, f), ())
 
 
-def _combine(fld: Field, pairs) -> dict:
-    """sum a (g.f) over pairs (a, terms of g.f), as its nonzero terms {k: coeff}."""
+def _combine(fld: Field, pairs: list) -> tuple:
+    """sum a (g.f) over pairs (a, terms of g.f), each a nonzero, as its
+    nonzero terms ((k, coeff), ...) in k order, the form comp_terms gives:
+    one pair is its terms themselves, scaled when a is not 1."""
+    if len(pairs) == 1:
+        ((a, terms),) = pairs
+        return terms if a == 1 else tuple((k, fld.mul(a, v)) for k, v in terms)
     out: dict = {}
     for a, terms in pairs:
         for k, v in terms:
             out[k] = fld.add(out[k], fld.mul(a, v)) if k in out else fld.mul(a, v)
-    return {k: v for k, v in out.items() if v}
+    return tuple((k, out[k]) for k in sorted(out) if out[k])
 
 
 def generating_labels(c: FinLinCat) -> list[str]:
@@ -176,7 +185,7 @@ def _search_generators(c: FinLinCat) -> list[str]:
         return {k: v for k, v in vec.items() if v}
 
     def compose(s: str, pair, vec: dict) -> dict:
-        return _combine(fld, ((a, c.comp_terms(s, c.hom(*pair)[t])) for t, a in vec.items()))
+        return dict(_combine(fld, [(a, c.comp_terms(s, c.hom(*pair)[t])) for t, a in vec.items()]))
 
     def close(todo: list) -> None:
         while todo:
@@ -201,7 +210,10 @@ def validate_category(c: FinLinCat) -> ValidationReport:
     The associator a(h, g, f) = (h.g).f - h.(g.f) vanishes for an identity h
     by the left unit law, and a(s.h, g, f) = s.a(h, g, f) once every
     a(s, -, -) vanishes. So when both unit laws hold, triples headed by
-    generating_labels(c) are checked, and every triple only if one fails."""
+    generating_labels(c) are checked, and every triple only if one fails.
+    Only composable triples (h, g, f) are visited, f: w -> x, g: x -> y and
+    h: y -> z, and reported in the order of (w, x, y, z) in c.objects, then
+    of their basis indices."""
     violations: list[str] = []
     for x in c.objects:
         if x not in c.identity:
@@ -212,33 +224,36 @@ def validate_category(c: FinLinCat) -> ValidationReport:
         if x in c.identity:
             one_x = [(a, e) for a, e in zip(c.identity[x], c.hom(x, x)) if a]
             for i, lab in enumerate(labels):
-                if _combine(fld, ((a, c.comp_terms(lab, e)) for a, e in one_x)) != {i: fld.one}:
+                if _combine(fld, [(a, c.comp_terms(lab, e)) for a, e in one_x]) != ((i, fld.one),):
                     violations.append(f"right unit law fails: {lab} . 1_{x} != {lab}")
         if y in c.identity:
             one_y = [(a, e) for a, e in zip(c.identity[y], c.hom(y, y)) if a]
             for i, lab in enumerate(labels):
-                if _combine(fld, ((a, c.comp_terms(e, lab)) for a, e in one_y)) != {i: fld.one}:
+                if _combine(fld, [(a, c.comp_terms(e, lab)) for a, e in one_y]) != ((i, fld.one),):
                     violations.append(f"left unit law fails: 1_{y} . {lab} != {lab}")
+    position = {x: n for n, x in enumerate(c.objects)}
+    into: dict[str, list] = {x: [] for x in c.objects}
+    for lab, (x, y, i) in c.label_info.items():
+        into[y].append((lab, x, i))
 
     def associativity(heads) -> list[str]:
         # on basis triples (h, g, f) with h in heads, read off the table:
         # (h.g).f = sum_k (h.g)_k e_k.f and h.(g.f) = sum_k (g.f)_k h.e_k
         found = []
-        for w, x, y, z in product(c.objects, repeat=4):
-            hom_xz, hom_wy = c.hom(x, z), c.hom(w, y)
-            for h in c.hom(y, z):
-                if h not in heads:
-                    continue
-                for g in c.hom(x, y):
-                    hg = c.comp_terms(h, g)
-                    for f in c.hom(w, x):
-                        left = _combine(fld, ((a, c.comp_terms(hom_xz[k], f)) for k, a in hg))
-                        right = _combine(fld, ((a, c.comp_terms(h, hom_wy[k])) for k, a in c.comp_terms(g, f)))
-                        if left != right:
-                            found.append(f"associativity fails on triple ({h},{g},{f})")
-        return found
+        for h in heads:
+            y, z, i = c.label_info[h]
+            for g, x, j in into[y]:
+                hom_xz, hg = c.hom(x, z), c.comp_terms(h, g)
+                for f, w, k in into[x]:
+                    hom_wy = c.hom(w, y)
+                    left = _combine(fld, [(a, c.comp_terms(hom_xz[t], f)) for t, a in hg])
+                    right = _combine(fld, [(a, c.comp_terms(h, hom_wy[t])) for t, a in c.comp_terms(g, f)])
+                    if left != right:
+                        key = (position[w], position[x], position[y], position[z], i, j, k)
+                        found.append((key, f"associativity fails on triple ({h},{g},{f})"))
+        return [v for _, v in sorted(found)]
 
-    if violations or associativity(set(generating_labels(c))):
+    if violations or associativity(generating_labels(c)):
         violations.extend(associativity(c.label_info))
     return ValidationReport(ok=not violations, violations=violations)
 

@@ -480,6 +480,39 @@ class TestMalformedInput:
         result = runner.invoke(main, args)
         self.assert_malformed(result, f"presentation: member {member!r} must be a JSON {kind}")
 
+    # a name given as a number was taken for one (a basis label 7 validated,
+    # and separability check wrote "u": 7 into the certificate), and one
+    # given as an array or object failed as "unhashable type", naming no member
+    NAME_SITES = {
+        ("category", "objects"): lambda d, v: d["objects"].__setitem__(0, v),
+        ("category", "basis"): lambda d, v: d["homs"][0]["basis"].__setitem__(1, v),
+        ("category", "result basis"): lambda d, v: d["composition"][0]["result"][0].update(basis=v),
+        ("presentation", "objects"): lambda d, v: d["objects"].__setitem__(0, v),
+        ("presentation", "name"): lambda d, v: d["morphisms"][1].update(name=v),
+        ("presentation", "from"): lambda d, v: d["morphisms"][0].update({"from": v}),
+        ("presentation", "to"): lambda d, v: d["morphisms"][0].update(to=v),
+        ("presentation", "identity"): lambda d, v: d["identity"].update(x=v),
+        ("presentation", "result"): lambda d, v: d["composition"][0].update(result=v),
+    }
+
+    @pytest.mark.parametrize("value", [7, ["g1"], {"g1": "1"}], ids=["number", "array", "object"])
+    @pytest.mark.parametrize(
+        "context,site", sorted(NAME_SITES), ids=[f"{c}-{s}".replace(" ", "-") for c, s in sorted(NAME_SITES)]
+    )
+    def test_names_must_be_strings(self, runner, tmp_path, context, site, value):
+        pres = context == "presentation"
+        doc = io.presentation_to_json(presets.cyclic_group(2)) if pres else self.z2_doc()
+        self.NAME_SITES[(context, site)](doc, value)
+        path = self.write(tmp_path, "doc.json", doc)
+        if site == "name" and not isinstance(value, int):
+            needle = "presentation: member 'morphisms' has a morphism entry whose 'name' is a JSON array or object"
+        else:
+            needle = f"{context}: member {site.split()[-1]!r} holds {value!r}, not a JSON string"
+        runs = ([["maschke", path, "--field", "Q"], ["linearize", path, "--field", "Q", "-o", str(tmp_path / "c.json")]]
+                if pres else [["validate", path], ["separability", "check", path]])
+        for args in runs:
+            self.assert_malformed(runner.invoke(main, args), needle)
+
     def test_inverse_member_is_ignored(self):
         # files written with the old advisory inverse table still load
         doc = io.presentation_to_json(presets.cyclic_group(2))

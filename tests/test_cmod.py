@@ -196,6 +196,42 @@ class TestValidate:
             "composition law fails on pair (x2<=x2,x1<=x2)",
         ]
 
+    def test_commutation_is_tested_on_generator_pairs(self, monkeypatch):
+        # the one-sided checks pass, so the pair (g1, g1) of Z12's only
+        # generator is tested: 2 products rather than 2 for each of 144 pairs
+        c = linearize(presets.cyclic_group(12), QQ)
+        m = canonical_bimodule(c)
+        monkeypatch.setattr(cmod, "_validate_left_module", lambda c, m, violations: None)
+        products = []
+        matmul = Matrix.__matmul__
+        monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b))
+        assert validate_module(c, m).ok
+        assert len(products) == 2
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_noncommuting_actions_report_every_pair(self, broken):
+        # K4 = {e, a, b, c = ab} acting on Q^2 on the left by a, c -> swap and
+        # on the right by a, b -> diag(1, -1): a left and a right module whose
+        # actions fail to commute on four pairs. Broken, a acts on the left as
+        # the identity: the composition law fails, and the pairs of the
+        # generators a and b commute while (c,a) and (c,b) do not
+        c = linearize(presets.klein_four(), QQ)
+        one, swap, diag = (Matrix.from_rows(QQ, rows) for rows in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]]))
+        left = {"e": one, "a": one if broken else swap, "b": one, "c": swap}
+        right = {"e": one, "a": diag, "b": diag, "c": one}
+        m = Bimodule(c, {("x", "x"): 2}, {(f, "x"): mat for f, mat in left.items()},
+                     {(g, "x"): mat for g, mat in right.items()})
+        commute = [f"left/right actions do not commute on ({f},{g})" for f in "eabc" for g in "eabc"
+                   if left[f] @ right[g] != right[g] @ left[f]]
+        violations = validate_module(c, m).violations
+        head = violations[: len(violations) - len(commute)]
+        assert violations[len(head):] == commute
+        if broken:
+            assert commute == ["left/right actions do not commute on (c,a)", "left/right actions do not commute on (c,b)"]
+            assert head and all(v.startswith("left action at y=x: composition law fails") for v in head)
+        else:
+            assert len(commute) == 4 and head == []
+
     def test_ses_of_kernel_comp(self, z2_over_q):
         cc, comp_map = tensor_square(z2_over_q)
         ker, incl = kernel_of(comp_map)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -298,6 +299,45 @@ def test_validate_category_matches_dense_reference(case):
     k, objects, hom_basis, table, identity = case
     c = FinLinCat(k, objects, hom_basis, table, identity)
     assert validate_category(c).violations == _dense_violations(k, objects, hom_basis, table, identity)
+
+
+def test_crown_violations_keep_the_object_order():
+    # 1_b . 1_b set to zero and 1_c . (a<=c) to 2 (a<=c): the failing triples
+    # lie over the object 4-tuples (a,c,c,c), (b,b,b,c) and (b,b,b,d), and are
+    # reported in that order although the head 1_c comes last in label order
+    objects, hom_basis, table, identity = _dense_linearization(crown())
+    table = {**table, ("b<=b", "b<=b"): [], ("c<=c", "a<=c"): [("a<=c", 2)]}
+    violations = validate_category(FinLinCat(QQ, objects, hom_basis, table, identity)).violations
+    assert [v for v in violations if v.startswith("associativity")] == [
+        "associativity fails on triple (c<=c,c<=c,a<=c)",
+        "associativity fails on triple (b<=c,b<=b,b<=b)",
+        "associativity fails on triple (b<=d,b<=b,b<=b)",
+    ]
+    assert violations == _dense_violations(QQ, objects, hom_basis, table, identity)
+
+
+def cube_root_of_two(ss: Fraction) -> tuple:
+    """Q[t]/(t^3 - 2) on the basis e, t, s = t^2/3 when ss = 2/9: t.t = 3s,
+    t.s = s.t = 2/3 e and s.s = ss t. On the triple (t, t, s) each side is
+    a one-term composite scaled: (t.t).s = 3 (s.s) = 3 ss t and
+    t.(t.s) = 2/3 (t.e) = 2/3 t."""
+    table = {("e", lab): [(lab, 1)] for lab in "ets"} | {(lab, "e"): [(lab, 1)] for lab in "ets"}
+    table |= {("t", "t"): [("s", 3)], ("t", "s"): [("e", Fraction(2, 3))], ("s", "t"): [("e", Fraction(2, 3))],
+              ("s", "s"): [("t", ss)]}
+    return ["x"], {("x", "x"): ["e", "t", "s"]}, table, {"x": [("e", 1)]}
+
+
+def test_one_term_composites_are_scaled():
+    # the stored terms of s.s and t.e differ, (t, 2/9) against (t, 1), and
+    # agree only once scaled by 3 and 2/3
+    c = FinLinCat(QQ, *cube_root_of_two(Fraction(2, 9)))
+    assert generating_labels(c) == ["t"]
+    assert validate_category(c).ok
+    # s.s = t/9 gives (t.t).s = t/3 against 2/3 t: the same term, another scalar
+    case = cube_root_of_two(Fraction(1, 9))
+    violations = validate_category(FinLinCat(QQ, *case)).violations
+    assert "associativity fails on triple (t,t,s)" in violations
+    assert violations == _dense_violations(QQ, *case)
 
 
 # -- generating_labels ---------------------------------------------------
