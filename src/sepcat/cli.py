@@ -220,11 +220,11 @@ def maschke(pres_file, field_text):
     c = linearize(p, k)
     solved = solve_separability(c)
     if verdict.separable != (solved is not None):
-        _fail(3, "internal cross-check failure: groupoid criterion disagrees with the solver")
+        raise InternalCheckError("groupoid criterion disagrees with the solver")
     if verdict.separable:
         check = verify_family(c, verdict.family)
         if not check.ok:
-            _fail(3, "internal cross-check failure: formula certificate does not verify")
+            raise InternalCheckError("formula certificate does not verify")
         click.echo("separable: yes")
         click.echo(json.dumps(io.certificate_to_json(c, verdict.family), indent=2))
         sys.exit(0)
@@ -243,12 +243,12 @@ def delta(pres_file):
     cats = {k: linearize(p, k) for k in (Field(), Field(2), Field(3))}
     for k, c in cats.items():
         if verdict.separable != (solve_separability(c) is not None):
-            _fail(3, f"internal cross-check failure: delta criterion disagrees with the solver over {k}")
+            raise InternalCheckError(f"delta criterion disagrees with the solver over {k}")
     if verdict.separable:
         c = cats[Field()]
         check = verify_family(c, verdict.family)
         if not check.ok:
-            _fail(3, "internal cross-check failure: discrete certificate does not verify")
+            raise InternalCheckError("discrete certificate does not verify")
         click.echo("separable: yes")
         click.echo(json.dumps(io.certificate_to_json(c, verdict.family), indent=2))
         sys.exit(0)
@@ -315,7 +315,7 @@ def les(file, ses_spec, max_degree, json_out):
     if json_out:
         _dump_json(json_out, io.les_report_to_json(report))
     if not report.all_exact:
-        _fail(3, "internal cross-check failure: long exact sequence is not exact")
+        raise InternalCheckError("long exact sequence is not exact")
     sys.exit(0)
 
 
@@ -346,7 +346,7 @@ def module_split(file, module_path, cert_path):
     click.echo(f"section_ok: {'yes' if result.section_ok else 'no'}")
     click.echo(f"linear_ok: {'yes' if result.linear_ok else 'no'}")
     if not (result.section_ok and result.linear_ok):
-        _fail(3, "internal cross-check failure: verified certificate produced a bad section")
+        raise InternalCheckError("verified certificate produced a bad section")
     sys.exit(0)
 
 
@@ -367,7 +367,7 @@ def zelinsky(file, cert_path):
     for rec in report.pairs:
         click.echo(f"{rec.x}  {rec.z}  {rec.hom_dim:<8} {rec.bound:<6} {'yes' if rec.injective else 'NO'}")
     if not report.all_injective:
-        _fail(3, "internal cross-check failure: a verified certificate gave a non-injective embedding")
+        raise InternalCheckError("a verified certificate gave a non-injective embedding")
     sys.exit(0)
 
 

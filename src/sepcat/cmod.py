@@ -541,19 +541,20 @@ def _left_module_intertwiners(
     return _yoneda_basis(c.field, list(c.objects), src.dims, tgt.dims, summands)
 
 
-def random_bimodule(c: FinLinCat, seed: int, dim_cap: int = 2) -> Bimodule:
+_DIM_CAP = 2  # the largest component dimension a random module keeps
+
+
+def random_bimodule(c: FinLinCat, seed: int) -> Bimodule:
     """A valid random bimodule, deterministic in the seed.
 
     Drawn as the kernel of a random intertwiner between direct sums of
     representable bimodules, a random combination of the Yoneda basis of
     the intertwiners; draws are retried until every component dimension is
-    at most dim_cap (the zero bimodule if no draw qualifies). The cap is
+    at most 2 (the zero bimodule if no draw qualifies). The cap is
     checked on the kernel dimensions of the intertwiner's blocks before
     any action is induced, so only the kept draw builds its kernel, and
     each representable is built once per call.
     """
-    if dim_cap < 1:
-        raise ValueError("dim_cap must be at least 1")
     rng = random.Random(seed)
     pairs = [(x, y) for x in c.objects for y in c.objects]
     rep = cache(partial(representable_bimodule, c))  # for this call only
@@ -568,14 +569,14 @@ def random_bimodule(c: FinLinCat, seed: int, dim_cap: int = 2) -> Bimodule:
         basis, offsets = _bimodule_intertwiners(c, src_pairs, src, tgt)
         vec = _random_intertwiner(rng, c.field, basis)
         blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)
-        if _kernels_within(blocks, dim_cap):
+        if _kernels_within(blocks):
             return kernel_of(BimoduleMap(src, tgt, blocks))[0]
     return zero_bimodule(c)
 
 
-def _kernels_within(blocks: dict, dim_cap: int) -> bool:
-    """Whether the kernel of every block has dimension at most dim_cap."""
-    return all(blk.cols - blk.rank() <= dim_cap for blk in blocks.values())
+def _kernels_within(blocks: dict) -> bool:
+    """Whether the kernel of every block has dimension at most _DIM_CAP."""
+    return all(blk.cols - blk.rank() <= _DIM_CAP for blk in blocks.values())
 
 
 def _left_module_map_kernel(c: FinLinCat, src: LeftModule, blocks: dict) -> LeftModule:
@@ -591,14 +592,14 @@ def _left_module_map_kernel(c: FinLinCat, src: LeftModule, blocks: dict) -> Left
     return LeftModule(c, dims, action)
 
 
-def random_left_module(c: FinLinCat, seed: int, dim_cap: int = 2) -> LeftModule:
+def random_left_module(c: FinLinCat, seed: int) -> LeftModule:
     """A valid random left module, deterministic in the seed (kernel of a
     random map between sums of representable modules, drawn from the Yoneda
-    basis of such maps). As in random_bimodule, the cap is checked on the
-    kernel dimensions of the map's blocks before the action is induced,
-    and each representable is built once per call."""
-    if dim_cap < 1:
-        raise ValueError("dim_cap must be at least 1")
+    basis of such maps). As in random_bimodule, draws are retried until
+    every component dimension is at most 2 (the zero module if no draw
+    qualifies); the cap is checked on the kernel dimensions of the map's
+    blocks before the action is induced, and each representable is built
+    once per call."""
     rng = random.Random(seed)
     rep = cache(partial(representable_left_module, c))  # for this call only
     for _ in range(32):
@@ -610,6 +611,6 @@ def random_left_module(c: FinLinCat, seed: int, dim_cap: int = 2) -> LeftModule:
         basis, offsets = _left_module_intertwiners(c, src_objs, src, tgt)
         vec = _random_intertwiner(rng, c.field, basis)
         blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)
-        if _kernels_within(blocks, dim_cap):
+        if _kernels_within(blocks):
             return _left_module_map_kernel(c, src, blocks)
     return LeftModule(c, {x: 0 for x in c.objects}, {f: Matrix.zeros(c.field, 0, 0) for f in c.label_info})

@@ -275,8 +275,11 @@ class FiniteCatPresentation:
     ValueError, and so does a table that misses a composable pair or breaks
     associativity or a unit law, as "invalid presentation: ...". So every
     presentation is a category, and what reads one does not check it again.
-    Like FinLinCat it is immutable. Inverses are not stored: find_inverse
-    searches for a two-sided inverse.
+    Like FinLinCat it is immutable. The constructor also indexes the
+    morphisms by hom pair once, each hom set in the order of morphisms:
+    hom_set reads that index, linearize takes it as the hom bases, and the
+    groupoid and delta criteria read it, so all of them share one order.
+    Inverses are not stored: find_inverse searches for a two-sided inverse.
     """
 
     def __init__(
@@ -299,7 +302,9 @@ class FiniteCatPresentation:
             if e is None or morphisms.get(e) != (x, x):
                 raise ValueError(f"object {x} lacks an identity endomorphism")
         composition = dict(composition)
+        homs: dict[tuple[str, str], list[str]] = {}
         for name, (x, y) in morphisms.items():
+            homs.setdefault((x, y), []).append(name)
             composition.setdefault((identity[y], name), name)
             composition.setdefault((name, identity[x]), name)
         for (g, f), h in composition.items():
@@ -316,6 +321,7 @@ class FiniteCatPresentation:
             morphisms=MappingProxyType(morphisms),
             identity=MappingProxyType(identity),
             composition=MappingProxyType(composition),
+            _homs=MappingProxyType({pair: tuple(names) for pair, names in homs.items()}),  # nonempty hom sets
         )
         violations = self._law_violations()
         if violations:
@@ -328,8 +334,8 @@ class FiniteCatPresentation:
         """The composable pairs the table misses or, when it is total, the
         triples that do not associate and the morphisms a unit law fails for."""
         into: dict[str, list[str]] = {x: [] for x in self.objects}
-        for f, (_, y) in self.morphisms.items():
-            into[y].append(f)
+        for (_, y), names in self._homs.items():
+            into[y].extend(names)
         missing = [
             f"composition table is missing the pair ({g},{f})"
             for g, (gx, _) in self.morphisms.items()
@@ -352,7 +358,7 @@ class FiniteCatPresentation:
         return violations
 
     def hom_set(self, x: str, y: str) -> list[str]:
-        return [n for n, (a, b) in self.morphisms.items() if (a, b) == (x, y)]
+        return list(self._homs.get((x, y), ()))
 
     def comp(self, g: str, f: str) -> str:
         return self.composition[(g, f)]
@@ -376,25 +382,20 @@ def classify_presentation(p: FiniteCatPresentation) -> PresentationFlags:
     ids = set(p.identity.values())
     is_discrete = set(p.morphisms) == ids
     is_groupoid = all(p.find_inverse(f) is not None for f in p.morphisms)
-    is_delta = all(p.hom_set(x, x) == [p.identity[x]] for x in p.objects)
-    if is_delta:
-        for i, x in enumerate(p.objects):
-            for y in p.objects[i + 1 :]:
-                if p.hom_set(x, y) and p.hom_set(y, x):
-                    is_delta = False
+    is_delta = all(p.hom_set(x, x) == [p.identity[x]] for x in p.objects) and not any(
+        x != y and (y, x) in p._homs for x, y in p._homs
+    )
     return PresentationFlags(is_groupoid=is_groupoid, is_delta=is_delta, is_discrete=is_discrete)
 
 
 def linearize(p: FiniteCatPresentation, k: Field) -> FinLinCat:
-    """The K-linearization: hom bases are the morphism name sets of p, and
-    g . f is the basis label p.comp(g, f). p is a category by construction,
-    so its linearization satisfies the category axioms."""
-    hom_basis: dict[tuple[str, str], list[str]] = {}
-    for name, (x, y) in p.morphisms.items():
-        hom_basis.setdefault((x, y), []).append(name)
+    """The K-linearization: hom bases are the hom sets of p, in the order
+    hom_set gives them, and g . f is the basis label p.comp(g, f). p is a
+    category by construction, so its linearization satisfies the category
+    axioms."""
     composition = {gf: ((h, k.one),) for gf, h in p.composition.items()}
     identity = {x: ((p.identity[x], k.one),) for x in p.objects}
-    return FinLinCat(k, p.objects, hom_basis, composition, identity)
+    return FinLinCat(k, p.objects, p._homs, composition, identity)
 
 
 def opposite(c: FinLinCat) -> FinLinCat:

@@ -25,23 +25,23 @@ __all__ = [
 ]
 
 
-def one_object_monoid(elements: Sequence[str], table: dict[tuple[str, str], str], unit: str,
-                      obj: str = "x") -> FiniteCatPresentation:
-    """A monoid as a one-object category; table is total multiplication."""
-    morphisms = {e: (obj, obj) for e in elements}
-    return FiniteCatPresentation([obj], morphisms, {obj: unit}, table)
+def one_object_monoid(elements: Sequence[str], table: dict[tuple[str, str], str], unit: str) -> FiniteCatPresentation:
+    """A monoid as a one-object category on the object x; table is total
+    multiplication."""
+    morphisms = {e: ("x", "x") for e in elements}
+    return FiniteCatPresentation(["x"], morphisms, {"x": unit}, table)
 
 
-def cyclic_group(n: int, obj: str = "x") -> FiniteCatPresentation:
+def cyclic_group(n: int) -> FiniteCatPresentation:
     """Z/n as a one-object groupoid with elements g0 (= identity), g1, ..."""
     if n < 1:
         raise ValueError("n must be positive")
     elements = [f"g{i}" for i in range(n)]
     table = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)}
-    return one_object_monoid(elements, table, "g0", obj)
+    return one_object_monoid(elements, table, "g0")
 
 
-def klein_four(obj: str = "x") -> FiniteCatPresentation:
+def klein_four() -> FiniteCatPresentation:
     """Z/2 x Z/2 as a one-object groupoid."""
     els = ["e", "a", "b", "c"]
     mul = {}
@@ -51,7 +51,7 @@ def klein_four(obj: str = "x") -> FiniteCatPresentation:
         for h in els:
             gg, hh = code[g], code[h]
             mul[(g, h)] = dec[((gg[0] + hh[0]) % 2, (gg[1] + hh[1]) % 2)]
-    return one_object_monoid(els, mul, "e", obj)
+    return one_object_monoid(els, mul, "e")
 
 
 def connected_groupoid(group: FiniteCatPresentation, n_objects: int) -> FiniteCatPresentation:
@@ -135,9 +135,9 @@ def discrete_category(n: int) -> FiniteCatPresentation:
     return FiniteCatPresentation(objects, morphisms, identity, {})
 
 
-def idempotent_monoid(obj: str = "x") -> FiniteCatPresentation:
+def idempotent_monoid() -> FiniteCatPresentation:
     """The two-element monoid {1, a} with a.a = a (neither groupoid nor delta)."""
-    return one_object_monoid(["e", "a"], {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "a"}, "e", obj)
+    return one_object_monoid(["e", "a"], {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "a"}, "e")
 
 
 _RANDOM_FAMILIES = (
@@ -172,7 +172,7 @@ def random_presentation(seed: int) -> FiniteCatPresentation:
         return idempotent_monoid()
     # disjoint union of a cyclic group object and an isolated object
     n = rng.randint(1, 3)
-    g = cyclic_group(n, obj="x")
+    g = cyclic_group(n)
     objects = list(g.objects) + ["y"]
     morphisms = dict(g.morphisms)
     morphisms["idy"] = ("y", "y")

@@ -262,32 +262,15 @@ class MaschkeVerdict:
     family: Optional[SeparabilityFamily] = None
 
 
-def _connected_components(p: FiniteCatPresentation) -> list[list[str]]:
-    remaining = list(p.objects)
-    comps = []
-    while remaining:
-        seed = remaining[0]
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            cur = frontier.pop()
-            for other in p.objects:
-                if other not in comp and (p.hom_set(cur, other) or p.hom_set(other, cur)):
-                    comp.add(other)
-                    frontier.append(other)
-        comp_sorted = [o for o in p.objects if o in comp]
-        comps.append(comp_sorted)
-        remaining = [o for o in remaining if o not in comp]
-    return comps
-
-
 def maschke_predict(p: FiniteCatPresentation, k: Field) -> MaschkeVerdict:
     """Groupoid criterion: separable iff every nonempty hom-set has
     cardinality invertible in k.
 
     The emitted certificate averages g (x) g^{-1} over hom(y0, x) for one
-    reference object y0 per connected component; restricting the support
-    this way is what makes the unit condition sum to exactly 1_x.
+    reference object y0 per connected component, its first object;
+    restricting the support this way is what makes the unit condition sum
+    to exactly 1_x. In a groupoid the component of x is the set of objects
+    with a morphism into x.
     """
     if not classify_presentation(p).is_groupoid:
         raise ValueError("presentation is not a groupoid")
@@ -297,16 +280,14 @@ def maschke_predict(p: FiniteCatPresentation, k: Field) -> MaschkeVerdict:
             if n and not k.of(n):
                 return MaschkeVerdict(separable=False, witness=(x, y, n))
     blocks = {}
-    for comp in _connected_components(p):
-        y0 = comp[0]
-        for x in comp:
-            # hom_set lists names in the order linearize gives the hom bases
-            gs = p.hom_set(y0, x)
-            hs = p.hom_set(x, y0)
-            inv_weight = k.inv(k.of(len(hs)))
-            blocks[(x, y0)] = Matrix.from_entries(
-                k, len(gs), len(hs), ((i, hs.index(p.find_inverse(g)), inv_weight) for i, g in enumerate(gs))
-            )
+    for x in p.objects:
+        y0 = next(y for y in p.objects if p.hom_set(y, x))
+        gs = p.hom_set(y0, x)
+        hs = p.hom_set(x, y0)
+        inv_weight = k.inv(k.of(len(hs)))
+        blocks[(x, y0)] = Matrix.from_entries(
+            k, len(gs), len(hs), ((i, hs.index(p.find_inverse(g)), inv_weight) for i, g in enumerate(gs))
+        )
     return MaschkeVerdict(separable=True, family=SeparabilityFamily(blocks))
 
 

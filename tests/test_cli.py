@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from sepcat import presets
 from sepcat import interchange as io
 from sepcat.cli import main
+from sepcat.cohomology import les_analysis
 from sepcat.exactalg import Field, Matrix, QQ
 from sepcat.lincat import FiniteCatPresentation, linearize
 from sepcat.cmod import (
@@ -19,7 +20,9 @@ from sepcat.cmod import (
     tensor_square,
     zero_bimodule,
 )
+from sepcat.separability import FamilyCheck, module_section, zelinsky_report
 from test_interchange import NON_ASSOCIATIVE, unknown_morphism
+from test_lincat import interleaved_groupoid
 
 
 @pytest.fixture
@@ -98,6 +101,23 @@ class TestPredicateCommands:
         result = runner.invoke(main, ["maschke", files["z2_pres.json"], "--field", "Fp:2"])
         assert result.exit_code == 1
         assert "not invertible" in result.output
+
+    def test_maschke_interleaved_components(self, runner, tmp_path):
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps(io.presentation_to_json(interleaved_groupoid())))
+        result = runner.invoke(main, ["maschke", str(pres), "--field", "Q"])
+
+        def block(x, y, *uv):
+            return {"x": x, "y": y, "terms": [{"coeff": c, "u": u, "v": v} for c, u, v in uv]}
+
+        half = "1/2"
+        cert = [
+            block("a", "a", (half, "g0:0>0", "g0:0>0"), (half, "g1:0>0", "g1:0>0")),
+            block("b", "b", ("1", "idb", "idb")),
+            block("c", "a", (half, "g0:0>1", "g0:1>0"), (half, "g1:0>1", "g1:1>0")),
+        ]
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == "separable: yes\n" + json.dumps(cert, indent=2) + "\n"
 
     def test_maschke_rejects_non_groupoid(self, runner, files):
         result = runner.invoke(main, ["maschke", files["a2_pres.json"], "--field", "Q"])
@@ -299,6 +319,57 @@ class TestValidateAndLinearize:
     def test_unknown_flag_rejected(self, runner, files):
         result = runner.invoke(main, ["obstruction", files["z2_over_Q.json"], "--frobnicate"])
         assert result.exit_code == 2
+
+
+def _spoiled(fn, spoil):
+    """fn, with spoil applied to each result before it is returned."""
+
+    def wrapped(*args):
+        result = fn(*args)
+        spoil(result)
+        return result
+
+    return wrapped
+
+
+class TestCrossCheckFailures:
+    """A verb whose cross-check fails exits 3 with one stderr line."""
+
+    @pytest.mark.parametrize(
+        "verb, target, fake, message",
+        [
+            pytest.param(*case, id=f"{case[0]}-{case[1]}")
+            for case in [
+                ("maschke", "solve_separability", lambda c: None, "groupoid criterion disagrees with the solver"),
+                ("maschke", "verify_family", lambda c, fam: FamilyCheck(ok=False), "formula certificate does not verify"),
+                ("delta", "solve_separability", lambda c: None, "delta criterion disagrees with the solver over Q"),
+                ("delta", "verify_family", lambda c, fam: FamilyCheck(ok=False), "discrete certificate does not verify"),
+                ("les", "les_analysis", _spoiled(les_analysis, lambda r: setattr(r.positions[0], "exact", False)),
+                 "long exact sequence is not exact"),
+                ("split", "module_section", _spoiled(module_section, lambda r: setattr(r, "section_ok", False)),
+                 "verified certificate produced a bad section"),
+                ("zelinsky", "zelinsky_report", _spoiled(zelinsky_report, lambda r: setattr(r.pairs[0], "injective", False)),
+                 "a verified certificate gave a non-injective embedding"),
+            ]
+        ],
+    )
+    def test_failed_cross_check_is_exit_three(self, runner, files, tmp_path, monkeypatch, verb, target, fake, message):
+        cat = files["z2_over_Q.json"]
+        cert, mod = str(tmp_path / "cert.json"), tmp_path / "regular.json"
+        assert runner.invoke(main, ["separability", "check", cat, "--certificate-out", cert]).exit_code == 0
+        regular = representable_left_module(linearize(presets.cyclic_group(2), QQ), "x")
+        mod.write_text(json.dumps(io.left_module_to_json(regular)))
+        args = {
+            "maschke": ["maschke", files["z2_pres.json"], "--field", "Q"],
+            "delta": ["delta", files["d2_pres.json"]],
+            "les": ["les", cat, "--ses", "kernel-comp", "--max-degree", "1"],
+            "split": ["module", "split", cat, "--module", str(mod), "--certificate", cert],
+            "zelinsky": ["zelinsky", cat, "--certificate", cert],
+        }[verb]
+        monkeypatch.setattr(f"sepcat.cli.{target}", fake)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert result.stderr == f"internal cross-check failure: {message}\n"
 
 
 class TestMalformedInput:

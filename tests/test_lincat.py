@@ -347,6 +347,20 @@ def crown():
     return presets.poset_category(["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
 
 
+def interleaved_groupoid():
+    """Objects a, b, c with a and c isomorphic, vertex group Z/2, and b
+    alone: the components interleave in object order, and the morphisms
+    are listed by group element, so no hom set is contiguous in them."""
+    g = presets.connected_groupoid(presets.cyclic_group(2), 2)
+    name = {"o0": "a", "o1": "c"}
+    ends = {f: (name[x], name[y]) for f, (x, y) in g.morphisms.items()}
+    order = sorted(ends, key=lambda f: f.split(":")[0])  # by group element
+    order.insert(4, "idb")
+    morphisms = {f: ends.get(f, ("b", "b")) for f in order}
+    identity = {name[x]: e for x, e in g.identity.items()}
+    return FiniteCatPresentation(["a", "b", "c"], morphisms, {**identity, "b": "idb"}, dict(g.composition))
+
+
 GENERATOR_PRESETS = {
     **{f"Z{n}": (lambda n=n: presets.cyclic_group(n)) for n in range(2, 13)},
     "K4": presets.klein_four,
@@ -365,6 +379,26 @@ KK_TABLE = {("p", "p"): [("p", 1)], ("q", "q"): [("q", 1)]}
 
 def kk_idempotent_basis(k: Field) -> FinLinCat:
     return FinLinCat(k, ["x"], {("x", "x"): ["p", "q"]}, KK_TABLE, {"x": [("p", 1), ("q", 1)]})
+
+
+HOM_ORDER_PRESETS = {
+    **GENERATOR_PRESETS,
+    "vee": presets.vee_poset,
+    "D3": lambda: presets.discrete_category(3),
+    "interleaved": interleaved_groupoid,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOM_ORDER_PRESETS))
+def test_hom_sets_are_the_linearized_hom_bases(name):
+    # maschke_predict reads hom sets off the presentation and indexes the
+    # linearization's hom bases with them: the two orders must agree
+    p = HOM_ORDER_PRESETS[name]()
+    c = linearize(p, QQ)
+    for x in p.objects:
+        for y in p.objects:
+            assert p.hom_set(x, y) == list(c.hom(x, y))
+    assert sum(len(p.hom_set(x, y)) for x in p.objects for y in p.objects) == len(p.morphisms)
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_PRESETS))

@@ -29,7 +29,7 @@ from sepcat.separability import (
     verify_family,
     zelinsky_report,
 )
-from test_lincat import GENERATOR_PRESETS, kk_idempotent_basis
+from test_lincat import GENERATOR_PRESETS, interleaved_groupoid, kk_idempotent_basis
 
 F2, F3, F5, F7 = Field(2), Field(3), Field(5), Field(7)
 
@@ -202,7 +202,7 @@ class TestMaschke:
         # two isolated copies of Z/2; empty cross hom-sets must not count
         from sepcat.lincat import FiniteCatPresentation
 
-        g = presets.cyclic_group(2, obj="x")
+        g = presets.cyclic_group(2)
         morphs = dict(g.morphisms)
         morphs.update({"h0": ("y", "y"), "h1": ("y", "y")})
         comp = dict(g.composition)
@@ -213,6 +213,15 @@ class TestMaschke:
         c = linearize(p, QQ)
         assert verify_family(c, verdict.family).ok
         assert not maschke_predict(p, F2).separable
+
+    def test_components_interleaved_in_object_order(self):
+        # a and c form one component and b another: each object's reference
+        # object is the first of its component, so c's is a, not b
+        p = interleaved_groupoid()
+        verdict = maschke_predict(p, QQ)
+        assert verdict.separable
+        assert set(verdict.family.blocks) == {("a", "a"), ("c", "a"), ("b", "b")}
+        assert verify_family(linearize(p, QQ), verdict.family).ok
 
 
 class TestDelta:
