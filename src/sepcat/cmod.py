@@ -5,6 +5,8 @@ morphism f in hom(x, y) acts M[x] -> M[y]. A bimodule M has components
 M[x][y]; f in hom(x, x') acts on the left M[x][y] -> M[x'][y], and
 g in hom(y', y) acts on the right M[x][y] -> M[x][y']. The canonical
 bimodule is the category itself with component hom(y, x) at (x, y).
+A structure matrix (post_mul_matrix, pre_mul_matrix, comp_matrix) is the
+transpose of its columns, each a composite as comp_terms returns it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "ShortExactSeq",
     "post_mul_matrix",
     "pre_mul_matrix",
+    "comp_matrix",
     "canonical_bimodule",
     "tensor_square",
     "tensor_square_basis",
@@ -44,25 +47,20 @@ __all__ = [
 def post_mul_matrix(c: FinLinCat, f: str, y: str) -> Matrix:
     """Matrix of u -> f.u on hom(y, src f) -> hom(y, tgt f)."""
     x, z, _ = c.label_info[f]
-    src = c.hom(y, x)
-    return Matrix.from_entries(
-        c.field,
-        c.dim_hom(y, z),
-        len(src),
-        ((i, j, v) for j, u in enumerate(src) for i, v in c.comp_terms(f, u)),
-    )
+    return Matrix._of_rows(c.field, c.dim_hom(y, z), tuple(c.comp_terms(f, u) for u in c.hom(y, x))).transpose()
 
 
 def pre_mul_matrix(c: FinLinCat, g: str, y: str) -> Matrix:
     """Matrix of v -> v.g on hom(tgt g, y) -> hom(src g, y)."""
     x, z, _ = c.label_info[g]
-    src = c.hom(z, y)
-    return Matrix.from_entries(
-        c.field,
-        c.dim_hom(x, y),
-        len(src),
-        ((i, j, w) for j, v in enumerate(src) for i, w in c.comp_terms(v, g)),
-    )
+    return Matrix._of_rows(c.field, c.dim_hom(x, y), tuple(c.comp_terms(v, g) for v in c.hom(z, y))).transpose()
+
+
+def comp_matrix(c: FinLinCat, x: str, y: str) -> Matrix:
+    """Matrix of u (x) v -> u.v on the (x, y) component of C (x) C, in
+    tensor_square_basis order, onto hom(y, x)."""
+    columns = tuple(c.comp_terms(u, v) for _, u, v in tensor_square_basis(c, x, y))
+    return Matrix._of_rows(c.field, c.dim_hom(y, x), columns).transpose()
 
 
 class LeftModule:
@@ -167,20 +165,7 @@ def tensor_square(c: FinLinCat) -> tuple[Bimodule, BimoduleMap]:
     C (x) C is the direct sum of the representables P(z, z) over the
     objects z, whose bases concatenate to tensor_square_basis."""
     cxc = direct_sum_bimodules(c, [representable_bimodule(c, z, z) for z in c.objects])
-    blocks = {}
-    for x in c.objects:
-        for y in c.objects:
-            src = tensor_square_basis(c, x, y)
-            blocks[(x, y)] = Matrix.from_entries(
-                c.field,
-                c.dim_hom(y, x),
-                len(src),
-                (
-                    (i, j, coeff)
-                    for j, (_, u, v) in enumerate(src)
-                    for i, coeff in c.comp_terms(u, v)
-                ),
-            )
+    blocks = {(x, y): comp_matrix(c, x, y) for x in c.objects for y in c.objects}
     return cxc, BimoduleMap(cxc, canonical_bimodule(c), blocks)
 
 

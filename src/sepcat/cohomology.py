@@ -28,7 +28,7 @@ from itertools import product
 from math import prod
 from typing import Optional
 
-from .exactalg import Matrix, RrefResult, _rank_mod
+from .exactalg import Field, Matrix, RrefResult, _rank_mod
 from .errors import BudgetExceededError, InternalCheckError
 from .lincat import FinLinCat
 from .cmod import Bimodule, BimoduleMap, ShortExactSeq, tensor_square, tensor_square_basis, kernel_of, validate_module
@@ -140,7 +140,7 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
         key: [[(s, last * v) for s, v in col] for col in act.transpose().row_terms]
         for key, act in m.right.items()
     }
-    composites = _composites_by_result(c)
+    composites = _composites_by_result(c) if n else {}  # d^0 has no merge terms
     rows: list[list] = [[] for _ in range(tgt.dim)]
     for slot in src.slots:
         objs, dims, mdim = slot.objs, slot.hom_dims, slot.mdim
@@ -276,43 +276,30 @@ class ObstructionResult:
 def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> ObstructionResult:
     """The splitting obstruction of comp: C (x) C -> C.
 
-    Using the linear (not bimodule) section u -> u (x) 1 of comp, the
-    1-cochain f -> f . sigma - sigma . f takes values in ker comp and is a
-    cocycle; it is a coboundary exactly when the category is separable.
+    Using the linear (not bimodule) section u -> u (x) 1 of comp, sigma is
+    the 0-cochain of C (x) C with sigma_x = 1_x (x) 1_x, and d^0 sigma, the
+    1-cochain f -> f . sigma - sigma . f, built by the same differential as
+    every complex here, takes values in ker comp and is a cocycle there; it
+    is a coboundary exactly when the category is separable. Its coordinates
+    in ker comp are read through the inclusion's degree-1 cochain map. The
+    cochain spaces of C (x) C share budget with those of ker comp.
     """
     cxc, comp_map = tensor_square(c)
     ker, incl = kernel_of(comp_map)
     complex = build_hm_complex(c, ker, 1, budget)
     fld = c.field
-    # sigma_x = section(1_x) in the (x, x) component of C (x) C
-    sigma = {}
-    for x in c.objects:
-        basis = tensor_square_basis(c, x, x)
-        index = {b: i for i, b in enumerate(basis)}
-        vec = [fld.zero] * len(basis)
-        labels = c.hom(x, x)
-        ident = c.identity[x]
-        for s, coeff_u in enumerate(ident):
-            if not coeff_u:
-                continue
-            for t, coeff_v in enumerate(ident):
-                if coeff_v:
-                    i = index[(x, labels[s], labels[t])]
-                    vec[i] = fld.add(vec[i], fld.mul(coeff_u, coeff_v))
-        sigma[x] = Matrix(fld, len(basis), 1, vec)
-    values = [fld.zero] * complex.dim(1)
-    for slot in complex.space(1).slots:
-        x0, x1 = slot.objs
-        for b_idx, b in enumerate(c.hom(x1, x0)):
-            value = cxc.left[(b, x1)] @ sigma[x1] - cxc.right[(b, x0)] @ sigma[x0]
-            if not (comp_map.blocks[(x0, x1)] @ value).is_zero():
-                raise InternalCheckError("obstruction value escapes ker comp")
-            coords = incl.blocks[(x0, x1)]._coords(value)
-            if coords is None:
-                raise InternalCheckError("obstruction value has no kernel coordinates")
-            for s, v in enumerate(coords.col(0)):
-                values[slot.offset + b_idx * slot.mdim + s] = v
-    cocycle = Matrix(fld, len(values), 1, values)
+    space0, space1 = (_degree_space(c, cxc, n, budget) for n in (0, 1))
+    sigma = [fld.zero] * space0.dim
+    for slot in space0.slots:
+        (x,) = slot.objs
+        index = {b: i for i, b in enumerate(tensor_square_basis(c, x, x))}
+        labels, ident = c.hom(x, x), c.identity[x]
+        for (u, a), (v, b) in product(zip(labels, ident), repeat=2):
+            sigma[slot.offset + index[(x, u, v)]] = fld.mul(a, b)
+    value = _build_differential(c, cxc, space0, space1, 0) @ Matrix(fld, space0.dim, 1, sigma)
+    cocycle = _cochain_map(fld, complex.space(1), space1, incl.blocks, 1)._coords(value)
+    if cocycle is None:
+        raise InternalCheckError("obstruction value escapes ker comp")
     if not (complex.diffs[1] @ cocycle).is_zero():
         raise InternalCheckError("obstruction cochain is not a cocycle")
     is_coboundary = complex.diffs[0].solve_many(cocycle) is not None
@@ -346,8 +333,9 @@ class LesReport:
         return all(rec.exact for rec in self.positions)
 
 
-def _cochain_map(src: CochainComplex, tgt: CochainComplex, blocks: dict, n: int) -> Matrix:
-    sspace, tspace = src.space(n), tgt.space(n)
+def _cochain_map(field: Field, sspace: _DegreeSpace, tspace: _DegreeSpace, blocks: dict, n: int) -> Matrix:
+    """The degree-n cochain map between the spaces sspace and tspace of a
+    bimodule map with the given blocks, applied slot by slot."""
     rows: list[list] = [[] for _ in range(tspace.dim)]
     for slot in sspace.slots:
         tslot = tspace.by_objs.get(slot.objs)
@@ -361,7 +349,7 @@ def _cochain_map(src: CochainComplex, tgt: CochainComplex, blocks: dict, n: int)
                 col = slot.offset + f * slot.mdim + t
                 for s, v in blk[t]:
                     rows[tslot.offset + f * tslot.mdim + s].append((col, v))
-    return Matrix._of_rows(src.cat.field, sspace.dim, tuple(map(tuple, rows)))
+    return Matrix._of_rows(field, sspace.dim, tuple(map(tuple, rows)))
 
 
 def _mod_image(cols: Matrix, image_rows: Optional[RrefResult]) -> Matrix:
@@ -414,10 +402,11 @@ def les_analysis(c: FinLinCat, ses: ShortExactSeq, max_degree: int, budget: int 
         key: right_inverse(b.transpose(), "cochain-level injectivity of i failed").transpose()
         for key, b in ses.i.blocks.items()
     }
-    imaps = [_cochain_map(cm, cn, ses.i.blocks, n) for n in range(max_degree + 2)]
-    qmaps = [_cochain_map(cn, cp, ses.q.blocks, n) for n in range(max_degree + 1)]
-    lifts = [_cochain_map(cp, cn, sections, n) for n in range(max_degree + 1)]
-    pulls = [_cochain_map(cn, cm, retractions, n + 1) for n in range(max_degree + 1)]
+    fld = c.field
+    imaps = [_cochain_map(fld, cm.space(n), cn.space(n), ses.i.blocks, n) for n in range(max_degree + 2)]
+    qmaps = [_cochain_map(fld, cn.space(n), cp.space(n), ses.q.blocks, n) for n in range(max_degree + 1)]
+    lifts = [_cochain_map(fld, cp.space(n), cn.space(n), sections, n) for n in range(max_degree + 1)]
+    pulls = [_cochain_map(fld, cn.space(n + 1), cm.space(n + 1), retractions, n + 1) for n in range(max_degree + 1)]
 
     def delta(n: int, z: Matrix) -> Matrix:
         v = cn.diffs[n] @ (lifts[n] @ z)

@@ -199,7 +199,7 @@ def category_from_json(doc: dict) -> FinLinCat:
         composition[key] = [
             (_require_type(_require(term, "basis", "composition term"), str, "basis", "category"),
              scalar(_require(term, "coeff", "composition term")))
-            for term in _require(entry, "result", "composition entry")
+            for term in _require_type(_require(entry, "result", "composition entry"), list, "result", "category")
         ]
     return FinLinCat(field, objects, hom_basis, composition, identity)
 

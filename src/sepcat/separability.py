@@ -23,7 +23,7 @@ from typing import Optional
 
 from .exactalg import Field, Matrix
 from .lincat import FinLinCat, FiniteCatPresentation, classify_presentation, generating_labels
-from .cmod import LeftModule, post_mul_matrix, pre_mul_matrix
+from .cmod import LeftModule, comp_matrix, post_mul_matrix, pre_mul_matrix
 
 __all__ = [
     "SeparabilityFamily",
@@ -79,14 +79,19 @@ class FamilyCheck:
         return sorted(self.equivariance_residuals)
 
 
-def _block_layout(c: FinLinCat) -> tuple[list[tuple[str, str]], dict[tuple[str, str], int], int]:
-    pairs = [(x, y) for x in c.objects for y in c.objects]
+def _block_layout(c: FinLinCat) -> tuple[dict[tuple[str, str], int], int]:
+    """(offsets, total): the unknowns of A[x][y] start at offsets[(x, y)],
+    pairs in object order, total unknowns in all. Taken over y in object
+    order, the unknowns of A[x][y] are the basis of the (x, x) component of
+    C (x) C in tensor_square_basis(c, x, x) order, so they start at
+    offsets[(x, c.objects[0])]."""
     offsets = {}
     total = 0
-    for (x, y) in pairs:
-        offsets[(x, y)] = total
-        total += c.dim_hom(y, x) * c.dim_hom(x, y)
-    return pairs, offsets, total
+    for x in c.objects:
+        for y in c.objects:
+            offsets[(x, y)] = total
+            total += c.dim_hom(y, x) * c.dim_hom(x, y)
+    return offsets, total
 
 
 def separability_system(c: FinLinCat) -> tuple[Matrix, Matrix, dict[tuple[str, str], int]]:
@@ -98,24 +103,14 @@ def separability_system(c: FinLinCat) -> tuple[Matrix, Matrix, dict[tuple[str, s
     generating_labels(c) span those for every label (module docstring).
     """
     fld = c.field
-    pairs, offsets, total = _block_layout(c)
+    offsets, total = _block_layout(c)
     rows: list[dict] = []  # one {column: coefficient} per equation
     rhs: list = []
-    # unit condition, one scalar equation per basis vector of hom(x, x)
+    # unit condition: comp on the (x, x) component of C (x) C, one scalar
+    # equation per basis vector of hom(x, x)
     for x in c.objects:
-        block_rows: list[dict] = [{} for _ in range(c.dim_hom(x, x))]
-        for y in c.objects:
-            us = c.hom(y, x)
-            vs = c.hom(x, y)
-            base = offsets[(x, y)]
-            n = len(vs)
-            for i, u in enumerate(us):
-                for j, v in enumerate(vs):
-                    for t, coeff in c.comp_terms(u, v):
-                        cell = block_rows[t]
-                        idx = base + i * n + j
-                        cell[idx] = fld.add(cell.get(idx, fld.zero), coeff)
-        rows.extend(block_rows)
+        base = offsets[(x, c.objects[0])]
+        rows.extend({base + j: v for j, v in row} for row in comp_matrix(c, x, x).row_terms)
         rhs.extend(c.identity[x])
     # equivariance, one scalar equation per entry of the (f, y) identity
     for f in generating_labels(c):

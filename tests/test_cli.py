@@ -523,6 +523,16 @@ class TestMalformedInput:
         result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
         self.assert_malformed(result, "member 'basis' of hom entry ('x', 'x') must be a JSON array")
 
+    # a string or object was read term by term and failed naming 'basis';
+    # a number or null failed as "'int' object is not iterable"
+    @pytest.mark.parametrize("value", ["g0", {"basis": "g0", "coeff": "1"}, 7, None],
+                             ids=["string", "object", "number", "null"])
+    def test_composition_result_must_be_an_array(self, runner, tmp_path, value):
+        doc = self.z2_doc()
+        doc["composition"][0]["result"] = value
+        result = runner.invoke(main, ["validate", self.write(tmp_path, "cat.json", doc)])
+        self.assert_malformed(result, "category: member 'result' must be a JSON array")
+
     def test_prime_must_be_an_integer(self, runner, tmp_path):
         # int() would read 7.9 as the prime 7
         doc = io.category_to_json(linearize(presets.cyclic_group(2), Field(7)))

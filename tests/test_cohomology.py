@@ -20,6 +20,7 @@ from sepcat.cmod import (
     kernel_of,
     random_bimodule,
     tensor_square,
+    tensor_square_basis,
     zero_bimodule,
 )
 from sepcat.cohomology import (
@@ -30,9 +31,10 @@ from sepcat.cohomology import (
 )
 from sepcat.separability import solve_separability
 from canonical import assert_canonical
+from test_acceptance import DELTA_NONDISCRETE, DISCRETE, GROUPOIDS
 from test_exactalg import gauss_jordan
 
-F2, F3 = Field(2), Field(3)
+F2, F3, F7 = Field(2), Field(3), Field(7)
 
 
 LES_CATEGORIES = {
@@ -215,6 +217,60 @@ class TestObstruction:
     def test_matches_solver_feasibility(self, seed):
         c = linearize(presets.random_presentation(seed), F3)
         assert obstruction_cocycle(c).is_coboundary == (solve_separability(c) is not None)
+
+
+def reference_obstruction(c):
+    """The obstruction by its definition: f . sigma_x1 - sigma_x0 . f for
+    every basis f in hom(x1, x0), through the actions of C (x) C, each
+    value read in the coordinates of its ker comp block."""
+    cxc, comp_map = tensor_square(c)
+    ker, incl = kernel_of(comp_map)
+    space1 = cohomology._degree_space(c, ker, 1, cohomology.DEFAULT_BUDGET)
+    fld = c.field
+    sigma = {}  # 1_x (x) 1_x in the (x, x) component of C (x) C
+    for x in c.objects:
+        basis = tensor_square_basis(c, x, x)
+        vec = [fld.zero] * len(basis)
+        labels, ident = c.hom(x, x), c.identity[x]
+        for s, t in product(range(len(labels)), repeat=2):
+            i = basis.index((x, labels[s], labels[t]))
+            vec[i] = fld.add(vec[i], fld.mul(ident[s], ident[t]))
+        sigma[x] = Matrix(fld, len(basis), 1, vec)
+    values = [fld.zero] * space1.dim
+    for slot in space1.slots:
+        x0, x1 = slot.objs
+        for b_idx, b in enumerate(c.hom(x1, x0)):
+            value = cxc.left[(b, x1)] @ sigma[x1] - cxc.right[(b, x0)] @ sigma[x0]
+            assert (comp_map.blocks[(x0, x1)] @ value).is_zero()
+            coords = incl.blocks[(x0, x1)]._coords(value)
+            for s, v in enumerate(coords.col(0)):
+                values[slot.offset + b_idx * slot.mdim + s] = v
+    return Matrix(fld, len(values), 1, values)
+
+
+ACCEPTANCE_PRESENTATIONS = {**GROUPOIDS, **DELTA_NONDISCRETE, **DISCRETE}
+ACCEPTANCE_CASES = pytest.mark.parametrize(
+    "name,k", [(name, k) for name in ACCEPTANCE_PRESENTATIONS for k in (QQ, F2, F3, F7)], ids=str
+)
+
+
+@ACCEPTANCE_CASES
+def test_obstruction_matches_its_definition(name, k):
+    c = linearize(ACCEPTANCE_PRESENTATIONS[name], k)
+    assert obstruction_cocycle(c).cocycle == reference_obstruction(c)
+
+
+@ACCEPTANCE_CASES
+def test_comp_blocks_are_dense_composites(name, k):
+    c = linearize(ACCEPTANCE_PRESENTATIONS[name], k)
+    blocks = tensor_square(c)[1].blocks
+    for x, y in product(c.objects, repeat=2):
+        basis = tensor_square_basis(c, x, y)
+        dense = [[k.zero] * len(basis) for _ in range(c.dim_hom(y, x))]
+        for j, (_, u, v) in enumerate(basis):
+            for i, coeff in c.comp_terms(u, v):
+                dense[i][j] = coeff
+        assert blocks[(x, y)] == Matrix(k, len(dense), len(basis), [e for row in dense for e in row])
 
 
 class TestLes:

@@ -12,12 +12,16 @@ from sepcat.lincat import linearize
 from sepcat.cmod import (
     LeftModule,
     character_left_module,
+    kernel_of,
     random_left_module,
     representable_left_module,
+    tensor_square,
     validate_module,
 )
+from sepcat.cohomology import build_hm_complex, cohomology_dims
 from sepcat.separability import (
     SeparabilityFamily,
+    _solve_with_freedom,
     delta_predict,
     family_from_vector,
     maschke_predict,
@@ -29,6 +33,7 @@ from sepcat.separability import (
     verify_family,
     zelinsky_report,
 )
+from test_acceptance import ALL_FIELDS, DELTA_NONDISCRETE, DISCRETE, GROUPOIDS
 from test_lincat import GENERATOR_PRESETS, interleaved_groupoid, kk_idempotent_basis
 
 F2, F3, F5, F7 = Field(2), Field(3), Field(5), Field(7)
@@ -475,3 +480,19 @@ def test_separability_system_rows_on_generators_only():
     # rows for every label would number 1,596
     mat, _, _ = separability_system(linearize(presets.cyclic_group(12), QQ))
     assert mat.rows == 156
+
+
+# the acceptance corpus, and seeded random categories over Q, F2, F3 and F7
+FREEDOM_CASES = {
+    **{(name, k): pres for name, pres in {**GROUPOIDS, **DELTA_NONDISCRETE, **DISCRETE}.items() for k in ALL_FIELDS},
+    **{(f"random{seed}", k): presets.random_presentation(seed) for seed in range(8) for k in (QQ, F2, F3, F7)},
+}
+
+
+@pytest.mark.parametrize("name,k", sorted(FREEDOM_CASES, key=str), ids=str)
+def test_freedom_is_h0_of_ker_comp(name, k):
+    # the homogeneous solutions are the 0-cochains e of C (x) C with
+    # comp(e) = 0 and d^0 e = 0, that is the 0-cocycles of ker comp
+    c = linearize(FREEDOM_CASES[(name, k)], k)
+    ker = kernel_of(tensor_square(c)[1])[0]
+    assert _solve_with_freedom(c)[1] == cohomology_dims(build_hm_complex(c, ker, 1)).dim_h(0)
