@@ -1,8 +1,15 @@
-"""Hochschild-Mitchell cohomology via the (non-normalized) bar cochain complex.
+"""Hochschild-Mitchell cohomology via normalized cochains.
 
 Degree-n cochains assign to every object tuple (x0, ..., xn) a linear map
 hom(x1, x0) (x) ... (x) hom(xn, x(n-1)) -> M[x0][xn]; degree 0 is the
-product of the diagonal components M[x][x]. The differential is
+product of the diagonal components M[x][x]. A cochain is fixed by its
+values on tuples of argument labels, one basis per hom space: the bar
+complex takes every basis label; the normalized complex, the cochains
+that vanish when any argument is an identity, drops each identity label
+from hom(x, x). It is the one built whenever every 1_x is a single basis
+label with coefficient 1 (linearize makes it so), and has the bar
+complex's cohomology; reports still give the bar complex's dimensions and
+ranks (see cohomology_dims). The differential is
 
   (d phi)(f1, ..., f(n+1)) = f1 . phi(f2, ..., f(n+1))
       + sum_i (-1)^i phi(..., fi . f(i+1), ...)
@@ -59,13 +66,16 @@ class _Slot:
 @dataclass
 class _DegreeSpace:
     dim: int
+    bar_dim: int  # dim of the bar complex's space in this degree
     slots: list[_Slot]
     by_objs: dict[tuple[str, ...], _Slot]
 
 
 class CochainComplex:
-    """Bar cochain spaces C^0 .. C^(max_degree+1) and differentials
-    d^0 .. d^max_degree, each a Matrix of its nonzero rows.
+    """Cochain spaces C^0 .. C^(max_degree+1) and differentials
+    d^0 .. d^max_degree, each a Matrix of its nonzero rows: normalized or
+    bar, as build_hm_complex chose. dim(n) is the dimension of the space
+    the differentials act on, bar_dim(n) that of the bar complex's C^n.
 
     Invariant: every adjacent pair of differentials has passed the exact
     check d^(n+1) . d^n = 0 in build_hm_complex, so im d^(n-1) lies in
@@ -84,49 +94,99 @@ class CochainComplex:
     def dim(self, n: int) -> int:
         return self.spaces[n].dim
 
+    def bar_dim(self, n: int) -> int:
+        return self.spaces[n].bar_dim
 
-def _degree_space(c: FinLinCat, m: Bimodule, n: int, budget: int) -> _DegreeSpace:
+
+def _argument_bases(c: FinLinCat):
+    """The argument labels of each hom space: hom_basis less each identity
+    label when every 1_x is one basis label with coefficient 1 (the
+    normalized complex), else hom_basis itself (the bar complex)."""
+    bases = dict(c.hom_basis)
+    for x in c.objects:
+        ident = c.identity.get(x, ())
+        if sum(1 for v in ident if v) != 1 or 1 not in ident:
+            return c.hom_basis
+        k = ident.index(1)
+        bases[(x, x)] = bases[(x, x)][:k] + bases[(x, x)][k + 1 :]
+    return bases
+
+
+def _degree_space(c: FinLinCat, m: Bimodule, n: int, budget: int, bases) -> _DegreeSpace:
+    """The degree-n cochains on the argument labels bases; budget bounds
+    the bar complex's dimension, which is counted along the way."""
     slots: list[_Slot] = []
     by_objs = {}
-    offset = 0
-    # object tuples grow lazily, in lexicographic order, along nonzero homs only
-    homs = {x: [(y, c.dim_hom(y, x)) for y in c.objects] for x in c.objects}
-    chains = (((x,), ()) for x in c.objects)
+    offset = bar = 0
+    # object tuples grow lazily, in lexicographic order, along nonzero homs
+    # only, with their argument dims and their number of bar inputs
+    homs = {x: [(y, c.dim_hom(y, x), len(bases[(y, x)])) for y in c.objects] for x in c.objects}
+    chains = (((x,), (), 1) for x in c.objects)
     for _ in range(n):
-        chains = ((objs + (y,), dims + (d,)) for objs, dims in chains for y, d in homs[objs[-1]] if d)
-    for objs, hom_dims in chains:
+        chains = ((objs + (y,), dims + (a,), size * d) for objs, dims, size in chains for y, d, a in homs[objs[-1]] if d)
+    for objs, hom_dims, bar_size in chains:
         mdim = m.dims[(objs[0], objs[n])]
         if mdim == 0:
+            continue
+        bar += mdim * bar_size
+        if bar > budget:
+            raise BudgetExceededError(
+                f"cochain dimension at degree {n} exceeds the budget of {budget} columns"
+            )
+        if 0 in hom_dims:
             continue
         slot = _Slot(objs, hom_dims, mdim, offset)
         slots.append(slot)
         by_objs[objs] = slot
         offset += mdim * prod(hom_dims)
-        if offset > budget:
-            raise BudgetExceededError(
-                f"cochain dimension at degree {n} exceeds the budget of {budget} columns"
-            )
-    return _DegreeSpace(offset, slots, by_objs)
+    return _DegreeSpace(offset, bar, slots, by_objs)
 
 
-def _composites_by_result(c: FinLinCat) -> dict:
-    """{(x, w, y): {k: [(b_idx, b2_idx, gamma)]}}: the pairs of basis
-    morphisms b in hom(w, x), b2 in hom(y, w) whose composite b . b2 has
-    the nonzero coefficient gamma at basis element k of hom(y, x), a field
-    scalar: over Q an int when integral, as every stored rational is."""
+def _composites_by_result(c: FinLinCat, bases) -> dict:
+    """{(x, w, y): {a: [(b_idx, b2_idx, gamma)]}}: the pairs of argument
+    labels b in hom(w, x), b2 in hom(y, w) whose composite b . b2 has the
+    nonzero coefficient gamma at argument a of hom(y, x), a field scalar:
+    over Q an int when integral, as every stored rational is. A term at a
+    label outside bases, a dropped identity, is left out: the cochains
+    vanish there."""
     index: dict = {}
+    # a basis index k of c.hom_basis[pair] as an argument index, or None
+    args = {}
+    for pair, labels in c.hom_basis.items():
+        position = {b: a for a, b in enumerate(bases[pair])}
+        args[pair] = [position.get(b) for b in labels]
     for x, w, y in product(c.objects, repeat=3):
-        by_k: dict = {}
-        for b_idx, b in enumerate(c.hom(w, x)):
-            for b2_idx, b2 in enumerate(c.hom(y, w)):
+        by_a: dict = {}
+        arg = args[(y, x)]
+        for b_idx, b in enumerate(bases[(w, x)]):
+            for b2_idx, b2 in enumerate(bases[(y, w)]):
                 for k, gamma in c.comp_terms(b, b2):
-                    by_k.setdefault(k, []).append((b_idx, b2_idx, gamma))
-        index[(x, w, y)] = by_k
+                    if arg[k] is not None:
+                        by_a.setdefault(arg[k], []).append((b_idx, b2_idx, gamma))
+        index[(x, w, y)] = by_a
     return index
 
 
-def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _DegreeSpace, n: int) -> Matrix:
-    """d^n, column by column. For a source slot every term's target row
+class _Columns(dict):
+    """The columns of the actions acts, times sign, by key, each built on
+    its first read: column t of an action is row t of its transpose."""
+
+    def __init__(self, acts: dict, sign: int):
+        super().__init__()
+        self.acts, self.sign = acts, sign
+
+    def __missing__(self, key):
+        cols = self.acts[key].transpose().row_terms
+        cols = self[key] = cols if self.sign == 1 else [[(s, -v) for s, v in col] for col in cols]
+        return cols
+
+
+def _build_differential(
+    c: FinLinCat, m: Bimodule, bases, composites: dict, src: _DegreeSpace, tgt: _DegreeSpace, n: int
+) -> Matrix:
+    """d^n on the cochains of the argument labels bases, column by column,
+    with composites = _composites_by_result(c, bases) ({} will do for d^0,
+    which has no merge terms). For a source slot every term's target row
     is an integer stride away from the column's flat input index f: the
     two actions land at off + f * stride + s, and merge i splits f into
     prefix, stored input a_i and suffix. Each column is summed with plain
@@ -134,13 +194,7 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
     each entry is reduced once: mod p, or over Q to its canonical form."""
     p = c.field.p
     last = -1 if n % 2 == 0 else 1  # (-1)^(n+1), the sign of the right action
-    # column t of an action is row t of its transpose
-    left = {key: act.transpose().row_terms for key, act in m.left.items()}
-    right = {
-        key: [[(s, last * v) for s, v in col] for col in act.transpose().row_terms]
-        for key, act in m.right.items()
-    }
-    composites = _composites_by_result(c) if n else {}  # d^0 has no merge terms
+    left, right = _Columns(m.left, 1), _Columns(m.right, last)
     rows: list[list] = [[] for _ in range(tgt.dim)]
     for slot in src.slots:
         objs, dims, mdim = slot.objs, slot.hom_dims, slot.mdim
@@ -152,11 +206,11 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
             ts = tgt.by_objs.get((w,) + objs)
             if ts is not None:
                 step = size * ts.mdim
-                actions += [(ts.offset + b * step, ts.mdim, left[(h, xn)]) for b, h in enumerate(c.hom(x0, w))]
+                actions += [(ts.offset + b * step, ts.mdim, left[(h, xn)]) for b, h in enumerate(bases[(x0, w)])]
             ts = tgt.by_objs.get(objs + (w,))
             if ts is not None:
                 step = ts.hom_dims[n] * ts.mdim
-                actions += [(ts.offset + b * ts.mdim, step, right[(h, x0)]) for b, h in enumerate(c.hom(w, xn))]
+                actions += [(ts.offset + b * ts.mdim, step, right[(h, x0)]) for b, h in enumerate(bases[(w, xn)])]
         # (off, suffix size, dims[i-1], merged size, terms by a_i) for merge i
         merges = []
         for i in range(1, n + 1):
@@ -166,9 +220,9 @@ def _build_differential(c: FinLinCat, m: Bimodule, src: _DegreeSpace, tgt: _Degr
                 if ts is None:
                     continue
                 d2 = ts.hom_dims[i]
-                by_k = composites[(objs[i - 1], w, objs[i])]
+                by_a = composites[(objs[i - 1], w, objs[i])]
                 terms = [
-                    [((b * d2 + b2) * suffix * mdim, -g if i % 2 else g) for b, b2, g in by_k.get(a, ())]
+                    [((b * d2 + b2) * suffix * mdim, -g if i % 2 else g) for b, b2, g in by_a.get(a, ())]
                     for a in range(dims[i - 1])
                 ]
                 merges.append((ts.offset, suffix, dims[i - 1], ts.hom_dims[i - 1] * d2 * suffix, terms))
@@ -202,13 +256,28 @@ def build_hm_complex(
     c: FinLinCat, m: Bimodule, max_degree: int, budget: int = DEFAULT_BUDGET
 ) -> CochainComplex:
     """Cochain spaces to degree max_degree + 1 and differentials to degree
-    max_degree; raises BudgetExceededError when a space outgrows budget
-    and InternalCheckError when the exact product d^(n+1) . d^n of some
-    adjacent pair is nonzero."""
+    max_degree; raises BudgetExceededError when a bar complex's space
+    outgrows budget columns and InternalCheckError when the exact product
+    d^(n+1) . d^n of some adjacent pair is nonzero.
+
+    When every identity 1_x is one basis label with coefficient 1, the
+    complex built is the normalized one: the cochains that vanish when any
+    argument is an identity. For a valid category and a valid bimodule M
+    (1_x acts as the identity) they form a subcomplex of the bar complex
+    whose inclusion is a quasi-isomorphism (Mac Lane, Homology, ch. X;
+    for a poset it is the order complex, Gerstenhaber-Schack 1983), so it
+    has the same cohomology. Otherwise the bar complex is built."""
+    return _hm_complex(c, m, max_degree, budget, _argument_bases(c))
+
+
+def _hm_complex(c: FinLinCat, m: Bimodule, max_degree: int, budget: int, bases) -> CochainComplex:
+    """build_hm_complex on the cochains of the argument labels bases;
+    c.hom_basis gives the bar complex."""
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    spaces = [_degree_space(c, m, n, budget) for n in range(max_degree + 2)]
-    diffs = [_build_differential(c, m, spaces[n], spaces[n + 1], n) for n in range(max_degree + 1)]
+    spaces = [_degree_space(c, m, n, budget, bases) for n in range(max_degree + 2)]
+    composites = _composites_by_result(c, bases)
+    diffs = [_build_differential(c, m, bases, composites, spaces[n], spaces[n + 1], n) for n in range(max_degree + 1)]
     for n in range(max_degree):
         if not (diffs[n + 1] @ diffs[n]).is_zero():
             raise InternalCheckError(f"d^{n + 1} . d^{n} is nonzero; differential construction is wrong")
@@ -247,11 +316,17 @@ def cohomology_dims(complex: CochainComplex) -> CohomologyResult:
     with r_(n-1) already exact. When rho_n meets the upper bound it is r_n;
     otherwise (nonzero cohomology, or a denominator divisible by the prime)
     r_n comes from the rational rref of d^n.
+
+    The report is in the bar complex's terms whichever complex was built:
+    dim_cochain is dim C^n of the bar complex and rank_d is its rank
+    R_n = dim C^n - dim H^n - R_(n-1), by rank-nullity, since a normalized
+    complex has the bar complex's cohomology (see build_hm_complex; the
+    bimodule must be valid). On a bar complex R_n is the rank computed.
     """
     p = complex.cat.field.p
     lower = [_rank_mod(d) for d in complex.diffs]
     out = []
-    prev_rank = 0
+    prev_rank = bar_rank = 0
     for n, rank in enumerate(lower):
         if p is None:
             upper = min(complex.dim(n + 1), complex.dim(n) - prev_rank)
@@ -259,8 +334,9 @@ def cohomology_dims(complex: CochainComplex) -> CohomologyResult:
                 upper = min(upper, complex.dim(n + 1) - lower[n + 1])
             if rank != upper:
                 rank = complex.diffs[n].rank()
-        dim_ker = complex.dim(n) - rank
-        out.append(DegreeData(n, complex.dim(n), rank, dim_ker - prev_rank))
+        dim_h = complex.dim(n) - rank - prev_rank
+        bar_rank = complex.bar_dim(n) - dim_h - bar_rank
+        out.append(DegreeData(n, complex.bar_dim(n), bar_rank, dim_h))
         prev_rank = rank
     return CohomologyResult(out)
 
@@ -282,13 +358,15 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
     every complex here, takes values in ker comp and is a cocycle there; it
     is a coboundary exactly when the category is separable. Its coordinates
     in ker comp are read through the inclusion's degree-1 cochain map. The
-    cochain spaces of C (x) C share budget with those of ker comp.
+    cochain spaces of C (x) C share budget with those of ker comp. Both
+    are bar complexes.
     """
     cxc, comp_map = tensor_square(c)
     ker, incl = kernel_of(comp_map)
-    complex = build_hm_complex(c, ker, 1, budget)
+    bases = c.hom_basis
+    complex = _hm_complex(c, ker, 1, budget, bases)
     fld = c.field
-    space0, space1 = (_degree_space(c, cxc, n, budget) for n in (0, 1))
+    space0, space1 = (_degree_space(c, cxc, n, budget, bases) for n in (0, 1))
     sigma = [fld.zero] * space0.dim
     for slot in space0.slots:
         (x,) = slot.objs
@@ -296,7 +374,7 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
         labels, ident = c.hom(x, x), c.identity[x]
         for (u, a), (v, b) in product(zip(labels, ident), repeat=2):
             sigma[slot.offset + index[(x, u, v)]] = fld.mul(a, b)
-    value = _build_differential(c, cxc, space0, space1, 0) @ Matrix(fld, space0.dim, 1, sigma)
+    value = _build_differential(c, cxc, bases, {}, space0, space1, 0) @ Matrix(fld, space0.dim, 1, sigma)
     cocycle = _cochain_map(fld, complex.space(1), space1, incl.blocks, 1)._coords(value)
     if cocycle is None:
         raise InternalCheckError("obstruction value escapes ker comp")

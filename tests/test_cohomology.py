@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from sepcat import cohomology, exactalg, presets
 from sepcat.exactalg import Field, Matrix, QQ, _rank_mod
 from sepcat.errors import BudgetExceededError, InternalCheckError
-from sepcat.lincat import linearize
+from sepcat.interchange import les_report_to_json
+from sepcat.lincat import FinLinCat, linearize
 from sepcat.cmod import (
     Bimodule,
     BimoduleMap,
@@ -24,6 +25,7 @@ from sepcat.cmod import (
     zero_bimodule,
 )
 from sepcat.cohomology import (
+    DegreeData,
     build_hm_complex,
     cohomology_dims,
     les_analysis,
@@ -44,6 +46,11 @@ LES_CATEGORIES = {
     "idem": presets.idempotent_monoid(),
     **{f"random{seed}": presets.random_presentation(seed) for seed in (0, 1, 4, 8, 9)},
 }
+
+
+def bar_complex(c, m, max_degree):
+    """The bar complex, whatever build_hm_complex would choose."""
+    return cohomology._hm_complex(c, m, max_degree, cohomology.DEFAULT_BUDGET, c.hom_basis)
 
 
 def kernel_comp_ses(c):
@@ -78,13 +85,13 @@ def center_dimension(c, m):
 
 class TestComplexConstruction:
     def test_trivial_category_dims(self, trivial_cat):
-        complex = build_hm_complex(trivial_cat, canonical_bimodule(trivial_cat), 3)
+        complex = bar_complex(trivial_cat, canonical_bimodule(trivial_cat), 3)
         assert [complex.dim(n) for n in range(4)] == [1, 1, 1, 1]
         result = cohomology_dims(complex)
         assert [d.dim_h for d in result.degrees] == [1, 0, 0, 0]
 
     def test_group_algebra_cochain_dims(self, z2_over_q):
-        complex = build_hm_complex(z2_over_q, canonical_bimodule(z2_over_q), 2)
+        complex = bar_complex(z2_over_q, canonical_bimodule(z2_over_q), 2)
         assert [complex.dim(n) for n in range(3)] == [2, 4, 8]
 
     def test_a2_degree_zero(self, a2_over_q):
@@ -118,7 +125,7 @@ class TestComplexConstruction:
             return dim_hom(self, x, y)
 
         monkeypatch.setattr(type(c), "dim_hom", counted)
-        complex = build_hm_complex(c, m, 12)
+        complex = bar_complex(c, m, 12)
         assert [complex.dim(n) for n in range(14)] == [8] * 14
         assert [slot.objs for slot in complex.space(3).slots] == [(x,) * 4 for x in c.objects]
         assert [d.dim_h for d in cohomology_dims(complex).degrees] == [8] + [0] * 12
@@ -225,7 +232,7 @@ def reference_obstruction(c):
     value read in the coordinates of its ker comp block."""
     cxc, comp_map = tensor_square(c)
     ker, incl = kernel_of(comp_map)
-    space1 = cohomology._degree_space(c, ker, 1, cohomology.DEFAULT_BUDGET)
+    space1 = cohomology._degree_space(c, ker, 1, cohomology.DEFAULT_BUDGET, c.hom_basis)
     fld = c.field
     sigma = {}  # 1_x (x) 1_x in the (x, x) component of C (x) C
     for x in c.objects:
@@ -470,13 +477,13 @@ class TestRankCertificate:
         c = linearize(pres, QQ)
         _, comp_map = tensor_square(c)
         for m in (canonical_bimodule(c), kernel_of(comp_map)[0]):
-            assert_ranks_are_rational_ranks(build_hm_complex(c, m, 2))
+            assert_ranks_are_rational_ranks(bar_complex(c, m, 2))
 
     @pytest.mark.parametrize("pres", [presets.cyclic_group(2), presets.cyclic_group(3), presets.vee_poset()])
     @pytest.mark.parametrize("seed", range(3))
     def test_ranks_equal_rational_ranks_random_bimodule(self, pres, seed):
         c = linearize(pres, QQ)
-        assert_ranks_are_rational_ranks(build_hm_complex(c, random_bimodule(c, seed), 2))
+        assert_ranks_are_rational_ranks(bar_complex(c, random_bimodule(c, seed), 2))
 
     def test_prime_two_falls_back(self, z2_over_q, monkeypatch):
         complex = build_hm_complex(z2_over_q, canonical_bimodule(z2_over_q), 2)
@@ -710,7 +717,7 @@ def coefficient_bimodule(c, kind):
 @pytest.mark.parametrize("name,kind,field_name", sorted(DIFF_DIGESTS))
 def test_differentials_match_golden(name, kind, field_name):
     c = linearize(DIFF_PRESETS[name](), DIFF_FIELDS[field_name])
-    complex = build_hm_complex(c, coefficient_bimodule(c, kind), 2)
+    complex = bar_complex(c, coefficient_bimodule(c, kind), 2)
     doc = [[d.rows, d.cols, str(d.field), [d.field.format(e) for e in d.entries]] for d in complex.diffs]
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16] == DIFF_DIGESTS[(name, kind, field_name)]
 
@@ -784,9 +791,10 @@ def test_differentials_match_textbook_formula(name, kind, field_name):
         coefficients = [coefficient_bimodule(c, kind)]
     for m in coefficients:
         # the builder alone, without the d . d check of build_hm_complex
-        spaces = [cohomology._degree_space(c, m, n, cohomology.DEFAULT_BUDGET) for n in range(4)]
+        spaces = [cohomology._degree_space(c, m, n, cohomology.DEFAULT_BUDGET, c.hom_basis) for n in range(4)]
+        composites = cohomology._composites_by_result(c, c.hom_basis)
         for n in range(3):
-            d = cohomology._build_differential(c, m, spaces[n], spaces[n + 1], n)
+            d = cohomology._build_differential(c, m, c.hom_basis, composites, spaces[n], spaces[n + 1], n)
             want = textbook_differential(c, m, n)
             assert (d.rows, d.cols) == (want.rows, want.cols)
             # entry for entry, each in the same canonical form
@@ -802,8 +810,11 @@ def test_fractional_actions_give_canonical_differentials(name):
     # integral, so the builder must store those as ints
     c = linearize(DIFF_PRESETS[name](), QQ)
     m, _ = in_triangular_basis(c, canonical_bimodule(c), lambda: Fraction(1, 2))
-    spaces = [cohomology._degree_space(c, m, n, cohomology.DEFAULT_BUDGET) for n in range(4)]
-    diffs = [cohomology._build_differential(c, m, spaces[n], spaces[n + 1], n) for n in range(3)]
+    spaces = [cohomology._degree_space(c, m, n, cohomology.DEFAULT_BUDGET, c.hom_basis) for n in range(4)]
+    composites = cohomology._composites_by_result(c, c.hom_basis)
+    diffs = [
+        cohomology._build_differential(c, m, c.hom_basis, composites, spaces[n], spaces[n + 1], n) for n in range(3)
+    ]
     assert any(type(v) is Fraction for d in diffs for row in d.row_terms for _, v in row)
     for n, d in enumerate(diffs):
         assert_canonical(d)
@@ -822,8 +833,8 @@ def test_flipped_sign_fails_the_dd_check(monkeypatch, name, kind, field_name, de
     m = coefficient_bimodule(c, kind)
     original = cohomology._build_differential
 
-    def flipped(c, m, src, tgt, n):
-        d = original(c, m, src, tgt, n)
+    def flipped(c, m, bases, composites, src, tgt, n):
+        d = original(c, m, bases, composites, src, tgt, n)
         if n != degree:
             return d
         cells = [(i, j, v) for i, row in enumerate(d.row_terms) for j, v in row]
@@ -833,7 +844,7 @@ def test_flipped_sign_fails_the_dd_check(monkeypatch, name, kind, field_name, de
 
     monkeypatch.setattr(cohomology, "_build_differential", flipped)
     with pytest.raises(InternalCheckError):
-        build_hm_complex(c, m, 2)
+        bar_complex(c, m, 2)
 
 
 # the categories of the rational cohomology benchmark
@@ -942,3 +953,130 @@ class TestClosedForms:
         c = linearize(crown_poset(), QQ)
         result = cohomology_dims(build_hm_complex(c, canonical_bimodule(c), 3))
         assert [d.dim_h for d in result.degrees] == [1, 1, 0, 0]
+
+
+# -- normalized cochains: the bar complex's numbers from the subcomplex --
+
+NORMALIZED_PRESENTATIONS = {
+    **ACCEPTANCE_PRESENTATIONS,
+    **{f"random{seed}": presets.random_presentation(seed) for seed in range(8)},
+}
+COEFFICIENTS = {
+    "canonical": canonical_bimodule,
+    "kernel-comp": lambda c: kernel_comp_ses(c).m,
+    "random0": lambda c: random_bimodule(c, 0),
+    "random1": lambda c: random_bimodule(c, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+@pytest.mark.parametrize("field", [QQ, F2, F3, F7], ids=str)
+@pytest.mark.parametrize("name", sorted(NORMALIZED_PRESENTATIONS))
+def test_normalized_table_equals_the_bar_table(name, field, kind):
+    c = linearize(NORMALIZED_PRESENTATIONS[name], field)
+    m = COEFFICIENTS[kind](c)
+    try:
+        want = cohomology_dims(bar_complex(c, m, 3)).degrees
+    except BudgetExceededError:
+        pytest.skip("the bar complex outgrows the default budget")
+    assert cohomology_dims(build_hm_complex(c, m, 3)).degrees == want
+
+
+@pytest.mark.parametrize("name", sorted(HM_Q_CORPUS))
+def test_les_report_equals_the_bar_complex_report(monkeypatch, name):
+    c = linearize(HM_Q_CORPUS[name](), QQ)
+    ses = kernel_comp_ses(c)
+    normalized = les_report_to_json(les_analysis(c, ses, 2))
+    monkeypatch.setattr(cohomology, "build_hm_complex", lambda c, m, max_degree, budget: bar_complex(c, m, max_degree))
+    assert les_report_to_json(les_analysis(c, ses, 2)) == normalized
+
+
+class TestNormalizedCut:
+    def test_z5_drops_the_identity_from_every_argument(self):
+        # C^n of Z_5 takes 5 values on 4^n tuples of non-identity elements;
+        # the report still reads the bar complex's 5^(n+1)
+        c = linearize(presets.cyclic_group(5), QQ)
+        complex = build_hm_complex(c, canonical_bimodule(c), 3)
+        assert [complex.dim(n) for n in range(5)] == [5 * 4**n for n in range(5)]
+        assert [complex.bar_dim(n) for n in range(5)] == [5 ** (n + 1) for n in range(5)]
+        assert [d.dim_cochain for d in cohomology_dims(complex).degrees] == [5, 25, 125, 625]
+
+    def test_crown_has_no_strict_chain_of_three(self):
+        # a poset keeps its strict chains only: the crown's longest has two
+        # objects, so its normalized C^2 is zero
+        c = linearize(crown_poset(), QQ)
+        complex = build_hm_complex(c, canonical_bimodule(c), 3)
+        assert [complex.dim(n) for n in range(5)] == [4, 4, 0, 0, 0]
+        assert complex.space(2).slots == []
+
+    @pytest.mark.parametrize(
+        "basis, comp, ident, ranks",
+        [
+            # K x K in the idempotent basis {p, q}: the identity is p + q
+            pytest.param(
+                ["p", "q"],
+                {("p", "p"): [("p", 1)], ("q", "q"): [("q", 1)]},
+                [("p", 1), ("q", 1)],
+                [0, 4, 4, 12],
+                id="p+q",
+            ),
+            # K with e . e = 2e: the identity is e / 2
+            pytest.param(["e"], {("e", "e"): [("e", 2)]}, [("e", Fraction(1, 2))], [0, 1, 0, 1], id="e/2"),
+        ],
+    )
+    def test_identity_off_the_basis_builds_the_bar_complex(self, basis, comp, ident, ranks):
+        # a commutative separable algebra: H^0 is all of it, H^n = 0 for n > 0
+        c = FinLinCat(QQ, ["x"], {("x", "x"): basis}, comp, {"x": ident})
+        complex = build_hm_complex(c, canonical_bimodule(c), 3)
+        g = len(basis)
+        bar_dims = [g ** (n + 1) for n in range(5)]
+        assert [complex.dim(n) for n in range(5)] == [complex.bar_dim(n) for n in range(5)] == bar_dims
+        assert cohomology_dims(complex).degrees == [
+            DegreeData(n, bar_dims[n], ranks[n], g if n == 0 else 0) for n in range(4)
+        ]
+
+
+# digests of the normalized d^0, d^1, d^2 on the corpus and by the recipe of
+# test_differentials_match_golden
+NORMALIZED_DIFF_DIGESTS = {
+    ("A3", "canonical", "F7"): "39c54c18f343fb1e",
+    ("A3", "canonical", "Q"): "4ece27aca3089c77",
+    ("A3", "kernel-comp", "F7"): "97fbb4a58157e016",
+    ("A3", "kernel-comp", "Q"): "b97c9dede4c138f6",
+    ("G2(Z2)", "canonical", "F7"): "47fc84526f55cb38",
+    ("G2(Z2)", "canonical", "Q"): "dc6f68708c7cddd3",
+    ("G2(Z2)", "kernel-comp", "F7"): "c93da16f595ce6ea",
+    ("G2(Z2)", "kernel-comp", "Q"): "98c33f8398ad6585",
+    ("K4", "canonical", "F7"): "0126c5c232c528ef",
+    ("K4", "canonical", "Q"): "034ea721cb8fc4ca",
+    ("K4", "kernel-comp", "F7"): "19353b02ae17d134",
+    ("K4", "kernel-comp", "Q"): "9e52367907df0533",
+    ("Z2", "canonical", "F7"): "7003446082c6ad0b",
+    ("Z2", "canonical", "Q"): "89b99165bfa62a0a",
+    ("Z2", "kernel-comp", "F7"): "9cdb77a6d882e999",
+    ("Z2", "kernel-comp", "Q"): "d32ec802fde8ead5",
+    ("Z3", "canonical", "F7"): "d3fd0130d755a3de",
+    ("Z3", "canonical", "Q"): "6e26d49e047e8224",
+    ("Z3", "kernel-comp", "F7"): "04b8e92b319bd835",
+    ("Z3", "kernel-comp", "Q"): "b5787edc1203c69c",
+    ("Z4", "canonical", "F7"): "254e7e66c73de9b7",
+    ("Z4", "canonical", "Q"): "ffd58eef8f2bd8fc",
+    ("Z4", "kernel-comp", "F7"): "c5b734bd9cdd5bed",
+    ("Z4", "kernel-comp", "Q"): "595fafcbf793551b",
+    ("crown", "canonical", "F7"): "fdc8cb0f97245c30",
+    ("crown", "canonical", "Q"): "edc844a3b826d2f7",
+    ("crown", "kernel-comp", "F7"): "5526f19dfbb0a99a",
+    ("crown", "kernel-comp", "Q"): "b67ca98e43fcec00",
+    ("vee", "canonical", "F7"): "580aa6280bfe72ba",
+    ("vee", "canonical", "Q"): "7cbe671464ba3559",
+    ("vee", "kernel-comp", "F7"): "64c82a923a4e06de",
+    ("vee", "kernel-comp", "Q"): "d9018ca5fd9d3629",
+}
+
+
+@pytest.mark.parametrize("name,kind,field_name", sorted(NORMALIZED_DIFF_DIGESTS))
+def test_normalized_differentials_match_golden(name, kind, field_name):
+    c = linearize(DIFF_PRESETS[name](), DIFF_FIELDS[field_name])
+    complex = build_hm_complex(c, coefficient_bimodule(c, kind), 2)
+    doc = [[d.rows, d.cols, str(d.field), [d.field.format(e) for e in d.entries]] for d in complex.diffs]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16] == NORMALIZED_DIFF_DIGESTS[(name, kind, field_name)]

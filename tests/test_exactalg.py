@@ -708,11 +708,11 @@ class TestCertifiedRref:
         # has 5 blocks of 125 columns, one matrix in their own coordinates
         from sepcat import presets
         from sepcat.cmod import canonical_bimodule
-        from sepcat.cohomology import build_hm_complex
+        from sepcat.cohomology import DEFAULT_BUDGET, _hm_complex
         from sepcat.lincat import linearize
 
         c = linearize(presets.cyclic_group(5), QQ)
-        d3 = build_hm_complex(c, canonical_bimodule(c), 3).diffs[3]
+        d3 = _hm_complex(c, canonical_bimodule(c), 3, DEFAULT_BUDGET, c.hom_basis).diffs[3]
         with echelon_primes() as calls:
             rank = exactalg._rank_mod(d3)
         assert (d3.rows, d3.cols, rank) == (3125, 625, 525)
