@@ -17,7 +17,7 @@ from functools import cache, partial
 from typing import Union
 
 from .errors import InternalCheckError
-from .exactalg import Field, Matrix
+from .exactalg import Field, Matrix, _canonical, _nonzeros
 from .lincat import FinLinCat, ValidationReport, generating_labels, opposite
 
 __all__ = [
@@ -163,10 +163,14 @@ def tensor_square(c: FinLinCat) -> tuple[Bimodule, BimoduleMap]:
     """The bimodule C (x) C together with the composition map onto C.
 
     C (x) C is the direct sum of the representables P(z, z) over the
-    objects z, whose bases concatenate to tensor_square_basis."""
-    cxc = direct_sum_bimodules(c, [representable_bimodule(c, z, z) for z in c.objects])
+    objects z, whose bases concatenate to tensor_square_basis. Its actions
+    are written row by row as representable_bimodule's are, from the
+    post_mul_matrix and pre_mul_matrix rows of the canonical bimodule that
+    is the map's target."""
+    can = canonical_bimodule(c)
+    cxc = _representable_sum(c, [(z, z) for z in c.objects], can.left, can.right)
     blocks = {(x, y): comp_matrix(c, x, y) for x in c.objects for y in c.objects}
-    return cxc, BimoduleMap(cxc, canonical_bimodule(c), blocks)
+    return cxc, BimoduleMap(cxc, can, blocks)
 
 
 def kernel_of(m: BimoduleMap) -> tuple[Bimodule, BimoduleMap]:
@@ -200,19 +204,62 @@ def zero_bimodule(c: FinLinCat) -> Bimodule:
 
 
 def representable_bimodule(c: FinLinCat, a: str, b: str) -> Bimodule:
-    """P(a,b) with component hom(a, x) (x) hom(y, b); actions by composition."""
-    fld = c.field
-    dims = {(x, y): c.dim_hom(a, x) * c.dim_hom(y, b) for x in c.objects for y in c.objects}
+    """P(a,b) with component hom(a, x) (x) hom(y, b), basis u (x) v with u
+    major; f acts on the left as post_mul_matrix(c, f, a) on u, g on the
+    right as pre_mul_matrix(c, g, b) on v, each written row by row."""
+    return _representable_sum(c, [(a, b)])
+
+
+def _representable_sum(c: FinLinCat, pairs, post=None, pre=None) -> Bimodule:
+    """The direct sum of the P(a_k, b_k) over pairs, in pair order, each
+    action matrix written row by row.
+
+    post[(f, a)] is post_mul_matrix(c, f, a) and pre[(g, b)] is
+    pre_mul_matrix(c, g, b), as the canonical bimodule's left and right
+    actions hold them; when not given, each is built once. Component
+    (x, y) of summand k starts at off_k, and u (x) v is at off_k + u n + v,
+    n = dim hom(y, b_k). So row (k, u', v) of left[(f, y)] is row u' of
+    post[(f, a_k)] with column i moved to off_k + i n + v, and row
+    (k, u, v') of right[(g, x)] is row v' of pre[(g, b_k)] with column j
+    moved to off_k + u n + j: post (x) 1 and 1 (x) pre, block-diagonal."""
+    objs = c.objects
+    dim = c.dim_hom
+    if post is None:
+        post = {(f, a): post_mul_matrix(c, f, a) for a in dict.fromkeys(a for a, _ in pairs) for f in c.label_info}
+    if pre is None:
+        pre = {(g, b): pre_mul_matrix(c, g, b) for b in dict.fromkeys(b for _, b in pairs) for g in c.label_info}
+    dims = {}
+    offsets = {}  # (x, y): off_k per summand
+    for x in objs:
+        for y in objs:
+            at = 0
+            offs = []
+            for a, b in pairs:
+                offs.append(at)
+                at += dim(a, x) * dim(y, b)
+            dims[(x, y)] = at
+            offsets[(x, y)] = offs
     left = {}
+    for f, (x, _, _) in c.label_info.items():
+        blocks = [post[(f, a)].row_terms for a, _ in pairs]
+        for y in objs:
+            rows = []
+            for prows, (_, b), off in zip(blocks, pairs, offsets[(x, y)]):
+                n = dim(y, b)
+                for prow in prows:
+                    rows.extend(tuple([(off + i * n + s, v) for i, v in prow]) for s in range(n))
+            left[(f, y)] = Matrix._of_rows(c.field, dims[(x, y)], tuple(rows))
     right = {}
-    for f in c.label_info:
-        post = post_mul_matrix(c, f, a)
-        for y in c.objects:
-            left[(f, y)] = post.kron(Matrix.identity(fld, c.dim_hom(y, b)))
-    for g in c.label_info:
-        pre = pre_mul_matrix(c, g, b)
-        for x in c.objects:
-            right[(g, x)] = Matrix.identity(fld, c.dim_hom(a, x)).kron(pre)
+    for g, (_, y, _) in c.label_info.items():
+        blocks = [pre[(g, b)].row_terms for _, b in pairs]
+        for x in objs:
+            rows = []
+            for prows, (a, b), off in zip(blocks, pairs, offsets[(x, y)]):
+                n = dim(y, b)
+                for u in range(dim(a, x)):
+                    base = off + u * n
+                    rows.extend(tuple([(base + j, v) for j, v in prow]) for prow in prows)
+            right[(g, x)] = Matrix._of_rows(c.field, dims[(x, y)], tuple(rows))
     return Bimodule(c, dims, left, right)
 
 
@@ -480,19 +527,26 @@ def _yoneda_basis(
 
 
 def _random_intertwiner(rng: random.Random, field: Field, basis: Matrix) -> list:
-    """A random combination of the basis columns, one coefficient per column."""
-    if field.is_rationals:
+    """A random combination of the basis columns, one coefficient per
+    column, read off the basis rows in canonical form."""
+    p = field.p
+    if p is None:
         coeffs = [field.of(rng.randint(-2, 2)) for _ in range(basis.cols)]
-    else:
-        coeffs = [field.of(rng.randrange(field.p)) for _ in range(basis.cols)]
-    return (basis @ Matrix.column(field, coeffs)).col(0)
+        return [_canonical(sum(coeffs[j] * v for j, v in row)) for row in basis.row_terms]
+    coeffs = [field.of(rng.randrange(p)) for _ in range(basis.cols)]
+    return [sum(coeffs[j] * v for j, v in row) % p for row in basis.row_terms]
 
 
 def _blocks_from_vector(field: Field, src_dims: dict, tgt_dims: dict, vec: list, offsets: dict) -> dict:
+    """The row-major blocks tgt_dims[comp] x src_dims[comp] of a vector of
+    field scalars in canonical form, the block of comp starting at
+    offsets[comp]."""
+    p = field.p
     blocks = {}
     for comp, base in offsets.items():
         r, s = tgt_dims[comp], src_dims[comp]
-        blocks[comp] = Matrix(field, r, s, vec[base : base + r * s])
+        rows = tuple(_nonzeros(vec[base + i * s : base + (i + 1) * s], p) for i in range(r))
+        blocks[comp] = Matrix._of_rows(field, s, rows)
     return blocks
 
 
@@ -538,19 +592,19 @@ def random_bimodule(c: FinLinCat, seed: int) -> Bimodule:
     at most 2 (the zero bimodule if no draw qualifies). The cap is
     checked on the kernel dimensions of the intertwiner's blocks before
     any action is induced, so only the kept draw builds its kernel, and
-    each representable is built once per call.
+    each source sum and target representable is built once per call, by
+    one _representable_sum call.
     """
     rng = random.Random(seed)
     pairs = [(x, y) for x in c.objects for y in c.objects]
-    rep = cache(partial(representable_bimodule, c))  # for this call only
+    rep = cache(partial(_representable_sum, c))  # for this call only
     for _ in range(32):
         n_src = rng.choice((0, 1, 1, 1, 2, 2))
         if n_src == 0:
             return zero_bimodule(c)
         src_pairs = [rng.choice(pairs) for _ in range(n_src)]
-        src_parts = [rep(a, b) for a, b in src_pairs]
-        src = src_parts[0] if n_src == 1 else direct_sum_bimodules(c, src_parts)
-        tgt = rep(*rng.choice(pairs))
+        src = rep(tuple(src_pairs))
+        tgt = rep((rng.choice(pairs),))
         basis, offsets = _bimodule_intertwiners(c, src_pairs, src, tgt)
         vec = _random_intertwiner(rng, c.field, basis)
         blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)

@@ -256,11 +256,11 @@ class Matrix:
         self._set(field, rows, cols, terms)
 
     def _set(self, field: Field, rows: int, cols: int, terms: tuple) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "row_terms", terms)
-        object.__setattr__(self, "_rref", None)
+        _set_field(self, field)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_row_terms(self, terms)
+        _set_rref(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -270,7 +270,7 @@ class Matrix:
     @classmethod
     def _of_rows(cls, field: Field, cols: int, terms: tuple) -> "Matrix":
         """A matrix from rows already in row_terms form."""
-        m = object.__new__(cls)
+        m = _new(cls)
         m._set(field, len(terms), cols, terms)
         return m
 
@@ -510,7 +510,7 @@ class Matrix:
         # which keeps the whole reduced matrix alive until the next full
         # garbage collection
         result = RrefResult(Matrix._of_rows(self.field, self.cols, rows), len(order), tuple(order))
-        object.__setattr__(self, "_rref", result)
+        _set_rref(self, result)
         return result
 
     def rank(self) -> int:
@@ -576,6 +576,13 @@ class Matrix:
         if len(texts) != rows * cols:
             raise ValueError("matrix entry count does not match declared shape")
         return cls(field, rows, cols, [field.of_text(t) for t in texts])
+
+
+_new = object.__new__
+# the slots' own setters, which Matrix.__setattr__ does not reach
+_set_field, _set_rows, _set_cols, _set_row_terms, _set_rref = (
+    Matrix.__dict__[name].__set__ for name in Matrix.__slots__
+)
 
 
 def _rational(a: int, p: int, bound: int):

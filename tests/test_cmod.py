@@ -377,8 +377,9 @@ def _spy(monkeypatch, module, name) -> list:
 
 
 class TestDrawCost:
-    """Only the draw that is kept builds its kernel module, and each
-    representable and each per-label matrix is built once."""
+    """Only the draw that is kept builds its kernel module, each
+    representable and each per-label matrix is built once, and no action
+    is built by a Kronecker product or a block-diagonal copy."""
 
     @pytest.mark.parametrize("name", ["G2(Z2)", "A3", "idem"])
     def test_representable_builds_each_label_matrix_once(self, monkeypatch, name):
@@ -397,7 +398,7 @@ class TestDrawCost:
     @pytest.mark.parametrize("name,field_name", [("K4", "Q"), ("K4", "F7"), ("Z3", "Q"), ("Z3", "F7")])
     @pytest.mark.parametrize(
         "generator,kernel,representable",
-        [(random_bimodule, "kernel_of", "representable_bimodule"),
+        [(random_bimodule, "kernel_of", "_representable_sum"),
          (random_left_module, "_left_module_map_kernel", "representable_left_module")],
         ids=["bimodule", "left-module"],
     )
@@ -412,9 +413,24 @@ class TestDrawCost:
                 calls.clear()
             generator(c, seed)
             assert len(kernels) <= 1
-            assert len(made) == len(set(made))  # each representable once per call
+            # a call that draws builds its modules (seed 2 draws the zero
+            # bimodule at once), each representable or sum once
+            assert made or not draws
+            assert len(made) == len(set(made))
             retried |= len(draws) > 1
         assert retried
+
+    @pytest.mark.parametrize("name", ["Z3", "G2(Z2)", "A3", "idem"])
+    def test_representables_build_without_kron_or_block_sums(self, monkeypatch, name):
+        c = linearize(GOLDEN_PRESETS[name](), QQ)
+        kron = _spy(monkeypatch, Matrix, "kron")
+        block_diag = _spy(monkeypatch, cmod, "_block_diag")
+        tensor_square(c)
+        for a in c.objects:
+            representable_bimodule(c, a, c.objects[-1])
+        for seed in range(6):
+            random_bimodule(c, seed)
+        assert kron == [] and block_diag == []
 
 # -- Yoneda intertwiner bases ----------------------------------------------
 #
@@ -597,3 +613,65 @@ def test_bimodule_validator_matches_reference(data):
         moved = {**acts, key: Matrix(fld, acts[key].rows, acts[key].cols, entries)}
         m = Bimodule(c, m.dims, moved, m.right) if side == "left" else Bimodule(c, m.dims, m.left, moved)
     assert validate_module(c, m).ok == _reference_bimodule_ok(c, m)
+
+
+# -- representables from the definition -----------------------------------
+#
+# P(a, b), its sums and C (x) C written entry by entry from comp_terms, with
+# no Kronecker product: this pins the basis order, u major then v, with the
+# summands in pair order.
+
+
+def _representables_by_definition(c, pairs) -> Bimodule:
+    """The sum of the P(a_k, b_k) over pairs: component (x, y) has basis
+    u (x) v of each summand k in turn, u in hom(a_k, x) major, v in
+    hom(y, b_k); f acts as (f.u) (x) v and g as u (x) (v.g)."""
+    index = {
+        (x, y): {
+            key: i
+            for i, key in enumerate((k, u, v) for k, (a, b) in enumerate(pairs) for u in c.hom(a, x) for v in c.hom(y, b))
+        }
+        for x in c.objects
+        for y in c.objects
+    }
+    left, right = {}, {}
+    for f, (x, x2, _) in c.label_info.items():
+        for y in c.objects:
+            src, tgt = index[(x, y)], index[(x2, y)]
+            entries = [
+                (tgt[(k, c.hom(pairs[k][0], x2)[t], v)], j, coeff)
+                for (k, u, v), j in src.items()
+                for t, coeff in c.comp_terms(f, u)
+            ]
+            left[(f, y)] = Matrix.from_entries(c.field, len(tgt), len(src), entries)
+    for g, (y2, y, _) in c.label_info.items():
+        for x in c.objects:
+            src, tgt = index[(x, y)], index[(x, y2)]
+            entries = [
+                (tgt[(k, u, c.hom(y2, pairs[k][1])[t])], j, coeff)
+                for (k, u, v), j in src.items()
+                for t, coeff in c.comp_terms(v, g)
+            ]
+            right[(g, x)] = Matrix.from_entries(c.field, len(tgt), len(src), entries)
+    return Bimodule(c, {key: len(ix) for key, ix in index.items()}, left, right)
+
+
+DEFINITION_PRESETS = {
+    **GOLDEN_PRESETS,
+    **{f"random{seed}": (lambda seed=seed: presets.random_presentation(seed)) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=str)
+@pytest.mark.parametrize("name", sorted(DEFINITION_PRESETS))
+def test_representables_match_the_definition(field, name):
+    c = linearize(DEFINITION_PRESETS[name](), field)
+    pairs = [(a, b) for a in c.objects for b in c.objects]
+    for pair in pairs:
+        assert representable_bimodule(c, *pair) == _representables_by_definition(c, [pair])
+    rng = random.Random(name)
+    for two in ([pairs[0], pairs[-1]], [pairs[-1], pairs[0]], [pairs[0], pairs[0]], rng.sample(pairs * 2, 2)):
+        want = _representables_by_definition(c, two)
+        assert direct_sum_bimodules(c, [representable_bimodule(c, *pair) for pair in two]) == want
+        assert cmod._representable_sum(c, two) == want
+    assert tensor_square(c)[0] == _representables_by_definition(c, [(z, z) for z in c.objects])
