@@ -7,6 +7,10 @@ g in hom(y', y) acts on the right M[x][y] -> M[x][y']. The canonical
 bimodule is the category itself with component hom(y, x) at (x, y).
 A structure matrix (post_mul_matrix, pre_mul_matrix, comp_matrix) is the
 transpose of its columns, each a composite as comp_terms returns it.
+A tensor with an identity, a (x) 1 or 1 (x) b, is written row by row from
+the rows of a or b by _post_rows or _pre_rows; the actions of
+representables and of C (x) C, the separability system's equivariance
+rows and the module section are all built that way.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ __all__ = [
     "representable_bimodule",
     "representable_left_module",
     "character_left_module",
-    "direct_sum_bimodules",
     "direct_sum_left_modules",
     "random_bimodule",
     "random_left_module",
@@ -218,10 +221,9 @@ def _representable_sum(c: FinLinCat, pairs, post=None, pre=None) -> Bimodule:
     pre_mul_matrix(c, g, b), as the canonical bimodule's left and right
     actions hold them; when not given, each is built once. Component
     (x, y) of summand k starts at off_k, and u (x) v is at off_k + u n + v,
-    n = dim hom(y, b_k). So row (k, u', v) of left[(f, y)] is row u' of
-    post[(f, a_k)] with column i moved to off_k + i n + v, and row
-    (k, u, v') of right[(g, x)] is row v' of pre[(g, b_k)] with column j
-    moved to off_k + u n + j: post (x) 1 and 1 (x) pre, block-diagonal."""
+    n = dim hom(y, b_k). So summand k of left[(f, y)] is post[(f, a_k)]
+    (x) 1_n and summand k of right[(g, x)] is 1 (x) pre[(g, b_k)], each
+    written at off_k by _post_rows and _pre_rows, block-diagonal."""
     objs = c.objects
     dim = c.dim_hom
     if post is None:
@@ -245,9 +247,7 @@ def _representable_sum(c: FinLinCat, pairs, post=None, pre=None) -> Bimodule:
         for y in objs:
             rows = []
             for prows, (_, b), off in zip(blocks, pairs, offsets[(x, y)]):
-                n = dim(y, b)
-                for prow in prows:
-                    rows.extend(tuple([(off + i * n + s, v) for i, v in prow]) for s in range(n))
+                rows.extend(_post_rows(prows, off, dim(y, b)))
             left[(f, y)] = Matrix._of_rows(c.field, dims[(x, y)], tuple(rows))
     right = {}
     for g, (_, y, _) in c.label_info.items():
@@ -255,12 +255,27 @@ def _representable_sum(c: FinLinCat, pairs, post=None, pre=None) -> Bimodule:
         for x in objs:
             rows = []
             for prows, (a, b), off in zip(blocks, pairs, offsets[(x, y)]):
-                n = dim(y, b)
-                for u in range(dim(a, x)):
-                    base = off + u * n
-                    rows.extend(tuple([(base + j, v) for j, v in prow]) for prow in prows)
+                rows.extend(_pre_rows(prows, off, dim(a, x), dim(y, b)))
             right[(g, x)] = Matrix._of_rows(c.field, dims[(x, y)], tuple(rows))
     return Bimodule(c, dims, left, right)
+
+
+def _post_rows(rows, off: int, n: int) -> list:
+    """The rows of a (x) 1_n, a given by its row_terms, with every column
+    moved by off: row (i', s) is row i' of a with column i moved to
+    off + i n + s."""
+    return [tuple([(off + i * n + s, v) for i, v in row]) for row in rows for s in range(n)]
+
+
+def _pre_rows(rows, off: int, m: int, n: int) -> list:
+    """The rows of 1_m (x) b, b given by its row_terms with n columns,
+    with every column moved by off: row (u, j') is row j' of b with
+    column j moved to off + u n + j. With m = 1 this shifts b by off."""
+    out = []
+    for u in range(m):
+        base = off + u * n
+        out.extend(tuple([(base + j, v) for j, v in row]) for row in rows)
+    return out
 
 
 def representable_left_module(c: FinLinCat, a: str) -> LeftModule:
@@ -282,24 +297,9 @@ def _block_diag(field: Field, mats: list[Matrix]) -> Matrix:
     rows = []
     c0 = 0
     for m in mats:
-        rows.extend(tuple((c0 + j, v) for j, v in row) for row in m.row_terms)
+        rows.extend(_pre_rows(m.row_terms, c0, 1, m.cols))
         c0 += m.cols
     return Matrix._of_rows(field, c0, tuple(rows))
-
-
-def direct_sum_bimodules(c: FinLinCat, summands: list[Bimodule]) -> Bimodule:
-    dims = {
-        (x, y): sum(s.dims[(x, y)] for s in summands) for x in c.objects for y in c.objects
-    }
-    left = {}
-    right = {}
-    for f in c.label_info:
-        for y in c.objects:
-            left[(f, y)] = _block_diag(c.field, [s.left[(f, y)] for s in summands])
-    for g in c.label_info:
-        for x in c.objects:
-            right[(g, x)] = _block_diag(c.field, [s.right[(g, x)] for s in summands])
-    return Bimodule(c, dims, left, right)
 
 
 def direct_sum_left_modules(c: FinLinCat, summands: list[LeftModule]) -> LeftModule:

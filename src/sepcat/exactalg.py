@@ -120,9 +120,12 @@ class Field:
         """Canonicalize an int, a rational or scalar text (see of_text) into
         a field scalar. Raises ValueError on text that names no scalar, such
         as "1/0" or "1.5", and TypeError on any other value, such as a float,
-        whose binary expansion is not the number it was written as."""
+        whose binary expansion is not the number it was written as, or a
+        boolean."""
         if type(value) is int:
             return value if self.p is None else value % self.p
+        if isinstance(value, bool):
+            raise TypeError(f"cannot coerce {value!r} into {self}")
         if isinstance(value, str):
             return self._parse(value)
         if self.p is None:
@@ -465,20 +468,6 @@ class Matrix:
             for row in rows:
                 row.sort()
         return Matrix._of_rows(self.field, len(cols), tuple(map(tuple, rows)))
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; row (i,k) and column (j,l) with i, j major."""
-        self._check_compatible(other)
-        c = other.cols
-        p = self.field.p
-        rows = []
-        for arow in self.row_terms:
-            for brow in other.row_terms:
-                if p is None:
-                    rows.append(tuple([(j * c + l, _canonical(a * b)) for j, a in arow for l, b in brow]))
-                else:
-                    rows.append(tuple([(j * c + l, a * b % p) for j, a in arow for l, b in brow]))
-        return Matrix._of_rows(self.field, self.cols * c, tuple(rows))
 
     # -- elimination ---------------------------------------------------
 

@@ -21,9 +21,9 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .exactalg import Field, Matrix
+from .exactalg import Field, Matrix, _pack
 from .lincat import FinLinCat, FiniteCatPresentation, classify_presentation, generating_labels
-from .cmod import LeftModule, comp_matrix, post_mul_matrix, pre_mul_matrix
+from .cmod import LeftModule, _post_rows, _pre_rows, comp_matrix, post_mul_matrix, pre_mul_matrix
 
 __all__ = [
     "SeparabilityFamily",
@@ -101,41 +101,36 @@ def separability_system(c: FinLinCat) -> tuple[Matrix, Matrix, dict[tuple[str, s
     unknown for entry (i, t) of A[x][y] sits at offset[(x,y)] + i*n + t
     with n = dim hom(x, y). c must be a valid category: equivariance rows for
     generating_labels(c) span those for every label (module docstring).
+
+    The unit rows for x are comp_matrix(c, x, x) shifted to the unknowns of
+    the (x, x) component of C (x) C. The equivariance rows for f: x -> z
+    and y are f . A[x][y] - A[z][y] . f, one per entry (s, t) of
+    hom(y, z) x hom(x, y): post_mul_matrix(c, f, y) (x) 1 on A[x][y] less
+    1 (x) pre_mul_matrix(c, f, y) on A[z][y], written by _post_rows and
+    _pre_rows; rows that vanish are dropped.
     """
     fld = c.field
     offsets, total = _block_layout(c)
-    rows: list[dict] = []  # one {column: coefficient} per equation
+    rows: list[tuple] = []
     rhs: list = []
-    # unit condition: comp on the (x, x) component of C (x) C, one scalar
-    # equation per basis vector of hom(x, x)
     for x in c.objects:
-        base = offsets[(x, c.objects[0])]
-        rows.extend({base + j: v for j, v in row} for row in comp_matrix(c, x, x).row_terms)
+        comp = comp_matrix(c, x, x)
+        rows.extend(_pre_rows(comp.row_terms, offsets[(x, c.objects[0])], 1, comp.cols))
         rhs.extend(c.identity[x])
-    # equivariance, one scalar equation per entry of the (f, y) identity
     for f in generating_labels(c):
         x, z, _ = c.label_info[f]
         for y in c.objects:
-            cf = post_mul_matrix(c, f, y).row_terms  # hom(y,x) -> hom(y,z)
-            rf = pre_mul_matrix(c, f, y).row_terms  # hom(z,y) -> hom(x,y)
-            n_xy = c.dim_hom(x, y)
-            n_zy = c.dim_hom(z, y)
-            base_x = offsets[(x, y)]
-            base_z = offsets[(z, y)]
-            for s in range(c.dim_hom(y, z)):
-                for t in range(n_xy):
-                    row: dict = {}
-                    for i, coeff in cf[s]:
-                        idx = base_x + i * n_xy + t
-                        row[idx] = fld.add(row.get(idx, fld.zero), coeff)
-                    for l, coeff in rf[t]:
-                        idx = base_z + s * n_zy + l
-                        row[idx] = fld.sub(row.get(idx, fld.zero), coeff)
-                    if any(row.values()):
-                        rows.append(row)
-                        rhs.append(fld.zero)
-    mat = Matrix.from_entries(fld, len(rows), total, ((i, j, v) for i, row in enumerate(rows) for j, v in row.items()))
-    return mat, Matrix.column(fld, rhs), offsets
+            post = _post_rows(post_mul_matrix(c, f, y).row_terms, offsets[(x, y)], c.dim_hom(x, y))
+            pre = _pre_rows(pre_mul_matrix(c, f, y).row_terms, offsets[(z, y)], c.dim_hom(y, z), c.dim_hom(z, y))
+            for prow, qrow in zip(post, pre, strict=True):
+                acc = dict(prow)
+                for j, v in qrow:
+                    acc[j] = acc.get(j, 0) - v
+                row = _pack(acc, fld.p)
+                if row:
+                    rows.append(row)
+    rhs.extend([fld.zero] * (len(rows) - len(rhs)))  # equivariance is homogeneous
+    return Matrix._of_rows(fld, total, tuple(rows)), Matrix.column(fld, rhs), offsets
 
 
 def family_from_vector(c: FinLinCat, vec: list, offsets: dict[tuple[str, str], int]) -> SeparabilityFamily:
@@ -314,12 +309,18 @@ class SectionResult:
     failures: list[str] = dc_field(default_factory=list)
 
 
+def _tensor_identity(a: Matrix, n: int) -> Matrix:
+    """a (x) 1_n, rows and columns (i, s) with i major."""
+    return Matrix._of_rows(a.field, a.cols * n, tuple(_post_rows(a.row_terms, 0, n)))
+
+
 def module_section(c: FinLinCat, fam: SeparabilityFamily, m: LeftModule) -> SectionResult:
     """The splitting section psi of the evaluation map (+) hom(y,x) (x) M[y] -> M[x].
 
     psi_x^y = (A[x][y] (x) 1) @ S, S the actions of the hom(x, y) basis
     stacked in order, is linear in the family, so any family gives it,
-    reduced or not. The result records whether psi is a section
+    reduced or not. A[x][y] (x) 1, like f (x) 1 in the commuting test, is
+    written by _post_rows. The result records whether psi is a section
     (evaluation . psi = identity) and whether it commutes with the action
     of every basis morphism. c and m must be valid: psi commutes with 1_x by
     the unit laws, and with s.h when it does with s and h, so commuting is
@@ -329,7 +330,7 @@ def module_section(c: FinLinCat, fam: SeparabilityFamily, m: LeftModule) -> Sect
     for x in c.objects:
         for y in c.objects:
             stacked = Matrix._of_rows(fld, m.dims[x], tuple(row for v in c.hom(x, y) for row in m.action[v].row_terms))
-            psi[(x, y)] = fam.block(c, x, y).kron(Matrix.identity(fld, m.dims[y])) @ stacked
+            psi[(x, y)] = _tensor_identity(fam.block(c, x, y), m.dims[y]) @ stacked
     failures: list[str] = []
     for x in c.objects:
         total = Matrix.zeros(fld, m.dims[x], m.dims[x])
@@ -350,7 +351,7 @@ def module_section(c: FinLinCat, fam: SeparabilityFamily, m: LeftModule) -> Sect
             z, x, _ = c.label_info[f]
             for y in c.objects:
                 lhs = psi[(x, y)] @ m.action[f]
-                rhs = post_mul_matrix(c, f, y).kron(Matrix.identity(fld, m.dims[y])) @ psi[(z, y)]
+                rhs = _tensor_identity(post_mul_matrix(c, f, y), m.dims[y]) @ psi[(z, y)]
                 if lhs != rhs:
                     found.append(f"psi does not commute with {f} at y={y}")
         return found

@@ -77,7 +77,6 @@ class TestScalars:
         assert type(tagged) is Fraction and tagged == Fraction(1, 2)
         for value, want in [
             (3, 3),
-            (True, 1),
             (Fraction(6, 3), 2),
             (Tagged(-4, 2), -2),
             ("-3/4", q),
@@ -96,6 +95,14 @@ class TestScalars:
         for value in [0.1, 2.0, float("nan")]:
             with pytest.raises(TypeError, match="cannot coerce"):
                 field.of(value)
+
+    def test_boolean_is_rejected(self):
+        # a bool is an int and a numbers.Rational, but names no scalar
+        for field, value in [(QQ, True), (Field(7), False)]:
+            with pytest.raises(TypeError, match="cannot coerce"):
+                field.of(value)
+        with pytest.raises(TypeError, match="cannot coerce"):
+            Matrix.from_rows(QQ, [[True]])
 
     def test_text_grammar(self):
         # Q reads exactly -?[0-9]+(/[0-9]+)?, F_p exactly -?[0-9]+ reduced

@@ -8,14 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from sepcat import presets
 from sepcat.exactalg import Field, Matrix, QQ
-from sepcat.lincat import linearize
+from sepcat.lincat import generating_labels, linearize
 from sepcat.cmod import (
     LeftModule,
     character_left_module,
     kernel_of,
+    post_mul_matrix,
+    pre_mul_matrix,
     random_left_module,
     representable_left_module,
     tensor_square,
+    tensor_square_basis,
     validate_module,
 )
 from sepcat.cohomology import build_hm_complex, cohomology_dims
@@ -331,7 +334,9 @@ class TestModuleSection:
                     act = Matrix.zeros(k, m.dims[y], m.dims[x])
                     for lab, a in zip(c.hom(x, y), v):
                         act = act + m.action[lab].scale(a)
-                    by_terms = by_terms + Matrix(k, len(u), 1, list(u)).kron(act)
+                    # u (x) act: row (i, r) is u[i] times row r of act
+                    tensor = [k.mul(a, e) for a in u for e in act.entries]
+                    by_terms = by_terms + Matrix(k, len(u) * act.rows, act.cols, tensor)
                 assert got.psi[(x, y)] == by_terms
         assert zelinsky_report(c, fam).pairs == zelinsky_report(c, reduced).pairs
 
@@ -487,6 +492,54 @@ FREEDOM_CASES = {
     **{(name, k): pres for name, pres in {**GROUPOIDS, **DELTA_NONDISCRETE, **DISCRETE}.items() for k in ALL_FIELDS},
     **{(f"random{seed}", k): presets.random_presentation(seed) for seed in range(8) for k in (QQ, F2, F3, F7)},
 }
+
+
+def _system_by_definition(c):
+    """The separability system entry by entry: the unit rows from comp_terms
+    on tensor_square_basis(c, x, x), and for each generating f: x -> z, y,
+    s in hom(y, z) and t in hom(x, y) the row of entry (s, t) of
+    f . A[x][y] - A[z][y] . f, kept when it is nonzero."""
+    fld = c.field
+    offsets, total = {}, 0
+    for x in c.objects:
+        for y in c.objects:
+            offsets[(x, y)] = total
+            total += c.dim_hom(y, x) * c.dim_hom(x, y)
+    rows, rhs = [], []
+    for x in c.objects:
+        unit = [{} for _ in c.hom(x, x)]
+        for j, (_, u, v) in enumerate(tensor_square_basis(c, x, x)):
+            for t, coeff in c.comp_terms(u, v):
+                unit[t][offsets[(x, c.objects[0])] + j] = coeff
+        rows.extend(unit)
+        rhs.extend(c.identity[x])
+    for f in generating_labels(c):
+        x, z, _ = c.label_info[f]
+        for y in c.objects:
+            cf = post_mul_matrix(c, f, y).row_terms  # hom(y,x) -> hom(y,z)
+            rf = pre_mul_matrix(c, f, y).row_terms  # hom(z,y) -> hom(x,y)
+            n_xy = c.dim_hom(x, y)
+            n_zy = c.dim_hom(z, y)
+            for s in range(c.dim_hom(y, z)):
+                for t in range(n_xy):
+                    row = {}
+                    for i, coeff in cf[s]:
+                        idx = offsets[(x, y)] + i * n_xy + t
+                        row[idx] = fld.add(row.get(idx, fld.zero), coeff)
+                    for l, coeff in rf[t]:
+                        idx = offsets[(z, y)] + s * n_zy + l
+                        row[idx] = fld.sub(row.get(idx, fld.zero), coeff)
+                    if any(row.values()):
+                        rows.append(row)
+                        rhs.append(fld.zero)
+    mat = Matrix.from_entries(fld, len(rows), total, ((i, j, v) for i, row in enumerate(rows) for j, v in row.items()))
+    return mat, Matrix.column(fld, rhs), offsets
+
+
+@pytest.mark.parametrize("name,k", sorted(FREEDOM_CASES, key=str), ids=str)
+def test_separability_system_matches_the_definition(name, k):
+    c = linearize(FREEDOM_CASES[(name, k)], k)
+    assert separability_system(c) == _system_by_definition(c)
 
 
 @pytest.mark.parametrize("name,k", sorted(FREEDOM_CASES, key=str), ids=str)
