@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import sys
 
 import click
@@ -70,11 +71,15 @@ def _load_category(path: str):
 
 
 def _parse_field(text: str) -> Field:
+    """Q, or Fp: followed by the prime in ASCII digits, as scalars are
+    written; a sign, a space, an underscore or another script's digits
+    is malformed."""
     if text == "Q":
         return Field()
-    if text.startswith("Fp:"):
-        return Field(int(text.split(":", 1)[1]))
-    raise ValueError(f"bad field spec {text!r}; expected Q or Fp:P")
+    found = re.fullmatch(r"Fp:([0-9]+)", text)
+    if found is None:
+        raise ValueError(f"bad field spec {text!r}; expected Q or Fp:P")
+    return Field(int(found.group(1)))
 
 
 def _load_certificate(c, path: str):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import accumulate
 from typing import Union
 
 from .errors import InternalCheckError
@@ -230,17 +231,9 @@ def _representable_sum(c: FinLinCat, pairs, post=None, pre=None) -> Bimodule:
         post = {(f, a): post_mul_matrix(c, f, a) for a in dict.fromkeys(a for a, _ in pairs) for f in c.label_info}
     if pre is None:
         pre = {(g, b): pre_mul_matrix(c, g, b) for b in dict.fromkeys(b for _, b in pairs) for g in c.label_info}
-    dims = {}
-    offsets = {}  # (x, y): off_k per summand
-    for x in objs:
-        for y in objs:
-            at = 0
-            offs = []
-            for a, b in pairs:
-                offs.append(at)
-                at += dim(a, x) * dim(y, b)
-            dims[(x, y)] = at
-            offsets[(x, y)] = offs
+    # (x, y): off_k per summand, then the component's dimension
+    offsets = {key: list(accumulate(ds, initial=0)) for key, ds in _summand_dims(c, pairs).items()}
+    dims = {key: offs[-1] for key, offs in offsets.items()}
     left = {}
     for f, (x, _, _) in c.label_info.items():
         blocks = [post[(f, a)].row_terms for a, _ in pairs]
@@ -258,6 +251,19 @@ def _representable_sum(c: FinLinCat, pairs, post=None, pre=None) -> Bimodule:
                 rows.extend(_pre_rows(prows, off, dim(a, x), dim(y, b)))
             right[(g, x)] = Matrix._of_rows(c.field, dims[(x, y)], tuple(rows))
     return Bimodule(c, dims, left, right)
+
+
+def _summand_dims(c: FinLinCat, sources: list) -> dict:
+    """The dimension of each component of each summand of a sum of
+    representables, in summand order, from c.dim_hom alone. A source pair
+    (a, b) is the bimodule P(a, b), of dimension dim hom(a, x) dim hom(y, b)
+    at (x, y); a source object a is the left module P(a), of dimension
+    dim hom(a, x) at x."""
+    dim = c.dim_hom
+    objs = c.objects
+    if sources and isinstance(sources[0], str):
+        return {x: [dim(a, x) for a in sources] for x in objs}
+    return {(x, y): [dim(a, x) * dim(y, b) for a, b in sources] for x in objs for y in objs}
 
 
 def _post_rows(rows, off: int, n: int) -> list:
@@ -526,14 +532,23 @@ def _yoneda_basis(
     return Matrix._of_rows(field, n, tuple(map(tuple, rows))), offsets
 
 
-def _random_intertwiner(rng: random.Random, field: Field, basis: Matrix) -> list:
-    """A random combination of the basis columns, one coefficient per
-    column, read off the basis rows in canonical form."""
+def _draw_coefficients(rng: random.Random, field: Field, n: int) -> list:
+    """n random field scalars, the coefficients of a random intertwiner on
+    a basis of n columns: in [-2, 2] over Q, any residue over F_p. Every
+    draw of the random generators calls this, rejected or kept, so the
+    seeded stream does not depend on which draws build their basis."""
     p = field.p
     if p is None:
-        coeffs = [field.of(rng.randint(-2, 2)) for _ in range(basis.cols)]
+        return [field.of(rng.randint(-2, 2)) for _ in range(n)]
+    return [field.of(rng.randrange(p)) for _ in range(n)]
+
+
+def _combine_columns(basis: Matrix, coeffs: list) -> list:
+    """The combination of the basis columns with the given coefficients,
+    one per column, read off the basis rows in canonical form."""
+    p = basis.field.p
+    if p is None:
         return [_canonical(sum(coeffs[j] * v for j, v in row)) for row in basis.row_terms]
-    coeffs = [field.of(rng.randrange(p)) for _ in range(basis.cols)]
     return [sum(coeffs[j] * v for j, v in row) % p for row in basis.row_terms]
 
 
@@ -583,18 +598,35 @@ def _left_module_intertwiners(
 _DIM_CAP = 2  # the largest component dimension a random module keeps
 
 
+def _refused_by_dims(src: dict, tgt: dict) -> bool:
+    """Whether some component's block, tgt x src summed over summands as
+    _summand_dims gives them, has more than _DIM_CAP columns beyond its
+    rows: its kernel then exceeds the cap whatever the intertwiner."""
+    return any(sum(ds) - sum(tgt[key]) > _DIM_CAP for key, ds in src.items())
+
+
 def random_bimodule(c: FinLinCat, seed: int) -> Bimodule:
     """A valid random bimodule, deterministic in the seed.
 
     Drawn as the kernel of a random intertwiner between direct sums of
     representable bimodules, a random combination of the Yoneda basis of
     the intertwiners; draws are retried until every component dimension is
-    at most 2 (the zero bimodule if no draw qualifies). The cap is
-    checked on the kernel dimensions of the intertwiner's blocks before
-    any action is induced, so only the kept draw builds its kernel, and
-    each source sum and target representable is built once per call, by
-    one _representable_sum call.
+    at most 2 (the zero bimodule if no draw qualifies, or if c has no
+    objects). A draw whose source has, at some component, more than 2
+    dimensions beyond its target's must have a kernel above the cap there,
+    so it is refused from c.dim_hom alone, before any representable, sum,
+    basis or block is built. Every draw, refused or not, draws the basis's
+    column count of coefficients, which the dimensions give (the sum over
+    the source pairs (a_k, b_k) of the target's dimension at (a_k, b_k)),
+    so the seeded stream, and every seeded output, is what it would be if
+    every draw built its basis. The cap is checked on the kernel
+    dimensions of the other draws' blocks before any action is induced,
+    so only the kept draw builds its kernel, and each source sum and
+    target representable is built at most once per call, by one
+    _representable_sum call.
     """
+    if not c.objects:
+        return zero_bimodule(c)
     rng = random.Random(seed)
     pairs = [(x, y) for x in c.objects for y in c.objects]
     rep = cache(partial(_representable_sum, c))  # for this call only
@@ -602,11 +634,17 @@ def random_bimodule(c: FinLinCat, seed: int) -> Bimodule:
         n_src = rng.choice((0, 1, 1, 1, 2, 2))
         if n_src == 0:
             return zero_bimodule(c)
-        src_pairs = [rng.choice(pairs) for _ in range(n_src)]
-        src = rep(tuple(src_pairs))
-        tgt = rep((rng.choice(pairs),))
+        src_pairs = tuple(rng.choice(pairs) for _ in range(n_src))
+        tgt_pair = rng.choice(pairs)
+        src_dims = _summand_dims(c, src_pairs)
+        tgt_dims = _summand_dims(c, [tgt_pair])
+        coeffs = _draw_coefficients(rng, c.field, sum(tgt_dims[pair][0] for pair in src_pairs))
+        if _refused_by_dims(src_dims, tgt_dims):
+            continue
+        src = rep(src_pairs)
+        tgt = rep((tgt_pair,))
         basis, offsets = _bimodule_intertwiners(c, src_pairs, src, tgt)
-        vec = _random_intertwiner(rng, c.field, basis)
+        vec = _combine_columns(basis, coeffs)
         blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)
         if _kernels_within(blocks):
             return kernel_of(BimoduleMap(src, tgt, blocks))[0]
@@ -636,20 +674,37 @@ def random_left_module(c: FinLinCat, seed: int) -> LeftModule:
     random map between sums of representable modules, drawn from the Yoneda
     basis of such maps). As in random_bimodule, draws are retried until
     every component dimension is at most 2 (the zero module if no draw
-    qualifies); the cap is checked on the kernel dimensions of the map's
-    blocks before the action is induced, and each representable is built
-    once per call."""
+    qualifies, or if c has no objects); a draw whose source has, at some
+    object, more than 2 dimensions beyond its target's is refused from
+    c.dim_hom alone, after drawing the basis's column count of coefficients
+    (the sum over the source objects a_k of dim hom(t, a_k), t the
+    target), so the seeded stream is what it would be if every draw built
+    its basis. The cap is checked on the kernel
+    dimensions of the other draws' blocks before the action is induced,
+    and each representable is built at most once per call."""
+    if not c.objects:
+        return _zero_left_module(c)
     rng = random.Random(seed)
     rep = cache(partial(representable_left_module, c))  # for this call only
     for _ in range(32):
         n_src = rng.choice((1, 1, 1, 2, 2))
         src_objs = [rng.choice(c.objects) for _ in range(n_src)]
+        t = rng.choice(c.objects)
+        src_dims = _summand_dims(c, src_objs)
+        tgt_dims = _summand_dims(c, [t])
+        coeffs = _draw_coefficients(rng, c.field, sum(tgt_dims[a][0] for a in src_objs))
+        if _refused_by_dims(src_dims, tgt_dims):
+            continue
         src_parts = [rep(a) for a in src_objs]
         src = src_parts[0] if n_src == 1 else direct_sum_left_modules(c, src_parts)
-        tgt = rep(rng.choice(c.objects))
+        tgt = rep(t)
         basis, offsets = _left_module_intertwiners(c, src_objs, src, tgt)
-        vec = _random_intertwiner(rng, c.field, basis)
+        vec = _combine_columns(basis, coeffs)
         blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)
         if _kernels_within(blocks):
             return _left_module_map_kernel(c, src, blocks)
+    return _zero_left_module(c)
+
+
+def _zero_left_module(c: FinLinCat) -> LeftModule:
     return LeftModule(c, {x: 0 for x in c.objects}, {f: Matrix.zeros(c.field, 0, 0) for f in c.label_info})

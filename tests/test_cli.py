@@ -561,6 +561,20 @@ class TestMalformedInput:
         result = runner.invoke(main, args)
         self.assert_malformed(result, f"presentation: member {member!r} must be a JSON {kind}")
 
+    # the prime is a run of ASCII digits, as in a scalar: int() read "1_1"
+    # as 11, the Arabic-Indic digit seven as 7, and " 7" and "+7" as 7
+    @pytest.mark.parametrize(
+        "spec", ["Fp:1_1", "Fp:\u0667", "Fp: 7", "Fp:+7", "Fp:7 ", "Fp:abc", "Fp:", "F7", "q"],
+        ids=["underscore", "arabic-indic", "space", "sign", "trailing-space", "letters", "empty", "no-colon", "lower-q"],
+    )
+    @pytest.mark.parametrize("verb", ["linearize", "maschke"])
+    def test_field_spec_outside_the_grammar(self, runner, files, tmp_path, verb, spec):
+        out = tmp_path / "cat.json"
+        args = [verb, files["z2_pres.json"], "--field", spec] + (["-o", str(out)] if verb == "linearize" else [])
+        result = runner.invoke(main, args)
+        self.assert_malformed(result, f"bad field spec {spec!r}; expected Q or Fp:P")
+        assert not out.exists()
+
     # a name given as a number was taken for one (a basis label 7 validated,
     # and separability check wrote "u": 7 into the certificate), and one
     # given as an array or object failed as "unhashable type", naming no member

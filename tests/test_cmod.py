@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -290,6 +291,14 @@ class TestRandomInstances:
     def test_random_left_module_deterministic(self, z2_over_f2):
         assert random_left_module(z2_over_f2, 3) == random_left_module(z2_over_f2, 3)
 
+    # every seed gives the zero (bi)module, drawing nothing
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+    def test_random_modules_on_the_empty_category(self, field, seed):
+        c = linearize(presets.discrete_category(0), field)
+        assert random_bimodule(c, seed) == zero_bimodule(c)
+        assert random_left_module(c, seed) == LeftModule(c, {}, {})
+
 
 # -- golden draws ---------------------------------------------------------
 
@@ -301,8 +310,11 @@ GOLDEN_PRESETS = {
     "A3": lambda: presets.chain_poset(3),
     "vee": presets.vee_poset,
     "idem": presets.idempotent_monoid,
+    "G2(Z3)": lambda: presets.connected_groupoid(presets.cyclic_group(3), 2),
+    "G3(Z2)": lambda: presets.connected_groupoid(presets.cyclic_group(2), 3),
+    "Z5": lambda: presets.cyclic_group(5),
 }
-GOLDEN_FIELDS = {"Q": QQ, "F7": Field(7)}
+GOLDEN_FIELDS = {"Q": QQ, "F2": Field(2), "F3": Field(3), "F7": Field(7)}
 
 # (random_bimodule, random_left_module) digests over seeds 0-5, recorded
 # from the intertwiner-system generator that the Yoneda basis replaced.
@@ -321,6 +333,21 @@ GOLDEN_DIGESTS = {
     ("vee", "F7"): ("c6cc7b79e2613924", "7016efff05519848"),
     ("idem", "Q"): ("a03b17d9f4216f4c", "ad8b9499cbf53b0f"),
     ("idem", "F7"): ("eb1eed88e504e77c", "2daa42175ae08fdc"),
+}
+
+# The same digests where two-summand sources are refused from their
+# dimensions most often, recorded from the generator that built every
+# draw's basis before testing its kernels.
+GOLDEN_DIGESTS_REFUSED = {
+    ("G2(Z3)", "F2"): ("edde55ae48068269", "bac0adb35e262646"),
+    ("G2(Z3)", "F3"): ("765f94bc2cc1c0b5", "72da058bcbd61d94"),
+    ("G2(Z3)", "F7"): ("70c0f5a7a8b111d1", "6576ebcfd5d083b6"),
+    ("G3(Z2)", "F2"): ("fa2310be2906bfbd", "d73118d7b579448f"),
+    ("G3(Z2)", "F3"): ("b7db0233ddf6c85e", "8e87511fec463891"),
+    ("G3(Z2)", "F7"): ("c963da7f4f6ae5f0", "71d79218467cb220"),
+    ("Z5", "F2"): ("cb42c717d83b67f9", "f4b9a147fd3e0fc8"),
+    ("Z5", "F3"): ("91d1d2049d978a97", "0299a0c615ef494b"),
+    ("Z5", "F7"): ("34b3f6b0fed929ed", "515e1a09aee012aa"),
 }
 
 
@@ -347,31 +374,36 @@ def _draws_digest(generator, c) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("name,field_name", sorted(GOLDEN_DIGESTS))
+@pytest.mark.parametrize("name,field_name", sorted(GOLDEN_DIGESTS | GOLDEN_DIGESTS_REFUSED))
 def test_random_draws_match_golden(name, field_name):
     c = linearize(GOLDEN_PRESETS[name](), GOLDEN_FIELDS[field_name])
-    bimodule_digest, left_digest = GOLDEN_DIGESTS[(name, field_name)]
+    bimodule_digest, left_digest = (GOLDEN_DIGESTS | GOLDEN_DIGESTS_REFUSED)[(name, field_name)]
     assert _draws_digest(random_bimodule, c) == bimodule_digest
     assert _draws_digest(random_left_module, c) == left_digest
 
 
-def _spy(monkeypatch, module, name) -> list:
-    """Replace module.name by a wrapper that records each call's arguments."""
+def _spy(monkeypatch, module, name, log=None) -> list:
+    """Replace module.name by a wrapper that records each call's arguments,
+    and, in log when given, the name and result of each call in order."""
     calls = []
     real = getattr(module, name)
 
     def spy(*args):
         calls.append(args)
-        return real(*args)
+        result = real(*args)
+        if log is not None:
+            log.append((name, result))
+        return result
 
     monkeypatch.setattr(module, name, spy)
     return calls
 
 
 class TestDrawCost:
-    """Only the draw that is kept builds its kernel module, each
-    representable and each per-label matrix is built once, and every
-    action is written row by row, with no block-diagonal copy."""
+    """Only the draw that is kept builds its kernel module, a draw refused
+    from its dimensions builds nothing, each representable and each
+    per-label matrix is built once, and every action is written row by
+    row, with no block-diagonal copy."""
 
     @pytest.mark.parametrize("name", ["G2(Z2)", "A3", "idem"])
     def test_representable_builds_each_label_matrix_once(self, monkeypatch, name):
@@ -396,12 +428,17 @@ class TestDrawCost:
     )
     def test_only_the_kept_draw_builds_a_kernel(self, monkeypatch, name, field_name, generator, kernel, representable):
         c = linearize(GOLDEN_PRESETS[name](), GOLDEN_FIELDS[field_name])
-        draws = _spy(monkeypatch, cmod, "_random_intertwiner")
+        log = []
+        draws = _spy(monkeypatch, cmod, "_draw_coefficients", log)
         kernels = _spy(monkeypatch, cmod, kernel)
-        made = _spy(monkeypatch, cmod, representable)
+        made = _spy(monkeypatch, cmod, representable, log)
+        _spy(monkeypatch, cmod, "_refused_by_dims", log)
+        _spy(monkeypatch, cmod, "direct_sum_left_modules", log)
+        _spy(monkeypatch, cmod, "_yoneda_basis", log)
         retried = False
+        refused = 0
         for seed in range(6):
-            for calls in (draws, kernels, made):
+            for calls in (draws, kernels, made, log):
                 calls.clear()
             generator(c, seed)
             assert len(kernels) <= 1
@@ -410,7 +447,25 @@ class TestDrawCost:
             assert made or not draws
             assert len(made) == len(set(made))
             retried |= len(draws) > 1
+            # cut the log at each draw: a draw refused from its dimensions
+            # builds no representable, sum or Yoneda basis, and every other
+            # draw builds one basis
+            per_draw = []
+            for event, result in log:
+                if event == "_draw_coefficients":
+                    per_draw.append(Counter())
+                elif event == "_refused_by_dims":
+                    per_draw[-1]["refused"] = result
+                else:
+                    per_draw[-1]["bases" if event == "_yoneda_basis" else "modules"] += 1
+            for counts in per_draw:
+                if counts["refused"]:
+                    assert counts["modules"] == counts["bases"] == 0
+                else:
+                    assert counts["bases"] == 1
+            refused += sum(counts["refused"] for counts in per_draw)
         assert retried
+        assert refused
 
     @pytest.mark.parametrize("name", ["Z3", "G2(Z2)", "A3", "idem"])
     def test_representables_build_without_kron_or_block_sums(self, monkeypatch, name):
