@@ -20,11 +20,11 @@ from .lincat import linearize, validate_category
 from .cmod import canonical_bimodule, kernel_of, tensor_square, validate_module, ShortExactSeq
 from .cohomology import build_hm_complex, cohomology_dims, les_analysis, obstruction_cocycle
 from .separability import (
+    _is_separable,
     _solve_with_freedom,
     delta_predict,
     maschke_predict,
     module_section,
-    solve_separability,
     verify_family,
     zelinsky_report,
 )
@@ -179,7 +179,9 @@ def separability():
 @click.option("--certificate-out", "cert_out", type=click.Path(dir_okay=False), default=None)
 @_guarded
 def separability_check(file, cert_out):
-    """Solve for a separability family; exit 0 separable / 1 not."""
+    """Find a separability family, verified before it is printed: the trace
+    form's Casimir element when it is the only family, else the solver's;
+    exit 0 separable / 1 not."""
     c = _load_category(file)
     fam, freedom = _solve_with_freedom(c)
     if fam is None:
@@ -218,13 +220,14 @@ def separability_verify(file, cert_path):
 @click.option("--field", "field_text", required=True, help="Q or Fp:P")
 @_guarded
 def maschke(pres_file, field_text):
-    """Groupoid criterion, cross-checked against the solver."""
+    """Groupoid criterion, cross-checked against the trace form's Casimir
+    element or Dickson's criterion, and the solver where neither settles
+    it."""
     p = io.presentation_from_json(_load_json(pres_file))
     k = _parse_field(field_text)
     verdict = maschke_predict(p, k)
     c = linearize(p, k)
-    solved = solve_separability(c)
-    if verdict.separable != (solved is not None):
+    if verdict.separable != _is_separable(c):
         raise InternalCheckError("groupoid criterion disagrees with the solver")
     if verdict.separable:
         check = verify_family(c, verdict.family)
@@ -242,12 +245,14 @@ def maschke(pres_file, field_text):
 @click.argument("pres_file", type=click.Path(exists=True, dir_okay=False))
 @_guarded
 def delta(pres_file):
-    """Delta-category criterion, cross-checked against the solver."""
+    """Delta-category criterion over Q, F2 and F3, cross-checked against
+    the trace form's Casimir element or Dickson's criterion, and the solver
+    where neither settles it."""
     p = io.presentation_from_json(_load_json(pres_file))
     verdict = delta_predict(p)
     cats = {k: linearize(p, k) for k in (Field(), Field(2), Field(3))}
     for k, c in cats.items():
-        if verdict.separable != (solve_separability(c) is not None):
+        if verdict.separable != _is_separable(c):
             raise InternalCheckError(f"delta criterion disagrees with the solver over {k}")
     if verdict.separable:
         c = cats[Field()]

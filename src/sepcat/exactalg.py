@@ -564,7 +564,18 @@ class Matrix:
             raise ValueError("matrix entries must be a JSON array")
         if len(texts) != rows * cols:
             raise ValueError("matrix entry count does not match declared shape")
-        return cls(field, rows, cols, [field.of_text(t) for t in texts])
+        # each distinct scalar text is parsed, into canonical form, once;
+        # of_text rejects any other value
+        parsed: dict = {}
+        values = []
+        for text in texts:
+            if text.__class__ is not str or text not in parsed:
+                parsed[text] = field.of_text(text)
+            values.append(parsed[text])
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative matrix shape {rows}x{cols}")
+        terms = tuple(tuple((j, v) for j, v in enumerate(values[i * cols : (i + 1) * cols]) if v) for i in range(rows))
+        return cls._of_rows(field, cols, terms)
 
 
 _new = object.__new__

@@ -332,7 +332,10 @@ class FiniteCatPresentation:
 
     def _law_violations(self) -> list[str]:
         """The composable pairs the table misses or, when it is total, the
-        triples that do not associate and the morphisms a unit law fails for."""
+        triples that do not associate and the morphisms a unit law fails for.
+        (h.g).f = h.(g.f) holds for an identity h by the unit laws, and for
+        s.h once it holds for s and h; so when the unit laws hold, triples
+        headed by _generators() are checked, and every triple when one fails."""
         into: dict[str, list[str]] = {x: [] for x in self.objects}
         for (_, y), names in self._homs.items():
             into[y].extend(names)
@@ -345,17 +348,43 @@ class FiniteCatPresentation:
         if missing:
             return missing
         comp = self.comp
-        violations = [
-            f"associativity fails on triple ({h},{g},{f})"
-            for h, (hx, _) in self.morphisms.items()
-            for g in into[hx]
-            for f in into[self.morphisms[g][0]]
-            if comp(comp(h, g), f) != comp(h, comp(g, f))
+        units = [
+            f"unit law fails for {f}"
+            for f, (x, y) in self.morphisms.items()
+            if comp(self.identity[y], f) != f or comp(f, self.identity[x]) != f
         ]
-        for f, (x, y) in self.morphisms.items():
-            if comp(self.identity[y], f) != f or comp(f, self.identity[x]) != f:
-                violations.append(f"unit law fails for {f}")
-        return violations
+
+        def associativity(heads) -> list[str]:
+            return [
+                f"associativity fails on triple ({h},{g},{f})"
+                for h in heads
+                for g in into[self.morphisms[h][0]]
+                for f in into[self.morphisms[g][0]]
+                if comp(comp(h, g), f) != comp(h, comp(g, f))
+            ]
+
+        if units or associativity(self._generators()):
+            return associativity(self.morphisms) + units
+        return []
+
+    def _generators(self) -> list[str]:
+        """Morphisms S, in the order of morphisms, that reach every morphism
+        as s1.(s2.(... .(sk.1_x))) through the table: a morphism joins S when
+        it is not reached by those before it."""
+        reached, gens = set(self.identity.values()), []
+        for m in self.morphisms:
+            if m in reached:
+                continue
+            gens.append(m)
+            todo = list(reached)
+            while todo:
+                r = todo.pop()
+                for s in gens:
+                    sr = self.composition.get((s, r))
+                    if sr is not None and sr not in reached:
+                        reached.add(sr)
+                        todo.append(sr)
+        return gens
 
     def hom_set(self, x: str, y: str) -> list[str]:
         return list(self._homs.get((x, y), ()))

@@ -13,6 +13,21 @@ certificate is verified by evaluating both conditions entrywise. In a
 valid category the f satisfying equivariance include the identities and
 are closed under composition and sums, so generators suffice: the
 f in lincat.generating_labels.
+
+The trace form T(a, b) = Tr(L_ab) of the total algebra A (the sum of all
+hom spaces, composing where composable) pairs hom(y, x) only with
+hom(x, y). When T is nondegenerate its Casimir element sum_i b_i (x) b_i*,
+b_i* the T-dual basis, is a family: T(a, 1) = T(a, sum_i b_i b_i*) gives
+the unit condition and the associativity of T equivariance (DeMeyer and
+Ingraham, Separable Algebras over Commutative Rings, LNM 181, ch. II).
+Over Q, or F_p with p > dim A, a degenerate T means C is not separable
+(Dickson). Two families differ by a bimodule map A -> ker comp, so for a
+separable C they form an affine space of dimension sum_x dim End(x) -
+dim Z(C): A^e is semisimple and Hom_{A^e}(A, A (x)_E A) has dimension
+sum_x dim 1_x A 1_x. It is a point exactly when C is commutative-disjoint:
+no morphism joins distinct objects and every End(x) is commutative. There
+the Casimir element is the one family, so solve_separability returns it
+without building the system.
 """
 
 from __future__ import annotations
@@ -143,11 +158,56 @@ def family_from_vector(c: FinLinCat, vec: list, offsets: dict[tuple[str, str], i
     return SeparabilityFamily(blocks)
 
 
+def _commutative_disjoint(c: FinLinCat) -> bool:
+    """Whether no morphism joins distinct objects and every End(x) is
+    commutative, read off the composition table on basis pairs."""
+    if any(labels and x != y for (x, y), labels in c.hom_basis.items()):
+        return False
+    return all(
+        c.comp_terms(g, f) == c.comp_terms(f, g) for x in c.objects for i, g in enumerate(c.hom(x, x)) for f in c.hom(x, x)[:i]
+    )
+
+
+def _trace_casimir(c: FinLinCat) -> Optional[SeparabilityFamily]:
+    """The Casimir element of the trace form T (module docstring), or None
+    when T is degenerate. Tr(L_k), for k in End(x), sums the coefficient of
+    d in k.d over the labels d into x. T(u_i, v_t) for u in hom(y, x) and v
+    in hom(x, y) is the Gram block G; the T-dual of u_i is row i of G^-1
+    transposed, so A[x][y] = (G^-1)^T, and T is degenerate exactly when some
+    G is not square or is singular. Empty blocks are left out."""
+    fld = c.field
+    blocks = {}
+    for x in c.objects:
+        into = [(d, c.label_info[d][2]) for w in c.objects for d in c.hom(w, x)]
+        trace = [fld.zero] * c.dim_hom(x, x)
+        for k, lab in enumerate(c.hom(x, x)):
+            for d, i in into:
+                trace[k] = fld.add(trace[k], dict(c.comp_terms(lab, d)).get(i, fld.zero))
+        for y in c.objects:
+            us, vs = c.hom(y, x), c.hom(x, y)
+            if len(us) != len(vs):
+                return None
+            if not us:
+                continue
+            gram = [[sum(v * trace[k] for k, v in c.comp_terms(u, v_t)) for v_t in vs] for u in us]
+            inverse = Matrix.from_rows(fld, gram).solve_many(Matrix.identity(fld, len(us)))
+            if inverse is None:
+                return None
+            blocks[(x, y)] = inverse.transpose()
+    return SeparabilityFamily(blocks)
+
+
 def _solve_with_freedom(c: FinLinCat) -> tuple[Optional[SeparabilityFamily], int]:
     """solve_separability's family together with the dimension of the
-    system's solution space, from one build and one elimination: the rank
-    of the system is the number of pivots of the augmented rref that fall
-    before the right-hand-side column."""
+    system's solution space. On a commutative-disjoint c whose trace form is
+    nondegenerate that is its Casimir element and 0 (module docstring).
+    Otherwise both come from one build and one elimination: the rank of the
+    system is the number of pivots of the augmented rref that fall before
+    the right-hand-side column."""
+    if _commutative_disjoint(c):
+        fam = _trace_casimir(c)
+        if fam is not None:
+            return fam, 0
     mat, rhs, offsets = separability_system(c)
     n = mat.cols
     aug = mat.hstack(rhs).rref()
@@ -166,6 +226,19 @@ def solve_separability(c: FinLinCat) -> Optional[SeparabilityFamily]:
     """One separability family, or None exactly when the category is not
     separable. Free variables are zeroed, so the output is reproducible."""
     return _solve_with_freedom(c)[0]
+
+
+def _is_separable(c: FinLinCat) -> bool:
+    """Whether c is separable, settled by the trace form where it can be: a
+    Casimir element that verifies is a family, and a degenerate trace form
+    over Q or F_p with p > dim means no family (module docstring). The
+    solver decides the rest."""
+    fam = _trace_casimir(c)
+    if fam is not None and verify_family(c, fam).ok:
+        return True
+    if fam is None and (c.field.p is None or c.field.p > c.total_dim()):
+        return False
+    return solve_separability(c) is not None
 
 
 def verify_family(c: FinLinCat, fam: SeparabilityFamily) -> FamilyCheck:

@@ -20,7 +20,7 @@ from sepcat.cmod import (
     tensor_square,
     zero_bimodule,
 )
-from sepcat.separability import FamilyCheck, module_section, zelinsky_report
+from sepcat.separability import FamilyCheck, SeparabilityFamily, module_section, zelinsky_report
 from test_interchange import NON_ASSOCIATIVE, unknown_morphism
 from test_lincat import interleaved_groupoid
 
@@ -340,9 +340,9 @@ class TestCrossCheckFailures:
         [
             pytest.param(*case, id=f"{case[0]}-{case[1]}")
             for case in [
-                ("maschke", "solve_separability", lambda c: None, "groupoid criterion disagrees with the solver"),
+                ("maschke", "_is_separable", lambda c: False, "groupoid criterion disagrees with the solver"),
                 ("maschke", "verify_family", lambda c, fam: FamilyCheck(ok=False), "formula certificate does not verify"),
-                ("delta", "solve_separability", lambda c: None, "delta criterion disagrees with the solver over Q"),
+                ("delta", "_is_separable", lambda c: False, "delta criterion disagrees with the solver over Q"),
                 ("delta", "verify_family", lambda c, fam: FamilyCheck(ok=False), "discrete certificate does not verify"),
                 ("les", "les_analysis", _spoiled(les_analysis, lambda r: setattr(r.positions[0], "exact", False)),
                  "long exact sequence is not exact"),
@@ -370,6 +370,21 @@ class TestCrossCheckFailures:
         result = runner.invoke(main, args)
         assert result.exit_code == 3
         assert result.stderr == f"internal cross-check failure: {message}\n"
+
+    def test_solver_decides_where_the_trace_form_does_not(self, runner, files, monkeypatch):
+        # A2 has a degenerate trace form: over Q Dickson settles "not
+        # separable", over F2 and F3 (p <= dim 3) the solver is asked
+        asked = []
+
+        def fake(c):
+            asked.append(c.field)
+            return SeparabilityFamily({})
+
+        monkeypatch.setattr("sepcat.separability.solve_separability", fake)
+        result = runner.invoke(main, ["delta", files["a2_pres.json"]])
+        assert asked == [Field(2)]
+        assert result.exit_code == 3
+        assert result.stderr == "internal cross-check failure: delta criterion disagrees with the solver over F2\n"
 
 
 class TestMalformedInput:

@@ -118,6 +118,32 @@ class TestScalars:
                 with pytest.raises(ValueError):
                     field.of_text(text)
 
+    @pytest.mark.parametrize("field, texts, values", [
+        (QQ, ["1/2", "0", "-0", "2/4", "1/2", "-3", "0", "-3"], [Fraction(1, 2), 0, 0, Fraction(1, 2), Fraction(1, 2), -3, 0, -3]),
+        (F5, ["3", "0", "-0", "8", "3", "-3", "5", "-3"], [3, 0, 0, 3, 3, 2, 0, 2]),
+    ], ids=str)
+    def test_matrix_from_json_parses_each_text_once(self, monkeypatch, field, texts, values):
+        parsed = []
+        of_text = Field.of_text
+        monkeypatch.setattr(Field, "of_text", lambda fld, t: parsed.append(t) or of_text(fld, t))
+        m = Matrix.from_json(field, 2, 4, texts)
+        assert sorted(parsed) == sorted(set(texts))
+        assert m == Matrix(field, 2, 4, values)
+        assert_canonical(m)
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    def test_matrix_from_json_rejects_what_of_text_rejects(self, field):
+        for value, message in [(3, "scalar must be text, not 3"), (True, "scalar must be text, not True"),
+                               (1.5, "scalar must be text, not 1.5"), ([1], "scalar must be text, not [1]"),
+                               ("1.5", "malformed scalar '1.5'"), ("1/0" if field.p is None else "x", None)]:
+            with pytest.raises(ValueError) as exc:
+                Matrix.from_json(field, 1, 2, ["1", value])
+            assert message is None or str(exc.value) == message
+        with pytest.raises(ValueError, match="matrix entry count does not match declared shape"):
+            Matrix.from_json(field, 1, 2, ["1"])
+        with pytest.raises(ValueError, match="matrix entries must be a JSON array"):
+            Matrix.from_json(field, 1, 1, "1")
+
     def test_field_json(self):
         assert Field.from_json("Q") == QQ
         assert Field.from_json({"Fp": 7}) == Field(7)

@@ -481,6 +481,54 @@ def test_unit_law_failure_checks_every_triple(name):
     assert violations == _dense_violations(QQ, objects, hom_basis, table, identity)
 
 
+def _presentation_violations(morphisms, identity, table) -> list[str]:
+    """Every law violation of a one-object table, by brute force: each
+    triple that does not associate, heads in morphism order, then each
+    morphism a unit law fails for."""
+    comp = {**{(e, f): f for e in identity.values() for f in morphisms},
+            **{(f, e): f for e in identity.values() for f in morphisms}, **table}
+    found = [f"associativity fails on triple ({h},{g},{f})" for h, g, f in product(morphisms, repeat=3)
+             if comp[(comp[(h, g)], f)] != comp[(h, comp[(g, f)])]]
+    e = identity["x"]
+    return found + [f"unit law fails for {f}" for f in morphisms if comp[(e, f)] != f or comp[(f, e)] != f]
+
+
+def test_presentation_violation_headed_by_a_non_generator():
+    # left zeros a and b (a.f = a, b.f = b) with e . a = e: the unit law
+    # fails for a, and the one triple that does not associate is headed by
+    # e, which is no generator, so only the check of every triple finds it
+    morphisms = {"e": ("x", "x"), "a": ("x", "x"), "b": ("x", "x")}
+    table = {**{(g, f): g for g in "ab" for f in "ab"}, ("e", "a"): "e"}
+    violations = _presentation_violations(morphisms, {"x": "e"}, table)
+    assert violations == ["associativity fails on triple (e,a,b)", "unit law fails for a"]
+    left_zeros = FiniteCatPresentation(["x"], morphisms, {"x": "e"}, {(g, f): g for g in "ab" for f in "ab"})
+    assert left_zeros._generators() == ["a", "b"]
+    with pytest.raises(ValueError) as exc:
+        FiniteCatPresentation(["x"], morphisms, {"x": "e"}, table)
+    assert str(exc.value) == "invalid presentation: " + "; ".join(violations)
+
+
+@pytest.mark.parametrize("name", ["Z4", "K4", "idem"])
+def test_presentation_laws_match_every_triple_on_one_changed_entry(name):
+    p = {"Z4": presets.cyclic_group(4), "K4": presets.klein_four(), "idem": presets.idempotent_monoid()}[name]
+    morphisms, identity = dict(p.morphisms), dict(p.identity)
+    checked = 0
+    for key, old in p.composition.items():
+        for new in morphisms:
+            if new == old:
+                continue
+            table = {**p.composition, key: new}
+            violations = _presentation_violations(morphisms, identity, table)
+            if violations:
+                with pytest.raises(ValueError) as exc:
+                    FiniteCatPresentation(p.objects, morphisms, identity, table)
+                assert str(exc.value) == "invalid presentation: " + "; ".join(violations[:3])
+            else:
+                FiniteCatPresentation(p.objects, morphisms, identity, table)
+            checked += 1
+    assert checked == len(p.composition) * (len(morphisms) - 1)
+
+
 def test_generators_are_searched_once_per_category(monkeypatch):
     c = linearize(presets.connected_groupoid(presets.cyclic_group(3), 3), QQ)
     reads = _count_reads(monkeypatch)

@@ -1,14 +1,18 @@
+import json
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import product
 from unittest import mock
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from sepcat import interchange as io
 from sepcat import presets
-from sepcat.exactalg import Field, Matrix, QQ
-from sepcat.lincat import generating_labels, linearize
+from sepcat.cli import main
+from sepcat.exactalg import Field, Matrix, QQ, _rank_mod
+from sepcat.lincat import FinLinCat, FiniteCatPresentation, generating_labels, linearize
 from sepcat.cmod import (
     LeftModule,
     character_left_module,
@@ -25,6 +29,7 @@ from sepcat.cohomology import build_hm_complex, cohomology_dims
 from sepcat.separability import (
     SeparabilityFamily,
     _solve_with_freedom,
+    _trace_casimir,
     delta_predict,
     family_from_vector,
     maschke_predict,
@@ -37,6 +42,7 @@ from sepcat.separability import (
     zelinsky_report,
 )
 from test_acceptance import ALL_FIELDS, DELTA_NONDISCRETE, DISCRETE, GROUPOIDS
+from test_cohomology import crown_poset
 from test_lincat import GENERATOR_PRESETS, interleaved_groupoid, kk_idempotent_basis
 
 F2, F3, F5, F7 = Field(2), Field(3), Field(5), Field(7)
@@ -549,3 +555,157 @@ def test_freedom_is_h0_of_ker_comp(name, k):
     c = linearize(FREEDOM_CASES[(name, k)], k)
     ker = kernel_of(tensor_square(c)[1])[0]
     assert _solve_with_freedom(c)[1] == cohomology_dims(build_hm_complex(c, ker, 1)).dim_h(0)
+
+
+def commutative_disjoint(p) -> bool:
+    """Whether the presentation p has no morphism between distinct objects
+    and commuting endomorphisms, read off its own table."""
+    return all(x == y for x, y in p.morphisms.values()) and all(
+        p.comp(g, f) == p.comp(f, g) for g, (x, _) in p.morphisms.items() for f in p.hom_set(x, x)
+    )
+
+
+def system_solve(c):
+    """_solve_with_freedom with the trace-form shortcut turned off: the
+    family and freedom of the separability system itself."""
+    with mock.patch("sepcat.separability._commutative_disjoint", lambda c: False):
+        return _solve_with_freedom(c)
+
+
+# the corpus the shortcut was checked on: 60 categories over six fields
+CASIMIR_CORPUS = {
+    **{f"Z{n}": presets.cyclic_group(n) for n in range(1, 13)},
+    **{f"random{seed}": presets.random_presentation(seed) for seed in range(40)},
+    "K4": presets.klein_four(),
+    "D4": presets.discrete_category(4),
+    "idem": presets.idempotent_monoid(),
+    "G2(Z2)": presets.connected_groupoid(presets.cyclic_group(2), 2),
+    "G2(Z3)": presets.connected_groupoid(presets.cyclic_group(3), 2),
+    "A4": presets.chain_poset(4),
+    "crown": crown_poset(),
+    "vee": presets.vee_poset(),
+}
+CASIMIR_FIELDS = (QQ, F2, F3, F5, F7, Field(11))
+
+
+@pytest.mark.parametrize("k", [QQ, F2, F3, F5, F7], ids=str)
+def test_unique_family_is_the_casimir_element(k):
+    # on a commutative-disjoint category the family, when there is one, is
+    # unique: the system has full column rank, and the shortcut returns the
+    # system's own solution without building it
+    names = [f"Z{n}" for n in range(1, 13)] + ["K4", "D4", "idem"]
+    names += [name for name in CASIMIR_CORPUS if name.startswith("random") and commutative_disjoint(CASIMIR_CORPUS[name])]
+    shortcuts = 0
+    for name in names:
+        assert commutative_disjoint(CASIMIR_CORPUS[name]), name
+        c = linearize(CASIMIR_CORPUS[name], k)
+        solved, freedom = system_solve(c)
+        if solved is None:
+            assert _trace_casimir(c) is None, name
+            continue
+        mat = separability_system(c)[0]
+        assert freedom == 0 and _rank_mod(mat) == mat.cols, name
+        with mock.patch("sepcat.separability.separability_system") as build:
+            assert _solve_with_freedom(c) == (solved, 0), name
+        assert not build.called
+        shortcuts += 1
+    assert shortcuts >= 10
+
+
+def _spy_system():
+    return mock.patch("sepcat.separability.separability_system", wraps=separability_system)
+
+
+def test_shortcut_taken_on_z4_and_skipped_on_g2z3():
+    with _spy_system() as build:
+        assert solve_separability(linearize(presets.cyclic_group(4), QQ)) is not None
+    assert build.call_count == 0
+    with _spy_system() as build:
+        assert solve_separability(linearize(presets.connected_groupoid(presets.cyclic_group(3), 2), QQ)) is not None
+    assert build.call_count == 1
+
+
+def matrix_units(k: Field) -> FinLinCat:
+    """One object whose endomorphisms are the 2 x 2 matrices over k, in the
+    basis of matrix units: separable, and not commutative."""
+    units = [f"e{i}{j}" for i in "12" for j in "12"]
+    table = {(g, f): [(f"e{g[1]}{f[2]}", 1)] if g[2] == f[1] else [] for g in units for f in units}
+    return FinLinCat(k, ["x"], {("x", "x"): units}, table, {"x": [("e11", 1), ("e22", 1)]})
+
+
+@pytest.mark.parametrize("name, loosened", [
+    # G2(Z3) has commuting endomorphisms but morphisms between its objects
+    ("G2(Z3)", lambda c: all(c.comp_terms(g, f) == c.comp_terms(f, g) for (x, y), labs in c.hom_basis.items()
+                             if x == y for g in labs for f in labs)),
+    # the matrix units have one object but do not commute
+    ("M2", lambda c: not any(labs and x != y for (x, y), labs in c.hom_basis.items())),
+])
+def test_shortcut_needs_both_halves_of_its_test(name, loosened):
+    # with either half of the test dropped, the shortcut would emit a family
+    # that verifies but is not the solver's
+    c = linearize(presets.connected_groupoid(presets.cyclic_group(3), 2), QQ) if name == "G2(Z3)" else matrix_units(QQ)
+    solved, freedom = _solve_with_freedom(c)
+    assert freedom > 0 and solved == system_solve(c)[0]
+    with mock.patch("sepcat.separability._commutative_disjoint", loosened):
+        shortcut, _ = _solve_with_freedom(c)
+    assert verify_family(c, shortcut).ok
+    assert shortcut.blocks != solved.blocks
+
+
+@pytest.mark.parametrize("k", [QQ, F5, F7], ids=str)
+def test_casimir_element_where_gram_blocks_are_not_symmetric(k):
+    # G2(Z3) with g1 listed before g0 in hom(o0, o1): u_i . v_t = 1 no
+    # longer pairs basis index i with an involution of it, so the Gram block
+    # of (o1, o0) is not symmetric and A[x][y] must be its inverse transposed
+    g = presets.connected_groupoid(presets.cyclic_group(3), 2)
+    order = list(g.morphisms)
+    i, j = order.index("g0:0>1"), order.index("g1:0>1")
+    order[i], order[j] = order[j], order[i]
+    c = linearize(FiniteCatPresentation(g.objects, {f: g.morphisms[f] for f in order}, dict(g.identity), dict(g.composition)), k)
+    assert c.hom("o0", "o1")[:2] == ("g1:0>1", "g0:0>1")
+    assert verify_family(c, _trace_casimir(c)).ok
+
+
+def _perturbed_casimir(c):
+    fam = _trace_casimir(c)
+    (x, y), blk = next(iter(fam.blocks.items()))
+    return SeparabilityFamily({**fam.blocks, (x, y): blk + Matrix.identity(c.field, blk.rows)})
+
+
+def test_a_wrong_casimir_element_is_caught(tmp_path):
+    runner = CliRunner()
+    cat, pres = tmp_path / "z4.json", tmp_path / "z4.pres.json"
+    cat.write_text(json.dumps(io.category_to_json(linearize(presets.cyclic_group(4), QQ))))
+    pres.write_text(json.dumps(io.presentation_to_json(presets.cyclic_group(4))))
+    with mock.patch("sepcat.separability._trace_casimir", _perturbed_casimir):
+        result = runner.invoke(main, ["separability", "check", str(cat)])
+        assert result.exit_code == 3
+        assert result.stderr == "internal cross-check failure: solver output fails verification\n"
+        with mock.patch("sepcat.separability.solve_separability", wraps=solve_separability) as solver:
+            result = runner.invoke(main, ["maschke", str(pres), "--field", "Q"])
+        assert result.exit_code == 0 and "separable: yes" in result.output
+        assert solver.call_count == 1
+
+
+def test_trace_casimir_settles_what_it_claims_on_360_pairs():
+    # for a separable category the family is unique exactly when the
+    # category is commutative-disjoint, and then it is the Casimir element;
+    # every Casimir element verifies; and a degenerate trace form over Q or
+    # F_p with p > dim never goes with a separable category (Dickson)
+    pairs = unique = 0
+    for name, pres in CASIMIR_CORPUS.items():
+        for k in CASIMIR_FIELDS:
+            c = linearize(pres, k)
+            solved, freedom = system_solve(c)
+            casimir = _trace_casimir(c)
+            if casimir is not None:
+                assert verify_family(c, casimir).ok, (name, k)
+            elif k.p is None or k.p > c.total_dim():
+                assert solved is None, (name, k)
+            if solved is not None:
+                assert (freedom == 0) == commutative_disjoint(pres), (name, k)
+                if freedom == 0:
+                    assert casimir.blocks == solved.blocks, (name, k)
+                    unique += 1
+            pairs += 1
+    assert (pairs, unique) == (360, 228)
