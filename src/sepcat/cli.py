@@ -17,7 +17,7 @@ import click
 from .exactalg import Field
 from .errors import BudgetExceededError, InternalCheckError
 from .lincat import linearize, validate_category
-from .cmod import canonical_bimodule, kernel_of, tensor_square, validate_module, ShortExactSeq
+from .cmod import _kernel_comp_ses, canonical_bimodule, validate_module
 from .cohomology import build_hm_complex, cohomology_dims, les_analysis, obstruction_cocycle
 from .separability import (
     _is_separable,
@@ -97,9 +97,7 @@ def _resolve_bimodule(c, spec: str):
     if spec == "canonical":
         return canonical_bimodule(c)
     if spec == "kernel-comp":
-        _, comp_map = tensor_square(c)
-        ker, _ = kernel_of(comp_map)
-        return ker
+        return _kernel_comp_ses(c).m
     return _valid_bimodule(c, io.bimodule_from_json(c, _load_json(spec)), spec)
 
 
@@ -310,9 +308,7 @@ def les(file, ses_spec, max_degree, json_out):
     """Verify the long exact sequence of a short exact sequence."""
     c = _load_category(file)
     if ses_spec == "kernel-comp":
-        cxc, comp_map = tensor_square(c)
-        ker, incl = kernel_of(comp_map)
-        ses = ShortExactSeq(ker, cxc, comp_map.target, incl, comp_map)
+        ses = _kernel_comp_ses(c)
     else:
         ses = io.ses_from_json(c, _load_json(ses_spec))
         for member, mod in (("M", ses.m), ("N", ses.n), ("P", ses.p)):

@@ -9,8 +9,9 @@ A structure matrix (post_mul_matrix, pre_mul_matrix, comp_matrix) is the
 transpose of its columns, each a composite as comp_terms returns it.
 A tensor with an identity, a (x) 1 or 1 (x) b, is written row by row from
 the rows of a or b by _post_rows or _pre_rows; the actions of
-representables and of C (x) C, the separability system's equivariance
-rows and the module section are all built that way.
+representable bimodules and left modules, of their sums and of C (x) C,
+the separability system's equivariance rows and the module section are
+all built that way.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "representable_bimodule",
     "representable_left_module",
     "character_left_module",
-    "direct_sum_left_modules",
     "random_bimodule",
     "random_left_module",
 ]
@@ -75,9 +75,6 @@ class LeftModule:
         self.cat = cat
         self.dims = {x: int(dims.get(x, 0)) for x in cat.objects}
         self.action = dict(action)
-
-    def act(self, label: str) -> Matrix:
-        return self.action[label]
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -179,25 +176,41 @@ def tensor_square(c: FinLinCat) -> tuple[Bimodule, BimoduleMap]:
 
 def kernel_of(m: BimoduleMap) -> tuple[Bimodule, BimoduleMap]:
     """Componentwise kernel with the induced actions, plus its inclusion:
-    each block's kernel_basis(), with each induced action read off the
-    target kernel's basis."""
+    each block's kernel_basis(), with each induced action read by
+    _induced_action."""
     c = m.source.cat
     kernels = {key: m.blocks[key].kernel_basis() for key in m.blocks}
     dims = {key: kernels[key].cols for key in kernels}
+    left_error = "map does not commute with left action of {}; kernel has no induced action"
     left = {}
     for (f, y), act in m.source.left.items():
         x, x2, _ = c.label_info[f]
-        left[(f, y)] = kernels[(x2, y)]._coords(act @ kernels[(x, y)])
-        if left[(f, y)] is None:
-            raise ValueError(f"map does not commute with left action of {f}; kernel has no induced action")
+        left[(f, y)] = _induced_action(act, kernels[(x, y)], kernels[(x2, y)], left_error, f)
+    right_error = "map does not commute with right action of {}; kernel has no induced action"
     right = {}
     for (g, x), act in m.source.right.items():
         y2, y, _ = c.label_info[g]
-        right[(g, x)] = kernels[(x, y2)]._coords(act @ kernels[(x, y)])
-        if right[(g, x)] is None:
-            raise ValueError(f"map does not commute with right action of {g}; kernel has no induced action")
+        right[(g, x)] = _induced_action(act, kernels[(x, y)], kernels[(x, y2)], right_error, g)
     ker = Bimodule(c, dims, left, right)
     return ker, BimoduleMap(ker, m.source, dict(kernels))
+
+
+def _induced_action(act: Matrix, ker: Matrix, ker2: Matrix, error: str, label: str) -> Matrix:
+    """The action that act induces from the kernel with basis ker to the one
+    with basis ker2, read off ker2's basis by _coords; ValueError with
+    error.format(label) when the image of ker leaves ker2."""
+    induced = ker2._coords(act @ ker)
+    if induced is None:
+        raise ValueError(error.format(label))
+    return induced
+
+
+def _kernel_comp_ses(c: FinLinCat) -> ShortExactSeq:
+    """0 -> ker comp -> C (x) C -> C -> 0, comp the composition map of
+    tensor_square and ker comp its kernel_of."""
+    cxc, comp = tensor_square(c)
+    ker, incl = kernel_of(comp)
+    return ShortExactSeq(ker, cxc, comp.target, incl, comp)
 
 
 def zero_bimodule(c: FinLinCat) -> Bimodule:
@@ -285,10 +298,25 @@ def _pre_rows(rows, off: int, m: int, n: int) -> list:
 
 
 def representable_left_module(c: FinLinCat, a: str) -> LeftModule:
-    """P(a) with component hom(a, x); basis morphisms act by post-composition."""
-    dims = {x: c.dim_hom(a, x) for x in c.objects}
-    action = {f: post_mul_matrix(c, f, a) for f in c.label_info}
-    return LeftModule(c, dims, action)
+    """P(a) with component hom(a, x); f acts as post_mul_matrix(c, f, a),
+    written row by row."""
+    return _left_representable_sum(c, (a,))
+
+
+def _left_representable_sum(c: FinLinCat, objs) -> LeftModule:
+    """The direct sum of the P(a_k) over objs, in order. Component x of
+    summand k starts at off_k, so summand k of action[f] is
+    post_mul_matrix(c, f, a_k), written at off_k by _post_rows with n = 1,
+    block-diagonal."""
+    offsets = {x: list(accumulate(ds, initial=0)) for x, ds in _summand_dims(c, objs).items()}
+    action = {}
+    for f, (x, y, _) in c.label_info.items():
+        post = {a: post_mul_matrix(c, f, a).row_terms for a in dict.fromkeys(objs)}
+        rows = []
+        for a, off in zip(objs, offsets[x]):
+            rows.extend(_post_rows(post[a], off, 1))
+        action[f] = Matrix._of_rows(c.field, offsets[x][-1], tuple(rows))
+    return LeftModule(c, {x: offs[-1] for x, offs in offsets.items()}, action)
 
 
 def character_left_module(c: FinLinCat, values: dict[str, object]) -> LeftModule:
@@ -298,33 +326,17 @@ def character_left_module(c: FinLinCat, values: dict[str, object]) -> LeftModule
     return LeftModule(c, dims, action)
 
 
-def _block_diag(field: Field, mats: list[Matrix]) -> Matrix:
-    """The block-diagonal matrix with the given blocks in order."""
-    rows = []
-    c0 = 0
-    for m in mats:
-        rows.extend(_pre_rows(m.row_terms, c0, 1, m.cols))
-        c0 += m.cols
-    return Matrix._of_rows(field, c0, tuple(rows))
-
-
-def direct_sum_left_modules(c: FinLinCat, summands: list[LeftModule]) -> LeftModule:
-    dims = {x: sum(s.dims[x] for s in summands) for x in c.objects}
-    action = {f: _block_diag(c.field, [s.action[f] for s in summands]) for f in c.label_info}
-    return LeftModule(c, dims, action)
-
-
 # -- validation ---------------------------------------------------------
 
 
-def _linear_action(field: Field, terms, act_of_label, rows: int, cols: int) -> Matrix:
+def _linear_action(field: Field, terms, action: dict, rows: int, cols: int) -> Matrix:
     """The action of sum coeff label over the (label, coeff) terms, a
-    rows x cols matrix, by extending act_of_label linearly; zero
-    coefficients are skipped."""
+    rows x cols matrix, by extending action linearly; zero coefficients
+    are skipped."""
     out = Matrix.zeros(field, rows, cols)
     for label, coeff in terms:
         if coeff:
-            out = out + act_of_label(label).scale(coeff)
+            out = out + action[label].scale(coeff)
     return out
 
 
@@ -335,7 +347,7 @@ def _validate_left_module(c: FinLinCat, m: LeftModule, violations: list[str]) ->
             violations.append(f"action matrix for {f} has shape {mat.rows}x{mat.cols}")
             return
     for x in c.objects:
-        ident = _linear_action(c.field, zip(c.hom(x, x), c.identity[x]), m.act, m.dims[x], m.dims[x])
+        ident = _linear_action(c.field, zip(c.hom(x, x), c.identity[x]), m.action, m.dims[x], m.dims[x])
         if ident != Matrix.identity(c.field, m.dims[x]):
             violations.append(f"unit law fails at object {x}")
 
@@ -348,8 +360,8 @@ def _validate_left_module(c: FinLinCat, m: LeftModule, violations: list[str]) ->
                     continue
                 labels = c.hom(fx, gy)
                 gf = [(labels[k], v) for k, v in c.comp_terms(g, f)]
-                lhs = _linear_action(c.field, gf, m.act, m.dims[gy], m.dims[fx])
-                if lhs != m.act(g) @ m.act(f):
+                lhs = _linear_action(c.field, gf, m.action, m.dims[gy], m.dims[fx])
+                if lhs != m.action[g] @ m.action[f]:
                     found.append(f"composition law fails on pair ({g},{f})")
         return found
 
@@ -605,105 +617,82 @@ def _refused_by_dims(src: dict, tgt: dict) -> bool:
     return any(sum(ds) - sum(tgt[key]) > _DIM_CAP for key, ds in src.items())
 
 
-def random_bimodule(c: FinLinCat, seed: int) -> Bimodule:
-    """A valid random bimodule, deterministic in the seed.
-
-    Drawn as the kernel of a random intertwiner between direct sums of
-    representable bimodules, a random combination of the Yoneda basis of
-    the intertwiners; draws are retried until every component dimension is
-    at most 2 (the zero bimodule if no draw qualifies, or if c has no
-    objects). A draw whose source has, at some component, more than 2
-    dimensions beyond its target's must have a kernel above the cap there,
-    so it is refused from c.dim_hom alone, before any representable, sum,
-    basis or block is built. Every draw, refused or not, draws the basis's
-    column count of coefficients, which the dimensions give (the sum over
-    the source pairs (a_k, b_k) of the target's dimension at (a_k, b_k)),
-    so the seeded stream, and every seeded output, is what it would be if
-    every draw built its basis. The cap is checked on the kernel
-    dimensions of the other draws' blocks before any action is induced,
-    so only the kept draw builds its kernel, and each source sum and
-    target representable is built at most once per call, by one
-    _representable_sum call.
-    """
-    if not c.objects:
-        return zero_bimodule(c)
-    rng = random.Random(seed)
-    pairs = [(x, y) for x in c.objects for y in c.objects]
-    rep = cache(partial(_representable_sum, c))  # for this call only
-    for _ in range(32):
-        n_src = rng.choice((0, 1, 1, 1, 2, 2))
-        if n_src == 0:
-            return zero_bimodule(c)
-        src_pairs = tuple(rng.choice(pairs) for _ in range(n_src))
-        tgt_pair = rng.choice(pairs)
-        src_dims = _summand_dims(c, src_pairs)
-        tgt_dims = _summand_dims(c, [tgt_pair])
-        coeffs = _draw_coefficients(rng, c.field, sum(tgt_dims[pair][0] for pair in src_pairs))
-        if _refused_by_dims(src_dims, tgt_dims):
-            continue
-        src = rep(src_pairs)
-        tgt = rep((tgt_pair,))
-        basis, offsets = _bimodule_intertwiners(c, src_pairs, src, tgt)
-        vec = _combine_columns(basis, coeffs)
-        blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)
-        if _kernels_within(blocks):
-            return kernel_of(BimoduleMap(src, tgt, blocks))[0]
-    return zero_bimodule(c)
-
-
 def _kernels_within(blocks: dict) -> bool:
     """Whether the kernel of every block has dimension at most _DIM_CAP."""
     return all(blk.cols - blk.rank() <= _DIM_CAP for blk in blocks.values())
 
 
+def _random_draw(c: FinLinCat, seed: int, counts: tuple, sources: list, build, intertwiners):
+    """The draw a random generator keeps, as (source, target, blocks), or
+    None when it keeps none.
+
+    Each draw picks a summand count from counts (0 keeps nothing), that
+    many source summands from sources, then one target summand. Its map is
+    a random combination of the Yoneda basis of the intertwiners between
+    build(c, source summands) and build(c, (target,)), found by
+    intertwiners(c, source summands, source, target). Draws are retried,
+    up to 32, until every block's kernel has dimension at most _DIM_CAP.
+    A draw whose source has, at some component, more than _DIM_CAP
+    dimensions beyond its target's must have a kernel above the cap there,
+    so it is refused from c.dim_hom alone, before any sum, basis or block is
+    built. Every draw, refused or not, draws the basis's column count of
+    coefficients, which the dimensions give (the sum over the source
+    summands s_k of the target's dimension at s_k), so the seeded stream,
+    and every seeded output, is what it would be if every draw built its
+    basis. The cap is checked on the blocks' kernel dimensions, so no
+    kernel is built here, and each sum is built at most once per call."""
+    if not sources:
+        return None
+    rng = random.Random(seed)
+    build = cache(partial(build, c))  # for this call only
+    for _ in range(32):
+        n_src = rng.choice(counts)
+        if n_src == 0:
+            return None
+        src_keys = tuple(rng.choice(sources) for _ in range(n_src))
+        tgt_key = rng.choice(sources)
+        src_dims = _summand_dims(c, src_keys)
+        tgt_dims = _summand_dims(c, [tgt_key])
+        coeffs = _draw_coefficients(rng, c.field, sum(tgt_dims[key][0] for key in src_keys))
+        if _refused_by_dims(src_dims, tgt_dims):
+            continue
+        src = build(src_keys)
+        tgt = build((tgt_key,))
+        basis, offsets = intertwiners(c, src_keys, src, tgt)
+        vec = _combine_columns(basis, coeffs)
+        blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)
+        if _kernels_within(blocks):
+            return src, tgt, blocks
+    return None
+
+
+def random_bimodule(c: FinLinCat, seed: int) -> Bimodule:
+    """A valid random bimodule, deterministic in the seed: the kernel of the
+    map _random_draw keeps between sums of representable bimodules P(a, b),
+    so every component dimension is at most 2, or the zero bimodule when
+    it keeps none."""
+    pairs = [(x, y) for x in c.objects for y in c.objects]
+    kept = _random_draw(c, seed, (0, 1, 1, 1, 2, 2), pairs, _representable_sum, _bimodule_intertwiners)
+    return zero_bimodule(c) if kept is None else kernel_of(BimoduleMap(*kept))[0]
+
+
 def _left_module_map_kernel(c: FinLinCat, src: LeftModule, blocks: dict) -> LeftModule:
     """The kernel of the map out of src with the given blocks, one per
-    object, with the induced action."""
+    object, with the action each label induces by _induced_action."""
     kernels = {x: blocks[x].kernel_basis() for x in c.objects}
     dims = {x: kernels[x].cols for x in c.objects}
-    action = {}
-    for f, (x, y, _) in c.label_info.items():
-        action[f] = kernels[y]._coords(src.action[f] @ kernels[x])
-        if action[f] is None:
-            raise ValueError(f"map does not commute with action of {f}")
+    error = "map does not commute with action of {}"
+    action = {f: _induced_action(src.action[f], kernels[x], kernels[y], error, f) for f, (x, y, _) in c.label_info.items()}
     return LeftModule(c, dims, action)
 
 
 def random_left_module(c: FinLinCat, seed: int) -> LeftModule:
-    """A valid random left module, deterministic in the seed (kernel of a
-    random map between sums of representable modules, drawn from the Yoneda
-    basis of such maps). As in random_bimodule, draws are retried until
-    every component dimension is at most 2 (the zero module if no draw
-    qualifies, or if c has no objects); a draw whose source has, at some
-    object, more than 2 dimensions beyond its target's is refused from
-    c.dim_hom alone, after drawing the basis's column count of coefficients
-    (the sum over the source objects a_k of dim hom(t, a_k), t the
-    target), so the seeded stream is what it would be if every draw built
-    its basis. The cap is checked on the kernel
-    dimensions of the other draws' blocks before the action is induced,
-    and each representable is built at most once per call."""
-    if not c.objects:
-        return _zero_left_module(c)
-    rng = random.Random(seed)
-    rep = cache(partial(representable_left_module, c))  # for this call only
-    for _ in range(32):
-        n_src = rng.choice((1, 1, 1, 2, 2))
-        src_objs = [rng.choice(c.objects) for _ in range(n_src)]
-        t = rng.choice(c.objects)
-        src_dims = _summand_dims(c, src_objs)
-        tgt_dims = _summand_dims(c, [t])
-        coeffs = _draw_coefficients(rng, c.field, sum(tgt_dims[a][0] for a in src_objs))
-        if _refused_by_dims(src_dims, tgt_dims):
-            continue
-        src_parts = [rep(a) for a in src_objs]
-        src = src_parts[0] if n_src == 1 else direct_sum_left_modules(c, src_parts)
-        tgt = rep(t)
-        basis, offsets = _left_module_intertwiners(c, src_objs, src, tgt)
-        vec = _combine_columns(basis, coeffs)
-        blocks = _blocks_from_vector(c.field, src.dims, tgt.dims, vec, offsets)
-        if _kernels_within(blocks):
-            return _left_module_map_kernel(c, src, blocks)
-    return _zero_left_module(c)
+    """A valid random left module, deterministic in the seed: the kernel of
+    the map _random_draw keeps between sums of representable left modules
+    P(a), so every component dimension is at most 2, or the zero module
+    when it keeps none."""
+    kept = _random_draw(c, seed, (1, 1, 1, 2, 2), c.objects, _left_representable_sum, _left_module_intertwiners)
+    return _zero_left_module(c) if kept is None else _left_module_map_kernel(c, kept[0], kept[2])
 
 
 def _zero_left_module(c: FinLinCat) -> LeftModule:

@@ -38,7 +38,7 @@ from typing import Optional
 from .exactalg import Field, Matrix, RrefResult, _rank_mod
 from .errors import BudgetExceededError, InternalCheckError
 from .lincat import FinLinCat
-from .cmod import Bimodule, BimoduleMap, ShortExactSeq, tensor_square, tensor_square_basis, kernel_of, validate_module
+from .cmod import Bimodule, ShortExactSeq, _kernel_comp_ses, tensor_square_basis, validate_module
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -361,8 +361,8 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
     cochain spaces of C (x) C share budget with those of ker comp. Both
     are bar complexes.
     """
-    cxc, comp_map = tensor_square(c)
-    ker, incl = kernel_of(comp_map)
+    ses = _kernel_comp_ses(c)
+    ker, cxc = ses.m, ses.n
     bases = c.hom_basis
     complex = _hm_complex(c, ker, 1, budget, bases)
     fld = c.field
@@ -375,7 +375,7 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
         for (u, a), (v, b) in product(zip(labels, ident), repeat=2):
             sigma[slot.offset + index[(x, u, v)]] = fld.mul(a, b)
     value = _build_differential(c, cxc, bases, {}, space0, space1, 0) @ Matrix(fld, space0.dim, 1, sigma)
-    cocycle = _cochain_map(fld, complex.space(1), space1, incl.blocks, 1)._coords(value)
+    cocycle = _cochain_map(fld, complex.space(1), space1, ses.i.blocks, 1)._coords(value)
     if cocycle is None:
         raise InternalCheckError("obstruction value escapes ker comp")
     if not (complex.diffs[1] @ cocycle).is_zero():

@@ -18,7 +18,6 @@ from sepcat.cmod import (
     ShortExactSeq,
     canonical_bimodule,
     character_left_module,
-    direct_sum_left_modules,
     kernel_of,
     random_bimodule,
     random_left_module,
@@ -423,7 +422,7 @@ class TestDrawCost:
     @pytest.mark.parametrize(
         "generator,kernel,representable",
         [(random_bimodule, "kernel_of", "_representable_sum"),
-         (random_left_module, "_left_module_map_kernel", "representable_left_module")],
+         (random_left_module, "_left_module_map_kernel", "_left_representable_sum")],
         ids=["bimodule", "left-module"],
     )
     def test_only_the_kept_draw_builds_a_kernel(self, monkeypatch, name, field_name, generator, kernel, representable):
@@ -433,7 +432,6 @@ class TestDrawCost:
         kernels = _spy(monkeypatch, cmod, kernel)
         made = _spy(monkeypatch, cmod, representable, log)
         _spy(monkeypatch, cmod, "_refused_by_dims", log)
-        _spy(monkeypatch, cmod, "direct_sum_left_modules", log)
         _spy(monkeypatch, cmod, "_yoneda_basis", log)
         retried = False
         refused = 0
@@ -469,14 +467,20 @@ class TestDrawCost:
 
     @pytest.mark.parametrize("name", ["Z3", "G2(Z2)", "A3", "idem"])
     def test_representables_build_without_kron_or_block_sums(self, monkeypatch, name):
+        # no summand is built as a module of its own to be copied into a
+        # sum: every sum is written from per-label matrices by the row writer
+        for gone in ("_block_diag", "direct_sum_left_modules", "direct_sum_bimodules"):
+            assert not hasattr(cmod, gone)
+        assert not hasattr(Matrix, "kron")
         c = linearize(GOLDEN_PRESETS[name](), QQ)
-        block_diag = _spy(monkeypatch, cmod, "_block_diag")
+        whole = [_spy(monkeypatch, cmod, f"representable_{kind}") for kind in ("bimodule", "left_module")]
+        post_rows = _spy(monkeypatch, cmod, "_post_rows")
         tensor_square(c)
-        for a in c.objects:
-            representable_bimodule(c, a, c.objects[-1])
         for seed in range(6):
             random_bimodule(c, seed)
-        assert block_diag == []
+            random_left_module(c, seed)
+        assert whole == [[], []]
+        assert post_rows
 
 # -- Yoneda intertwiner bases ----------------------------------------------
 #
@@ -596,7 +600,7 @@ def test_bimodule_yoneda_basis(seed):
 def test_left_module_yoneda_basis(seed):
     rng, c = _random_case(seed)
     src_objs = [rng.choice(c.objects) for _ in range(rng.choice((1, 2)))]
-    src = direct_sum_left_modules(c, [representable_left_module(c, a) for a in src_objs])
+    src = cmod._left_representable_sum(c, src_objs)
     tgt = rng.choice([representable_left_module(c, rng.choice(c.objects)), random_left_module(c, seed)])
     basis, _ = _left_module_intertwiners(c, src_objs, src, tgt)
     assert basis.cols == sum(tgt.dims[a] for a in src_objs)
@@ -684,9 +688,9 @@ def test_bimodule_validator_matches_reference(data):
 
 # -- representables from the definition -----------------------------------
 #
-# P(a, b), its sums and C (x) C written entry by entry from comp_terms, with
-# no Kronecker product: this pins the basis order, u major then v, with the
-# summands in pair order.
+# P(a, b), P(a), their sums and C (x) C written entry by entry from
+# comp_terms, with no Kronecker product: this pins the basis order, u major
+# then v, with the summands in the order given.
 
 
 def _representables_by_definition(c, pairs) -> Bimodule:
@@ -723,6 +727,20 @@ def _representables_by_definition(c, pairs) -> Bimodule:
     return Bimodule(c, {key: len(ix) for key, ix in index.items()}, left, right)
 
 
+def _left_representables_by_definition(c, objs) -> LeftModule:
+    """The sum of the P(a_k) over objs: component x has basis u of each
+    summand k in turn, u in hom(a_k, x); f acts as u -> f.u."""
+    index = {x: {key: i for i, key in enumerate((k, u) for k, a in enumerate(objs) for u in c.hom(a, x))} for x in c.objects}
+    action = {}
+    for f, (x, y, _) in c.label_info.items():
+        src, tgt = index[x], index[y]
+        entries = [
+            (tgt[(k, c.hom(objs[k], y)[t])], j, coeff) for (k, u), j in src.items() for t, coeff in c.comp_terms(f, u)
+        ]
+        action[f] = Matrix.from_entries(c.field, len(tgt), len(src), entries)
+    return LeftModule(c, {x: len(ix) for x, ix in index.items()}, action)
+
+
 DEFINITION_PRESETS = {
     **GOLDEN_PRESETS,
     **{f"random{seed}": (lambda seed=seed: presets.random_presentation(seed)) for seed in range(4)},
@@ -744,3 +762,12 @@ def test_representables_match_the_definition(field, name):
         assert validate_module(c, got).ok
         assert got.total_dim() == sum(representable_bimodule(c, *pair).total_dim() for pair in two)
     assert tensor_square(c)[0] == _representables_by_definition(c, [(z, z) for z in c.objects])
+    # left modules: one object, two objects, a repeated object
+    for a in c.objects:
+        assert representable_left_module(c, a) == _left_representables_by_definition(c, [a])
+    first, last = c.objects[0], c.objects[-1]
+    for objs in ((first, last), (last, first), (first, first)):
+        got = cmod._left_representable_sum(c, objs)
+        assert got == _left_representables_by_definition(c, objs)
+        assert validate_module(c, got).ok
+        assert got.total_dim() == sum(representable_left_module(c, a).total_dim() for a in objs)
