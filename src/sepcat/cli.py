@@ -83,7 +83,38 @@ def _parse_field(text: str) -> Field:
 
 
 def _load_certificate(c, path: str):
-    return io.certificate_from_json(c, _load_json(path))
+    """The family in the certificate file at path, and its verify_family check."""
+    fam = io.certificate_from_json(c, _load_json(path))
+    return fam, verify_family(c, fam)
+
+
+def _echo_verified(c, fam, failure: str, *lines: str):
+    """Print "separable: yes", lines and the certificate of fam, and return
+    the certificate document; InternalCheckError(failure) instead when fam
+    does not verify on c."""
+    if not verify_family(c, fam).ok:
+        raise InternalCheckError(failure)
+    click.echo("separable: yes")
+    for line in lines:
+        click.echo(line)
+    doc = io.certificate_to_json(c, fam)
+    click.echo(json.dumps(doc, indent=2))
+    return doc
+
+
+def _criterion(verdict, cats, disagree: str, kind: str, reason):
+    """Exit with a criterion's verdict once the solver agrees with it on
+    every category in cats (disagree, formatted with the field where it
+    does not, is the failure); a separable verdict's family is verified and
+    printed on cats[0], else reason is printed."""
+    for c in cats:
+        if verdict.separable != _is_separable(c):
+            raise InternalCheckError(disagree.format(c.field))
+    if verdict.separable:
+        _echo_verified(cats[0], verdict.family, f"{kind} certificate does not verify")
+        sys.exit(0)
+    click.echo(f"separable: no  ({reason})")
+    sys.exit(1)
 
 
 def _echo_residuals(check) -> None:
@@ -98,14 +129,15 @@ def _resolve_bimodule(c, spec: str):
         return canonical_bimodule(c)
     if spec == "kernel-comp":
         return _kernel_comp_ses(c).m
-    return _valid_bimodule(c, io.bimodule_from_json(c, _load_json(spec)), spec)
+    return _valid(c, io.bimodule_from_json(c, _load_json(spec)), f"{spec} is not a valid bimodule")
 
 
-def _valid_bimodule(c, m, what: str):
-    """m, or ValueError naming what when m is not a valid bimodule."""
+def _valid(c, m, failure: str):
+    """m, or ValueError(failure: its first violations) when m is not a
+    valid module."""
     report = validate_module(c, m)
     if not report.ok:
-        raise ValueError(f"{what} is not a valid bimodule: " + "; ".join(report.violations[:3]))
+        raise ValueError(f"{failure}: " + "; ".join(report.violations[:3]))
     return m
 
 
@@ -185,13 +217,7 @@ def separability_check(file, cert_out):
     if fam is None:
         click.echo("separable: no")
         sys.exit(1)
-    check = verify_family(c, fam)
-    if not check.ok:
-        raise InternalCheckError("solver output fails verification")
-    click.echo("separable: yes")
-    click.echo(f"solution space dimension {freedom}")
-    doc = io.certificate_to_json(c, fam)
-    click.echo(json.dumps(doc, indent=2))
+    doc = _echo_verified(c, fam, "solver output fails verification", f"solution space dimension {freedom}")
     if cert_out:
         _dump_json(cert_out, doc)
     sys.exit(0)
@@ -204,8 +230,7 @@ def separability_check(file, cert_out):
 def separability_verify(file, cert_path):
     """Verify a certificate; exit 0 valid / 1 residuals reported."""
     c = _load_category(file)
-    fam = _load_certificate(c, cert_path)
-    check = verify_family(c, fam)
+    _, check = _load_certificate(c, cert_path)
     if check.ok:
         click.echo("certificate: valid")
         sys.exit(0)
@@ -224,19 +249,8 @@ def maschke(pres_file, field_text):
     p = io.presentation_from_json(_load_json(pres_file))
     k = _parse_field(field_text)
     verdict = maschke_predict(p, k)
-    c = linearize(p, k)
-    if verdict.separable != _is_separable(c):
-        raise InternalCheckError("groupoid criterion disagrees with the solver")
-    if verdict.separable:
-        check = verify_family(c, verdict.family)
-        if not check.ok:
-            raise InternalCheckError("formula certificate does not verify")
-        click.echo("separable: yes")
-        click.echo(json.dumps(io.certificate_to_json(c, verdict.family), indent=2))
-        sys.exit(0)
-    x, y, n = verdict.witness
-    click.echo(f"separable: no  (|hom({x},{y})| = {n} is not invertible in {k})")
-    sys.exit(1)
+    reason = None if verdict.separable else "|hom({},{})| = {} is not invertible in {}".format(*verdict.witness, k)
+    _criterion(verdict, [linearize(p, k)], "groupoid criterion disagrees with the solver", "formula", reason)
 
 
 @main.command()
@@ -248,20 +262,9 @@ def delta(pres_file):
     where neither settles it."""
     p = io.presentation_from_json(_load_json(pres_file))
     verdict = delta_predict(p)
-    cats = {k: linearize(p, k) for k in (Field(), Field(2), Field(3))}
-    for k, c in cats.items():
-        if verdict.separable != _is_separable(c):
-            raise InternalCheckError(f"delta criterion disagrees with the solver over {k}")
-    if verdict.separable:
-        c = cats[Field()]
-        check = verify_family(c, verdict.family)
-        if not check.ok:
-            raise InternalCheckError("discrete certificate does not verify")
-        click.echo("separable: yes")
-        click.echo(json.dumps(io.certificate_to_json(c, verdict.family), indent=2))
-        sys.exit(0)
-    click.echo("separable: no  (delta category with a non-identity morphism)")
-    sys.exit(1)
+    cats = [linearize(p, k) for k in (Field(), Field(2), Field(3))]
+    _criterion(verdict, cats, "delta criterion disagrees with the solver over {}", "discrete",
+               "delta category with a non-identity morphism")
 
 
 @main.command()
@@ -312,7 +315,7 @@ def les(file, ses_spec, max_degree, json_out):
     else:
         ses = io.ses_from_json(c, _load_json(ses_spec))
         for member, mod in (("M", ses.m), ("N", ses.n), ("P", ses.p)):
-            _valid_bimodule(c, mod, f"member {member} of {ses_spec}")
+            _valid(c, mod, f"member {member} of {ses_spec} is not a valid bimodule")
     report = les_analysis(c, ses, max_degree)
     click.echo("position  incoming_rank  kernel_dim  exact")
     for rec in report.positions:
@@ -338,12 +341,8 @@ def module():
 def module_split(file, module_path, cert_path):
     """Build the splitting section of a left module from a certificate."""
     c = _load_category(file)
-    m = io.left_module_from_json(c, _load_json(module_path))
-    mod_report = validate_module(c, m)
-    if not mod_report.ok:
-        raise ValueError("module file is invalid: " + "; ".join(mod_report.violations[:3]))
-    fam = _load_certificate(c, cert_path)
-    check = verify_family(c, fam)
+    m = _valid(c, io.left_module_from_json(c, _load_json(module_path)), "module file is invalid")
+    fam, check = _load_certificate(c, cert_path)
     if not check.ok:
         click.echo("certificate: invalid")
         _echo_residuals(check)
@@ -363,8 +362,7 @@ def module_split(file, module_path, cert_path):
 def zelinsky(file, cert_path):
     """Locally-finite embedding report from a certificate."""
     c = _load_category(file)
-    fam = _load_certificate(c, cert_path)
-    check = verify_family(c, fam)
+    fam, check = _load_certificate(c, cert_path)
     if not check.ok:
         click.echo("certificate: invalid")
         sys.exit(1)

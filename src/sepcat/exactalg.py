@@ -234,6 +234,11 @@ def _pack(acc: dict, p: Optional[int]) -> tuple:
     return tuple(items)
 
 
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError(f"negative matrix shape {rows}x{cols}")
+
+
 class Matrix:
     """Exact matrix, stored as its nonzero entries row by row.
 
@@ -249,8 +254,7 @@ class Matrix:
     def __init__(self, field: Field, rows: int, cols: int, entries: Sequence):
         """From the dense row-major entries, each canonicalized as Field.of
         does it, so a float raises TypeError."""
-        if rows < 0 or cols < 0:
-            raise ValueError(f"negative matrix shape {rows}x{cols}")
+        _check_shape(rows, cols)
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         of = field.of
@@ -279,6 +283,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
+        _check_shape(rows, cols)
         return cls._of_rows(field, cols, ((),) * rows)
 
     @classmethod
@@ -286,6 +291,7 @@ class Matrix:
         """A rows x cols matrix from (i, j, value) triplets of field scalars,
         already in canonical form; absent entries are zero and each (i, j)
         is given at most once."""
+        _check_shape(rows, cols)
         acc: list[dict] = [{} for _ in range(rows)]
         for i, j, v in triplets:
             if not (0 <= i < rows and 0 <= j < cols):
@@ -301,6 +307,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
+        _check_shape(n, n)
         one = field.one
         return cls._of_rows(field, n, tuple(((i, one),) for i in range(n)))
 
@@ -324,6 +331,8 @@ class Matrix:
         return tuple(e for i in range(self.rows) for e in self.row(i))
 
     def row(self, i: int) -> list:
+        if not 0 <= i < self.rows:
+            raise IndexError(i)
         out = [self.field.zero] * self.cols
         for j, v in self.row_terms[i]:
             out[j] = v
@@ -572,8 +581,7 @@ class Matrix:
             if text.__class__ is not str or text not in parsed:
                 parsed[text] = field.of_text(text)
             values.append(parsed[text])
-        if rows < 0 or cols < 0:
-            raise ValueError(f"negative matrix shape {rows}x{cols}")
+        _check_shape(rows, cols)
         terms = tuple(tuple((j, v) for j, v in enumerate(values[i * cols : (i + 1) * cols]) if v) for i in range(rows))
         return cls._of_rows(field, cols, terms)
 

@@ -38,7 +38,7 @@ from typing import Optional
 
 from .exactalg import Field, Matrix, _pack
 from .lincat import FinLinCat, FiniteCatPresentation, classify_presentation, generating_labels
-from .cmod import LeftModule, _post_rows, _pre_rows, comp_matrix, post_mul_matrix, pre_mul_matrix
+from .cmod import LeftModule, _blocks_from_vector, _post_rows, _pre_rows, comp_matrix, post_mul_matrix, pre_mul_matrix
 
 __all__ = [
     "SeparabilityFamily",
@@ -149,13 +149,13 @@ def separability_system(c: FinLinCat) -> tuple[Matrix, Matrix, dict[tuple[str, s
 
 
 def family_from_vector(c: FinLinCat, vec: list, offsets: dict[tuple[str, str], int]) -> SeparabilityFamily:
-    blocks = {}
-    for (x, y), base in offsets.items():
-        m, n = c.dim_hom(y, x), c.dim_hom(x, y)
-        blk = Matrix(c.field, m, n, vec[base : base + m * n])
-        if not blk.is_zero():
-            blocks[(x, y)] = blk
-    return SeparabilityFamily(blocks)
+    """The family whose block (x, y), dim hom(y, x) x dim hom(x, y), is read
+    row-major from vec at offsets[(x, y)]; vec holds field scalars in
+    canonical form, and zero blocks are left out."""
+    rows = {(x, y): c.dim_hom(y, x) for x, y in offsets}
+    cols = {(x, y): c.dim_hom(x, y) for x, y in offsets}
+    blocks = _blocks_from_vector(c.field, cols, rows, vec, offsets)
+    return SeparabilityFamily({xy: blk for xy, blk in blocks.items() if not blk.is_zero()})
 
 
 def _commutative_disjoint(c: FinLinCat) -> bool:

@@ -22,6 +22,7 @@ from sepcat.cmod import (
 )
 from sepcat.separability import FamilyCheck, SeparabilityFamily, module_section, zelinsky_report
 from test_interchange import NON_ASSOCIATIVE, unknown_morphism
+from test_cohomology import symmetric_group_3
 from test_lincat import interleaved_groupoid
 
 
@@ -171,6 +172,31 @@ class TestPredicateCommands:
     def test_delta_chain(self, runner, files):
         result = runner.invoke(main, ["delta", files["a2_pres.json"]])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "verb, build, spec",
+        [
+            pytest.param("maschke", lambda: presets.cyclic_group(n), spec, id=f"maschke-Z{n}-{spec}")
+            for n in (3, 5)
+            for spec in ("Q", "Fp:7")
+        ]
+        + [pytest.param("maschke", presets.klein_four, spec, id=f"maschke-K4-{spec}") for spec in ("Q", "Fp:7")]
+        + [pytest.param("maschke", symmetric_group_3, "Q", id="maschke-D3-Q")]
+        + [pytest.param("delta", lambda: presets.discrete_category(n), "Q", id=f"delta-D{n}") for n in (1, 2, 3)],
+    )
+    def test_criterion_prints_the_certificate_check_prints(self, runner, tmp_path, verb, build, spec):
+        # on one-object groups the averaged family is the Casimir element and
+        # on discrete categories both are 1_x (x) 1_x, so the verbs agree
+        p = build()
+        pres, cat = tmp_path / "pres.json", tmp_path / "cat.json"
+        pres.write_text(json.dumps(io.presentation_to_json(p)))
+        cat.write_text(json.dumps(io.category_to_json(linearize(p, QQ if spec == "Q" else Field(7)))))
+        criterion = runner.invoke(main, [verb, str(pres)] + (["--field", spec] if verb == "maschke" else []))
+        check = runner.invoke(main, ["separability", "check", str(cat)])
+        assert (criterion.exit_code, check.exit_code) == (0, 0)
+        head, _, cert = criterion.stdout.partition("\n")
+        assert head == "separable: yes"
+        assert check.stdout.split("\n", 2)[::2] == [head, cert]
 
     def test_delta_rejects_non_delta(self, runner, files):
         # g1 is an endomorphism other than the identity

@@ -77,3 +77,72 @@ def test_cli_verbs_match_golden(tmp_path, name, field_name):
     assert all(code in (0, 1) for _, code, _, _ in doc), doc
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
     assert digest == CLI_DIGESTS[(name, field_name)]
+
+
+CRITERION_GROUPOIDS = {
+    "Z3": lambda: presets.cyclic_group(3),
+    "Z7": lambda: presets.cyclic_group(7),
+    "K4": presets.klein_four,
+    "G2(Z2)": lambda: presets.connected_groupoid(presets.cyclic_group(2), 2),
+    "G2(Z3)": lambda: presets.connected_groupoid(presets.cyclic_group(3), 2),
+}
+CRITERION_FIELDS = ("Q", "Fp:2", "Fp:3", "Fp:7")
+DELTA_PRESETS = {
+    "A3": lambda: presets.chain_poset(3),
+    "crown": crown_poset,
+    "D2": lambda: presets.discrete_category(2),
+    "vee": presets.vee_poset,
+}
+
+
+def criterion_runs():
+    """(verb, presentation, field spec or None): maschke on every groupoid
+    over every field, delta on every delta category, and each verb once on
+    a presentation it must refuse."""
+    runs = [("maschke", name, spec) for name in sorted(CRITERION_GROUPOIDS) for spec in CRITERION_FIELDS]
+    runs += [("delta", name, None) for name in sorted(DELTA_PRESETS)]
+    return runs + [("maschke", "A3", "Q"), ("delta", "Z3", None)]
+
+
+# sha256 prefixes of each run's exit code, stdout and stderr, recorded
+# before the criterion verbs shared one print path
+CRITERION_DIGESTS = {
+    ("maschke", "G2(Z2)", "Fp:2"): "df915d8a3f8ea628",
+    ("maschke", "G2(Z2)", "Fp:3"): "adcaab9ec2d41854",
+    ("maschke", "G2(Z2)", "Fp:7"): "35b34ef907be8613",
+    ("maschke", "G2(Z2)", "Q"): "6f720863733857cc",
+    ("maschke", "G2(Z3)", "Fp:2"): "c0cc4000d6ac13d5",
+    ("maschke", "G2(Z3)", "Fp:3"): "224e53f04f4a85a4",
+    ("maschke", "G2(Z3)", "Fp:7"): "2a35c4e293edfaa8",
+    ("maschke", "G2(Z3)", "Q"): "d5e4ad855c128b24",
+    ("maschke", "K4", "Fp:2"): "45a70c9860585d2f",
+    ("maschke", "K4", "Fp:3"): "b743c3c258438fb6",
+    ("maschke", "K4", "Fp:7"): "f19daff8ddb55d11",
+    ("maschke", "K4", "Q"): "10d3588b8d46a42a",
+    ("maschke", "Z3", "Fp:2"): "0047b7392736a3e1",
+    ("maschke", "Z3", "Fp:3"): "2a8e154ce0402102",
+    ("maschke", "Z3", "Fp:7"): "6270d1f5345cba61",
+    ("maschke", "Z3", "Q"): "6abbcf041c4db7b0",
+    ("maschke", "Z7", "Fp:2"): "c51844d6f689d58c",
+    ("maschke", "Z7", "Fp:3"): "c51844d6f689d58c",
+    ("maschke", "Z7", "Fp:7"): "c50fbbcb48c81440",
+    ("maschke", "Z7", "Q"): "46da8e43e3ba2205",
+    ("delta", "A3", None): "842232990a18411f",
+    ("delta", "D2", None): "691983c90fe2720f",
+    ("delta", "crown", None): "842232990a18411f",
+    ("delta", "vee", None): "842232990a18411f",
+    ("maschke", "A3", "Q"): "e6c313648e2185aa",
+    ("delta", "Z3", None): "c3cea8bbec7bf0eb",
+}
+
+
+@pytest.mark.parametrize("verb, name, spec", criterion_runs())
+def test_criterion_verbs_match_golden(tmp_path, verb, name, spec):
+    p = {**CRITERION_GROUPOIDS, **DELTA_PRESETS}[name]()
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps(io.presentation_to_json(p)))
+    args = [verb, str(pres)] + (["--field", spec] if spec else [])
+    result = CliRunner().invoke(main, args)
+    doc = [result.exit_code, result.stdout, result.stderr]
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
+    assert digest == CRITERION_DIGESTS[(verb, name, spec)], doc

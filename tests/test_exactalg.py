@@ -225,6 +225,32 @@ class TestImmutable:
         with pytest.raises(ValueError):
             Matrix(QQ, -1, -1, [QQ.one])
 
+    @pytest.mark.parametrize(
+        "build, shape",
+        [
+            (lambda: Matrix(QQ, 2, -1, []), "2x-1"),
+            (lambda: Matrix.from_json(QQ, -1, 0, []), "-1x0"),
+            (lambda: Matrix.zeros(QQ, -1, 2), "-1x2"),
+            (lambda: Matrix.zeros(QQ, 2, -3), "2x-3"),
+            (lambda: Matrix.identity(QQ, -2), "-2x-2"),
+            (lambda: Matrix.from_entries(QQ, -1, 3, []), "-1x3"),
+            (lambda: Matrix.from_entries(F5, 3, -1, []), "3x-1"),
+        ],
+        ids=["init", "from_json", "zeros-rows", "zeros-cols", "identity", "from_entries-rows", "from_entries-cols"],
+    )
+    def test_every_constructor_rejects_a_negative_shape(self, build, shape):
+        with pytest.raises(ValueError, match=f"^negative matrix shape {shape}$"):
+            build()
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_row_and_col_reject_an_index_out_of_range(self, index):
+        m = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
+        with pytest.raises(IndexError):
+            m.row(index)
+        with pytest.raises(IndexError):
+            m.col(index)
+        assert (m.row(1), m.col(1)) == ([3, 4], [2, 4])
+
     def test_dense_constructor_canonicalizes_like_field_of(self):
         # from_entries trusts its scalars; the dense constructor does not
         with pytest.raises(TypeError, match="cannot coerce"):

@@ -87,6 +87,23 @@ class TestSolver:
                 break
         assert found == (solve_separability(c) is not None)
 
+    def test_family_blocks_are_read_row_major_at_their_offsets(self):
+        # only hom dimensions are read, so the composition is left out;
+        # block (x, y) is dim hom(y, x) x dim hom(x, y), here 1 x 2 and 2 x 1
+        c = FinLinCat(
+            QQ,
+            ["x", "y"],
+            {("x", "x"): ["a"], ("y", "y"): ["b"], ("x", "y"): ["f", "g"], ("y", "x"): ["h"]},
+            {},
+            {"x": [("a", 1)], "y": [("b", 1)]},
+        )
+        vec = [QQ.of(v) for v in (1, 2, 0, 3, 4, 0)]
+        fam = family_from_vector(c, vec, {("x", "y"): 0, ("x", "x"): 2, ("y", "x"): 3, ("y", "y"): 5})
+        assert fam.blocks == {
+            ("x", "y"): Matrix.from_rows(QQ, [[1, 2]]),
+            ("y", "x"): Matrix.from_rows(QQ, [[3], [4]]),
+        }
+
     def test_split_algebra_in_idempotent_basis(self):
         # K x K presented with identity p + q, not a basis unit vector
         from sepcat.lincat import FinLinCat
