@@ -29,13 +29,11 @@ from .cmod import (
     zero_bimodule,
 )
 from .separability import (
-    DeltaVerdict,
-    MaschkeVerdict,
+    EIVerdict,
     SectionResult,
     SeparabilityFamily,
     ZelinskyReport,
-    delta_predict,
-    maschke_predict,
+    ei_predict,
     module_section,
     reduce_family,
     separability_system,

@@ -16,14 +16,13 @@ import click
 
 from .exactalg import Field
 from .errors import BudgetExceededError, InternalCheckError
-from .lincat import linearize, validate_category
+from .lincat import classify_presentation, linearize, validate_category
 from .cmod import _kernel_comp_ses, canonical_bimodule, validate_module
 from .cohomology import build_hm_complex, cohomology_dims, les_analysis, obstruction_cocycle
 from .separability import (
     _is_separable,
     _solve_with_freedom,
-    delta_predict,
-    maschke_predict,
+    ei_predict,
     module_section,
     verify_family,
     zelinsky_report,
@@ -243,12 +242,15 @@ def separability_verify(file, cert_path):
 @click.option("--field", "field_text", required=True, help="Q or Fp:P")
 @_guarded
 def maschke(pres_file, field_text):
-    """Groupoid criterion, cross-checked against the trace form's Casimir
-    element or Dickson's criterion, and the solver where neither settles
-    it."""
+    """EI criterion on a groupoid: separable iff every |Aut(x)| is
+    invertible in the field. Cross-checked against the trace form's
+    Casimir element or Dickson's criterion, and the solver where neither
+    settles it."""
     p = io.presentation_from_json(_load_json(pres_file))
     k = _parse_field(field_text)
-    verdict = maschke_predict(p, k)
+    if not classify_presentation(p).is_groupoid:
+        raise ValueError("presentation is not a groupoid")
+    verdict = ei_predict(p, k)
     reason = None if verdict.separable else "|hom({},{})| = {} is not invertible in {}".format(*verdict.witness, k)
     _criterion(verdict, [linearize(p, k)], "groupoid criterion disagrees with the solver", "formula", reason)
 
@@ -257,11 +259,13 @@ def maschke(pres_file, field_text):
 @click.argument("pres_file", type=click.Path(exists=True, dir_okay=False))
 @_guarded
 def delta(pres_file):
-    """Delta-category criterion over Q, F2 and F3, cross-checked against
-    the trace form's Casimir element or Dickson's criterion, and the solver
-    where neither settles it."""
+    """EI criterion on a delta category: separable iff discrete. Cross-checked
+    over Q, F2 and F3 against the trace form's Casimir element or Dickson's
+    criterion, and the solver where neither settles it."""
     p = io.presentation_from_json(_load_json(pres_file))
-    verdict = delta_predict(p)
+    if not classify_presentation(p).is_delta:
+        raise ValueError("presentation is not a delta category")
+    verdict = ei_predict(p, Field())
     cats = [linearize(p, k) for k in (Field(), Field(2), Field(3))]
     _criterion(verdict, cats, "delta criterion disagrees with the solver over {}", "discrete",
                "delta category with a non-identity morphism")

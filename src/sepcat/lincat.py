@@ -262,7 +262,6 @@ def validate_category(c: FinLinCat) -> ValidationReport:
 class PresentationFlags:
     is_groupoid: bool
     is_delta: bool
-    is_discrete: bool
 
 
 class FiniteCatPresentation:
@@ -277,8 +276,8 @@ class FiniteCatPresentation:
     presentation is a category, and what reads one does not check it again.
     Like FinLinCat it is immutable. The constructor also indexes the
     morphisms by hom pair once, each hom set in the order of morphisms:
-    hom_set reads that index, linearize takes it as the hom bases, and the
-    groupoid and delta criteria read it, so all of them share one order.
+    hom_set reads that index, linearize takes it as the hom bases, and
+    ei_predict reads it, so all of them share one order.
     Inverses are not stored: find_inverse searches for a two-sided inverse.
     """
 
@@ -401,20 +400,18 @@ class FiniteCatPresentation:
 
 
 def classify_presentation(p: FiniteCatPresentation) -> PresentationFlags:
-    """Groupoid / delta / discrete flags of a presentation, whose laws its
-    constructor has checked.
+    """Groupoid / delta flags of a presentation, whose laws its constructor
+    has checked.
 
     Delta means: every endomorphism set is exactly the identity, and no two
     distinct objects have morphisms both ways (such a pair would compose to
     identities and yield a cross-object isomorphism).
     """
-    ids = set(p.identity.values())
-    is_discrete = set(p.morphisms) == ids
     is_groupoid = all(p.find_inverse(f) is not None for f in p.morphisms)
     is_delta = all(p.hom_set(x, x) == [p.identity[x]] for x in p.objects) and not any(
         x != y and (y, x) in p._homs for x, y in p._homs
     )
-    return PresentationFlags(is_groupoid=is_groupoid, is_delta=is_delta, is_discrete=is_discrete)
+    return PresentationFlags(is_groupoid=is_groupoid, is_delta=is_delta)
 
 
 def linearize(p: FiniteCatPresentation, k: Field) -> FinLinCat:

@@ -37,14 +37,13 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .exactalg import Field, Matrix, _pack
-from .lincat import FinLinCat, FiniteCatPresentation, classify_presentation, generating_labels
+from .lincat import FinLinCat, FiniteCatPresentation, generating_labels
 from .cmod import LeftModule, _blocks_from_vector, _post_rows, _pre_rows, comp_matrix, post_mul_matrix, pre_mul_matrix
 
 __all__ = [
     "SeparabilityFamily",
     "FamilyCheck",
-    "MaschkeVerdict",
-    "DeltaVerdict",
+    "EIVerdict",
     "SectionResult",
     "ZelinskyReport",
     "separability_system",
@@ -52,8 +51,7 @@ __all__ = [
     "verify_family",
     "rank_factor",
     "reduce_family",
-    "maschke_predict",
-    "delta_predict",
+    "ei_predict",
     "module_section",
     "zelinsky_report",
 ]
@@ -319,29 +317,41 @@ def reduce_family(c: FinLinCat, fam: SeparabilityFamily) -> SeparabilityFamily:
 
 
 @dataclass
-class MaschkeVerdict:
+class EIVerdict:
     separable: bool
     witness: Optional[tuple[str, str, int]] = None
     family: Optional[SeparabilityFamily] = None
 
 
-def maschke_predict(p: FiniteCatPresentation, k: Field) -> MaschkeVerdict:
-    """Groupoid criterion: separable iff every nonempty hom-set has
-    cardinality invertible in k.
+def ei_predict(p: FiniteCatPresentation, k: Field) -> EIVerdict:
+    """EI criterion. In an EI category, one whose endomorphisms are all
+    invertible, k.C is separable exactly when C is a groupoid and every
+    |Aut(x)| is invertible in k. Otherwise the non-isomorphisms span a
+    nonzero nilpotent ideal: a composite with a non-isomorphism is one, and
+    chains of non-isomorphisms are shorter than the number of objects (Lück,
+    Transformation Groups and Algebraic K-Theory, LNM 1408, 1989; Webb,
+    Standard stratifications of EI categories and Alperin's weight
+    conjecture, J. Algebra 320, 2008). Groupoids and delta categories are
+    EI; a presentation that is not raises ValueError.
 
-    The emitted certificate averages g (x) g^{-1} over hom(y0, x) for one
-    reference object y0 per connected component, its first object;
-    restricting the support this way is what makes the unit condition sum
-    to exactly 1_x. In a groupoid the component of x is the set of objects
-    with a morphism into x.
+    A groupoid's witness is (x, x, |Aut(x)|) for the first object x whose
+    order is not invertible; a nonempty hom(x, y) has |Aut(x)| elements.
+    The certificate averages g (x) g^{-1} over hom(y0, x) for one reference
+    object y0 per connected component, its first object; restricting the
+    support this way is what makes the unit condition sum to exactly 1_x.
+    In a groupoid the component of x is the set of objects with a morphism
+    into x. On a discrete category the certificate is a[x][x] = 1_x (x) 1_x.
     """
-    if not classify_presentation(p).is_groupoid:
-        raise ValueError("presentation is not a groupoid")
+    inverse = {f: p.find_inverse(f) for f in p.morphisms}
+    singular = [f for f, g in inverse.items() if g is None]
+    if any(p.morphisms[f][0] == p.morphisms[f][1] for f in singular):
+        raise ValueError("presentation is not an EI category")
+    if singular:
+        return EIVerdict(separable=False)
     for x in p.objects:
-        for y in p.objects:
-            n = len(p.hom_set(x, y))
-            if n and not k.of(n):
-                return MaschkeVerdict(separable=False, witness=(x, y, n))
+        n = len(p.hom_set(x, x))
+        if not k.of(n):
+            return EIVerdict(separable=False, witness=(x, x, n))
     blocks = {}
     for x in p.objects:
         y0 = next(y for y in p.objects if p.hom_set(y, x))
@@ -349,29 +359,9 @@ def maschke_predict(p: FiniteCatPresentation, k: Field) -> MaschkeVerdict:
         hs = p.hom_set(x, y0)
         inv_weight = k.inv(k.of(len(hs)))
         blocks[(x, y0)] = Matrix.from_entries(
-            k, len(gs), len(hs), ((i, hs.index(p.find_inverse(g)), inv_weight) for i, g in enumerate(gs))
+            k, len(gs), len(hs), ((i, hs.index(inverse[g]), inv_weight) for i, g in enumerate(gs))
         )
-    return MaschkeVerdict(separable=True, family=SeparabilityFamily(blocks))
-
-
-@dataclass
-class DeltaVerdict:
-    separable: bool
-    family: Optional[SeparabilityFamily] = None
-
-
-def delta_predict(p: FiniteCatPresentation, k: Field = Field()) -> DeltaVerdict:
-    """Delta-category criterion: separable iff the category is discrete;
-    the discrete certificate is a[x][x] = 1_x (x) 1_x."""
-    flags = classify_presentation(p)
-    if not flags.is_delta:
-        raise ValueError("presentation is not a delta category")
-    if not flags.is_discrete:
-        return DeltaVerdict(separable=False)
-    blocks = {}
-    for x in p.objects:
-        blocks[(x, x)] = Matrix.from_rows(k, [[1]])
-    return DeltaVerdict(separable=True, family=SeparabilityFamily(blocks))
+    return EIVerdict(separable=True, family=SeparabilityFamily(blocks))
 
 
 @dataclass

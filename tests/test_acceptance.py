@@ -26,8 +26,7 @@ from sepcat.cmod import (
 from sepcat.cohomology import build_hm_complex, cohomology_dims, les_analysis, obstruction_cocycle
 from test_exactalg import gauss_jordan
 from sepcat.separability import (
-    delta_predict,
-    maschke_predict,
+    ei_predict,
     module_section,
     reduce_family,
     solve_separability,
@@ -72,7 +71,7 @@ def separable_corpus():
     """Every separable instance from criteria 1 and 2, as (name, pres, field)."""
     out = []
     for name, pres, k in groupoid_cases():
-        if maschke_predict(pres, k).separable:
+        if ei_predict(pres, k).separable:
             out.append((name, pres, k))
     for name, pres in DISCRETE.items():
         for k in (QQ, F2, F3):
@@ -93,7 +92,7 @@ def test_criterion_1_maschke_groupoids():
     for name, pres, k in groupoid_cases():
         started = time.monotonic()
         c = linearize(pres, k)
-        verdict = maschke_predict(pres, k)
+        verdict = ei_predict(pres, k)
         hom_sizes = {
             len(pres.hom_set(x, y))
             for x in pres.objects
@@ -115,14 +114,14 @@ def test_criterion_1_maschke_groupoids():
 
 def test_criterion_2_delta_categories():
     for name, pres in DELTA_NONDISCRETE.items():
-        assert not delta_predict(pres).separable
+        assert not ei_predict(pres, QQ).separable
         for k in (QQ, F2, F3):
             assert solve_separability(linearize(pres, k)) is None, f"{name} over {k}"
     for name, pres in DISCRETE.items():
         for k in (QQ, F2, F3):
             c = linearize(pres, k)
             assert solve_separability(c) is not None, f"{name} over {k}"
-            verdict = delta_predict(pres, k)
+            verdict = ei_predict(pres, k)
             assert verdict.separable
             assert verify_family(c, verdict.family).ok
     print("PASS criterion 2: delta criterion on 9 + 9 cases")

@@ -136,15 +136,15 @@ class TestLinearize:
 class TestClassify:
     def test_group(self):
         flags = classify_presentation(presets.cyclic_group(2))
-        assert flags.is_groupoid and not flags.is_delta and not flags.is_discrete
+        assert flags.is_groupoid and not flags.is_delta
 
     def test_chain_poset(self):
         flags = classify_presentation(presets.chain_poset(2))
-        assert not flags.is_groupoid and flags.is_delta and not flags.is_discrete
+        assert not flags.is_groupoid and flags.is_delta
 
     def test_isolated_objects(self):
         flags = classify_presentation(presets.discrete_category(2))
-        assert flags.is_groupoid and flags.is_delta and flags.is_discrete
+        assert flags.is_groupoid and flags.is_delta
 
     def test_discrete_implies_groupoid_and_delta(self):
         for n in (1, 2, 3):
@@ -391,7 +391,7 @@ HOM_ORDER_PRESETS = {
 
 @pytest.mark.parametrize("name", sorted(HOM_ORDER_PRESETS))
 def test_hom_sets_are_the_linearized_hom_bases(name):
-    # maschke_predict reads hom sets off the presentation and indexes the
+    # ei_predict reads hom sets off the presentation and indexes the
     # linearization's hom bases with them: the two orders must agree
     p = HOM_ORDER_PRESETS[name]()
     c = linearize(p, QQ)

@@ -12,7 +12,7 @@ from sepcat import interchange as io
 from sepcat import presets
 from sepcat.cli import main
 from sepcat.exactalg import Field, Matrix, QQ, _rank_mod
-from sepcat.lincat import FinLinCat, FiniteCatPresentation, generating_labels, linearize
+from sepcat.lincat import FinLinCat, FiniteCatPresentation, classify_presentation, generating_labels, linearize
 from sepcat.cmod import (
     LeftModule,
     character_left_module,
@@ -28,11 +28,11 @@ from sepcat.cmod import (
 from sepcat.cohomology import build_hm_complex, cohomology_dims
 from sepcat.separability import (
     SeparabilityFamily,
+    _is_separable,
     _solve_with_freedom,
     _trace_casimir,
-    delta_predict,
+    ei_predict,
     family_from_vector,
-    maschke_predict,
     module_section,
     rank_factor,
     reduce_family,
@@ -201,19 +201,19 @@ class TestReduce:
 
 class TestMaschke:
     def test_z3_in_characteristic_three(self):
-        verdict = maschke_predict(presets.cyclic_group(3), F3)
+        verdict = ei_predict(presets.cyclic_group(3), F3)
         assert not verdict.separable
         assert verdict.witness == ("x", "x", 3)
 
     def test_z2_over_q_formula(self, z2_over_q):
-        verdict = maschke_predict(presets.cyclic_group(2), QQ)
+        verdict = ei_predict(presets.cyclic_group(2), QQ)
         assert verdict.separable
         blk = verdict.family.blocks[("x", "x")]
         assert blk == Matrix.from_rows(QQ, [["1/2", 0], [0, "1/2"]])
         assert verify_family(z2_over_q, verdict.family).ok
 
     def test_trivial_group(self):
-        verdict = maschke_predict(presets.cyclic_group(1), QQ)
+        verdict = ei_predict(presets.cyclic_group(1), QQ)
         assert verdict.separable
         assert verdict.family.blocks[("x", "x")] == Matrix.from_rows(QQ, [[1]])
 
@@ -221,13 +221,9 @@ class TestMaschke:
         p = presets.connected_groupoid(presets.cyclic_group(2), 2)
         for k in (QQ, F3, F5):
             c = linearize(p, k)
-            verdict = maschke_predict(p, k)
+            verdict = ei_predict(p, k)
             assert verdict.separable
             assert verify_family(c, verdict.family).ok
-
-    def test_non_groupoid_rejected(self):
-        with pytest.raises(ValueError):
-            maschke_predict(presets.chain_poset(2), QQ)
 
     def test_disconnected_groupoid(self):
         # two isolated copies of Z/2; empty cross hom-sets must not count
@@ -239,17 +235,17 @@ class TestMaschke:
         comp = dict(g.composition)
         comp.update({("h0", "h0"): "h0", ("h0", "h1"): "h1", ("h1", "h0"): "h1", ("h1", "h1"): "h0"})
         p = FiniteCatPresentation(["x", "y"], morphs, {"x": "g0", "y": "h0"}, comp)
-        verdict = maschke_predict(p, QQ)
+        verdict = ei_predict(p, QQ)
         assert verdict.separable
         c = linearize(p, QQ)
         assert verify_family(c, verdict.family).ok
-        assert not maschke_predict(p, F2).separable
+        assert not ei_predict(p, F2).separable
 
     def test_components_interleaved_in_object_order(self):
         # a and c form one component and b another: each object's reference
         # object is the first of its component, so c's is a, not b
         p = interleaved_groupoid()
-        verdict = maschke_predict(p, QQ)
+        verdict = ei_predict(p, QQ)
         assert verdict.separable
         assert set(verdict.family.blocks) == {("a", "a"), ("c", "a"), ("b", "b")}
         assert verify_family(linearize(p, QQ), verdict.family).ok
@@ -257,18 +253,109 @@ class TestMaschke:
 
 class TestDelta:
     def test_discrete_two_objects(self, discrete2_over_q):
-        verdict = delta_predict(presets.discrete_category(2))
+        verdict = ei_predict(presets.discrete_category(2), QQ)
         assert verdict.separable
         assert verify_family(discrete2_over_q, verdict.family).ok
 
     @pytest.mark.parametrize("pres", [presets.chain_poset(2), presets.chain_poset(3), presets.vee_poset()],
                              ids=["a2", "a3", "vee"])
     def test_nondiscrete_posets(self, pres):
-        assert not delta_predict(pres).separable
+        assert not ei_predict(pres, QQ).separable
 
-    def test_non_delta_rejected(self):
-        with pytest.raises(ValueError):
-            delta_predict(presets.cyclic_group(2))
+
+def orbit_category(n: int) -> FiniteCatPresentation:
+    """Orb(Z_n): one object q{d} = Z_n / dZ_n = Z_d per divisor d of n, and
+    the Z_n-maps Z_d -> Z_e, which exist when e | d and are the reductions
+    mod e followed by a translation by a in Z_e; composites add translations."""
+    objects = [f"q{d}" for d in range(1, n + 1) if n % d == 0]
+    maps = [(d, e, a) for d in range(1, n + 1) for e in range(1, d + 1) if n % d == 0 and d % e == 0 for a in range(e)]
+    morphisms = {f"q{d}>q{e}+{a}": (f"q{d}", f"q{e}") for d, e, a in maps}
+    composition = {
+        (f"q{e}>q{f}+{b}", f"q{d}>q{e}+{a}"): f"q{d}>q{f}+{(a + b) % f}"
+        for d, e, a in maps for e2, f, b in maps if e2 == e
+    }
+    return FiniteCatPresentation(objects, morphisms, {o: f"{o}>{o}+0" for o in objects}, composition)
+
+
+def vee_transporter() -> FiniteCatPresentation:
+    """The transporter category of Z2 = {e, s} acting on the vee x < z > y,
+    s swapping x and y: a morphism a -> b is a g with g.a <= b, and
+    composites multiply group elements."""
+    below = {("x", "x"), ("y", "y"), ("z", "z"), ("x", "z"), ("y", "z")}
+    act = {("e", o): o for o in "xyz"} | {("s", "x"): "y", ("s", "y"): "x", ("s", "z"): "z"}
+    mul = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
+    morphisms = {f"{g}:{a}>{b}": (a, b) for g in "es" for a in "xyz" for b in "xyz" if (act[(g, a)], b) in below}
+    composition = {
+        (h, g): f"{mul[(h[0], g[0])]}:{morphisms[g][0]}>{morphisms[h][1]}"
+        for g in morphisms for h in morphisms if morphisms[g][1] == morphisms[h][0]
+    }
+    return FiniteCatPresentation(["x", "y", "z"], morphisms, {o: f"e:{o}>{o}" for o in "xyz"}, composition)
+
+
+def disjoint_union(*parts: FiniteCatPresentation) -> FiniteCatPresentation:
+    """The disjoint union, part i's names prefixed with c{i}."""
+    objects, morphisms, identity, composition = [], {}, {}, {}
+    for i, p in enumerate(parts):
+        objects.extend(f"c{i}.{x}" for x in p.objects)
+        morphisms.update({f"c{i}.{f}": (f"c{i}.{x}", f"c{i}.{y}") for f, (x, y) in p.morphisms.items()})
+        identity.update({f"c{i}.{x}": f"c{i}.{f}" for x, f in p.identity.items()})
+        composition.update({(f"c{i}.{g}", f"c{i}.{f}"): f"c{i}.{h}" for (g, f), h in p.composition.items()})
+    return FiniteCatPresentation(objects, morphisms, identity, composition)
+
+
+EI_PRESETS = {**{f"Orb(Z{n})": (lambda n=n: orbit_category(n)) for n in (1, 2, 3, 4, 6)}, "Z2-vee": vee_transporter}
+
+
+def non_isomorphisms(p: FiniteCatPresentation) -> set[str]:
+    return {
+        f for f, (x, y) in p.morphisms.items()
+        if not any(p.comp(g, f) == p.identity[x] and p.comp(f, g) == p.identity[y] for g in p.hom_set(y, x))
+    }
+
+
+class TestEI:
+    @pytest.mark.parametrize("name", sorted(EI_PRESETS))
+    def test_non_isomorphisms_form_a_nilpotent_ideal(self, name):
+        p = EI_PRESETS[name]()
+        non_iso = non_isomorphisms(p)
+        assert all(x != y for x, y in map(p.morphisms.get, non_iso))  # EI
+        if name != "Orb(Z1)":
+            flags = classify_presentation(p)
+            assert non_iso and not flags.is_groupoid and not flags.is_delta
+        for f in non_iso:
+            x, y = p.morphisms[f]
+            assert all(p.comp(g, f) in non_iso for g in p.morphisms if p.morphisms[g][0] == y)
+            assert all(p.comp(f, g) in non_iso for g in p.morphisms if p.morphisms[g][1] == x)
+        # targets of composable chains of non-isomorphisms, one longer each step
+        ends = {p.morphisms[f][1] for f in non_iso}
+        for _ in range(len(p.objects) - 1):
+            ends = {p.morphisms[f][1] for f in non_iso if p.morphisms[f][0] in ends}
+        assert not ends
+
+    @pytest.mark.parametrize("k", [QQ, F2, F3, F5, F7], ids=str)
+    @pytest.mark.parametrize("name", sorted(EI_PRESETS))
+    def test_agrees_with_solver_and_trace_form(self, name, k):
+        p = EI_PRESETS[name]()
+        c = linearize(p, k)
+        verdict = ei_predict(p, k)
+        assert verdict.separable == (name == "Orb(Z1)")
+        assert verdict.separable == (solve_separability(c) is not None) == _is_separable(c)
+        if verdict.separable:
+            assert verify_family(c, verdict.family).ok
+
+    def test_idempotent_monoid_is_refused(self):
+        # separable, yet not EI: a "no" from the EI criterion would be wrong
+        p = presets.idempotent_monoid()
+        for k in (QQ, F2, F3):
+            assert _is_separable(linearize(p, k))
+        with pytest.raises(ValueError, match="^presentation is not an EI category$"):
+            ei_predict(p, QQ)
+
+    def test_witness_is_the_first_object_of_non_invertible_order(self):
+        p = disjoint_union(*(presets.cyclic_group(n) for n in (1, 2, 3, 4)))
+        assert ei_predict(p, F2).witness == ("c1.x", "c1.x", 2)
+        assert ei_predict(p, F3).witness == ("c2.x", "c2.x", 3)
+        assert ei_predict(p, F5).separable
 
 
 class TestOracleAgreement:
@@ -280,7 +367,7 @@ class TestOracleAgreement:
     def test_groupoids_agree_with_solver(self, idx, k):
         p = self.groupoids[idx]
         c = linearize(p, k)
-        verdict = maschke_predict(p, k)
+        verdict = ei_predict(p, k)
         assert verdict.separable == (solve_separability(c) is not None)
         if verdict.separable:
             assert verify_family(c, verdict.family).ok
@@ -291,7 +378,7 @@ class TestOracleAgreement:
                                       presets.discrete_category(2), presets.discrete_category(3)],
                              ids=["a2", "a3", "vee", "d1", "d2", "d3"])
     def test_delta_agrees_with_solver(self, pres, k):
-        verdict = delta_predict(pres, k)
+        verdict = ei_predict(pres, k)
         c = linearize(pres, k)
         assert verdict.separable == (solve_separability(c) is not None)
 
