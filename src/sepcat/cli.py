@@ -209,8 +209,8 @@ def separability():
 @_guarded
 def separability_check(file, cert_out):
     """Find a separability family, verified before it is printed: the trace
-    form's Casimir element when it is the only family, else the solver's;
-    exit 0 separable / 1 not."""
+    form's Casimir element where that form is nondegenerate, else the
+    solver's; exit 0 separable / 1 not."""
     c = _load_category(file)
     fam, freedom = _solve_with_freedom(c)
     if fam is None:

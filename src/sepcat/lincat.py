@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .exactalg import Field
 
@@ -277,8 +277,9 @@ class FiniteCatPresentation:
     Like FinLinCat it is immutable. The constructor also indexes the
     morphisms by hom pair once, each hom set in the order of morphisms:
     hom_set reads that index, linearize takes it as the hom bases, and
-    ei_predict reads it, so all of them share one order.
-    Inverses are not stored: find_inverse searches for a two-sided inverse.
+    ei_predict reads it, so all of them share one order. Once the laws
+    hold, it also stores inverse: each morphism's two-sided inverse, or
+    None, which classify_presentation and ei_predict read.
     """
 
     def __init__(
@@ -325,6 +326,11 @@ class FiniteCatPresentation:
         violations = self._law_violations()
         if violations:
             raise ValueError("invalid presentation: " + "; ".join(violations[:3]))
+        # a two-sided inverse needs the whole table, so this waits for the law check
+        vars(self)["inverse"] = MappingProxyType({
+            f: next((g for g in self.hom_set(y, x) if self.comp(g, f) == identity[x] and self.comp(f, g) == identity[y]), None)
+            for f, (x, y) in morphisms.items()
+        })
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteCatPresentation is immutable")
@@ -391,13 +397,6 @@ class FiniteCatPresentation:
     def comp(self, g: str, f: str) -> str:
         return self.composition[(g, f)]
 
-    def find_inverse(self, f: str) -> Optional[str]:
-        x, y = self.morphisms[f]
-        for g in self.hom_set(y, x):
-            if self.comp(g, f) == self.identity[x] and self.comp(f, g) == self.identity[y]:
-                return g
-        return None
-
 
 def classify_presentation(p: FiniteCatPresentation) -> PresentationFlags:
     """Groupoid / delta flags of a presentation, whose laws its constructor
@@ -407,7 +406,7 @@ def classify_presentation(p: FiniteCatPresentation) -> PresentationFlags:
     distinct objects have morphisms both ways (such a pair would compose to
     identities and yield a cross-object isomorphism).
     """
-    is_groupoid = all(p.find_inverse(f) is not None for f in p.morphisms)
+    is_groupoid = None not in p.inverse.values()
     is_delta = all(p.hom_set(x, x) == [p.identity[x]] for x in p.objects) and not any(
         x != y and (y, x) in p._homs for x, y in p._homs
     )

@@ -24,16 +24,17 @@ Over Q, or F_p with p > dim A, a degenerate T means C is not separable
 (Dickson). Two families differ by a bimodule map A -> ker comp, so for a
 separable C they form an affine space of dimension sum_x dim End(x) -
 dim Z(C): A^e is semisimple and Hom_{A^e}(A, A (x)_E A) has dimension
-sum_x dim 1_x A 1_x. It is a point exactly when C is commutative-disjoint:
-no morphism joins distinct objects and every End(x) is commutative. There
-the Casimir element is the one family, so solve_separability returns it
-without building the system.
+sum_x dim 1_x A 1_x. dim Z(C) is the nullity of a small center system, one
+unknown per endomorphism label. solve_separability returns the Casimir
+element whenever T is nondegenerate, so the family it gives does not
+depend on how the objects and hom bases are ordered, and builds the
+separability system only when T is degenerate.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 from typing import Optional
 
 from .exactalg import Field, Matrix, _pack
@@ -156,16 +157,6 @@ def family_from_vector(c: FinLinCat, vec: list, offsets: dict[tuple[str, str], i
     return SeparabilityFamily({xy: blk for xy, blk in blocks.items() if not blk.is_zero()})
 
 
-def _commutative_disjoint(c: FinLinCat) -> bool:
-    """Whether no morphism joins distinct objects and every End(x) is
-    commutative, read off the composition table on basis pairs."""
-    if any(labels and x != y for (x, y), labels in c.hom_basis.items()):
-        return False
-    return all(
-        c.comp_terms(g, f) == c.comp_terms(f, g) for x in c.objects for i, g in enumerate(c.hom(x, x)) for f in c.hom(x, x)[:i]
-    )
-
-
 def _trace_casimir(c: FinLinCat) -> Optional[SeparabilityFamily]:
     """The Casimir element of the trace form T (module docstring), or None
     when T is degenerate. Tr(L_k), for k in End(x), sums the coefficient of
@@ -195,17 +186,32 @@ def _trace_casimir(c: FinLinCat) -> Optional[SeparabilityFamily]:
     return SeparabilityFamily(blocks)
 
 
-def _solve_with_freedom(c: FinLinCat) -> tuple[Optional[SeparabilityFamily], int]:
-    """solve_separability's family together with the dimension of the
-    system's solution space. On a commutative-disjoint c whose trace form is
-    nondegenerate that is its Casimir element and 0 (module docstring).
-    Otherwise both come from one build and one elimination: the rank of the
-    system is the number of pivots of the augmented rref that fall before
-    the right-hand-side column."""
-    if _commutative_disjoint(c):
-        fam = _trace_casimir(c)
-        if fam is not None:
-            return fam, 0
+def _center_freedom(c: FinLinCat) -> int:
+    """sum_x dim End(x) - dim Z(C), the rank of the center system: z_x in
+    End(x) has its unknowns from starts[x] on, and for f: x -> z in
+    generating_labels(c) the rows f . z_x - z_z . f are post_mul_matrix(c,
+    f, x) less pre_mul_matrix(c, f, z), each shifted to its object's
+    unknowns by _pre_rows."""
+    fld = c.field
+    dims = [c.dim_hom(x, x) for x in c.objects]
+    starts, total = dict(zip(c.objects, accumulate(dims, initial=0))), sum(dims)
+
+    def shifted(m: Matrix, x: str) -> Matrix:
+        return Matrix._of_rows(fld, total, tuple(_pre_rows(m.row_terms, starts[x], 1, m.cols)))
+
+    rows: list[tuple] = []
+    for f in generating_labels(c):
+        x, z, _ = c.label_info[f]
+        rows.extend((shifted(post_mul_matrix(c, f, x), x) - shifted(pre_mul_matrix(c, f, z), z)).row_terms)
+    return Matrix._of_rows(fld, total, tuple(rows)).rank()
+
+
+def _solve_system(c: FinLinCat) -> tuple[Optional[SeparabilityFamily], int]:
+    """The separability system's family, free variables zeroed, or None when
+    the system is infeasible, together with the dimension of its
+    homogeneous solution space. Both come from one build and one
+    elimination: the rank of the system is the number of pivots of the
+    augmented rref that fall before the right-hand-side column."""
     mat, rhs, offsets = separability_system(c)
     n = mat.cols
     aug = mat.hstack(rhs).rref()
@@ -220,9 +226,22 @@ def _solve_with_freedom(c: FinLinCat) -> tuple[Optional[SeparabilityFamily], int
     return family_from_vector(c, vec, offsets), n - rank
 
 
+def _solve_with_freedom(c: FinLinCat) -> tuple[Optional[SeparabilityFamily], int]:
+    """solve_separability's family together with the dimension of the
+    system's homogeneous solution space. Where T is nondegenerate that is
+    the Casimir element and sum_x dim End(x) - dim Z(C) (module docstring),
+    with no system built; otherwise both come from _solve_system."""
+    fam = _trace_casimir(c)
+    if fam is None:
+        return _solve_system(c)
+    return fam, _center_freedom(c)
+
+
 def solve_separability(c: FinLinCat) -> Optional[SeparabilityFamily]:
     """One separability family, or None exactly when the category is not
-    separable. Free variables are zeroed, so the output is reproducible."""
+    separable: the trace form's Casimir element where that form is
+    nondegenerate, else the system's family with its free variables
+    zeroed, so the output is reproducible."""
     return _solve_with_freedom(c)[0]
 
 
@@ -230,13 +249,13 @@ def _is_separable(c: FinLinCat) -> bool:
     """Whether c is separable, settled by the trace form where it can be: a
     Casimir element that verifies is a family, and a degenerate trace form
     over Q or F_p with p > dim means no family (module docstring). The
-    solver decides the rest."""
+    system decides the rest."""
     fam = _trace_casimir(c)
     if fam is not None and verify_family(c, fam).ok:
         return True
     if fam is None and (c.field.p is None or c.field.p > c.total_dim()):
         return False
-    return solve_separability(c) is not None
+    return _solve_system(c)[0] is not None
 
 
 def verify_family(c: FinLinCat, fam: SeparabilityFamily) -> FamilyCheck:
@@ -342,8 +361,7 @@ def ei_predict(p: FiniteCatPresentation, k: Field) -> EIVerdict:
     In a groupoid the component of x is the set of objects with a morphism
     into x. On a discrete category the certificate is a[x][x] = 1_x (x) 1_x.
     """
-    inverse = {f: p.find_inverse(f) for f in p.morphisms}
-    singular = [f for f, g in inverse.items() if g is None]
+    singular = [f for f, g in p.inverse.items() if g is None]
     if any(p.morphisms[f][0] == p.morphisms[f][1] for f in singular):
         raise ValueError("presentation is not an EI category")
     if singular:
@@ -359,7 +377,7 @@ def ei_predict(p: FiniteCatPresentation, k: Field) -> EIVerdict:
         hs = p.hom_set(x, y0)
         inv_weight = k.inv(k.of(len(hs)))
         blocks[(x, y0)] = Matrix.from_entries(
-            k, len(gs), len(hs), ((i, hs.index(inverse[g]), inv_weight) for i, g in enumerate(gs))
+            k, len(gs), len(hs), ((i, hs.index(p.inverse[g]), inv_weight) for i, g in enumerate(gs))
         )
     return EIVerdict(separable=True, family=SeparabilityFamily(blocks))
 

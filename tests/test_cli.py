@@ -404,9 +404,9 @@ class TestCrossCheckFailures:
 
         def fake(c):
             asked.append(c.field)
-            return SeparabilityFamily({})
+            return SeparabilityFamily({}), 0
 
-        monkeypatch.setattr("sepcat.separability.solve_separability", fake)
+        monkeypatch.setattr("sepcat.separability._solve_system", fake)
         result = runner.invoke(main, ["delta", files["a2_pres.json"]])
         assert asked == [Field(2)]
         assert result.exit_code == 3

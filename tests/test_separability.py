@@ -29,6 +29,7 @@ from sepcat.cohomology import build_hm_complex, cohomology_dims
 from sepcat.separability import (
     SeparabilityFamily,
     _is_separable,
+    _solve_system,
     _solve_with_freedom,
     _trace_casimir,
     ei_predict,
@@ -43,6 +44,7 @@ from sepcat.separability import (
 )
 from test_acceptance import ALL_FIELDS, DELTA_NONDISCRETE, DISCRETE, GROUPOIDS
 from test_cohomology import crown_poset
+from test_exactalg import gauss_jordan
 from test_lincat import GENERATOR_PRESETS, interleaved_groupoid, kk_idempotent_basis
 
 F2, F3, F5, F7 = Field(2), Field(3), Field(5), Field(7)
@@ -669,14 +671,7 @@ def commutative_disjoint(p) -> bool:
     )
 
 
-def system_solve(c):
-    """_solve_with_freedom with the trace-form shortcut turned off: the
-    family and freedom of the separability system itself."""
-    with mock.patch("sepcat.separability._commutative_disjoint", lambda c: False):
-        return _solve_with_freedom(c)
-
-
-# the corpus the shortcut was checked on: 60 categories over six fields
+# the corpus the Casimir element was checked on: 60 categories over six fields
 CASIMIR_CORPUS = {
     **{f"Z{n}": presets.cyclic_group(n) for n in range(1, 13)},
     **{f"random{seed}": presets.random_presentation(seed) for seed in range(40)},
@@ -695,15 +690,15 @@ CASIMIR_FIELDS = (QQ, F2, F3, F5, F7, Field(11))
 @pytest.mark.parametrize("k", [QQ, F2, F3, F5, F7], ids=str)
 def test_unique_family_is_the_casimir_element(k):
     # on a commutative-disjoint category the family, when there is one, is
-    # unique: the system has full column rank, and the shortcut returns the
-    # system's own solution without building it
+    # unique: the system has full column rank, and the Casimir element is
+    # the system's own solution, returned without building it
     names = [f"Z{n}" for n in range(1, 13)] + ["K4", "D4", "idem"]
     names += [name for name in CASIMIR_CORPUS if name.startswith("random") and commutative_disjoint(CASIMIR_CORPUS[name])]
     shortcuts = 0
     for name in names:
         assert commutative_disjoint(CASIMIR_CORPUS[name]), name
         c = linearize(CASIMIR_CORPUS[name], k)
-        solved, freedom = system_solve(c)
+        solved, freedom = _solve_system(c)
         if solved is None:
             assert _trace_casimir(c) is None, name
             continue
@@ -720,13 +715,24 @@ def _spy_system():
     return mock.patch("sepcat.separability.separability_system", wraps=separability_system)
 
 
-def test_shortcut_taken_on_z4_and_skipped_on_g2z3():
-    with _spy_system() as build:
-        assert solve_separability(linearize(presets.cyclic_group(4), QQ)) is not None
-    assert build.call_count == 0
-    with _spy_system() as build:
-        assert solve_separability(linearize(presets.connected_groupoid(presets.cyclic_group(3), 2), QQ)) is not None
-    assert build.call_count == 1
+def test_shortcut_taken_on_z4_and_skipped_on_g2z3(tmp_path):
+    # `separability check` takes the Casimir element wherever T is
+    # nondegenerate, so Z4, G2(Z3), G3(Z2) and the matrix units over Q build
+    # no system; G2(Z1) over F2 (separable) and A2 over F2 (not) have a
+    # degenerate T, and their verdicts come from one system each
+    path = tmp_path / "cat.json"
+    for c, code, builds in [
+        (linearize(presets.cyclic_group(4), QQ), 0, 0),
+        (linearize(CENSUS["G2(Z3)"], QQ), 0, 0),
+        (linearize(CENSUS["G3(Z2)"], QQ), 0, 0),
+        (matrix_units(QQ), 0, 0),
+        (linearize(CENSUS["G2(Z1)"], F2), 0, 1),
+        (linearize(presets.chain_poset(2), F2), 1, 1),
+    ]:
+        path.write_text(json.dumps(io.category_to_json(c)))
+        with _spy_system() as build:
+            assert CliRunner().invoke(main, ["separability", "check", str(path)]).exit_code == code
+        assert build.call_count == builds
 
 
 def matrix_units(k: Field) -> FinLinCat:
@@ -735,25 +741,6 @@ def matrix_units(k: Field) -> FinLinCat:
     units = [f"e{i}{j}" for i in "12" for j in "12"]
     table = {(g, f): [(f"e{g[1]}{f[2]}", 1)] if g[2] == f[1] else [] for g in units for f in units}
     return FinLinCat(k, ["x"], {("x", "x"): units}, table, {"x": [("e11", 1), ("e22", 1)]})
-
-
-@pytest.mark.parametrize("name, loosened", [
-    # G2(Z3) has commuting endomorphisms but morphisms between its objects
-    ("G2(Z3)", lambda c: all(c.comp_terms(g, f) == c.comp_terms(f, g) for (x, y), labs in c.hom_basis.items()
-                             if x == y for g in labs for f in labs)),
-    # the matrix units have one object but do not commute
-    ("M2", lambda c: not any(labs and x != y for (x, y), labs in c.hom_basis.items())),
-])
-def test_shortcut_needs_both_halves_of_its_test(name, loosened):
-    # with either half of the test dropped, the shortcut would emit a family
-    # that verifies but is not the solver's
-    c = linearize(presets.connected_groupoid(presets.cyclic_group(3), 2), QQ) if name == "G2(Z3)" else matrix_units(QQ)
-    solved, freedom = _solve_with_freedom(c)
-    assert freedom > 0 and solved == system_solve(c)[0]
-    with mock.patch("sepcat.separability._commutative_disjoint", loosened):
-        shortcut, _ = _solve_with_freedom(c)
-    assert verify_family(c, shortcut).ok
-    assert shortcut.blocks != solved.blocks
 
 
 @pytest.mark.parametrize("k", [QQ, F5, F7], ids=str)
@@ -785,7 +772,7 @@ def test_a_wrong_casimir_element_is_caught(tmp_path):
         result = runner.invoke(main, ["separability", "check", str(cat)])
         assert result.exit_code == 3
         assert result.stderr == "internal cross-check failure: solver output fails verification\n"
-        with mock.patch("sepcat.separability.solve_separability", wraps=solve_separability) as solver:
+        with mock.patch("sepcat.separability._solve_system", wraps=_solve_system) as solver:
             result = runner.invoke(main, ["maschke", str(pres), "--field", "Q"])
         assert result.exit_code == 0 and "separable: yes" in result.output
         assert solver.call_count == 1
@@ -800,7 +787,7 @@ def test_trace_casimir_settles_what_it_claims_on_360_pairs():
     for name, pres in CASIMIR_CORPUS.items():
         for k in CASIMIR_FIELDS:
             c = linearize(pres, k)
-            solved, freedom = system_solve(c)
+            solved, freedom = _solve_system(c)
             casimir = _trace_casimir(c)
             if casimir is not None:
                 assert verify_family(c, casimir).ok, (name, k)
@@ -813,3 +800,85 @@ def test_trace_casimir_settles_what_it_claims_on_360_pairs():
                     unique += 1
             pairs += 1
     assert (pairs, unique) == (360, 228)
+
+
+# CASIMIR_CORPUS and the connected groupoids of the trace-form census it lacks
+CENSUS = {
+    **CASIMIR_CORPUS,
+    **{f"G{n}(Z{m})": presets.connected_groupoid(presets.cyclic_group(m), n) for n, m in [(2, 1), (3, 1), (3, 2), (3, 3), (5, 1), (7, 1)]},
+}
+CENSUS_FIELDS = (QQ, F2, F3, F5, F7)
+# the separable pairs of CENSUS x CENSUS_FIELDS whose trace form is degenerate;
+# random18 is G2(Z1) under other names
+DEGENERATE_SEPARABLE = [
+    ("G2(Z1)", F2), ("G2(Z3)", F2), ("G3(Z1)", F3), ("G3(Z2)", F3), ("G5(Z1)", F5), ("G7(Z1)", F7), ("random18", F2),
+]
+
+
+def _by_labels(cert: list) -> dict:
+    """A certificate document as {(x, y, u, v): coeff} over basis labels."""
+    return {(b["x"], b["y"], t["u"], t["v"]): t["coeff"] for b in cert for t in b["terms"]}
+
+
+def _check_output(c, tmp_path) -> tuple[int, dict]:
+    """What `separability check` prints for c: the solution space dimension
+    and the family, by labels."""
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(io.category_to_json(c)))
+    result = CliRunner().invoke(main, ["separability", "check", str(path)])
+    assert result.exit_code == 0, result.output
+    verdict, freedom, cert = result.output.split("\n", 2)
+    assert verdict == "separable: yes" and freedom.startswith("solution space dimension ")
+    return int(freedom.rsplit(" ", 1)[1]), _by_labels(json.loads(cert))
+
+
+def _reversed(p: FiniteCatPresentation) -> FiniteCatPresentation:
+    """p with its objects and its morphisms, so each hom set, in reverse order."""
+    return FiniteCatPresentation(
+        p.objects[::-1], {f: p.morphisms[f] for f in reversed(p.morphisms)}, dict(p.identity), dict(p.composition)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_printed_family_does_not_depend_on_the_order_of_the_bases(name, tmp_path):
+    # wherever T is nondegenerate the printed family is its Casimir element,
+    # which is defined without a basis: relabelling maps it to itself
+    for k in CENSUS_FIELDS:
+        c, r = linearize(CENSUS[name], k), linearize(_reversed(CENSUS[name]), k)
+        if _trace_casimir(c) is None:
+            assert _trace_casimir(r) is None, (name, k)
+            continue
+        assert r.objects != c.objects or len(c.objects) == 1
+        assert _check_output(r, tmp_path) == _check_output(c, tmp_path), (name, k)
+
+
+def test_degenerate_trace_form_exactly_on_seven_separable_pairs():
+    found = [(name, k) for name in CENSUS for k in CENSUS_FIELDS
+             if _trace_casimir(c := linearize(CENSUS[name], k)) is None and _solve_system(c)[0] is not None]
+    assert sorted(found, key=str) == sorted(DEGENERATE_SEPARABLE, key=str)
+
+
+@pytest.mark.parametrize("name,k", DEGENERATE_SEPARABLE, ids=str)
+def test_degenerate_trace_form_gets_the_solvers_family(name, k, tmp_path):
+    c = linearize(CENSUS[name], k)
+    solved = _solve_system(c)[0]
+    assert verify_family(c, solved).ok
+    assert _check_output(c, tmp_path)[1] == _by_labels(io.certificate_to_json(c, solved))
+
+
+def _homogeneous_nullity(c) -> int:
+    """The dimension of the separability system's homogeneous solution
+    space, eliminated by the tests' own gauss_jordan."""
+    mat = _system_by_definition(c)[0]
+    return mat.cols - len(gauss_jordan([mat.row(i) for i in range(mat.rows)], c.field.p)[1])
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_printed_freedom_is_the_systems_nullity(name, tmp_path):
+    # sum_x dim End(x) - dim Z(C) is the dimension of the affine space of
+    # families of a separable C, hence the homogeneous system's nullity
+    for k in CENSUS_FIELDS:
+        c = linearize(CENSUS[name], k)
+        if _solve_system(c)[0] is not None:
+            assert _check_output(c, tmp_path)[0] == _homogeneous_nullity(c), (name, k)
+
