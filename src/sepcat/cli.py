@@ -20,10 +20,11 @@ from .lincat import classify_presentation, linearize, validate_category
 from .cmod import _kernel_comp_ses, canonical_bimodule, validate_module
 from .cohomology import build_hm_complex, cohomology_dims, les_analysis, obstruction_cocycle
 from .separability import (
+    _center_freedom,
     _is_separable,
-    _solve_with_freedom,
     ei_predict,
     module_section,
+    solve_separability,
     verify_family,
     zelinsky_report,
 )
@@ -209,14 +210,15 @@ def separability():
 @_guarded
 def separability_check(file, cert_out):
     """Find a separability family, verified before it is printed: the trace
-    form's Casimir element where that form is nondegenerate, else the
-    solver's; exit 0 separable / 1 not."""
+    form's Casimir element where that form is nondegenerate, "not
+    separable" where Dickson's criterion applies to a degenerate one, else
+    the solver's family; exit 0 separable / 1 not."""
     c = _load_category(file)
-    fam, freedom = _solve_with_freedom(c)
+    fam = solve_separability(c)
     if fam is None:
         click.echo("separable: no")
         sys.exit(1)
-    doc = _echo_verified(c, fam, "solver output fails verification", f"solution space dimension {freedom}")
+    doc = _echo_verified(c, fam, "solver output fails verification", f"solution space dimension {_center_freedom(c)}")
     if cert_out:
         _dump_json(cert_out, doc)
     sys.exit(0)

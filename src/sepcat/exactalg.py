@@ -6,7 +6,7 @@ with denominator > 1, so the mostly integral structure constants,
 certificates and differentials multiply at int speed and only a proper
 fraction pays for Fraction arithmetic (small values inline, promoted when
 needed, as FLINT's fmpz/fmpq do). Over F_p a scalar is an int in [0, p).
-Since int / int is a float, Field.inv and Field.div are the only division.
+Since int / int is a float, Field.inv is the only division.
 A Field object carries the arithmetic. A Matrix stores its field and only
 its nonzero entries, row by row, in tuples, so it cannot change after
 construction; the systems and differentials it holds are mostly zeros.
@@ -108,10 +108,6 @@ class Field:
         if self.p is not None and not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.p is None
-
     # the same ints in every field, and canonical in each
     zero = 0
     one = 1
@@ -176,9 +172,6 @@ class Field:
         if not a:
             raise ZeroDivisionError(f"division by zero in {self}")
         return _canonical(1 / Fraction(a)) if self.p is None else pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def format(self, a) -> str:
         # Q: "n" or "n/d" in lowest terms with d > 1; F_p: least residue.

@@ -27,8 +27,9 @@ dim Z(C): A^e is semisimple and Hom_{A^e}(A, A (x)_E A) has dimension
 sum_x dim 1_x A 1_x. dim Z(C) is the nullity of a small center system, one
 unknown per endomorphism label. solve_separability returns the Casimir
 element whenever T is nondegenerate, so the family it gives does not
-depend on how the objects and hom bases are ordered, and builds the
-separability system only when T is degenerate.
+depend on how the objects and hom bases are ordered, returns None where T
+is degenerate and Dickson's criterion applies, and builds the
+separability system only for the rest.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 from typing import Optional
 
-from .exactalg import Field, Matrix, _pack
+from .errors import InternalCheckError
+from .exactalg import Field, Matrix
 from .lincat import FinLinCat, FiniteCatPresentation, generating_labels
 from .cmod import LeftModule, _blocks_from_vector, _post_rows, _pre_rows, comp_matrix, post_mul_matrix, pre_mul_matrix
 
@@ -121,10 +123,14 @@ def separability_system(c: FinLinCat) -> tuple[Matrix, Matrix, dict[tuple[str, s
     and y are f . A[x][y] - A[z][y] . f, one per entry (s, t) of
     hom(y, z) x hom(x, y): post_mul_matrix(c, f, y) (x) 1 on A[x][y] less
     1 (x) pre_mul_matrix(c, f, y) on A[z][y], written by _post_rows and
-    _pre_rows; rows that vanish are dropped.
+    _pre_rows and subtracted as matrices; rows that vanish are dropped.
     """
     fld = c.field
     offsets, total = _block_layout(c)
+
+    def rows_of(shifted: list) -> Matrix:
+        return Matrix._of_rows(fld, total, tuple(shifted))
+
     rows: list[tuple] = []
     rhs: list = []
     for x in c.objects:
@@ -134,17 +140,11 @@ def separability_system(c: FinLinCat) -> tuple[Matrix, Matrix, dict[tuple[str, s
     for f in generating_labels(c):
         x, z, _ = c.label_info[f]
         for y in c.objects:
-            post = _post_rows(post_mul_matrix(c, f, y).row_terms, offsets[(x, y)], c.dim_hom(x, y))
-            pre = _pre_rows(pre_mul_matrix(c, f, y).row_terms, offsets[(z, y)], c.dim_hom(y, z), c.dim_hom(z, y))
-            for prow, qrow in zip(post, pre, strict=True):
-                acc = dict(prow)
-                for j, v in qrow:
-                    acc[j] = acc.get(j, 0) - v
-                row = _pack(acc, fld.p)
-                if row:
-                    rows.append(row)
+            post = rows_of(_post_rows(post_mul_matrix(c, f, y).row_terms, offsets[(x, y)], c.dim_hom(x, y)))
+            pre = rows_of(_pre_rows(pre_mul_matrix(c, f, y).row_terms, offsets[(z, y)], c.dim_hom(y, z), c.dim_hom(z, y)))
+            rows.extend(row for row in (post - pre).row_terms if row)
     rhs.extend([fld.zero] * (len(rows) - len(rhs)))  # equivariance is homogeneous
-    return Matrix._of_rows(fld, total, tuple(rows)), Matrix.column(fld, rhs), offsets
+    return rows_of(rows), Matrix.column(fld, rhs), offsets
 
 
 def family_from_vector(c: FinLinCat, vec: list, offsets: dict[tuple[str, str], int]) -> SeparabilityFamily:
@@ -206,56 +206,33 @@ def _center_freedom(c: FinLinCat) -> int:
     return Matrix._of_rows(fld, total, tuple(rows)).rank()
 
 
-def _solve_system(c: FinLinCat) -> tuple[Optional[SeparabilityFamily], int]:
+def _solve_system(c: FinLinCat) -> Optional[SeparabilityFamily]:
     """The separability system's family, free variables zeroed, or None when
-    the system is infeasible, together with the dimension of its
-    homogeneous solution space. Both come from one build and one
-    elimination: the rank of the system is the number of pivots of the
-    augmented rref that fall before the right-hand-side column."""
+    the system is infeasible."""
     mat, rhs, offsets = separability_system(c)
-    n = mat.cols
-    aug = mat.hstack(rhs).rref()
-    rank = sum(1 for pc in aug.pivot_cols if pc < n)
-    if rank < aug.rank:
-        return None, n - rank
-    vec = [c.field.zero] * n
-    for pc, red in zip(aug.pivot_cols, aug.reduced.row_terms):
-        # the right-hand side, column n, can only be a row's last nonzero
-        if red[-1][0] == n:
-            vec[pc] = red[-1][1]
-    return family_from_vector(c, vec, offsets), n - rank
-
-
-def _solve_with_freedom(c: FinLinCat) -> tuple[Optional[SeparabilityFamily], int]:
-    """solve_separability's family together with the dimension of the
-    system's homogeneous solution space. Where T is nondegenerate that is
-    the Casimir element and sum_x dim End(x) - dim Z(C) (module docstring),
-    with no system built; otherwise both come from _solve_system."""
-    fam = _trace_casimir(c)
-    if fam is None:
-        return _solve_system(c)
-    return fam, _center_freedom(c)
+    solved = mat.solve_many(rhs)
+    return None if solved is None else family_from_vector(c, solved.col(0), offsets)
 
 
 def solve_separability(c: FinLinCat) -> Optional[SeparabilityFamily]:
     """One separability family, or None exactly when the category is not
     separable: the trace form's Casimir element where that form is
-    nondegenerate, else the system's family with its free variables
-    zeroed, so the output is reproducible."""
-    return _solve_with_freedom(c)[0]
+    nondegenerate, None where Dickson's criterion settles it, else the
+    system's family with its free variables zeroed, so the output is
+    reproducible (module docstring)."""
+    fam = _trace_casimir(c)
+    if fam is not None or c.field.p is None or c.field.p > c.total_dim():
+        return fam
+    return _solve_system(c)
 
 
 def _is_separable(c: FinLinCat) -> bool:
-    """Whether c is separable, settled by the trace form where it can be: a
-    Casimir element that verifies is a family, and a degenerate trace form
-    over Q or F_p with p > dim means no family (module docstring). The
-    system decides the rest."""
-    fam = _trace_casimir(c)
-    if fam is not None and verify_family(c, fam).ok:
-        return True
-    if fam is None and (c.field.p is None or c.field.p > c.total_dim()):
-        return False
-    return _solve_system(c)[0] is not None
+    """solve_separability's verdict; InternalCheckError when the family it
+    returns does not verify."""
+    fam = solve_separability(c)
+    if fam is not None and not verify_family(c, fam).ok:
+        raise InternalCheckError("solver output fails verification")
+    return fam is not None
 
 
 def verify_family(c: FinLinCat, fam: SeparabilityFamily) -> FamilyCheck:

@@ -399,18 +399,19 @@ class TestCrossCheckFailures:
 
     def test_solver_decides_where_the_trace_form_does_not(self, runner, files, monkeypatch):
         # A2 has a degenerate trace form: over Q Dickson settles "not
-        # separable", over F2 and F3 (p <= dim 3) the solver is asked
+        # separable", over F2 and F3 (p <= dim 3) the solver is asked, and
+        # the family it returns must verify
         asked = []
 
         def fake(c):
             asked.append(c.field)
-            return SeparabilityFamily({}), 0
+            return SeparabilityFamily({})
 
         monkeypatch.setattr("sepcat.separability._solve_system", fake)
         result = runner.invoke(main, ["delta", files["a2_pres.json"]])
         assert asked == [Field(2)]
         assert result.exit_code == 3
-        assert result.stderr == "internal cross-check failure: delta criterion disagrees with the solver over F2\n"
+        assert result.stderr == "internal cross-check failure: solver output fails verification\n"
 
 
 class TestMalformedInput:

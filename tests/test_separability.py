@@ -28,9 +28,9 @@ from sepcat.cmod import (
 from sepcat.cohomology import build_hm_complex, cohomology_dims
 from sepcat.separability import (
     SeparabilityFamily,
+    _center_freedom,
     _is_separable,
     _solve_system,
-    _solve_with_freedom,
     _trace_casimir,
     ei_predict,
     family_from_vector,
@@ -657,10 +657,15 @@ def test_separability_system_matches_the_definition(name, k):
 @pytest.mark.parametrize("name,k", sorted(FREEDOM_CASES, key=str), ids=str)
 def test_freedom_is_h0_of_ker_comp(name, k):
     # the homogeneous solutions are the 0-cochains e of C (x) C with
-    # comp(e) = 0 and d^0 e = 0, that is the 0-cocycles of ker comp
+    # comp(e) = 0 and d^0 e = 0, that is the 0-cocycles of ker comp; on a
+    # separable C their dimension is sum_x dim End(x) - dim Z(C)
     c = linearize(FREEDOM_CASES[(name, k)], k)
     ker = kernel_of(tensor_square(c)[1])[0]
-    assert _solve_with_freedom(c)[1] == cohomology_dims(build_hm_complex(c, ker, 1)).dim_h(0)
+    h0 = cohomology_dims(build_hm_complex(c, ker, 1)).dim_h(0)
+    mat = separability_system(c)[0]
+    assert mat.cols - mat.rank() == h0
+    if solve_separability(c) is not None:
+        assert _center_freedom(c) == h0
 
 
 def commutative_disjoint(p) -> bool:
@@ -698,14 +703,14 @@ def test_unique_family_is_the_casimir_element(k):
     for name in names:
         assert commutative_disjoint(CASIMIR_CORPUS[name]), name
         c = linearize(CASIMIR_CORPUS[name], k)
-        solved, freedom = _solve_system(c)
+        solved = _solve_system(c)
         if solved is None:
             assert _trace_casimir(c) is None, name
             continue
         mat = separability_system(c)[0]
-        assert freedom == 0 and _rank_mod(mat) == mat.cols, name
+        assert _rank_mod(mat) == mat.cols and _center_freedom(c) == 0, name
         with mock.patch("sepcat.separability.separability_system") as build:
-            assert _solve_with_freedom(c) == (solved, 0), name
+            assert solve_separability(c) == solved, name
         assert not build.called
         shortcuts += 1
     assert shortcuts >= 10
@@ -718,14 +723,17 @@ def _spy_system():
 def test_shortcut_taken_on_z4_and_skipped_on_g2z3(tmp_path):
     # `separability check` takes the Casimir element wherever T is
     # nondegenerate, so Z4, G2(Z3), G3(Z2) and the matrix units over Q build
-    # no system; G2(Z1) over F2 (separable) and A2 over F2 (not) have a
-    # degenerate T, and their verdicts come from one system each
+    # no system; A2 has a degenerate T, which settles "not separable" over Q
+    # and over F5 (5 > dim 3) with no system either (Dickson); G2(Z1) over
+    # F2 (separable) and A2 over F2 (not) are left to one system each
     path = tmp_path / "cat.json"
     for c, code, builds in [
         (linearize(presets.cyclic_group(4), QQ), 0, 0),
         (linearize(CENSUS["G2(Z3)"], QQ), 0, 0),
         (linearize(CENSUS["G3(Z2)"], QQ), 0, 0),
         (matrix_units(QQ), 0, 0),
+        (linearize(presets.chain_poset(2), QQ), 1, 0),
+        (linearize(presets.chain_poset(2), F5), 1, 0),
         (linearize(CENSUS["G2(Z1)"], F2), 0, 1),
         (linearize(presets.chain_poset(2), F2), 1, 1),
     ]:
@@ -774,26 +782,34 @@ def test_a_wrong_casimir_element_is_caught(tmp_path):
         assert result.stderr == "internal cross-check failure: solver output fails verification\n"
         with mock.patch("sepcat.separability._solve_system", wraps=_solve_system) as solver:
             result = runner.invoke(main, ["maschke", str(pres), "--field", "Q"])
-        assert result.exit_code == 0 and "separable: yes" in result.output
-        assert solver.call_count == 1
+        assert result.exit_code == 3
+        assert result.stderr == "internal cross-check failure: solver output fails verification\n"
+        assert not solver.called
 
 
 def test_trace_casimir_settles_what_it_claims_on_360_pairs():
     # for a separable category the family is unique exactly when the
     # category is commutative-disjoint, and then it is the Casimir element;
     # every Casimir element verifies; and a degenerate trace form over Q or
-    # F_p with p > dim never goes with a separable category (Dickson)
+    # F_p with p > dim never goes with a separable category (Dickson), so
+    # solve_separability answers None there without building the system
     pairs = unique = 0
     for name, pres in CASIMIR_CORPUS.items():
         for k in CASIMIR_FIELDS:
             c = linearize(pres, k)
-            solved, freedom = _solve_system(c)
+            solved = _solve_system(c)
             casimir = _trace_casimir(c)
             if casimir is not None:
                 assert verify_family(c, casimir).ok, (name, k)
             elif k.p is None or k.p > c.total_dim():
                 assert solved is None, (name, k)
+                with _spy_system() as build:
+                    assert solve_separability(c) is None, (name, k)
+                assert not build.called, (name, k)
             if solved is not None:
+                mat = separability_system(c)[0]
+                freedom = mat.cols - mat.rank()
+                assert _center_freedom(c) == freedom, (name, k)
                 assert (freedom == 0) == commutative_disjoint(pres), (name, k)
                 if freedom == 0:
                     assert casimir.blocks == solved.blocks, (name, k)
@@ -854,14 +870,14 @@ def test_printed_family_does_not_depend_on_the_order_of_the_bases(name, tmp_path
 
 def test_degenerate_trace_form_exactly_on_seven_separable_pairs():
     found = [(name, k) for name in CENSUS for k in CENSUS_FIELDS
-             if _trace_casimir(c := linearize(CENSUS[name], k)) is None and _solve_system(c)[0] is not None]
+             if _trace_casimir(c := linearize(CENSUS[name], k)) is None and _solve_system(c) is not None]
     assert sorted(found, key=str) == sorted(DEGENERATE_SEPARABLE, key=str)
 
 
 @pytest.mark.parametrize("name,k", DEGENERATE_SEPARABLE, ids=str)
 def test_degenerate_trace_form_gets_the_solvers_family(name, k, tmp_path):
     c = linearize(CENSUS[name], k)
-    solved = _solve_system(c)[0]
+    solved = _solve_system(c)
     assert verify_family(c, solved).ok
     assert _check_output(c, tmp_path)[1] == _by_labels(io.certificate_to_json(c, solved))
 
@@ -879,6 +895,6 @@ def test_printed_freedom_is_the_systems_nullity(name, tmp_path):
     # families of a separable C, hence the homogeneous system's nullity
     for k in CENSUS_FIELDS:
         c = linearize(CENSUS[name], k)
-        if _solve_system(c)[0] is not None:
+        if _solve_system(c) is not None:
             assert _check_output(c, tmp_path)[0] == _homogeneous_nullity(c), (name, k)
 
