@@ -303,7 +303,7 @@ def test_criterion_8_complex_sanity_and_les():
 
 
 def test_criterion_9_determinism(tmp_path):
-    from click.testing import CliRunner
+    from cli_runner import CliRunner
     from sepcat.cli import main
 
     runner = CliRunner()

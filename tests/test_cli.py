@@ -1,9 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
+import sepcat
 from sepcat import presets
 from sepcat import interchange as io
 from sepcat.cli import main
@@ -21,6 +23,7 @@ from sepcat.cmod import (
     zero_bimodule,
 )
 from sepcat.separability import FamilyCheck, SeparabilityFamily, module_section, zelinsky_report
+from cli_runner import CliRunner
 from test_interchange import NON_ASSOCIATIVE, unknown_morphism
 from test_cohomology import symmetric_group_3
 from test_lincat import interleaved_groupoid
@@ -345,6 +348,72 @@ class TestValidateAndLinearize:
     def test_unknown_flag_rejected(self, runner, files):
         result = runner.invoke(main, ["obstruction", files["z2_over_Q.json"], "--frobnicate"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("verb", [["validate"], ["separability", "check"], ["maschke", "--field", "Q"], ["delta"]],
+                             ids=" ".join)
+    def test_deeply_nested_json_is_exit_two(self, runner, tmp_path, verb):
+        # the JSON decoder raises RecursionError, not JSONDecodeError, here
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        result = runner.invoke(main, [*verb, str(deep)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"malformed input: {deep} is nested too deeply\n"
+
+
+class TestUsageErrors:
+    """A command line the verbs cannot take exits 2 before any verb runs."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(lambda f: ["separability", "check", f["missing"]], id="missing-input"),
+            pytest.param(lambda f: ["separability", "check", f["tmp"]], id="directory-input"),
+            pytest.param(lambda f: ["separability", "check", f["z2_over_Q.json"], "--certificate-out", f["tmp"]],
+                         id="directory-certificate-out"),
+            pytest.param(lambda f: ["cohomology", f["z2_over_Q.json"], "--bimodule", "canonical", "--json-out", f["tmp"]],
+                         id="directory-json-out"),
+            pytest.param(lambda f: ["linearize", f["z2_pres.json"], "--field", "Q", "-o", f["tmp"]], id="directory-o"),
+            pytest.param(lambda f: ["separability", "verify", f["z2_over_Q.json"], "--cert", f["cert"]],
+                         id="abbreviated-option"),
+            pytest.param(lambda f: ["cohomology", f["z2_over_Q.json"], "--bimodule", "canonical", "--max-degree", "two"],
+                         id="non-integer-max-degree"),
+            pytest.param(lambda f: ["frobnicate"], id="unknown-verb"),
+            pytest.param(lambda f: [], id="no-verb"),
+        ],
+    )
+    def test_usage_error_is_exit_two(self, runner, files, tmp_path, args):
+        files["missing"] = str(tmp_path / "missing.json")
+        files["cert"] = str(tmp_path / "cert.json")
+        assert runner.invoke(main, ["separability", "check", files["z2_over_Q.json"],
+                                    "--certificate-out", files["cert"]]).exit_code == 0
+        result = runner.invoke(main, args(files))
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.lower().startswith("usage:")
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("name, code", [("z2_over_Q.json", 0), ("a2_over_Q.json", 1)])
+    def test_harness_calling_convention(self, files, capsys, name, code):
+        # bench/workloads.py runs each verb as main.main(args=..., prog_name="sepcat")
+        args = ["separability", "check", files[name]]
+        with pytest.raises(SystemExit) as direct:
+            main(args)
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as harness:
+            main.main(args=args, prog_name="sepcat")
+        assert direct.value.code == harness.value.code == code
+        assert capsys.readouterr() == printed
+
+    def test_runs_on_the_standard_library_alone(self, tmp_path):
+        # -S leaves site-packages off sys.path, so only the standard library
+        # and sepcat itself can be imported
+        cat = tmp_path / "z3.json"
+        cat.write_text(json.dumps(io.category_to_json(linearize(presets.cyclic_group(3), QQ))))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sepcat.__file__))}
+        proc = subprocess.run([sys.executable, "-S", "-m", "sepcat.cli", "separability", "check", str(cat)],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("separable: yes\n")
 
 
 def _spoiled(fn, spoil):

@@ -6,7 +6,6 @@ import hashlib
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from sepcat import presets
 from sepcat import interchange as io
@@ -14,6 +13,7 @@ from sepcat.cli import main
 from sepcat.cmod import representable_left_module
 from sepcat.exactalg import Field, QQ
 from sepcat.lincat import linearize
+from cli_runner import CliRunner
 from test_cohomology import crown_poset
 
 GOLDEN_PRESETS = {

@@ -5,7 +5,6 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from sepcat import interchange as io
@@ -42,6 +41,7 @@ from sepcat.separability import (
     verify_family,
     zelinsky_report,
 )
+from cli_runner import CliRunner
 from test_acceptance import ALL_FIELDS, DELTA_NONDISCRETE, DISCRETE, GROUPOIDS
 from test_cohomology import crown_poset
 from test_exactalg import gauss_jordan
