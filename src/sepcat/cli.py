@@ -23,7 +23,7 @@ from .exactalg import Field
 from .errors import BudgetExceededError, InternalCheckError
 from .lincat import classify_presentation, linearize, validate_category
 from .cmod import _kernel_comp_ses, canonical_bimodule, validate_module
-from .cohomology import build_hm_complex, cohomology_dims, les_analysis, obstruction_cocycle
+from .cohomology import _vanishing_dims, _vanishing_les, build_hm_complex, cohomology_dims, les_analysis, obstruction_cocycle
 from .separability import (
     _center_freedom,
     _is_separable,
@@ -231,11 +231,16 @@ def delta(pres_file):
 
 
 def cohomology(file, bimodule_spec, max_degree, json_out):
-    """Cohomology dimensions of the bar complex."""
+    """Cohomology dimensions of the bar complex. On a separable category
+    the complex is built to degree 1 only, where H^1 = 0 is checked; above
+    it H^n = 0, by the vanishing theorem."""
     c = _load_category(file)
     m = _resolve_bimodule(c, bimodule_spec)
-    complex = build_hm_complex(c, m, max_degree)
-    result = cohomology_dims(complex)
+    if _is_separable(c):
+        complex = build_hm_complex(c, m, min(max_degree, 1))
+        result = _vanishing_dims(complex, cohomology_dims(complex), max_degree)
+    else:
+        result = cohomology_dims(build_hm_complex(c, m, max_degree))
     print("degree  dim_cochain  rank_d  dim_H")
     for d in result.degrees:
         print(f"{d.n:<7} {d.dim_cochain:<12} {d.rank_d:<7} {d.dim_h}")
@@ -254,7 +259,10 @@ def obstruction(file):
 
 
 def les(file, ses_spec, max_degree, json_out):
-    """Verify the long exact sequence of a short exact sequence."""
+    """Verify the long exact sequence of a short exact sequence. On a
+    separable category it is walked to degree 1 only, where H^1 = 0 and
+    zero connecting ranks are checked; every later position is 0, by the
+    vanishing theorem."""
     c = _load_category(file)
     if ses_spec == "kernel-comp":
         ses = _kernel_comp_ses(c)
@@ -262,7 +270,10 @@ def les(file, ses_spec, max_degree, json_out):
         ses = io.ses_from_json(c, _load_json(ses_spec))
         for member, mod in (("M", ses.m), ("N", ses.n), ("P", ses.p)):
             _valid(c, mod, f"member {member} of {ses_spec} is not a valid bimodule")
-    report = les_analysis(c, ses, max_degree)
+    if _is_separable(c):
+        report = _vanishing_les(les_analysis(c, ses, min(max_degree, 1)), max_degree)
+    else:
+        report = les_analysis(c, ses, max_degree)
     print("position  incoming_rank  kernel_dim  exact")
     for rec in report.positions:
         print(f"{rec.position:<9} {rec.incoming_rank:<14} {rec.kernel_dim:<11} {'yes' if rec.exact else 'NO'}")

@@ -26,6 +26,12 @@ obstruction and the long exact sequence all read; a differential finds
 each term's row by integer strides from its column's input index. The
 long exact sequence of a short exact sequence of bimodules is walked as
 one list of positions H^n(M), H^n(N), H^n(P), H^(n+1)(M), ...
+
+Over a separable category every bimodule is projective, so H^n = 0 for
+n >= 1 (Mitchell, Rings with several objects, 1972). The cohomology and
+les verbs of the command line use it: they compute degree 1 here and
+extend the answer by _vanishing_dims and _vanishing_les, which check that
+degree 1 vanishes. The functions of __all__ always compute every degree.
 """
 
 from __future__ import annotations
@@ -341,6 +347,25 @@ def cohomology_dims(complex: CochainComplex) -> CohomologyResult:
     return CohomologyResult(out)
 
 
+def _vanishing_dims(complex: CochainComplex, result: CohomologyResult, max_degree: int) -> CohomologyResult:
+    """result, the cohomology_dims of a complex to degree 1 over a separable
+    category, extended to max_degree by the vanishing theorem: dim H^n = 0
+    for n >= 1, so R_n = dim C^n - R_(n-1) on the bar complex. The spaces
+    past the complex's are counted under the default budget, to degree
+    max_degree + 1 as build_hm_complex would; InternalCheckError when the
+    computed H^1 is nonzero."""
+    if result.dim_h(1):
+        raise InternalCheckError("nonzero H^1 over a separable category")
+    c, m = complex.cat, complex.coefficients
+    bar_dims = [complex.bar_dim(n) for n in range(3)]
+    bar_dims += [_degree_space(c, m, n, DEFAULT_BUDGET, c.hom_basis).bar_dim for n in range(3, max_degree + 2)]
+    out, bar_rank = list(result.degrees), result.degrees[1].rank_d
+    for n in range(2, max_degree + 1):
+        bar_rank = bar_dims[n] - bar_rank
+        out.append(DegreeData(n, bar_dims[n], bar_rank, 0))
+    return CohomologyResult(out)
+
+
 @dataclass
 class ObstructionResult:
     cocycle: Matrix
@@ -515,3 +540,20 @@ def les_analysis(c: FinLinCat, ses: ShortExactSeq, max_degree: int, budget: int 
         incoming, incoming_cols = ranks[j], out_cols
     degrees = [LesDegreeDims(n, *dims[3 * n : 3 * n + 3]) for n in range(max_degree + 1)]
     return LesReport(degrees, ranks[2::3], positions)
+
+
+def _vanishing_les(report: LesReport, max_degree: int) -> LesReport:
+    """report, the les_analysis of a short exact sequence to degree 1 over a
+    separable category, extended to max_degree by the vanishing theorem:
+    every H^n with n >= 1 is 0, so each later position is exact with rank 0
+    in and out; InternalCheckError when a computed H^1 or connecting rank
+    is nonzero."""
+    h1 = report.degrees[1]
+    if h1.dim_h_m or h1.dim_h_n or h1.dim_h_p or any(report.connecting_ranks):
+        raise InternalCheckError("nonzero H^1 or connecting rank over a separable category")
+    later = range(2, max_degree + 1)
+    return LesReport(
+        report.degrees + [LesDegreeDims(n, 0, 0, 0) for n in later],
+        report.connecting_ranks + [0] * len(later),
+        report.positions + [PositionRecord(f"H{n}({k})", 0, 0, True) for n in later for k in "MNP"],
+    )
