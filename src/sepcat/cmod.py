@@ -10,8 +10,8 @@ transpose of its columns, each a composite as comp_terms returns it.
 A tensor with an identity, a (x) 1 or 1 (x) b, is written row by row from
 the rows of a or b by _post_rows or _pre_rows; the actions of
 representable bimodules and left modules, of their sums and of C (x) C,
-the separability system's equivariance rows and the module section are
-all built that way.
+the separability system's equivariance rows, the module section and the
+cochain maps of sepcat.cohomology are all built that way.
 """
 
 from __future__ import annotations

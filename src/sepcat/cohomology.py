@@ -20,12 +20,14 @@ input indices row-major, coefficient index fastest; this makes every
 matrix in this module reproducible bit-for-bit. A tuple is enumerated
 only while its hom spaces are nonzero, so building a cochain space costs
 work in its nonzero hom chains, not in all |objects|^(n+1) tuples. Each
-differential and cochain map is written column by column straight into
-the nonzero rows of one Matrix, which the d . d = 0 check, the ranks, the
-obstruction and the long exact sequence all read; a differential finds
-each term's row by integer strides from its column's input index. The
-long exact sequence of a short exact sequence of bimodules is walked as
-one list of positions H^n(M), H^n(N), H^n(P), H^(n+1)(M), ...
+differential is written column by column straight into the nonzero rows
+of one Matrix, which the d . d = 0 check, the ranks, the obstruction and
+the long exact sequence all read; it finds each term's row by integer
+strides from its column's input index. A cochain map is I (x) blk on
+each slot, its rows written by cmod._pre_rows. The obstruction, too, is
+on the cochains build_hm_complex chooses. The long exact sequence of a
+short exact sequence of bimodules is walked as one list of positions
+H^n(M), H^n(N), H^n(P), H^(n+1)(M), ...
 
 Over a separable category every bimodule is projective, so H^n = 0 for
 n >= 1 (Mitchell, Rings with several objects, 1972). The cohomology and
@@ -44,7 +46,7 @@ from typing import Optional
 from .exactalg import Field, Matrix, RrefResult, _rank_mod
 from .errors import BudgetExceededError, InternalCheckError
 from .lincat import FinLinCat
-from .cmod import Bimodule, ShortExactSeq, _kernel_comp_ses, tensor_square_basis, validate_module
+from .cmod import Bimodule, ShortExactSeq, _kernel_comp_ses, _pre_rows, tensor_square_basis, validate_module
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -358,7 +360,8 @@ def _vanishing_dims(complex: CochainComplex, result: CohomologyResult, max_degre
         raise InternalCheckError("nonzero H^1 over a separable category")
     c, m = complex.cat, complex.coefficients
     bar_dims = [complex.bar_dim(n) for n in range(3)]
-    bar_dims += [_degree_space(c, m, n, DEFAULT_BUDGET, c.hom_basis).bar_dim for n in range(3, max_degree + 2)]
+    bases = _argument_bases(c)
+    bar_dims += [_degree_space(c, m, n, DEFAULT_BUDGET, bases).bar_dim for n in range(3, max_degree + 2)]
     out, bar_rank = list(result.degrees), result.degrees[1].rank_d
     for n in range(2, max_degree + 1):
         bar_rank = bar_dims[n] - bar_rank
@@ -384,12 +387,15 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
     is a coboundary exactly when the category is separable. Its coordinates
     in ker comp are read through the inclusion's degree-1 cochain map. The
     cochain spaces of C (x) C share budget with those of ker comp. Both
-    are bar complexes.
+    are on the cochains build_hm_complex chooses: on normalized ones the
+    values at identity arguments, 1_x . sigma - sigma . 1_x = 0, are left
+    out, and C^0 and d^0 on it are the bar complex's, so the verdict is
+    the bar complex's.
     """
     ses = _kernel_comp_ses(c)
     ker, cxc = ses.m, ses.n
-    bases = c.hom_basis
-    complex = _hm_complex(c, ker, 1, budget, bases)
+    complex = build_hm_complex(c, ker, 1, budget)
+    bases = _argument_bases(c)
     fld = c.field
     space0, space1 = (_degree_space(c, cxc, n, budget, bases) for n in (0, 1))
     sigma = [fld.zero] * space0.dim
@@ -438,21 +444,17 @@ class LesReport:
 
 def _cochain_map(field: Field, sspace: _DegreeSpace, tspace: _DegreeSpace, blocks: dict, n: int) -> Matrix:
     """The degree-n cochain map between the spaces sspace and tspace of a
-    bimodule map with the given blocks, applied slot by slot."""
-    rows: list[list] = [[] for _ in range(tspace.dim)]
+    bimodule map with the given blocks: on each slot, I_F (x) blk with F
+    the slot's number of inputs, written by _pre_rows into the rows of the
+    target slot of the same object tuple."""
+    rows: list = [()] * tspace.dim
     for slot in sspace.slots:
         tslot = tspace.by_objs.get(slot.objs)
-        if tslot is None:
-            continue
-        # column t of the block is row t of its transpose
-        blk = blocks[(slot.objs[0], slot.objs[n])].transpose().row_terms
-        # input index f, row-major over hom_dims, is shared by both slots
-        for f in range(prod(slot.hom_dims)):
-            for t in range(slot.mdim):
-                col = slot.offset + f * slot.mdim + t
-                for s, v in blk[t]:
-                    rows[tslot.offset + f * tslot.mdim + s].append((col, v))
-    return Matrix._of_rows(field, sspace.dim, tuple(map(tuple, rows)))
+        if tslot is not None:
+            blk = blocks[(slot.objs[0], slot.objs[n])]
+            block = _pre_rows(blk.row_terms, slot.offset, prod(slot.hom_dims), slot.mdim)
+            rows[tslot.offset : tslot.offset + len(block)] = block
+    return Matrix._of_rows(field, sspace.dim, tuple(rows))
 
 
 def _mod_image(cols: Matrix, image_rows: Optional[RrefResult]) -> Matrix:

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from sepcat import cohomology, exactalg, presets
 from sepcat.exactalg import Field, Matrix, QQ, _rank_mod
 from sepcat.errors import BudgetExceededError, InternalCheckError
-from sepcat.interchange import les_report_to_json
+from sepcat.cli import main
+from sepcat.interchange import category_to_json, les_report_to_json
 from sepcat.lincat import FinLinCat, linearize
 from sepcat.cmod import (
     Bimodule,
@@ -35,6 +36,8 @@ from sepcat.separability import solve_separability
 from canonical import assert_canonical
 from test_acceptance import DELTA_NONDISCRETE, DISCRETE, GROUPOIDS
 from test_exactalg import gauss_jordan
+from test_vanishing import cochain_basis
+from cli_runner import CliRunner
 
 F2, F3, F7 = Field(2), Field(3), Field(7)
 
@@ -226,13 +229,16 @@ class TestObstruction:
         assert obstruction_cocycle(c).is_coboundary == (solve_separability(c) is not None)
 
 
-def reference_obstruction(c):
+def reference_obstruction(c, bases=None):
     """The obstruction by its definition: f . sigma_x1 - sigma_x0 . f for
-    every basis f in hom(x1, x0), through the actions of C (x) C, each
-    value read in the coordinates of its ker comp block."""
+    every argument label f in hom(x1, x0), through the actions of C (x) C,
+    each value read in the coordinates of its ker comp block. The labels
+    are bases, by default the argument labels build_hm_complex takes."""
+    if bases is None:
+        bases = cohomology._argument_bases(c)
     cxc, comp_map = tensor_square(c)
     ker, incl = kernel_of(comp_map)
-    space1 = cohomology._degree_space(c, ker, 1, cohomology.DEFAULT_BUDGET, c.hom_basis)
+    space1 = cohomology._degree_space(c, ker, 1, cohomology.DEFAULT_BUDGET, bases)
     fld = c.field
     sigma = {}  # 1_x (x) 1_x in the (x, x) component of C (x) C
     for x in c.objects:
@@ -246,7 +252,7 @@ def reference_obstruction(c):
     values = [fld.zero] * space1.dim
     for slot in space1.slots:
         x0, x1 = slot.objs
-        for b_idx, b in enumerate(c.hom(x1, x0)):
+        for b_idx, b in enumerate(bases[(x1, x0)]):
             value = cxc.left[(b, x1)] @ sigma[x1] - cxc.right[(b, x0)] @ sigma[x0]
             assert (comp_map.blocks[(x0, x1)] @ value).is_zero()
             coords = incl.blocks[(x0, x1)]._coords(value)
@@ -265,6 +271,30 @@ ACCEPTANCE_CASES = pytest.mark.parametrize(
 def test_obstruction_matches_its_definition(name, k):
     c = linearize(ACCEPTANCE_PRESENTATIONS[name], k)
     assert obstruction_cocycle(c).cocycle == reference_obstruction(c)
+
+
+@ACCEPTANCE_CASES
+def test_bar_obstruction_is_the_normalized_one_and_zeros(name, k):
+    # omega on every label, as the bar complex holds it, is 0 at each
+    # identity argument (1_x . sigma = sigma . 1_x) and the normalized
+    # cocycle at every other; the bar complex's own d^0 gives the verdict
+    c = linearize(ACCEPTANCE_PRESENTATIONS[name], k)
+    assert cohomology._argument_bases(c) is not c.hom_basis
+    result = obstruction_cocycle(c)
+    values = reference_obstruction(c, c.hom_basis).col(0)
+    space1 = cohomology._degree_space(c, result.kernel, 1, cohomology.DEFAULT_BUDGET, c.hom_basis)
+    at_identity = set()  # the rows of 1_x in hom(x, x); a poset's ker comp is 0 there
+    for slot in space1.slots:
+        x0, x1 = slot.objs
+        if x0 == x1:
+            i = c.identity[x0].index(1)
+            at_identity.update(range(slot.offset + i * slot.mdim, slot.offset + (i + 1) * slot.mdim))
+    assert not any(values[r] for r in at_identity)
+    assert [v for r, v in enumerate(values) if r not in at_identity] == result.cocycle.col(0)
+    bar = bar_complex(c, result.kernel, 1)
+    cocycle = Matrix.column(k, values)
+    assert (bar.diffs[1] @ cocycle).is_zero()
+    assert (bar.diffs[0].solve_many(cocycle) is not None) == result.is_coboundary
 
 
 @ACCEPTANCE_CASES
@@ -363,6 +393,39 @@ class TestLes:
         dims = [cohomology_dims(build_hm_complex(c, mod, 2)) for mod in (ses.m, ses.n, ses.p)]
         for d in report.degrees:
             assert (d.dim_h_m, d.dim_h_n, d.dim_h_p) == tuple(r.dim_h(d.n) for r in dims)
+
+
+def textbook_cochain_map(c, bases, source, target, blocks, n):
+    """phi -> blk . phi on the degree-n cochains of the argument labels
+    bases, one column per basis cochain of source, numbered in the
+    documented order: the basis cochain at (objs, args, t) goes to column t
+    of the block at (x0, xn), at the same objects and arguments."""
+    src, tgt = cochain_basis(c, source, bases, n), cochain_basis(c, target, bases, n)
+    cells = []
+    for (objs, args, t), col in src.items():
+        blk = blocks[(objs[0], objs[n])]
+        cells += [(tgt[(objs, args, s)], col, v) for s, v in enumerate(blk.col(t)) if v]
+    return Matrix.from_entries(c.field, len(tgt), len(src), cells)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F7], ids=str)
+@pytest.mark.parametrize("name", sorted(LES_CATEGORIES))
+def test_cochain_maps_match_the_definition(name, field):
+    # the inclusion and the quotient of the kernel-comp sequence, degrees
+    # 0-3, on the normalized and on the bar cochains
+    c = linearize(LES_CATEGORIES[name], field)
+    ses = kernel_comp_ses(c)
+    mods = (ses.m, ses.n, ses.p)
+    for bases in (cohomology._argument_bases(c), c.hom_basis):
+        for n in range(4):
+            spaces = [cohomology._degree_space(c, mod, n, cohomology.DEFAULT_BUDGET, bases) for mod in mods]
+            for s, t, blocks in ((0, 1, ses.i.blocks), (1, 2, ses.q.blocks)):
+                got = cohomology._cochain_map(field, spaces[s], spaces[t], blocks, n)
+                want = textbook_cochain_map(c, bases, mods[s], mods[t], blocks, n)
+                assert (got.rows, got.cols) == (want.rows, want.cols)
+                assert [[(j, type(v), v) for j, v in row] for row in got.row_terms] == [
+                    [(j, type(v), v) for j, v in row] for row in want.row_terms
+                ]
 
 
 @given(st.sampled_from([QQ, F2, Field(7)]), st.data())
@@ -1034,6 +1097,54 @@ class TestNormalizedCut:
         assert cohomology_dims(complex).degrees == [
             DegreeData(n, bar_dims[n], ranks[n], g if n == 0 else 0) for n in range(4)
         ]
+
+
+# -- one choice of cochains: every verb's spaces on the argument labels --
+
+CHOICE_INPUTS = {
+    "Z3/Q": lambda: linearize(presets.cyclic_group(3), QQ),
+    "A3/Q": lambda: linearize(presets.chain_poset(3), QQ),
+    "Z2/F2": lambda: linearize(presets.cyclic_group(2), F2),
+    "G2(Z2)/F7": lambda: linearize(presets.connected_groupoid(presets.cyclic_group(2), 2), F7),
+    # K x K in the idempotent basis {p, q}: the identity is p + q
+    "KxK/Q": lambda: FinLinCat(
+        QQ, ["x"], {("x", "x"): ["p", "q"]}, {("p", "p"): [("p", 1)], ("q", "q"): [("q", 1)]},
+        {"x": [("p", 1), ("q", 1)]},
+    ),
+}
+VERB_ARGS = {
+    "obstruction": ["obstruction"],
+    "cohomology-canonical": ["cohomology", "--bimodule", "canonical", "--max-degree", "3"],
+    "cohomology-kernel-comp": ["cohomology", "--bimodule", "kernel-comp", "--max-degree", "3"],
+    "les": ["les", "--ses", "kernel-comp", "--max-degree", "2"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_ARGS))
+@pytest.mark.parametrize("name", sorted(CHOICE_INPUTS))
+def test_verbs_take_cochains_on_the_argument_labels(name, verb, tmp_path, monkeypatch):
+    # linearize makes each 1_x a label, and no cochain space of any verb
+    # takes it as an argument; K x K, whose 1 is p + q, keeps hom_basis
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(category_to_json(CHOICE_INPUTS[name]())))
+    seen = []
+    original = cohomology._degree_space
+
+    def spied(c, m, n, budget, bases):
+        seen.append((c, bases))
+        return original(c, m, n, budget, bases)
+
+    monkeypatch.setattr(cohomology, "_degree_space", spied)
+    verb_name, *options = VERB_ARGS[verb]
+    result = CliRunner().invoke(main, [verb_name, str(path), *options])
+    assert (result.exit_code in (0, 1), result.stderr) == (True, "")
+    assert seen
+    for c, bases in seen:
+        if name == "KxK/Q":
+            assert bases is c.hom_basis
+        else:
+            for x in c.objects:
+                assert c.hom(x, x)[c.identity[x].index(1)] not in bases[(x, x)]
 
 
 # digests of the normalized d^0, d^1, d^2 on the corpus and by the recipe of
