@@ -290,11 +290,7 @@ def _pre_rows(rows, off: int, m: int, n: int) -> list:
     """The rows of 1_m (x) b, b given by its row_terms with n columns,
     with every column moved by off: row (u, j') is row j' of b with
     column j moved to off + u n + j. With m = 1 this shifts b by off."""
-    out = []
-    for u in range(m):
-        base = off + u * n
-        out.extend(tuple([(base + j, v) for j, v in row]) for row in rows)
-    return out
+    return [tuple([(off + u * n + j, v) for j, v in row]) for u in range(m) for row in rows]
 
 
 def representable_left_module(c: FinLinCat, a: str) -> LeftModule:

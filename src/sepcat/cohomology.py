@@ -5,11 +5,12 @@ hom(x1, x0) (x) ... (x) hom(xn, x(n-1)) -> M[x0][xn]; degree 0 is the
 product of the diagonal components M[x][x]. A cochain is fixed by its
 values on tuples of argument labels, one basis per hom space: the bar
 complex takes every basis label; the normalized complex, the cochains
-that vanish when any argument is an identity, drops each identity label
-from hom(x, x). It is the one built whenever every 1_x is a single basis
-label with coefficient 1 (linearize makes it so), and has the bar
-complex's cohomology; reports still give the bar complex's dimensions and
-ranks (see cohomology_dims). The differential is
+that vanish when any argument is an identity, drops from each hom(x, x)
+the first label at which 1_x has a nonzero coefficient, whatever basis
+1_x is written in (for a linearized category, the identity label). It is
+the one built for every input, and has the bar complex's cohomology;
+reports still give the bar complex's dimensions and ranks (see
+cohomology_dims). The differential is
 
   (d phi)(f1, ..., f(n+1)) = f1 . phi(f2, ..., f(n+1))
       + sum_i (-1)^i phi(..., fi . f(i+1), ...)
@@ -81,9 +82,10 @@ class _DegreeSpace:
 
 class CochainComplex:
     """Cochain spaces C^0 .. C^(max_degree+1) and differentials
-    d^0 .. d^max_degree, each a Matrix of its nonzero rows: normalized or
-    bar, as build_hm_complex chose. dim(n) is the dimension of the space
-    the differentials act on, bar_dim(n) that of the bar complex's C^n.
+    d^0 .. d^max_degree, each a Matrix of its nonzero rows: normalized
+    from build_hm_complex, bar when _hm_complex is given c.hom_basis.
+    dim(n) is the dimension of the space the differentials act on,
+    bar_dim(n) that of the bar complex's C^n.
 
     Invariant: every adjacent pair of differentials has passed the exact
     check d^(n+1) . d^n = 0 in build_hm_complex, so im d^(n-1) lies in
@@ -107,16 +109,15 @@ class CochainComplex:
 
 
 def _argument_bases(c: FinLinCat):
-    """The argument labels of each hom space: hom_basis less each identity
-    label when every 1_x is one basis label with coefficient 1 (the
-    normalized complex), else hom_basis itself (the bar complex)."""
+    """The argument labels of the normalized complex: hom_basis less, in
+    each hom(x, x), the first label l_x at which 1_x has a nonzero
+    coefficient. The kept labels and 1_x are a basis of hom(x, x), so a
+    cochain that vanishes at 1_x is fixed by its values on the kept ones."""
     bases = dict(c.hom_basis)
-    for x in c.objects:
-        ident = c.identity.get(x, ())
-        if sum(1 for v in ident if v) != 1 or 1 not in ident:
-            return c.hom_basis
-        k = ident.index(1)
-        bases[(x, x)] = bases[(x, x)][:k] + bases[(x, x)][k + 1 :]
+    for x, ident in c.identity.items():
+        k = next((k for k, a in enumerate(ident) if a), None)
+        if k is not None:
+            bases[(x, x)] = bases[(x, x)][:k] + bases[(x, x)][k + 1 :]
     return bases
 
 
@@ -153,24 +154,33 @@ def _degree_space(c: FinLinCat, m: Bimodule, n: int, budget: int, bases) -> _Deg
 def _composites_by_result(c: FinLinCat, bases) -> dict:
     """{(x, w, y): {a: [(b_idx, b2_idx, gamma)]}}: the pairs of argument
     labels b in hom(w, x), b2 in hom(y, w) whose composite b . b2 has the
-    nonzero coefficient gamma at argument a of hom(y, x), a field scalar:
-    over Q an int when integral, as every stored rational is. A term at a
-    label outside bases, a dropped identity, is left out: the cochains
-    vanish there."""
+    nonzero coefficient gamma at argument a of hom(y, x). A kept label is
+    its own argument. The cochains vanish at 1_x = sum_j a_j e_j, so a
+    term at the label l_x dropped from hom(x, x) is read as -a_j / a_l
+    times itself at each other e_j with a_j != 0. gamma is a product of
+    field scalars, an int over Q when both are, and the differential
+    reduces each entry once."""
+    fld = c.field
     index: dict = {}
-    # a basis index k of c.hom_basis[pair] as an argument index, or None
+    # a basis index k of c.hom_basis[pair] as its [(argument index, scale)]
     args = {}
     for pair, labels in c.hom_basis.items():
         position = {b: a for a, b in enumerate(bases[pair])}
-        args[pair] = [position.get(b) for b in labels]
+        args[pair] = [[(position[b], 1)] if b in position else None for b in labels]
+    for x, ident in c.identity.items():
+        arg = args[(x, x)]
+        for k, a_l in enumerate(ident):
+            if arg[k] is None:
+                s = fld.neg(fld.inv(a_l))
+                arg[k] = [(arg[j][0][0], fld.mul(s, a)) for j, a in enumerate(ident) if a and j != k]
     for x, w, y in product(c.objects, repeat=3):
         by_a: dict = {}
         arg = args[(y, x)]
         for b_idx, b in enumerate(bases[(w, x)]):
             for b2_idx, b2 in enumerate(bases[(y, w)]):
                 for k, gamma in c.comp_terms(b, b2):
-                    if arg[k] is not None:
-                        by_a.setdefault(arg[k], []).append((b_idx, b2_idx, gamma))
+                    for a, s in arg[k]:
+                        by_a.setdefault(a, []).append((b_idx, b2_idx, gamma * s))
         index[(x, w, y)] = by_a
     return index
 
@@ -268,13 +278,13 @@ def build_hm_complex(
     outgrows budget columns and InternalCheckError when the exact product
     d^(n+1) . d^n of some adjacent pair is nonzero.
 
-    When every identity 1_x is one basis label with coefficient 1, the
-    complex built is the normalized one: the cochains that vanish when any
-    argument is an identity. For a valid category and a valid bimodule M
-    (1_x acts as the identity) they form a subcomplex of the bar complex
-    whose inclusion is a quasi-isomorphism (Mac Lane, Homology, ch. X;
-    for a poset it is the order complex, Gerstenhaber-Schack 1983), so it
-    has the same cohomology. Otherwise the bar complex is built."""
+    The complex built is the normalized one, on the argument labels of
+    _argument_bases: the cochains that vanish when any argument is an
+    identity, in whatever basis 1_x is written. For a valid category and
+    a valid bimodule M (1_x acts as the identity) they form a subcomplex
+    of the bar complex whose inclusion is a quasi-isomorphism (Mac Lane,
+    Homology, ch. X; for a poset it is the order complex,
+    Gerstenhaber-Schack 1983), so it has the same cohomology."""
     return _hm_complex(c, m, max_degree, budget, _argument_bases(c))
 
 
@@ -387,10 +397,10 @@ def obstruction_cocycle(c: FinLinCat, budget: int = DEFAULT_BUDGET) -> Obstructi
     is a coboundary exactly when the category is separable. Its coordinates
     in ker comp are read through the inclusion's degree-1 cochain map. The
     cochain spaces of C (x) C share budget with those of ker comp. Both
-    are on the cochains build_hm_complex chooses: on normalized ones the
-    values at identity arguments, 1_x . sigma - sigma . 1_x = 0, are left
-    out, and C^0 and d^0 on it are the bar complex's, so the verdict is
-    the bar complex's.
+    are normalized, on the argument labels of _argument_bases: the value
+    at an identity argument, 1_x . sigma - sigma . 1_x, is 0, so d^0 sigma
+    is a normalized cochain, read off at the kept labels, and C^0 and d^0
+    on it are the bar complex's, so the verdict is the bar complex's.
     """
     ses = _kernel_comp_ses(c)
     ker, cxc = ses.m, ses.n

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import re
 from bisect import insort
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -708,16 +707,9 @@ def _distinct_blocks(m: Matrix, solve: Callable[[tuple, int], _T]) -> Iterator[t
     own coordinates, called once per distinct block: a block equal to an
     earlier one in its own coordinates shares that block's result. The
     rows are the key, exact values and not their residues, so two blocks
-    congruent mod a prime but different over Q are solved apart. Only a
-    block with a sibling of the same shape is looked up, so a matrix of
-    one block, or of blocks of different shapes, hashes no key."""
-    blocks = _blocks(m)
-    shapes = Counter((len(rows), len(cols)) for cols, rows in blocks)
+    congruent mod a prime but different over Q are solved apart."""
     seen: dict[tuple, _T] = {}
-    for cols, rows in blocks:
-        if shapes[len(rows), len(cols)] == 1:
-            yield cols, solve(rows, len(cols))
-            continue
+    for cols, rows in _blocks(m):
         result = seen.get(rows)
         if result is None:
             result = seen[rows] = solve(rows, len(cols))

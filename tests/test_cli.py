@@ -268,6 +268,34 @@ class TestCohomologyCommands:
         assert result.stderr.startswith(f"malformed input: member N of {ses} is not a valid bimodule: ")
         assert "left action at y=x: composition law fails on pair (g1,g1)" in result.stderr
 
+    @pytest.mark.parametrize(
+        "m_is_n, i_is_zero, q_is_zero, violation",
+        [
+            (True, True, False, "inclusion not injective at (x,x)"),
+            (False, True, True, "quotient map not surjective at (x,x)"),
+            (True, False, False, "q.i is nonzero at (x,x)"),
+        ],
+        ids=["i-not-injective", "q-not-surjective", "q-after-i-nonzero"],
+    )
+    def test_les_file_with_inexact_sequence_is_exit_two(self, runner, files, tmp_path, m_is_n, i_is_zero, q_is_zero,
+                                                        violation):
+        # valid bimodules and bimodule maps, zero or identity on each
+        # component, that are not short exact
+        c = linearize(presets.cyclic_group(2), QQ)
+        n = canonical_bimodule(c)
+        m = n if m_is_n else zero_bimodule(c)
+
+        def blocks(src, tgt, zero):
+            return {key: Matrix.zeros(QQ, d, src.dims[key]) if zero else Matrix.identity(QQ, d) for key, d in tgt.dims.items()}
+
+        ses = ShortExactSeq(m, n, n, BimoduleMap(m, n, blocks(m, n, i_is_zero)), BimoduleMap(n, n, blocks(n, n, q_is_zero)))
+        path = tmp_path / "inexact.ses.json"
+        path.write_text(json.dumps(io.ses_to_json(ses)))
+        result = runner.invoke(main, ["les", files["z2_over_Q.json"], "--ses", str(path), "--max-degree", "2"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith("malformed input: input sequence is not short exact: ")
+        assert violation in result.stderr
+
 
 class TestModuleCommands:
     def test_module_split(self, runner, files, tmp_path):
@@ -290,6 +318,25 @@ class TestModuleCommands:
         assert result.exit_code == 0
         assert "yes" in result.output
 
+    @pytest.mark.parametrize("verb", ["module split", "zelinsky"])
+    def test_invalid_certificate_is_exit_one(self, runner, files, tmp_path, verb):
+        # e = 1/2 g0 (x) g0 has e_x . 1 = 1/2 != 1 and is not equivariant
+        bad = tmp_path / "bad_cert.json"
+        bad.write_text(json.dumps([{"x": "x", "y": "x", "terms": [{"coeff": "1/2", "u": "g0", "v": "g0"}]}]))
+        mod = tmp_path / "regular.json"
+        mod.write_text(json.dumps(io.left_module_to_json(representable_left_module(linearize(presets.cyclic_group(2), QQ), "x"))))
+        args = {"module split": ["module", "split", files["z2_over_Q.json"], "--module", str(mod)],
+                "zelinsky": ["zelinsky", files["z2_over_Q.json"]]}[verb]
+        result = runner.invoke(main, [*args, "--certificate", str(bad)])
+        assert (result.exit_code, result.stderr) == (1, "")
+        lines = result.stdout.splitlines()
+        assert lines[0] == "certificate: invalid"
+        if verb == "module split":
+            assert "unit residual at object x" in lines
+            assert "equivariance residual at morphism g1, object x" in lines
+        else:
+            assert lines == ["certificate: invalid"]
+
     @pytest.mark.parametrize("k", [QQ, Field(7)], ids=str)
     def test_split_and_zelinsky_read_the_certificate_blocks(self, runner, tmp_path, monkeypatch, k):
         # neither verb decomposes the certificate into rank-one terms
@@ -310,9 +357,50 @@ class TestModuleCommands:
             assert (result.exit_code, result.stdout) == (0, before.stdout)
 
 
+def _bad_identity(tmp_path):
+    """A well-formed category file, Z_2 over Q with 1_x = g1, which breaks
+    both unit laws."""
+    doc = io.category_to_json(linearize(presets.cyclic_group(2), QQ))
+    doc["identity"] = {"x": {"g1": "1"}}
+    bad = tmp_path / "bad_identity.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
 class TestValidateAndLinearize:
     def test_validate_category(self, runner, files):
         assert runner.invoke(main, ["validate", files["z2_over_Q.json"]]).exit_code == 0
+
+    def test_validate_reports_violations(self, runner, tmp_path):
+        bad = _bad_identity(tmp_path)
+        result = runner.invoke(main, ["validate", str(bad)])
+        assert (result.exit_code, result.stderr) == (1, "")
+        lines = result.stdout.splitlines()
+        assert lines and all(line.startswith("violation: ") for line in lines)
+        assert "violation: right unit law fails: g0 . 1_x != g0" in lines
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["separability", "check"],
+            ["separability", "verify", "--certificate", "{file}"],
+            ["cohomology", "--bimodule", "canonical"],
+            ["obstruction"],
+            ["les", "--ses", "kernel-comp"],
+            ["module", "split", "--module", "{file}", "--certificate", "{file}"],
+            ["zelinsky", "--certificate", "{file}"],
+        ],
+        ids=" ".join,
+    )
+    def test_invalid_category_is_exit_two(self, runner, tmp_path, verb):
+        # every verb validates the category before it reads any other file
+        bad = _bad_identity(tmp_path)
+        words = [w.format(file=bad) for w in verb]
+        n = 2 if words[0] in ("separability", "module") else 1
+        result = runner.invoke(main, [*words[:n], str(bad), *words[n:]])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith(f"malformed input: {bad} is not a valid category: ")
+        assert "unit law fails" in result.stderr
 
     def test_validate_bimodule_needs_category(self, runner, files, tmp_path):
         c = linearize(presets.cyclic_group(2), QQ)

@@ -13,7 +13,7 @@ from sepcat.exactalg import Field, Matrix, QQ, _rank_mod
 from sepcat.errors import BudgetExceededError, InternalCheckError
 from sepcat.cli import main
 from sepcat.interchange import category_to_json, les_report_to_json
-from sepcat.lincat import FinLinCat, linearize
+from sepcat.lincat import FinLinCat, linearize, validate_category
 from sepcat.cmod import (
     Bimodule,
     BimoduleMap,
@@ -479,6 +479,50 @@ def in_triangular_basis(c, m, above):
         y2, y, _ = c.label_info[g]
         right[(g, x)] = t_inv[(x, y2)] @ act @ t[(x, y)]
     return Bimodule(c, m.dims, left, right), t
+
+
+def dual_numbers(fld):
+    """K[e]/(e^2) in the basis {a = 1 + e, e}: 1 = a - e, a . a = a + e and
+    a . e = e . a = e."""
+    comp = {("a", "a"): [("a", 1), ("e", 1)], ("a", "e"): [("e", 1)], ("e", "a"): [("e", 1)]}
+    return FinLinCat(fld, ["x"], {("x", "x"): ["a", "e"]}, comp, {"x": [("a", 1), ("e", -1)]})
+
+
+def rebased(c, seed):
+    """c in another basis of each hom space, under the same labels: label k
+    of hom(x, y) names column k of T = U L, U unit upper and L lower
+    triangular with small entries drawn from seed and a diagonal of 1 and
+    2. T is drawn again until each 1_x of a hom(x, x) of dimension 2 or
+    more has two nonzero coordinates or more."""
+    fld, rng = c.field, random.Random(seed)
+    small, scales = [fld.of(v) for v in (-1, 0, 1)], [v for v in map(fld.of, (1, 2)) if v]
+    t, t_inv = {}, {}
+    for (x, y), labels in c.hom_basis.items():
+        d = len(labels)
+        while True:
+            upper = [(r, q, fld.one if q == r else rng.choice(small)) for r in range(d) for q in range(r, d)]
+            lower = [(r, q, rng.choice(scales) if q == r else rng.choice(small)) for r in range(d) for q in range(r + 1)]
+            t[(x, y)] = Matrix.from_entries(fld, d, d, upper) @ Matrix.from_entries(fld, d, d, lower)
+            t_inv[(x, y)] = t[(x, y)].solve_many(Matrix.identity(fld, d))
+            if x != y or d < 2 or sum(1 for v in (t_inv[(x, x)] @ Matrix.column(fld, c.identity[x])).col(0) if v) > 1:
+                break
+
+    def terms(pair, vec):
+        # vec, in the old coordinates of hom pair, as terms of the new basis
+        return [(lab, v) for lab, v in zip(c.hom_basis[pair], (t_inv[pair] @ Matrix.column(fld, vec)).col(0)) if v]
+
+    comp = {}
+    for (y, z), gs in c.hom_basis.items():
+        for x in c.objects:
+            fs = c.hom(x, y)
+            for (a, g), (b, f) in product(enumerate(gs), enumerate(fs)):
+                vec = [fld.zero] * c.dim_hom(x, z)
+                for (gi, u), (fj, w) in product(zip(gs, t[(y, z)].col(a)), zip(fs, t[(x, y)].col(b))):
+                    for k, v in c.comp_terms(gi, fj):
+                        vec[k] = fld.add(vec[k], fld.mul(fld.mul(u, w), v))
+                comp[(g, f)] = terms((x, z), vec)
+    identity = {x: terms((x, x), vec) for x, vec in c.identity.items()}
+    return FinLinCat(fld, c.objects, dict(c.hom_basis), comp, identity)
 
 
 def crown_poset():
@@ -1017,6 +1061,17 @@ class TestClosedForms:
         result = cohomology_dims(build_hm_complex(c, canonical_bimodule(c), 3))
         assert [d.dim_h for d in result.degrees] == [1, 1, 0, 0]
 
+    @pytest.mark.parametrize(
+        "fld, expected", [(QQ, [2, 1, 1, 1, 1, 1]), (F3, [2, 1, 1, 1, 1, 1]), (F2, [2, 2, 2, 2, 2, 2])], ids=str
+    )
+    def test_dual_numbers_off_the_identity_basis(self, fld, expected):
+        # K[e]/(e^2) has dim HH^n = 1 for n >= 1 when 2 is invertible in K
+        # and 2 when char K = 2 (periodic resolution); written in the basis
+        # {a = 1 + e, e}, its identity a - e is no basis label
+        c = dual_numbers(fld)
+        result = cohomology_dims(build_hm_complex(c, canonical_bimodule(c), len(expected) - 1))
+        assert [d.dim_h for d in result.degrees] == expected
+
 
 # -- normalized cochains: the bar complex's numbers from the subcomplex --
 
@@ -1054,6 +1109,38 @@ def test_les_report_equals_the_bar_complex_report(monkeypatch, name):
     assert les_report_to_json(les_analysis(c, ses, 2)) == normalized
 
 
+# the corpus in random bases, where 1_x is off the basis: the normalized
+# complex reads the dropped label at the others
+
+
+@pytest.mark.parametrize("kind", ["canonical", "kernel-comp", "random0"])
+@pytest.mark.parametrize("field", [QQ, F2, F3, F7], ids=str)
+@pytest.mark.parametrize("name", sorted(NORMALIZED_PRESENTATIONS))
+def test_rebased_table_equals_the_bar_table(name, field, kind):
+    c = rebased(linearize(NORMALIZED_PRESENTATIONS[name], field), 0)
+    assert validate_category(c).ok
+    m = COEFFICIENTS[kind](c)
+    try:
+        want = cohomology_dims(bar_complex(c, m, 2)).degrees
+    except BudgetExceededError:
+        pytest.skip("the bar complex outgrows the default budget")
+    assert cohomology_dims(build_hm_complex(c, m, 2)).degrees == want
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F7], ids=str)
+@pytest.mark.parametrize("name", sorted(NORMALIZED_PRESENTATIONS))
+def test_rebased_verbs_match_the_original(name, field):
+    c = linearize(NORMALIZED_PRESENTATIONS[name], field)
+    r = rebased(c, 0)
+    result = obstruction_cocycle(r)
+    assert result.cocycle == reference_obstruction(r)
+    assert result.is_coboundary == obstruction_cocycle(c).is_coboundary
+    les = [les_report_to_json(les_analysis(cat, kernel_comp_ses(cat), 2)) for cat in (r, c)]
+    assert les[0] == les[1]
+    tables = [cohomology_dims(build_hm_complex(cat, canonical_bimodule(cat), 2)).degrees for cat in (r, c)]
+    assert tables[0] == tables[1]
+
+
 class TestNormalizedCut:
     def test_z5_drops_the_identity_from_every_argument(self):
         # C^n of Z_5 takes 5 values on 4^n tuples of non-identity elements;
@@ -1087,13 +1174,15 @@ class TestNormalizedCut:
             pytest.param(["e"], {("e", "e"): [("e", 2)]}, [("e", Fraction(1, 2))], [0, 1, 0, 1], id="e/2"),
         ],
     )
-    def test_identity_off_the_basis_builds_the_bar_complex(self, basis, comp, ident, ranks):
-        # a commutative separable algebra: H^0 is all of it, H^n = 0 for n > 0
+    def test_identity_off_the_basis_builds_the_normalized_complex(self, basis, comp, ident, ranks):
+        # a commutative separable algebra: H^0 is all of it, H^n = 0 for n > 0;
+        # C^n drops the first label of 1_x from every argument
         c = FinLinCat(QQ, ["x"], {("x", "x"): basis}, comp, {"x": ident})
         complex = build_hm_complex(c, canonical_bimodule(c), 3)
         g = len(basis)
         bar_dims = [g ** (n + 1) for n in range(5)]
-        assert [complex.dim(n) for n in range(5)] == [complex.bar_dim(n) for n in range(5)] == bar_dims
+        assert [complex.dim(n) for n in range(5)] == [g * (g - 1) ** n for n in range(5)]
+        assert [complex.bar_dim(n) for n in range(5)] == bar_dims
         assert cohomology_dims(complex).degrees == [
             DegreeData(n, bar_dims[n], ranks[n], g if n == 0 else 0) for n in range(4)
         ]
@@ -1123,8 +1212,9 @@ VERB_ARGS = {
 @pytest.mark.parametrize("verb", sorted(VERB_ARGS))
 @pytest.mark.parametrize("name", sorted(CHOICE_INPUTS))
 def test_verbs_take_cochains_on_the_argument_labels(name, verb, tmp_path, monkeypatch):
-    # linearize makes each 1_x a label, and no cochain space of any verb
-    # takes it as an argument; K x K, whose 1 is p + q, keeps hom_basis
+    # no cochain space of any verb takes as an argument the first label at
+    # which 1_x has a nonzero coefficient: for a linearized category the
+    # identity label, for K x K, whose 1 is p + q, the label p
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(category_to_json(CHOICE_INPUTS[name]())))
     seen = []
@@ -1140,11 +1230,9 @@ def test_verbs_take_cochains_on_the_argument_labels(name, verb, tmp_path, monkey
     assert (result.exit_code in (0, 1), result.stderr) == (True, "")
     assert seen
     for c, bases in seen:
-        if name == "KxK/Q":
-            assert bases is c.hom_basis
-        else:
-            for x in c.objects:
-                assert c.hom(x, x)[c.identity[x].index(1)] not in bases[(x, x)]
+        for x in c.objects:
+            first = next(k for k, a in enumerate(c.identity[x]) if a)
+            assert c.hom(x, x)[first] not in bases[(x, x)]
 
 
 # digests of the normalized d^0, d^1, d^2 on the corpus and by the recipe of
