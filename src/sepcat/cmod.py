@@ -328,11 +328,14 @@ def character_left_module(c: FinLinCat, values: dict[str, object]) -> LeftModule
 def _linear_action(field: Field, terms, action: dict, rows: int, cols: int) -> Matrix:
     """The action of sum coeff label over the (label, coeff) terms, a
     rows x cols matrix, by extending action linearly; zero coefficients
-    are skipped."""
+    are skipped, and one label with coefficient 1 is its own action
+    matrix, shared since a Matrix never changes."""
+    terms = [(label, coeff) for label, coeff in terms if coeff]
+    if len(terms) == 1 and terms[0][1] == 1:
+        return action[terms[0][0]]
     out = Matrix.zeros(field, rows, cols)
     for label, coeff in terms:
-        if coeff:
-            out = out + action[label].scale(coeff)
+        out = out + action[label].scale(coeff)
     return out
 
 

@@ -168,7 +168,10 @@ def category_to_json(c: FinLinCat) -> dict:
 
 def category_from_json(doc: dict) -> FinLinCat:
     """The category a document describes. This checks the JSON shape and
-    reads the scalars; FinLinCat checks the labels and the hom spaces."""
+    reads the scalars; FinLinCat checks the labels and the hom spaces.
+    A composition term that is a JSON object with a string 'basis' and
+    string 'coeff' is read as it stands, each distinct scalar text parsed
+    once; any other term takes the member checks, which name its fault."""
     field = Field.from_json(_require(doc, "field", "category"))
     objects = _require_type(_require(doc, "objects", "category"), list, "objects", "category")
     for x in objects:
@@ -197,8 +200,10 @@ def category_from_json(doc: dict) -> FinLinCat:
     entries = doc.get("composition", [])
     for key, entry in _keyed(entries, ("g", "f"), "composition entry", "composition", "category"):
         composition[key] = [
-            (_require_type(_require(term, "basis", "composition term"), str, "basis", "category"),
-             scalar(_require(term, "coeff", "composition term")))
+            (term["basis"], scalar(term["coeff"]))
+            if term.__class__ is dict and term.get("basis").__class__ is str and term.get("coeff").__class__ is str
+            else (_require_type(_require(term, "basis", "composition term"), str, "basis", "category"),
+                  scalar(_require(term, "coeff", "composition term")))
             for term in _require_type(_require(entry, "result", "composition entry"), list, "result", "category")
         ]
     return FinLinCat(field, objects, hom_basis, composition, identity)

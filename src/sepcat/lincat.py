@@ -40,16 +40,16 @@ class ValidationReport:
 class FinLinCat:
     """A finite K-linear category given by structure constants.
 
-    composition[(g, f)] and identity[x] are iterables of (basis label,
-    scalar) terms of g . f in hom(src f, tgt g) and of 1_x in hom(x, x);
-    repeated labels add up and absent labels are zero. The constructor is
-    the one place that checks the structure: a duplicate object or label,
-    an unknown object or label, a non-composable pair or a term outside its
-    hom space raises ValueError. It is permissive about the category
-    axioms; validate_category reports violations as data. Like Matrix, a
-    FinLinCat is immutable: its tables are read-only mappings and assigning
-    an attribute raises, so what is derived from it, such as
-    generating_labels, can be kept on it.
+    composition[(g, f)], a sequence, and identity[x], an iterable, hold
+    the (basis label, scalar) terms of g . f in hom(src f, tgt g) and of
+    1_x in hom(x, x); repeated labels add up and absent labels are zero.
+    The constructor is the one place that checks the structure: a duplicate
+    object or label, an unknown object or label, a non-composable pair or a
+    term outside its hom space raises ValueError. It is permissive about
+    the category axioms; validate_category reports violations as data.
+    Like Matrix, a FinLinCat is immutable: its tables are read-only
+    mappings and assigning an attribute raises, so what is derived from it,
+    such as generating_labels, can be kept on it.
     """
 
     def __init__(
@@ -57,7 +57,7 @@ class FinLinCat:
         field: Field,
         objects: Sequence[str],
         hom_basis: dict[tuple[str, str], Sequence[str]],
-        composition: dict[tuple[str, str], Iterable[tuple[str, object]]],
+        composition: dict[tuple[str, str], Sequence[tuple[str, object]]],
         identity: dict[str, Iterable[tuple[str, object]]],
     ):
         objects = tuple(objects)
@@ -82,16 +82,12 @@ class FinLinCat:
         def summed(pair: tuple[str, str], terms, what: str, *names) -> tuple:
             # the nonzero (k, coeff) of terms over the basis of hom pair, in k
             # order; what % names is the entry, formatted only for an error
-            found = []
+            out: dict = {}
             for lab, v in terms:
                 x, y, k = label_info.get(lab, (None, None, None))
                 if (x, y) != pair:
                     raise ValueError(f"{what % names} names {lab!r} outside hom({pair[0]},{pair[1]})")
-                found.append((k, field.of(v)))
-            if len(found) == 1:
-                return tuple(found) if found[0][1] else ()
-            out: dict = {}
-            for k, v in found:
+                v = field.of(v)
                 out[k] = field.add(out[k], v) if k in out else v
             return tuple((k, out[k]) for k in sorted(out) if out[k])
 
@@ -103,7 +99,13 @@ class FinLinCat:
             y2, z, _ = label_info[g]
             if y != y2:
                 raise ValueError(f"composition entry ({g},{f}) refers to a non-composable pair")
-            terms = summed((x, z), terms, "composition (%s,%s)", g, f)
+            if len(terms) == 1 and label_info.get(terms[0][0], ())[:2] == (x, z):
+                # one term in its hom space, as every entry of a linearized category is
+                ((lab, v),) = terms
+                v = field.of(v)
+                terms = ((label_info[lab][2], v),) if v else ()
+            else:
+                terms = summed((x, z), terms, "composition (%s,%s)", g, f)
             if terms:
                 table[(g, f)] = terms
         ident: dict[str, tuple] = {}
@@ -213,23 +215,32 @@ def validate_category(c: FinLinCat) -> ValidationReport:
     generating_labels(c) are checked, and every triple only if one fails.
     Only composable triples (h, g, f) are visited, f: w -> x, g: x -> y and
     h: y -> z, and reported in the order of (w, x, y, z) in c.objects, then
-    of their basis indices."""
+    of their basis indices.
+
+    Both laws are read straight off comp_table: per head h the composites
+    h.e with every label e into y once, per (h, g) the labels of h.g once.
+    A one-term composite with coefficient 1, such as every composite and
+    identity of a linearized category, selects one table entry; any other
+    is summed by _combine."""
     violations: list[str] = []
     for x in c.objects:
         if x not in c.identity:
             violations.append(f"missing identity vector for object {x}")
-    fld = c.field
+    fld, table = c.field, c.comp_table
+    one = {x: [(a, e) for a, e in zip(vec, c.hom(x, x)) if a] for x, vec in c.identity.items()}
+    # where 1_x is one label e with coefficient 1, f . 1_x and 1_x . f are table entries
+    unit = {x: terms[0][1] for x, terms in one.items() if len(terms) == 1 and terms[0][0] == 1}
     # unit laws against the stored identity vectors: f . 1_x = sum_t (1_x)_t f.e_t
     for (x, y), labels in c.hom_basis.items():
-        if x in c.identity:
-            one_x = [(a, e) for a, e in zip(c.identity[x], c.hom(x, x)) if a]
+        if x in one:
             for i, lab in enumerate(labels):
-                if _combine(fld, [(a, c.comp_terms(lab, e)) for a, e in one_x]) != ((i, fld.one),):
+                if (table.get((lab, unit[x]), ()) if x in unit else
+                        _combine(fld, [(a, table.get((lab, e), ())) for a, e in one[x]])) != ((i, fld.one),):
                     violations.append(f"right unit law fails: {lab} . 1_{x} != {lab}")
-        if y in c.identity:
-            one_y = [(a, e) for a, e in zip(c.identity[y], c.hom(y, y)) if a]
+        if y in one:
             for i, lab in enumerate(labels):
-                if _combine(fld, [(a, c.comp_terms(e, lab)) for a, e in one_y]) != ((i, fld.one),):
+                if (table.get((unit[y], lab), ()) if y in unit else
+                        _combine(fld, [(a, table.get((e, lab), ())) for a, e in one[y]])) != ((i, fld.one),):
                     violations.append(f"left unit law fails: 1_{y} . {lab} != {lab}")
     position = {x: n for n, x in enumerate(c.objects)}
     into: dict[str, list] = {x: [] for x in c.objects}
@@ -238,16 +249,20 @@ def validate_category(c: FinLinCat) -> ValidationReport:
 
     def associativity(heads) -> list[str]:
         # on basis triples (h, g, f) with h in heads, read off the table:
-        # (h.g).f = sum_k (h.g)_k e_k.f and h.(g.f) = sum_k (g.f)_k h.e_k
+        # (h.g).f = sum_k (h.g)_k e_k.f and h.(g.f) = sum_k (g.f)_k h.e_k,
+        # where a one-term composite with coefficient 1 picks one table entry
         found = []
         for h in heads:
             y, z, i = c.label_info[h]
+            h_on = {w: [table.get((h, e), ()) for e in c.hom(w, y)] for w in c.objects}
             for g, x, j in into[y]:
-                hom_xz, hg = c.hom(x, z), c.comp_terms(h, g)
+                hom_xz = c.hom(x, z)
+                hg = [(a, hom_xz[t]) for t, a in table.get((h, g), ())]
+                e = hg[0][1] if len(hg) == 1 and hg[0][0] == 1 else None
                 for f, w, k in into[x]:
-                    hom_wy = c.hom(w, y)
-                    left = _combine(fld, [(a, c.comp_terms(hom_xz[t], f)) for t, a in hg])
-                    right = _combine(fld, [(a, c.comp_terms(h, hom_wy[t])) for t, a in c.comp_terms(g, f)])
+                    gf, h_w = table.get((g, f), ()), h_on[w]
+                    left = table.get((e, f), ()) if e is not None else _combine(fld, [(a, table.get((d, f), ())) for a, d in hg])
+                    right = h_w[gf[0][0]] if len(gf) == 1 and gf[0][1] == 1 else _combine(fld, [(a, h_w[t]) for t, a in gf])
                     if left != right:
                         key = (position[w], position[x], position[y], position[z], i, j, k)
                         found.append((key, f"associativity fails on triple ({h},{g},{f})"))

@@ -39,7 +39,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .errors import InternalCheckError
-from .exactalg import Field, Matrix
+from .exactalg import Field, Matrix, _pack
 from .lincat import FinLinCat, FiniteCatPresentation, generating_labels
 from .cmod import LeftModule, _blocks_from_vector, _post_rows, _pre_rows, comp_matrix, post_mul_matrix, pre_mul_matrix
 
@@ -240,8 +240,11 @@ def verify_family(c: FinLinCat, fam: SeparabilityFamily) -> FamilyCheck:
     are required. Raises ValueError on block shape mismatch.
 
     c must be a valid category. Equivariance is tested on generating_labels(c),
-    which suffices (module docstring); if it fails, every label is tested."""
-    fld = c.field
+    which suffices (module docstring); if it fails, every label is tested.
+    Entry (s, t) of the residual of (f, y) is summed straight from
+    comp_table and the blocks' row_terms, and a residual Matrix is built
+    only where the sum is nonzero."""
+    fld, table = c.field, c.comp_table
     for (x, y), blk in fam.blocks.items():
         if (blk.rows, blk.cols) != (c.dim_hom(y, x), c.dim_hom(x, y)):
             raise ValueError(f"block ({x},{y}) has shape {blk.rows}x{blk.cols}, expected {c.dim_hom(y, x)}x{c.dim_hom(x, y)}")
@@ -263,13 +266,25 @@ def verify_family(c: FinLinCat, fam: SeparabilityFamily) -> FamilyCheck:
             check.unit_residuals[x] = residual
 
     def residuals(labels) -> dict[tuple[str, str], Matrix]:
+        # f . A[x][y] - A[z][y] . f at (s, t), summed straight from the table and the blocks' rows:
+        # (f . u_i)_s A[x][y]_it less A[z][y]_sj (v_j . f)_t
         found = {}
         for f in labels:
             x, z, _ = c.label_info[f]
             for y in c.objects:
-                residual = post_mul_matrix(c, f, y) @ fam.block(c, x, y) - fam.block(c, z, y) @ pre_mul_matrix(c, f, y).transpose()
-                if not residual.is_zero():
-                    found[(f, y)] = residual
+                acc: list[dict] = [{} for _ in c.hom(y, z)]
+                for u, row in zip(c.hom(y, x), fam.block(c, x, y).row_terms):
+                    for s, w in table.get((f, u), ()):
+                        for t, a in row:
+                            acc[s][t] = acc[s].get(t, 0) + w * a
+                vs = c.hom(z, y)
+                for out, row in zip(acc, fam.block(c, z, y).row_terms):
+                    for j, a in row:
+                        for t, w in table.get((vs[j], f), ()):
+                            out[t] = out.get(t, 0) - a * w
+                residual = tuple(_pack(out, fld.p) for out in acc)
+                if any(residual):
+                    found[(f, y)] = Matrix._of_rows(fld, c.dim_hom(x, y), residual)
         return found
 
     if residuals(generating_labels(c)):

@@ -996,6 +996,68 @@ class TestMalformedInput:
         self.assert_malformed(result, "matrix entries must be a JSON array")
 
 
+def _json_nodes(doc, path=()):
+    """(path, value) of the JSON document doc and of every member and array
+    element in it, depth first; a path is the keys and indices down to it."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_nodes(value, path + (key,))
+
+
+def category_mutants(doc):
+    """(name, mutant) for each one-point mutation of the category document
+    doc: a member or array element dropped; an array put where a string or
+    object is, an object where an array or number is; an unknown name, or
+    the number 7, where a string is; an array element given twice; and a
+    coefficient changed to 0 or to 2."""
+
+    def mutant(path, kind, edit):
+        new = json.loads(json.dumps(doc))
+        parent = new
+        for key in path[:-1]:
+            parent = parent[key]
+        edit(parent, path[-1])
+        return f"{kind} at {'/'.join(map(str, path))}", new
+
+    for path, value in _json_nodes(doc):
+        if not path:
+            continue
+        yield mutant(path, "drop", lambda parent, key: parent.pop(key))
+        yield mutant(path, "type", lambda parent, key: parent.__setitem__(key, [] if isinstance(value, (str, dict)) else {}))
+        if isinstance(value, str):
+            yield mutant(path, "unknown", lambda parent, key: parent.__setitem__(key, "zz"))
+            yield mutant(path, "number", lambda parent, key: parent.__setitem__(key, 7))
+        if isinstance(path[-1], int):
+            yield mutant(path, "repeat", lambda parent, key: parent.insert(key, parent[key]))
+        if path[-1] == "coeff" or path[0] == "identity" and len(path) == 3:
+            for text in ("0", "2"):
+                yield mutant(path, f"coeff {text}", lambda parent, key: parent.__setitem__(key, text))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=str)
+@pytest.mark.parametrize("preset", ["z2", "a2"])
+def test_category_mutants_are_reported_never_raised(runner, tmp_path, preset, field):
+    # every one-point mutant of the Z2 or A2 file is valid (0), invalid with
+    # violations (1) or malformed (2), each with its message; none raises
+    pres = presets.cyclic_group(2) if preset == "z2" else presets.chain_poset(2)
+    path = tmp_path / "cat.json"
+    codes = []
+    for name, doc in category_mutants(io.category_to_json(linearize(pres, field))):
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(path)])
+        codes.append(result.exit_code)
+        assert "Traceback" not in result.output, name
+        if result.exit_code == 2:
+            assert result.stdout == "" and result.stderr.startswith("malformed input: "), name
+        elif result.exit_code == 1:
+            lines = result.stdout.splitlines()
+            assert lines and all(line.startswith("violation: ") for line in lines), name
+        else:
+            assert (result.exit_code, result.output) == (0, "ok\n"), name
+    assert len(codes) > 140 and {1, 2} <= set(codes)
+
+
 class TestDeterminism:
     def test_artifacts_are_byte_identical(self, runner, files, tmp_path):
         pairs = []

@@ -43,7 +43,7 @@ from sepcat.separability import (
 )
 from cli_runner import CliRunner
 from test_acceptance import ALL_FIELDS, DELTA_NONDISCRETE, DISCRETE, GROUPOIDS
-from test_cohomology import crown_poset
+from test_cohomology import crown_poset, rebased
 from test_exactalg import gauss_jordan
 from test_lincat import GENERATOR_PRESETS, interleaved_groupoid, kk_idempotent_basis
 
@@ -597,6 +597,65 @@ def test_separability_system_rows_on_generators_only():
     # rows for every label would number 1,596
     mat, _, _ = separability_system(linearize(presets.cyclic_group(12), QQ))
     assert mat.rows == 156
+
+
+def _residuals_by_definition(c, fam) -> dict:
+    """f . a[x][y] - a[z][y] . f for every label f: x -> z and object y in
+    the coordinates (s, t) of hom(y, z) (x) hom(x, y), from dense
+    coefficient vectors: f . u_i has coordinate s, the block entries are
+    read densely, and v_j . f has coordinate t. The nonzero ones, in the
+    order of labels, then objects."""
+    fld = c.field
+
+    def composite(g, f, n):
+        vec = [fld.zero] * n
+        for k, v in c.comp_terms(g, f):
+            vec[k] = v
+        return vec
+
+    found = {}
+    for f, (x, z, _) in c.label_info.items():
+        for y in c.objects:
+            us, vs, ws, v2s = c.hom(y, x), c.hom(x, y), c.hom(y, z), c.hom(z, y)
+            a, b = fam.block(c, x, y).entries, fam.block(c, z, y).entries
+            res = [[fld.zero] * len(vs) for _ in ws]
+            for i, u in enumerate(us):
+                fu = composite(f, u, len(ws))
+                for s, t in product(range(len(ws)), range(len(vs))):
+                    res[s][t] = fld.add(res[s][t], fld.mul(fu[s], a[i * len(vs) + t]))
+            for s, j in product(range(len(ws)), range(len(v2s))):
+                vf = composite(v2s[j], f, len(vs))
+                for t in range(len(vs)):
+                    res[s][t] = fld.sub(res[s][t], fld.mul(b[s * len(v2s) + j], vf[t]))
+            if any(any(row) for row in res):
+                found[(f, y)] = Matrix(fld, len(ws), len(vs), [v for row in res for v in row])
+    return found
+
+
+@lru_cache(maxsize=None)
+def _oracle_case(name: str, p):
+    """The generator corpus, K x K, and G2(Z3) in another basis, whose
+    composites have several terms; with a separability family or {}."""
+    c = rebased(_generator_case("G2(Z3)", p), 0) if name == "rebased" else _generator_case(name, p)
+    return c, (solve_separability(c) or SeparabilityFamily({})).blocks
+
+
+@pytest.mark.parametrize("p", [None, 2, 7], ids=["Q", "F2", "F7"])
+@pytest.mark.parametrize("name", sorted(GENERATOR_PRESETS) + ["KK", "rebased"])
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_equivariance_residuals_match_the_definition(name, p, data):
+    # a family with one or two entries moved: every residual verify_family
+    # reports, in its order, equals the dense evaluation on every label
+    c, blocks = _oracle_case(name, p)
+    blocks = dict(blocks)
+    pairs = [(x, y) for x in c.objects for y in c.objects if c.dim_hom(x, y) * c.dim_hom(y, x)]
+    for _ in range(data.draw(st.integers(1, 2))):
+        x, y = data.draw(st.sampled_from(pairs))
+        blocks[(x, y)] = _moved(c.field, SeparabilityFamily(blocks).block(c, x, y), data)
+    fam = SeparabilityFamily(blocks)
+    got = verify_family(c, fam).equivariance_residuals
+    assert list(got.items()) == list(_residuals_by_definition(c, fam).items())
 
 
 # the acceptance corpus, and seeded random categories over Q, F2, F3 and F7
