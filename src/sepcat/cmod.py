@@ -198,7 +198,11 @@ def kernel_of(m: BimoduleMap) -> tuple[Bimodule, BimoduleMap]:
 def _induced_action(act: Matrix, ker: Matrix, ker2: Matrix, error: str, label: str) -> Matrix:
     """The action that act induces from the kernel with basis ker to the one
     with basis ker2, read off ker2's basis by _coords; ValueError with
-    error.format(label) when the image of ker leaves ker2."""
+    error.format(label) when the image of ker leaves ker2. A kernel of
+    dimension 0 has no image to leave ker2: its action is the empty
+    ker2.cols x 0 matrix, found with no product."""
+    if not ker.cols:
+        return Matrix.zeros(act.field, ker2.cols, 0)
     induced = ker2._coords(act @ ker)
     if induced is None:
         raise ValueError(error.format(label))
@@ -411,6 +415,10 @@ def _validate_bimodule(c: FinLinCat, m: Bimodule, violations: list[str]) -> None
 
 
 def _validate_bimodule_map(c: FinLinCat, m: BimoduleMap, violations: list[str]) -> None:
+    """Append a violation for each block of m missing or of the wrong
+    shape (and stop there), then for each action of C that m fails to
+    commute with. An action out of a source component of dimension 0 is
+    not tested: both of its sides are empty matrices of one shape."""
     for x in c.objects:
         for y in c.objects:
             blk = m.blocks.get((x, y))
@@ -419,11 +427,11 @@ def _validate_bimodule_map(c: FinLinCat, m: BimoduleMap, violations: list[str]) 
                 return
     for (f, y), src_act in m.source.left.items():
         x, x2, _ = c.label_info[f]
-        if m.blocks[(x2, y)] @ src_act != m.target.left[(f, y)] @ m.blocks[(x, y)]:
+        if m.source.dims[(x, y)] and m.blocks[(x2, y)] @ src_act != m.target.left[(f, y)] @ m.blocks[(x, y)]:
             violations.append(f"map fails to commute with left action of {f} at y={y}")
     for (g, x), src_act in m.source.right.items():
         y2, y, _ = c.label_info[g]
-        if m.blocks[(x, y2)] @ src_act != m.target.right[(g, x)] @ m.blocks[(x, y)]:
+        if m.source.dims[(x, y)] and m.blocks[(x, y2)] @ src_act != m.target.right[(g, x)] @ m.blocks[(x, y)]:
             violations.append(f"map fails to commute with right action of {g} at x={x}")
 
 

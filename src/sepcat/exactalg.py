@@ -14,19 +14,23 @@ All Gaussian elimination, over Q and over F_p, runs through one
 forward-elimination routine, _echelon, per block of the matrix: a
 connected component of the graph that joins the columns of each row's
 nonzeros. Its working rows are dense but only as wide as their block.
+A block of one row is its own echelon form, up to its lead coefficient,
+and is never eliminated; the composition matrix of a linearized
+category, whose composites are single labels, splits into such blocks.
 Within one rref or rank, blocks that are equal in their own coordinates,
 with their exact values, share one elimination: the 5 blocks of d^3 in
 the bar complex of Z_5, one per conjugacy class, are one matrix.
 
-Over Q each distinct block is reduced modulo the word-size prime _PRIME
-and each entry of its rref rationally reconstructed (Wang-Guy-Davenport);
-the candidate is kept only when one exact product on the block proves it,
-as in Dixon's p-adic solver. If R has pivot columns P and B == B[:, P] @ R,
-the rows of B lie in the row space of R, so rank_Q(B) <= rank(R) =
-rank_p(B); and rank_p(B) <= rank_Q(B) because a minor of the reduction is
-the reduction of the minor. The two row spaces are then equal, and R,
-being reduced, is the unique rref of B. Otherwise that block is
-eliminated in Fraction arithmetic.
+Over Q each distinct block of two or more rows is reduced modulo the
+word-size prime _PRIME and each entry of its rref rationally
+reconstructed (Wang-Guy-Davenport); the candidate is kept only when one
+exact product on the block proves it, as in Dixon's p-adic solver, and
+that product is checked row by row. If R has pivot columns P and
+B == B[:, P] @ R, the rows of B lie in the row space of R, so
+rank_Q(B) <= rank(R) = rank_p(B); and rank_p(B) <= rank_Q(B) because a
+minor of the reduction is the reduction of the minor. The two row spaces
+are then equal, and R, being reduced, is the unique rref of B. Otherwise
+that block is eliminated in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -477,9 +481,11 @@ class Matrix:
         distinct block is reduced once, in its own coordinates (see
         _distinct_blocks), and the reduced rows of every block are mapped
         back through its columns and merged by pivot column; the rref is
-        unique, so it equals that of the whole matrix.
+        unique, so it equals that of the whole matrix. A block of one row
+        is reduced by dividing it by its lead coefficient, with no
+        elimination (see _block_rref).
 
-        Over Q a block is first reduced mod _PRIME and its entries
+        Over Q any larger block is first reduced mod _PRIME and its entries
         reconstructed as fractions; the candidate is kept only when the
         block's own product certifies it (see _certified_block_rref), and
         otherwise that block alone is eliminated in Fraction arithmetic. A
@@ -508,11 +514,15 @@ class Matrix:
 
     def solve_many(self, b: "Matrix") -> Optional["Matrix"]:
         """Columnwise solve of self @ X = B with free variables set to zero;
-        None if any column is inconsistent."""
+        None if any column is inconsistent. With no equations (self has no
+        rows) every column is consistent and X is zero, found without an
+        rref."""
         self._check_compatible(b)
         if b.rows != self.rows:
             raise ValueError(f"dimension mismatch: {self.rows} equations vs {b.rows} rhs rows")
         n = self.cols
+        if not self.rows:
+            return Matrix.zeros(self.field, n, b.cols)
         aug = self.hstack(b).rref()
         if any(pc >= n for pc in aug.pivot_cols):
             return None
@@ -672,27 +682,36 @@ def _blocks(m: Matrix) -> list[tuple[list[int], tuple]]:
     No elimination moves a row's nonzeros out of its block, so the rank of
     m is the sum of the blocks' ranks and the rref of m is their rrefs
     merged by pivot column. The order of leading column keeps the fill-in
-    of the pivot rows low, and neither a rank nor an rref depends on it."""
-    root = list(range(m.cols))
-
-    def find(j: int) -> int:
-        while root[j] != j:
-            root[j] = root[root[j]]
-            j = root[j]
-        return j
-
+    of the pivot rows low, and neither a rank nor an rref depends on it.
+    A one-row block's columns are its row's, and its own coordinates
+    number its nonzeros; a matrix with at most one nonzero row has no
+    columns to join."""
     rows = sorted((r for r in m.row_terms if r), key=lambda r: r[0][0])
-    for r in rows:
-        a = find(r[0][0])
-        for j, _ in r[1:]:
-            b = find(j)
-            if b != a:
-                root[b] = a
-    blocks: dict[int, list] = {}
-    for r in rows:
-        blocks.setdefault(find(r[0][0]), []).append(r)
+    groups: Iterable[list] = [rows] if rows else []
+    if len(rows) > 1:
+        root = list(range(m.cols))
+
+        def find(j: int) -> int:
+            while root[j] != j:
+                root[j] = root[root[j]]
+                j = root[j]
+            return j
+
+        for r in rows:
+            a = find(r[0][0])
+            for j, _ in r[1:]:
+                b = find(j)
+                if b != a:
+                    root[b] = a
+        blocks: dict[int, list] = {}
+        for r in rows:
+            blocks.setdefault(find(r[0][0]), []).append(r)
+        groups = blocks.values()
     out = []
-    for block in blocks.values():
+    for block in groups:
+        if len(block) == 1:  # its columns are its row's, numbered in order
+            out.append(([j for j, _ in block[0]], (tuple([(k, v) for k, (_, v) in enumerate(block[0])]),)))
+            continue
         cols = sorted({j for r in block for j, _ in r})
         if len(cols) == m.cols:  # one block on every column: its coordinates are m's
             out.append((cols, tuple(block)))
@@ -730,8 +749,17 @@ def _dense_rows(rows: tuple, width: int, p: Optional[int]) -> Iterator[list]:
 def _block_rref(rows: tuple, width: int, p: Optional[int]) -> tuple[list[int], list[tuple]]:
     """The pivot columns and nonzero reduced rows, in pivot order, of the
     rref of one block given by its rows in its own coordinates, over F_p,
-    or over Q when p is None: certified from the rref mod _PRIME when it
-    can be (_certified_block_rref), else in Fraction arithmetic."""
+    or over Q when p is None. A block of one row is its own echelon form
+    once divided by its lead coefficient, exactly and in canonical form
+    over Q, so it is never eliminated. Any other block over Q is certified
+    from its rref mod _PRIME when it can be (_certified_block_rref), else
+    eliminated in Fraction arithmetic."""
+    if len(rows) == 1:
+        row, lead = rows[0], rows[0][0][1]
+        if lead != 1:
+            s = 1 / Fraction(lead) if p is None else pow(lead, -1, p)
+            row = tuple([(j, _canonical(s * v) if p is None else s * v % p) for j, v in row])
+        return [0], [row]
     found = _certified_block_rref(rows, width) if p is None else None
     if found is None:
         order, pivots = _echelon(_dense_rows(rows, width, p), p)
@@ -743,24 +771,25 @@ def _certified_block_rref(rows: tuple, width: int) -> Optional[tuple[list[int], 
     """The pivot columns P and nonzero reduced rows R of a rational block
     B from its rref mod _PRIME, reconstructed entry by entry, kept only
     when B == B[:, P] @ R; None when the prime divides a denominator, an
-    entry does not reconstruct, or the product differs."""
+    entry does not reconstruct, or the product differs. The product is
+    checked in one pass over B's rows: row v of B must equal the sum of
+    v[P[k]] * R[k] over the pivots P[k] where v is nonzero."""
     p = _PRIME
     try:
         order, pivots = _echelon(_dense_rows(rows, width, p), p)
     except ValueError:  # from pow: p divides a denominator
         return None
-    reduced = []
-    for red in _back_substitute(order, pivots, p):
-        row = []
-        for j, v in red:
-            q = _rational(v, p, _BOUND)
-            if q is None:
-                return None
-            row.append((j, q))
-        reduced.append(tuple(row))
-    b = Matrix._of_rows(QQ, width, rows)
-    if b.take_cols(order) @ Matrix._of_rows(QQ, width, tuple(reduced)) != b:
+    reduced = [tuple([(j, _rational(v, p, _BOUND)) for j, v in red]) for red in _back_substitute(order, pivots, p)]
+    if any(q is None for red in reduced for _, q in red):
         return None
+    at = dict(zip(order, reduced))
+    for row in rows:
+        acc: dict = {}
+        for j, v in row:
+            for k, r in at.get(j, ()):
+                acc[k] = acc.get(k, 0) + v * r
+        if _pack(acc, None) != row:
+            return None
     return order, reduced
 
 
@@ -769,7 +798,8 @@ def _rank_mod(m: Matrix, p: Optional[int] = None) -> Optional[int]:
     defaults to m's own prime, or _PRIME over Q; None when some entry's
     denominator is divisible by p. Over F_p itself this is the rank of m.
     It is the sum of the ranks of m's blocks, each distinct block
-    eliminated once (see _distinct_blocks).
+    eliminated once (see _distinct_blocks); a block of one row is not
+    eliminated, its rank is 1 unless p divides every entry.
 
     A minor of the reduction is the reduction of the minor, so for a
     rational m the result never exceeds its rank over Q.
@@ -777,7 +807,10 @@ def _rank_mod(m: Matrix, p: Optional[int] = None) -> Optional[int]:
     p = p or m.field.p or _PRIME
 
     def rank(rows: tuple, width: int) -> int:
-        return len(_echelon(_dense_rows(rows, width, p), p)[0])
+        dense = _dense_rows(rows, width, p)
+        # one row is its width nonzeros, each reduced (so a denominator
+        # divisible by p still raises): rank 1 unless p divides them all
+        return len(_echelon(dense, p)[0]) if len(rows) > 1 else int(any(next(dense)))
 
     try:
         return sum(r for _, r in _distinct_blocks(m, rank))

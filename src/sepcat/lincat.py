@@ -194,8 +194,11 @@ def _search_generators(c: FinLinCat) -> list[str]:
             (w, y), vec = todo.pop()
             vec = reduce((w, y), vec)
             if vec:
-                inv = fld.inv(vec[min(vec)])
-                span[(w, y)][min(vec)] = {k: fld.mul(inv, v) for k, v in vec.items()}
+                lead = min(vec)
+                if vec[lead] != 1:
+                    inv = fld.inv(vec[lead])
+                    vec = {k: fld.mul(inv, v) for k, v in vec.items()}
+                span[(w, y)][lead] = vec
                 todo.extend(((w, c.label_info[s][1]), compose(s, (w, y), vec)) for s in gens if c.label_info[s][0] == y)
 
     close([((x, x), {t: a for t, a in enumerate(vec) if a}) for x, vec in c.identity.items()])

@@ -629,11 +629,14 @@ def test_equal_blocks_share_one_elimination(field, drawn):
     assert res.reduced.entries == tuple(e for row in reduced for e in row)
     assert_canonical(res.reduced)
     assert res.pivot_cols == tuple(pivots)
-    assert calls == [field.p or P] * len(own)
+    # one elimination per distinct block of two or more rows; a one-row
+    # block is its own echelon form
+    eliminated = sum(len(b) > 1 for b in own)
+    assert calls == [field.p or P] * eliminated
     with echelon_primes() as calls:
         rank = exactalg._rank_mod(m)
     assert rank == len(gauss_jordan(ints, field.p or P)[1])
-    assert calls == [field.p or P] * len(own)
+    assert calls == [field.p or P] * eliminated
 
 
 # -- the certified rational rref ---------------------------------------------
@@ -679,6 +682,21 @@ def certifiable(rows: list[list[Fraction]]) -> bool:
     return all(abs(e.numerator) <= BOUND and e.denominator <= BOUND for row in reduced for e in row)
 
 
+def row_blocks(rows: list[list]) -> list[list[list]]:
+    """The blocks of a dense matrix, each as its rows restricted to its
+    columns: the components of the graph that joins the columns of each
+    row's nonzeros, found by merging every earlier block a row meets."""
+    found: list[tuple[set, list[int]]] = []
+    for i, row in enumerate(rows):
+        cols = {j for j, e in enumerate(row) if e}
+        if not cols:
+            continue
+        met = [b for b in found if b[0] & cols]
+        found = [b for b in found if not b[0] & cols]
+        found.append((cols.union(*(b[0] for b in met)), sorted([i, *(k for b in met for k in b[1])])))
+    return [[[rows[i][j] for j in sorted(cols)] for i in at] for cols, at in found]
+
+
 @st.composite
 def adversarial_rational_rows(draw):
     """Small rational matrices, each drawn so that one fallback may be
@@ -711,8 +729,8 @@ def test_rational_rref_matches_textbook_and_certifies_exactly_when_it_can(rows):
     assert res.pivot_cols == tuple(pivots)
     assert_canonical(res.reduced)
     # the Fraction elimination runs exactly when the modular one cannot
-    # answer
-    assert (None in calls) == (not certifiable(rows))
+    # answer for some block of two or more rows
+    assert (None in calls) == any(not certifiable(b) for b in row_blocks(rows) if len(b) > 1)
 
 
 class TestCertifiedRref:
@@ -721,7 +739,7 @@ class TestCertifiedRref:
         [
             pytest.param([[1, 2], [0, Fraction(1, P)]], id="denominator-divisible-by-p"),
             pytest.param([[1, 0], [1, P]], id="mod-p-pivots-differ"),
-            pytest.param([[BOUND + 2, BOUND + 1]], id="entry-beyond-bound"),
+            pytest.param([[BOUND + 2, BOUND + 1, 1], [0, 0, 1]], id="entry-beyond-bound"),
         ],
     )
     def test_each_fallback_is_the_textbook_rref(self, rows):
@@ -744,9 +762,10 @@ class TestCertifiedRref:
         assert calls == [P]
 
     def test_one_block_past_the_bound_falls_back_alone(self):
-        # columns 0 and 2 form one block, columns 1 and 3 the other; only the
-        # second block's rref has an entry past the reconstruction bound
-        rows = [[1, 0, 2, 0], [0, BOUND + 2, 0, BOUND + 1], [3, 0, 4, 0]]
+        # columns 0 and 2 form one block, columns 1, 3 and 4 the other, each
+        # of two rows; only the second block's rref has an entry past the
+        # reconstruction bound, (BOUND + 1) / (BOUND + 2)
+        rows = [[1, 0, 2, 0, 0], [0, BOUND + 2, 0, BOUND + 1, 1], [3, 0, 4, 0, 0], [0, 0, 0, 0, 1]]
         with echelon_primes() as calls:
             res = Matrix.from_rows(QQ, rows).rref()
         reduced, pivots = gauss_jordan(rows, None)
@@ -756,15 +775,15 @@ class TestCertifiedRref:
         assert calls == [P, P, None]
 
     def test_blocks_congruent_mod_the_prime_are_reduced_apart(self):
-        # two 1 x 2 blocks on disjoint columns, equal mod the prime only
-        rows = [[1, 2, 0, 0], [0, 0, 1, 2 + P]]
+        # two 2 x 3 blocks on disjoint columns, equal mod the prime only
+        rows = [[1, 2, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 0, 1, 2 + P, 0], [0, 0, 0, 0, 1, 1]]
         with echelon_primes() as calls:
             res = Matrix.from_rows(QQ, rows).rref()
         reduced, pivots = gauss_jordan(rows, None)
         assert res.reduced.entries == tuple(e for row in reduced for e in row)
         assert res.pivot_cols == tuple(pivots)
-        # each block mod the prime; 2 + P is past the reconstruction bound,
-        # so the second then falls back to Fractions
+        # each block mod the prime; -(2 + P) is past the reconstruction
+        # bound, so the second then falls back to Fractions
         assert calls == [P, P, None]
 
     def test_z5_degree_three_rank_eliminates_its_equal_blocks_once(self):
@@ -806,3 +825,76 @@ class TestCertifiedRref:
             family = solve_separability(z12)
         assert report.all_exact and verify_family(z12, family).ok
         assert calls and None not in calls
+
+
+# -- blocks of one row ---------------------------------------------------------
+
+
+@st.composite
+def one_row_blocks(draw):
+    """A field among Q, F2 and F7 and a matrix over it whose nonzero rows
+    have pairwise disjoint supports, zero rows and zero columns among them,
+    so that every block has one row. Over Q the entries include fractions,
+    values past the reconstruction bound, multiples of the prime and
+    denominators divisible by it."""
+    field = draw(st.sampled_from([QQ, F2, Field(7)]))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    owner = [draw(st.integers(-1, rows - 1)) for _ in range(cols)]  # -1: a zero column
+    if field.p is None:
+        entry = st.one_of(
+            st.fractions(-9, 9, max_denominator=6).filter(bool),
+            st.integers(BOUND, 10 * BOUND),
+            st.sampled_from([P, -2 * P, Fraction(1, P), Fraction(3, 2 * P)]),
+        )
+    else:
+        entry = st.integers(1, field.p - 1)
+    return field, [[draw(entry) if owner[j] == i else 0 for j in range(cols)] for i in range(rows)]
+
+
+class TestOneRowBlocks:
+    def check(self, field, rows):
+        """rref and _rank_mod of rows equal the textbook ones, with no
+        elimination."""
+        m = Matrix.from_rows(field, rows)
+        with echelon_primes() as calls:
+            res = m.rref()
+            rank = exactalg._rank_mod(m)
+        reduced, pivots = gauss_jordan(rows, field.p)
+        assert res.reduced.entries == tuple(e for row in reduced for e in row)
+        assert_canonical(res.reduced)
+        assert res.pivot_cols == tuple(pivots)
+        p = field.p or P
+        residues = [[residue(Fraction(e), p) for e in row] for row in rows]
+        if any(r is None for row in residues for r in row):
+            assert rank is None
+        else:
+            assert rank == len(gauss_jordan(residues, p)[1])
+        assert calls == []
+
+    @given(one_row_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_each_block_is_its_own_rref(self, drawn):
+        self.check(*drawn)
+
+    @pytest.mark.parametrize(
+        "field, rows",
+        [
+            pytest.param(QQ, [[0, BOUND + 2, 0, BOUND + 1]], id="Q-entry-beyond-bound"),
+            pytest.param(QQ, [[Fraction(3, 2), 0, Fraction(1, P)]], id="Q-denominator-divisible-by-p"),
+            pytest.param(QQ, [[P, 0], [0, 0], [0, -3]], id="Q-zero-mod-p"),
+            pytest.param(F2, [[0, 1, 1], [1, 0, 0]], id="F2"),
+            pytest.param(Field(7), [[3, 0, 5], [0, 6, 0]], id="F7"),
+        ],
+    )
+    def test_named_blocks(self, field, rows):
+        self.check(field, rows)
+
+
+def test_solve_many_with_no_equations_is_zero():
+    for field in (QQ, F2):
+        a, b = Matrix.zeros(field, 0, 3), Matrix.zeros(field, 0, 2)
+        with echelon_primes() as calls:
+            x = a.solve_many(b)
+        assert x == Matrix.zeros(field, 3, 2)
+        assert a @ x == b
+        assert calls == []
