@@ -567,7 +567,7 @@ class Matrix:
         return x if self @ x == image else None
 
     def to_json(self) -> list[str]:
-        return [self.field.format(e) for e in self.entries]
+        return [self.field.format(row.get(j, self.field.zero)) for row in map(dict, self.row_terms) for j in range(self.cols)]
 
     @classmethod
     def from_json(cls, field: Field, rows: int, cols: int, texts: Sequence[str]) -> "Matrix":

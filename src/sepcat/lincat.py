@@ -287,10 +287,12 @@ class FiniteCatPresentation:
 
     Compositions with identities may be omitted; they are filled in on
     construction. The constructor checks the whole structure once: an
-    unknown endpoint, a missing identity, an entry naming an unknown
-    morphism or a non-composable entry raises
-    ValueError, and so does a table that misses a composable pair or breaks
-    associativity or a unit law, as "invalid presentation: ...". So every
+    unknown endpoint, a missing identity, an identity given for an unknown
+    object, an entry naming an unknown morphism or a non-composable entry
+    raises ValueError, and so does a table that misses a composable pair
+    or breaks associativity or a unit law, as "invalid presentation: "
+    with the first three violations. The laws are those of
+    validate_category on the linearization, with its messages, so every
     presentation is a category, and what reads one does not check it again.
     Like FinLinCat it is immutable. The constructor also indexes the
     morphisms by hom pair once, each hom set in the order of morphisms:
@@ -319,6 +321,9 @@ class FiniteCatPresentation:
             e = identity.get(x)
             if e is None or morphisms.get(e) != (x, x):
                 raise ValueError(f"object {x} lacks an identity endomorphism")
+        for x in identity:
+            if x not in objects:
+                raise ValueError(f"identity given for unknown object {x}")
         composition = dict(composition)
         homs: dict[tuple[str, str], list[str]] = {}
         for name, (x, y) in morphisms.items():
@@ -355,59 +360,17 @@ class FiniteCatPresentation:
 
     def _law_violations(self) -> list[str]:
         """The composable pairs the table misses or, when it is total, the
-        triples that do not associate and the morphisms a unit law fails for.
-        (h.g).f = h.(g.f) holds for an identity h by the unit laws, and for
-        s.h once it holds for s and h; so when the unit laws hold, triples
-        headed by _generators() are checked, and every triple when one fails."""
-        into: dict[str, list[str]] = {x: [] for x in self.objects}
-        for (_, y), names in self._homs.items():
-            into[y].extend(names)
+        violations validate_category reports on the linearization over Q:
+        every composite there is one label with coefficient 1, so a triple
+        associates, or a unit law holds, exactly when it does in the table."""
         missing = [
             f"composition table is missing the pair ({g},{f})"
             for g, (gx, _) in self.morphisms.items()
-            for f in into[gx]
+            for (_, y), names in self._homs.items() if y == gx
+            for f in names
             if (g, f) not in self.composition
         ]
-        if missing:
-            return missing
-        comp = self.comp
-        units = [
-            f"unit law fails for {f}"
-            for f, (x, y) in self.morphisms.items()
-            if comp(self.identity[y], f) != f or comp(f, self.identity[x]) != f
-        ]
-
-        def associativity(heads) -> list[str]:
-            return [
-                f"associativity fails on triple ({h},{g},{f})"
-                for h in heads
-                for g in into[self.morphisms[h][0]]
-                for f in into[self.morphisms[g][0]]
-                if comp(comp(h, g), f) != comp(h, comp(g, f))
-            ]
-
-        if units or associativity(self._generators()):
-            return associativity(self.morphisms) + units
-        return []
-
-    def _generators(self) -> list[str]:
-        """Morphisms S, in the order of morphisms, that reach every morphism
-        as s1.(s2.(... .(sk.1_x))) through the table: a morphism joins S when
-        it is not reached by those before it."""
-        reached, gens = set(self.identity.values()), []
-        for m in self.morphisms:
-            if m in reached:
-                continue
-            gens.append(m)
-            todo = list(reached)
-            while todo:
-                r = todo.pop()
-                for s in gens:
-                    sr = self.composition.get((s, r))
-                    if sr is not None and sr not in reached:
-                        reached.add(sr)
-                        todo.append(sr)
-        return gens
+        return missing or validate_category(linearize(self, Field())).violations
 
     def hom_set(self, x: str, y: str) -> list[str]:
         return list(self._homs.get((x, y), ()))
@@ -433,9 +396,10 @@ def classify_presentation(p: FiniteCatPresentation) -> PresentationFlags:
 
 def linearize(p: FiniteCatPresentation, k: Field) -> FinLinCat:
     """The K-linearization: hom bases are the hom sets of p, in the order
-    hom_set gives them, and g . f is the basis label p.comp(g, f). p is a
-    category by construction, so its linearization satisfies the category
-    axioms."""
+    hom_set gives them, and g . f is the basis label p.comp(g, f). The
+    constructor of p has checked the category laws on its linearization
+    over Q, where every composite is one label with coefficient 1, so the
+    linearization over any K satisfies them too."""
     composition = {gf: ((h, k.one),) for gf, h in p.composition.items()}
     identity = {x: ((p.identity[x], k.one),) for x in p.objects}
     return FinLinCat(k, p.objects, p._homs, composition, identity)

@@ -129,15 +129,10 @@ class TestPredicateCommands:
         assert result.stderr == "malformed input: presentation is not a groupoid\n"
 
     def test_maschke_linearizes_once(self, runner, tmp_path, monkeypatch):
+        # the verdict is taken on one linearization; the presentation's own
+        # law check in sepcat.lincat makes another, which is not counted
         calls = []
-
-        def counted(p, k):
-            calls.append(k)
-            return linearize(p, k)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("sepcat") and getattr(module, "linearize", None) is linearize:
-                monkeypatch.setattr(module, "linearize", counted)
+        monkeypatch.setattr("sepcat.cli.linearize", lambda p, k: calls.append(k) or linearize(p, k))
         pres = tmp_path / "z4_pres.json"
         pres.write_text(json.dumps(io.presentation_to_json(presets.cyclic_group(4))))
         result = runner.invoke(main, ["maschke", str(pres), "--field", "Q"])
@@ -759,6 +754,15 @@ class TestMalformedInput:
         kind = "array" if isinstance(value, str) or member in ("objects", "morphisms", "composition") else "object"
         result = runner.invoke(main, args)
         self.assert_malformed(result, f"presentation: member {member!r} must be a JSON {kind}")
+
+    def test_presentation_identity_for_unknown_object(self, runner, tmp_path):
+        # read and written back before, so linearize exited 0 on it
+        doc = io.presentation_to_json(presets.cyclic_group(2))
+        doc["identity"]["zz"] = "nosuch"
+        out = tmp_path / "cat.json"
+        result = runner.invoke(main, ["linearize", self.write(tmp_path, "pres.json", doc), "--field", "Q", "-o", str(out)])
+        assert (result.exit_code, result.stderr) == (2, "malformed input: identity given for unknown object zz\n")
+        assert not out.exists()
 
     # the prime is a run of ASCII digits, as in a scalar: int() read "1_1"
     # as 11, the Arabic-Indic digit seven as 7, and " 7" and "+7" as 7
